@@ -68,10 +68,8 @@ def _report_payload(cfg: RunConfig, report: SolveReport) -> dict:
 def _write_timeseries(path: Path, report: SolveReport):
     times = report.u.tgrid.interval_times()
     act = report.activity
-    mu_inf = [float(np.max(np.abs(report.mu.values[m])))
-              for m in range(report.u.n_slices)]
-    zero_frac = [float(np.mean(report.u.values[m] == 0.0))
-                 for m in range(report.u.n_slices)]
+    mu_inf = np.max(np.abs(report.mu.values), axis=1)
+    zero_frac = np.mean(report.u.values == 0.0, axis=1)
     lines = [",".join(TIMESERIES_COLUMNS)]
     for m in range(report.u.n_slices):
         lines.append(",".join(repr(float(x)) for x in (

@@ -17,7 +17,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .grid import SpaceTimeField, l2_inner, l2_norm, like, slice_l1_norm, slice_linf_norm
+from .grid import SpaceTimeField, l2_inner, l2_norm, like
 from .l1ball import l1_directional_derivative, project_field, recover_multiplier
 from .objective import curvature_with_state
 from .pde import solve_adjoint, solve_state
@@ -53,9 +53,8 @@ def classify_slices(u: SpaceTimeField, mu: SpaceTimeField, gamma: float,
     """
     if tol is None:
         tol = 1e-8 * gamma
-    n = u.n_slices
-    l1 = np.array([slice_l1_norm(u, m) for m in range(n)])
-    mu_inf = np.array([slice_linf_norm(mu, m) for m in range(n)])
+    l1 = u.grid.cell_weight * np.sum(np.abs(u.values), axis=1)
+    mu_inf = np.max(np.abs(mu.values), axis=1)
     binding = np.abs(l1 - gamma) <= tol
     multiplier_active = binding & (mu_inf > tol)
     return SliceActivity(l1, binding, multiplier_active, thresholds, tol)

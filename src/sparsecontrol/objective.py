@@ -18,10 +18,10 @@ import numpy as np
 
 from .grid import SpaceTimeField, l2_inner, like
 from .nonlinearity import eval_ayy
-from .pde import solve_adjoint, solve_state
+from .pde import solve_adjoint, solve_linearized, solve_state
 from .problem import ProblemSpec
 
-__all__ = ["ProblemSpec", "eval_J", "objective_value", "eval_gradient",
+__all__ = ["eval_J", "objective_value", "eval_gradient",
            "eval_curvature", "curvature_with_state"]
 
 
@@ -46,8 +46,6 @@ def eval_gradient(spec: ProblemSpec, u: SpaceTimeField) -> SpaceTimeField:
 def curvature_with_state(spec: ProblemSpec, y: SpaceTimeField,
                          phi: SpaceTimeField, v: SpaceTimeField) -> float:
     """Quadratic form at (y, phi) in direction v; reuses computed fields."""
-    from .pde import solve_linearized
-
     z = solve_linearized(spec, y, v)
     zi = z.values[1:]
     weight = 1.0 - eval_ayy(spec.nonlinearity, y.values[1:]) * phi.values

@@ -20,11 +20,10 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .diagnostics import SliceActivity, classify_slices
-from .grid import SpaceTimeField, field_per_interval, l2_inner, l2_norm, like, \
-    slice_l1_norm, slice_linf_norm
+from .grid import SpaceTimeField, field_per_interval, l2_inner, l2_norm, like
 from .l1ball import project_field, recover_multiplier
 from .objective import objective_value
-from .pde import solve_adjoint, solve_state
+from .pde import NewtonError, solve_adjoint, solve_state
 from .problem import ProblemSpec
 
 
@@ -80,15 +79,15 @@ def kkt_residuals(spec: ProblemSpec, u: SpaceTimeField, y: SpaceTimeField,
     point satisfying the projection form of the optimality system."""
     projected, _ = project_field(like(u, -phi.values / spec.kappa), spec.gamma)
     stationarity = l2_norm(like(u, u.values - projected.values))
-    n = u.n_slices
-    u_l1 = np.array([slice_l1_norm(u, m) for m in range(n)])
+    w = u.grid.cell_weight
+    u_l1 = w * np.sum(np.abs(u.values), axis=1)
     feasibility = float(np.max(np.maximum(u_l1 - spec.gamma, 0.0)))
     prod = u.values * mu.values
     sign_gap = l2_norm(like(u, np.abs(prod) - prod))
-    mu_inf = np.array([slice_linf_norm(mu, m) for m in range(n)])
+    mu_inf = np.max(np.abs(mu.values), axis=1)
     slack_gap = float(np.max(mu_inf * np.maximum(spec.gamma - u_l1, 0.0)))
-    phi_l1 = np.array([slice_l1_norm(phi, m) for m in range(n)])
-    mu_l1 = np.array([slice_l1_norm(mu, m) for m in range(n)])
+    phi_l1 = w * np.sum(np.abs(phi.values), axis=1)
+    mu_l1 = w * np.sum(np.abs(mu.values), axis=1)
     identity_gap = float(np.max(np.abs(phi_l1 - spec.kappa * u_l1 - mu_l1)))
     return KKTResiduals(stationarity, feasibility, sign_gap, slack_gap,
                         identity_gap)
@@ -119,8 +118,9 @@ class SolveReport:
 def solve(spec: ProblemSpec, cfg: OptimizerConfig = OptimizerConfig()) -> SolveReport:
     """Run the projected gradient method on spec.
 
-    Returns a report with converged=False when the iteration cap is reached;
-    state-solver failures propagate.
+    Returns a report with converged=False when the iteration cap is reached
+    or the line search stalls.  A line-search trial whose state solve fails
+    is rejected; a failure of the initial state solve propagates.
     """
     if cfg.u0 is not None:
         u = cfg.u0.copy()
@@ -142,8 +142,8 @@ def solve(spec: ProblemSpec, cfg: OptimizerConfig = OptimizerConfig()) -> SolveR
     iterations = 0
 
     for iterations in range(cfg.max_iter + 1):
-        fixed_point, _ = project_field(like(u, -phi.values / spec.kappa),
-                                       spec.gamma)
+        fixed_point, thresholds = project_field(
+            like(u, -phi.values / spec.kappa), spec.gamma)
         residual = l2_norm(like(u, u.values - fixed_point.values)) \
             / max(1.0, l2_norm(u))
         residual_history.append(residual)
@@ -162,7 +162,11 @@ def solve(spec: ProblemSpec, cfg: OptimizerConfig = OptimizerConfig()) -> SolveR
         for backtracks in range(cfg.max_backtracks):
             candidate, _ = project_field(
                 like(u, u.values - trial_step * gradient.values), spec.gamma)
-            y_new = solve_state(spec, candidate)
+            try:
+                y_new = solve_state(spec, candidate)
+            except NewtonError:     # no implicit step solution: reject
+                trial_step *= cfg.backtrack
+                continue
             j_new = objective_value(spec, candidate, y_new)
             decrement = l2_inner(gradient, like(u, candidate.values - u.values))
             if j_new <= j_val + cfg.armijo_c * decrement + noise_floor:
@@ -185,9 +189,8 @@ def solve(spec: ProblemSpec, cfg: OptimizerConfig = OptimizerConfig()) -> SolveR
         else:
             step = 2.0 * trial_step if backtracks == 0 else trial_step
 
+    # every exit from the loop leaves thresholds at the final (u, phi)
     mu = recover_multiplier(u, phi, spec.kappa)
-    fixed_point, thresholds = project_field(like(u, -phi.values / spec.kappa),
-                                            spec.gamma)
     activity = classify_slices(u, mu, spec.gamma, thresholds=thresholds)
     level = spec.truncation_level
     truncation_inactive = bool(np.max(np.abs(y.values)) < level)

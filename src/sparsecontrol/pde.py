@@ -22,7 +22,9 @@ p_m sitting at the right node t_m.
 
 A_h is the finite-difference operator on interior nodes: the standard
 3/5-point stencil for the diagonal part plus centered cross differences for
-the off-diagonal tensor entry, Dirichlet values eliminated.
+the off-diagonal tensor entry, Dirichlet values eliminated.  It is exactly
+symmetric, bit for bit (the tests assert it), so B_m^T = B_m and one
+StepSystem serves the state, linearized and adjoint sweeps.
 """
 
 from __future__ import annotations
@@ -53,12 +55,10 @@ class TruncationActiveWarning(UserWarning):
 class NewtonConfig:
     tol: float = 1e-12          # relative residual
     max_iter: int = 30
-    linear_tol: float = 1e-12   # documentation of the solve contract; a
-                                # direct sparse factorization is used
 
     def __post_init__(self):
-        if not (self.tol > 0 and self.linear_tol > 0):
-            raise ValueError("Newton tolerances must be > 0")
+        if not self.tol > 0:
+            raise ValueError("Newton tolerance must be > 0")
         if self.max_iter < 1:
             raise ValueError("Newton needs at least one iteration")
 
@@ -79,8 +79,8 @@ def _first_difference(n: int, h: float) -> sp.csr_matrix:
 class EllipticOperator:
     """Assembled sparse matrix of -div(a_ij grad) on interior nodes.
 
-    Symmetric for symmetric tensors; positive definiteness is exercised on
-    tiny grids in the test suite.
+    Exactly symmetric, cross term included (the adjoint relies on this), and
+    positive definite; tests assert both on tiny grids, symmetry bitwise.
     """
 
     def __init__(self, grid: SpaceGrid, tensor: DiffusionTensor):
@@ -100,56 +100,59 @@ class EllipticOperator:
                  + a[1, 1] * sp.kron(eye, d2)
                  - 2.0 * a[0, 1] * sp.kron(d1, d1))
         self.matrix = m.tocsr()
-        self.matrix_transpose = self.matrix.T.tocsr()
 
     @property
     def n_nodes(self) -> int:
         return self.grid.n_nodes
 
 
-def _step_matrix(operator_matrix, dt: float, a_prime: np.ndarray) -> sp.csc_matrix:
-    n = operator_matrix.shape[0]
-    return (sp.identity(n, format="csr")
-            + dt * operator_matrix
-            + sp.diags(dt * a_prime)).tocsc()
+class StepSystem:
+    """Implicit Euler step matrices B(y) = I + dt*A_h + dt*diag(a_M'(y)).
 
-def _step_factorizer(operator_matrix, dt: float, nl):
-    """Per-step factorization of B = I + dt*A + dt*diag(a_M'(y)).
-
-    The zero reaction has identically zero derivative, so its factorization
-    is shared across steps.
+    I + dt*A_h is assembled once (CSC); B(y) writes dt*a_M'(y) onto its
+    diagonal entries only.  The zero reaction shares one factorization.
     """
-    if nl.kind == "zero":
-        shared = splu(_step_matrix(operator_matrix, dt,
-                                   np.zeros(operator_matrix.shape[0])))
-        return lambda y_slice: shared
-    return lambda y_slice: splu(
-        _step_matrix(operator_matrix, dt, eval_ay_truncated(nl, y_slice)))
 
+    def __init__(self, spec: ProblemSpec):
+        self.nl = spec.clamped_nonlinearity
+        self.dt = spec.tgrid.dt
+        self.operator_matrix = spec.operator.matrix
+        n = self.operator_matrix.shape[0]
+        self._base = (sp.identity(n, format="csr")
+                      + self.dt * self.operator_matrix).tocsc()
+        # data index of each diagonal entry; 1 + dt*a_ii > 0, so all are stored
+        columns = np.repeat(np.arange(n), np.diff(self._base.indptr))
+        self._diagonal = np.flatnonzero(self._base.indices == columns)
+        self._shared = splu(self._base) if self.nl.kind == "zero" else None
 
+    def matrix(self, y: np.ndarray) -> sp.csc_matrix:
+        """B(y) in CSC form."""
+        b = self._base.copy()
+        b.data[self._diagonal] += self.dt * eval_ay_truncated(self.nl, y)
+        return b
 
-def _newton_attempt(rhs, y_start, operator_matrix, factorize, dt, nl, cfg,
-                    damping):
-    y = y_start.copy()
-    scale = max(float(np.linalg.norm(rhs)), 1.0)
-    for _ in range(cfg.max_iter):
-        residual = y + dt * (operator_matrix @ y) + dt * eval_a_truncated(nl, y) - rhs
-        if np.linalg.norm(residual) <= cfg.tol * scale:
-            return y
-        y = y + damping * factorize(y).solve(-residual)
-    return None
+    def factor(self, y: np.ndarray):
+        """Sparse LU factorization of B(y)."""
+        if self._shared is not None:
+            return self._shared
+        return splu(self.matrix(y))
 
-
-def _implicit_step(rhs, y_start, operator_matrix, factorize, dt, nl, cfg):
-    """One implicit Euler step; undamped Newton first, then bisection-damped
-    retries before giving up."""
-    for retry in range(6):
-        y = _newton_attempt(rhs, y_start, operator_matrix, factorize, dt, nl,
-                            cfg, 0.5**retry)
-        if y is not None:
-            return y
-    raise NewtonError(f"implicit step did not converge to tol={cfg.tol} "
-                      f"in {cfg.max_iter} iterations (with 5 damped retries)")
+    def step(self, rhs: np.ndarray, y_start: np.ndarray,
+             newton: NewtonConfig) -> np.ndarray:
+        """Solve y + dt*A_h y + dt*a_M(y) = rhs by Newton from y_start;
+        undamped first, then bisection-damped retries before giving up."""
+        scale = max(float(np.linalg.norm(rhs)), 1.0)
+        for damping in [0.5**retry for retry in range(6)]:
+            y = y_start
+            for _ in range(newton.max_iter):
+                residual = (y + self.dt * (self.operator_matrix @ y)
+                            + self.dt * eval_a_truncated(self.nl, y) - rhs)
+                if np.linalg.norm(residual) <= newton.tol * scale:
+                    return y
+                y = y + damping * self.factor(y).solve(-residual)
+        raise NewtonError(
+            f"implicit step did not converge to tol={newton.tol} in "
+            f"{newton.max_iter} iterations (with 5 damped retries)")
 
 
 def solve_state(spec: ProblemSpec, u: SpaceTimeField,
@@ -163,21 +166,18 @@ def solve_state(spec: ProblemSpec, u: SpaceTimeField,
         raise ValueError("control must be a per-interval field")
     if u.grid != spec.grid or u.tgrid != spec.tgrid:
         raise ValueError("control lives on different grids")
-    nl = spec.clamped_nonlinearity
-    a_mat = spec.operator.matrix
+    steps = StepSystem(spec)
     dt = spec.tgrid.dt
     n_t = spec.tgrid.n_t
-    factorize = _step_factorizer(a_mat, dt, nl)
     y = np.empty((n_t + 1, spec.grid.n_nodes))
     y[0] = spec.y0
     for m in range(1, n_t + 1):
-        rhs = y[m - 1] + dt * u.values[m - 1]
-        y[m] = _implicit_step(rhs, y[m - 1], a_mat, factorize, dt, nl, newton)
+        y[m] = steps.step(y[m - 1] + dt * u.values[m - 1], y[m - 1], newton)
     max_abs = float(np.max(np.abs(y)))
-    if max_abs >= nl.truncation.level:
+    if max_abs >= spec.truncation_level:
         warnings.warn(
             f"state magnitude {max_abs:.3g} reached the clamp level "
-            f"{nl.truncation.level:.3g}; the clamped equation was solved",
+            f"{spec.truncation_level:.3g}; the clamped equation was solved",
             TruncationActiveWarning, stacklevel=2)
     return field_at_nodes(spec.grid, spec.tgrid, y)
 
@@ -187,27 +187,25 @@ def solve_linearized(spec: ProblemSpec, y: SpaceTimeField,
     """Directional state derivative at y in the control direction v."""
     if v.slice_semantics != PER_INTERVAL:
         raise ValueError("direction must be a per-interval field")
-    nl = spec.clamped_nonlinearity
+    steps = StepSystem(spec)
     dt = spec.tgrid.dt
     n_t = spec.tgrid.n_t
-    factorize = _step_factorizer(spec.operator.matrix, dt, nl)
     z = np.zeros((n_t + 1, spec.grid.n_nodes))
     for m in range(1, n_t + 1):
-        z[m] = factorize(y.values[m]).solve(z[m - 1] + dt * v.values[m - 1])
+        z[m] = steps.factor(y.values[m]).solve(z[m - 1] + dt * v.values[m - 1])
     return field_at_nodes(spec.grid, spec.tgrid, z)
 
 
 def solve_adjoint(spec: ProblemSpec, y: SpaceTimeField) -> SpaceTimeField:
     """Backward solve with right-hand side y - yd, the exact transpose of
-    the forward linearization.  Returns a per-interval field."""
-    nl = spec.clamped_nonlinearity
+    the forward linearization (with B_m = B_m^T).  Per-interval field."""
+    steps = StepSystem(spec)
     dt = spec.tgrid.dt
     n_t = spec.tgrid.n_t
-    factorize = _step_factorizer(spec.operator.matrix_transpose, dt, nl)
     p = np.zeros((n_t, spec.grid.n_nodes))
     p_next = np.zeros(spec.grid.n_nodes)
     for m in range(n_t, 0, -1):
-        p[m - 1] = factorize(y.values[m]).solve(
+        p[m - 1] = steps.factor(y.values[m]).solve(
             p_next + dt * (y.values[m] - spec.yd.values[m]))
         p_next = p[m - 1]
     return field_per_interval(spec.grid, spec.tgrid, p)

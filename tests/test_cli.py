@@ -98,6 +98,36 @@ def test_iteration_cap_exits_two_with_partial_report(tmp_path):
     assert (out / "timeseries.csv").exists()
 
 
+# 1 + dt*(lambda_min(A_h) + c_a) < 0: some trial controls admit no implicit
+# step solution
+NEWTON_FAILURE_SOLVE = """
+problem:
+  n_dim: 2
+  n_per_axis: 10
+  n_t: 4
+  kappa: 0.1
+  gamma: 10.0
+  nonlinearity:
+    kind: polynomial
+    params: [0.0, -30.0, 0.0, 1.0]
+  y0: one-mode
+  yd: constant(3)
+optimizer:
+  max_iter: 3
+"""
+
+
+def test_newton_failure_on_trial_is_rejected_not_fatal(tmp_path, capsys):
+    cfg = write_config(tmp_path, NEWTON_FAILURE_SOLVE)
+    out = tmp_path / "out"
+    assert main(["solve", "--config", cfg, "--out", str(out)]) == 2
+    assert "error" not in capsys.readouterr().err
+    report = json.loads((out / "report.json").read_text())
+    assert report["converged"] is False
+    assert report["iterations"] == 3
+    assert (out / "timeseries.csv").exists()
+
+
 def test_seed_override_lands_in_report(tmp_path):
     cfg = write_config(tmp_path, FAST_SOLVE)
     out = tmp_path / "out"

@@ -2,7 +2,7 @@ import numpy as np
 import pytest
 
 import sparsecontrol as sc
-from sparsecontrol.grid import like, slice_l1_norm
+from sparsecontrol.grid import like, slice_l1_norm, slice_linf_norm
 from sparsecontrol.l1ball import l1_directional_derivative
 
 from conftest import linear_1d_spec, random_control, schloegl_spec
@@ -12,6 +12,26 @@ def make_pair(grid, tgrid, u_values, mu_values):
     u = sc.field_per_interval(grid, tgrid, u_values)
     mu = sc.field_per_interval(grid, tgrid, mu_values)
     return u, mu
+
+
+@pytest.mark.parametrize("n_dim, n, n_t", [(2, 32, 4), (1, 200, 200),
+                                           (2, 12, 24), (2, 10, 4)])
+def test_classify_matches_per_slice_norms(n_dim, n, n_t):
+    # the row reductions equal the per-slice norms bit for bit
+    grid = sc.SpaceGrid(n_dim, n)
+    tgrid = sc.TimeGrid(1.0, n_t)
+    rng = np.random.default_rng(n)
+    shape = (n_t, grid.n_nodes)
+    mu_values = rng.standard_normal(shape) * (rng.random(shape) < 0.3)
+    mu_values[::2] = 0.0
+    u, mu = make_pair(grid, tgrid, rng.standard_normal(shape), mu_values)
+    l1 = np.array([slice_l1_norm(u, m) for m in range(n_t)])
+    mu_inf = np.array([slice_linf_norm(mu, m) for m in range(n_t)])
+    gamma = float(np.median(l1))
+    act = sc.classify_slices(u, mu, gamma)
+    assert np.array_equal(act.l1_norms, l1)
+    binding = np.abs(l1 - gamma) <= act.tol
+    assert np.array_equal(act.multiplier_active, binding & (mu_inf > act.tol))
 
 
 def test_classify_trivial_regimes():

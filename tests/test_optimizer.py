@@ -3,7 +3,9 @@ import pytest
 
 import sparsecontrol as sc
 from sparsecontrol.grid import like, slice_linf_norm
+from sparsecontrol import optimizer
 from sparsecontrol.l1ball import project_field, recover_multiplier
+from sparsecontrol.pde import NewtonError
 
 from conftest import (active_schloegl_spec, linear_1d_spec, random_control,
                       schloegl_spec)
@@ -16,6 +18,16 @@ def test_config_validation():
         sc.OptimizerConfig(backtrack=0.0)
     with pytest.raises(ValueError):
         sc.OptimizerConfig(tol=-1.0)
+
+
+def test_initial_state_failure_propagates(monkeypatch):
+    # only line-search trials are rejected on a Newton failure
+    def failing_state(spec, u):
+        raise NewtonError("no implicit step solution")
+
+    monkeypatch.setattr(optimizer, "solve_state", failing_state)
+    with pytest.raises(NewtonError):
+        sc.solve(schloegl_spec())
 
 
 def test_stationary_start_stops_immediately():

@@ -1,11 +1,14 @@
 import numpy as np
 import pytest
+import scipy.sparse as sp
 
 import sparsecontrol as sc
 from sparsecontrol.checks import (mms_quadratic_error, mms_sine_error,
                                   observed_order)
 from sparsecontrol.grid import like
-from sparsecontrol.pde import NewtonConfig, NewtonError, TruncationActiveWarning
+from sparsecontrol.nonlinearity import eval_ay_truncated
+from sparsecontrol.pde import (NewtonConfig, NewtonError, StepSystem,
+                               TruncationActiveWarning)
 
 from conftest import linear_1d_spec, random_control, schloegl_spec
 
@@ -22,17 +25,17 @@ def heat_spec(n=16, n_t=32, T=0.05):
 
 
 def test_elliptic_operator_symmetric_positive():
+    # exact symmetry: the adjoint solves with the step matrix itself
     grid = sc.SpaceGrid(2, 5)
     for tensor in (sc.isotropic(2, 1.0),
-                   sc.DiffusionTensor(((2.0, 0.4), (0.4, 1.0)))):
+                   sc.DiffusionTensor(((2.0, 0.4), (0.4, 1.0))),
+                   sc.DiffusionTensor(((1.0, -0.3), (-0.3, 2.0)))):
         op = sc.EllipticOperator(grid, tensor)
-        dense = op.matrix.toarray()
-        assert np.allclose(dense, dense.T, atol=1e-12)
-        assert np.linalg.eigvalsh(dense).min() > 0.0
+        assert abs(op.matrix - op.matrix.T).max() == 0.0
+        assert np.linalg.eigvalsh(op.matrix.toarray()).min() > 0.0
     op1 = sc.EllipticOperator(sc.SpaceGrid(1, 6), sc.isotropic(1, 2.0))
-    dense1 = op1.matrix.toarray()
-    assert np.allclose(dense1, dense1.T, atol=1e-12)
-    assert np.linalg.eigvalsh(dense1).min() > 0.0
+    assert abs(op1.matrix - op1.matrix.T).max() == 0.0
+    assert np.linalg.eigvalsh(op1.matrix.toarray()).min() > 0.0
 
 
 def test_elliptic_operator_matches_laplacian_row():
@@ -154,9 +157,8 @@ def test_linearized_is_state_derivative():
     assert errors[2] <= 0.6 * errors[1]
 
 
-def test_adjoint_identity_random_directions():
-    spec = schloegl_spec()
-    rng = np.random.default_rng(6)
+def assert_adjoint_identity(spec, rng):
+    """<y - yd, z_v> == <phi, v> for random v; returns the state."""
     u = random_control(spec, rng)
     y = sc.solve_state(spec, u)
     phi = sc.solve_adjoint(spec, y)
@@ -166,6 +168,66 @@ def test_adjoint_identity_random_directions():
         lhs = sc.l2_inner(residual, sc.solve_linearized(spec, y, v))
         rhs = sc.l2_inner(phi, v)
         assert abs(lhs - rhs) <= 1e-10 * max(abs(lhs), 1e-12)
+    return y
+
+
+def test_adjoint_identity_random_directions():
+    assert_adjoint_identity(schloegl_spec(), np.random.default_rng(6))
+
+
+SCHLOEGL = sc.NonlinearitySpec("schloegl", (-1.0, 0.0, 1.0))
+
+# one problem per kind of step matrix: cross-derivative stencil, constant
+# a', clamp engaged (a_M' != a'), and 1D
+STEP_SYSTEM_CASES = {
+    "anisotropic-schloegl": (2, sc.DiffusionTensor(((1.0, 0.3), (0.3, 2.0))),
+                             SCHLOEGL),
+    "linear": (2, sc.isotropic(2, 1.0), sc.NonlinearitySpec("linear", (2.0,))),
+    "clamped-schloegl": (2, sc.isotropic(2, 1.0), sc.NonlinearitySpec(
+        "schloegl", (-1.0, 0.0, 1.0), truncation=sc.TruncationSpec(0.05))),
+    "exponential-1d": (1, sc.isotropic(1, 1.0),
+                       sc.NonlinearitySpec("exponential")),
+}
+
+
+def step_system_spec(name):
+    n_dim, tensor, nonlinearity = STEP_SYSTEM_CASES[name]
+    grid = sc.SpaceGrid(n_dim, 8 if n_dim == 2 else 12)
+    tgrid = sc.TimeGrid(1.0, 10)
+    return sc.ProblemSpec(
+        kappa=0.1, gamma=1.0, grid=grid, tgrid=tgrid, diffusion=tensor,
+        nonlinearity=nonlinearity, y0=sc.spatial_preset("one-mode", grid),
+        yd=sc.target_preset("bump", grid, tgrid))
+
+
+@pytest.mark.filterwarnings("ignore::sparsecontrol.pde.TruncationActiveWarning")
+@pytest.mark.parametrize("name", sorted(STEP_SYSTEM_CASES))
+def test_adjoint_identity_across_step_systems(name):
+    spec = step_system_spec(name)
+    y = assert_adjoint_identity(spec, np.random.default_rng(6))
+    if spec.nonlinearity.truncation is not None:
+        assert np.max(np.abs(y.values)) > spec.truncation_level
+
+
+@pytest.mark.parametrize("name", sorted(STEP_SYSTEM_CASES))
+def test_step_system_matrix_matches_fresh_assembly(name):
+    # writing dt*a_M'(y) onto the cached diagonal gives the same CSC matrix,
+    # structure and bits, as assembling I + dt*A + diag(dt*a_M'(y)) anew
+    spec = step_system_spec(name)
+    y = 2.0 * np.random.default_rng(3).standard_normal(spec.grid.n_nodes)
+    dt = spec.tgrid.dt
+    a_prime = eval_ay_truncated(spec.clamped_nonlinearity, y)
+    fresh = (sp.identity(spec.grid.n_nodes, format="csr")
+             + dt * spec.operator.matrix + sp.diags(dt * a_prime)).tocsc()
+    written = StepSystem(spec).matrix(y)
+    for attr in ("indptr", "indices", "data"):
+        assert np.array_equal(getattr(written, attr), getattr(fresh, attr))
+
+
+def test_zero_reaction_shares_one_factorization():
+    spec = heat_spec(n=4, n_t=2)
+    steps = StepSystem(spec)
+    assert steps.factor(spec.y0) is steps.factor(2.0 * spec.y0)
 
 
 def test_adjoint_zero_when_target_met():
