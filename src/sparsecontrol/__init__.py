@@ -9,9 +9,8 @@ from .nonlinearity import (NonlinearitySpec, TruncationSpec,
                            auto_truncation_level, eval_a, eval_a_truncated,
                            eval_ay, eval_ay_truncated, eval_ayy, f_M,
                            f_M_prime, with_truncation)
-from .pde import (EllipticOperator, NewtonConfig, NewtonError,
-                  TruncationActiveWarning, solve_adjoint, solve_linearized,
-                  solve_state)
+from .pde import (EllipticOperator, NewtonError, TruncationActiveWarning,
+                  solve_adjoint, solve_linearized, solve_state)
 from .l1ball import (ProjectionResult, l1_directional_derivative,
                      project_field, project_slice, recover_multiplier)
 from .problem import ProblemSpec

@@ -49,7 +49,9 @@ def bisect_threshold(v: np.ndarray, w: float, gamma: float,
     return 0.5 * (lo + hi)
 
 
-def _random_slice(rng):
+def random_slice(rng):
+    """Draw (v, w, gamma): up to 50 nodes, magnitudes over two decades, and
+    a budget from a tenth of the slice's weighted l1 norm to twice it."""
     n = int(rng.integers(1, 51))
     v = rng.standard_normal(n) * 10.0 ** rng.uniform(-1, 1)
     w = float(10.0 ** rng.uniform(-1, 0.5))
@@ -61,7 +63,7 @@ def _random_slice(rng):
 def check_projection_oracle(rng, n_slices: int = 300) -> CheckResult:
     worst = 0.0
     for _ in range(n_slices):
-        v, w, gamma = _random_slice(rng)
+        v, w, gamma = random_slice(rng)
         res = project_slice(v, w, gamma)
         lam = bisect_threshold(v, w, gamma)
         oracle = np.sign(v) * np.maximum(np.abs(v) - lam, 0.0)
@@ -78,7 +80,7 @@ def check_projection_oracle(rng, n_slices: int = 300) -> CheckResult:
 def check_nonexpansive(rng, n_pairs: int = 300) -> CheckResult:
     worst = 0.0
     for _ in range(n_pairs):
-        v, w, gamma = _random_slice(rng)
+        v, w, gamma = random_slice(rng)
         b = v + rng.standard_normal(v.size)
         pa = project_slice(v, w, gamma).values
         pb = project_slice(b, w, gamma).values

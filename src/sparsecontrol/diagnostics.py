@@ -78,19 +78,13 @@ def cone_membership(spec: ProblemSpec, u: SpaceTimeField, phi: SpaceTimeField,
     gradient = like(u, phi.values + spec.kappa * u.values)
     change = l2_inner(gradient, v)
     vnorm = l2_norm(v)
-    w = u.grid.cell_weight
-    jprime = np.array([
-        l1_directional_derivative(u.values[m], v.values[m], w)
-        for m in range(u.n_slices)
-    ])
+    jprime = l1_directional_derivative(u.values, v.values, u.grid.cell_weight)
     activity = classify_slices(u, mu, spec.gamma)
     bound = tau * vnorm
-    ok = abs(change) <= bound
-    for m in range(u.n_slices):
-        if activity.multiplier_active[m]:
-            ok = ok and abs(jprime[m]) <= bound
-        elif activity.binding[m]:
-            ok = ok and jprime[m] <= bound
+    binding_only = activity.binding & ~activity.multiplier_active
+    ok = (abs(change) <= bound
+          and np.all(np.abs(jprime[activity.multiplier_active]) <= bound)
+          and np.all(jprime[binding_only] <= bound))
     return ConeReport(change, jprime, vnorm, tau, bool(ok))
 
 

@@ -1,4 +1,4 @@
-"""Exact projection onto the weighted l1 ball, slice by slice.
+"""Exact projection onto the weighted l1 ball, every time slice at once.
 
 For a slice v with uniform node weight w and budget gamma, the l2-closest
 point of {u : w * sum|u_i| <= gamma} is the soft-threshold
@@ -8,8 +8,10 @@ point of {u : w * sum|u_i| <= gamma} is the soft-threshold
 with lam = 0 if v is already feasible and otherwise the unique root of
 g(lam) = w * sum max(|v_i| - lam, 0) = gamma.  g is piecewise linear and
 decreasing with breakpoints at the sorted |v_i|, so lam is found exactly by
-one sort and a scan; a bisection solver exists in the test suite as an
-independent oracle but is not the shipped path.
+one sort and a scan (Duchi et al. 2008; Condat 2016).  One kernel does this
+for all slices of a field together: a row-wise sort, cumulative sum and
+argmax over the slices that are over budget.  A bisection solver in
+``checks`` is an independent oracle, not the shipped path.
 
 The same map characterizes first-order optimality of the control problem:
 at a solution, u(t) is the projection of -phi(t)/kappa, the multiplier is
@@ -32,71 +34,81 @@ _FEASIBLE_RTOL = 1e-13
 
 @dataclass
 class ProjectionResult:
-    """Projected slice values, the threshold lam >= 0, and whether the
-    budget constraint is binding."""
+    """Projected slice values and the threshold lam >= 0 (0 when the slice
+    was already feasible and passed through unchanged)."""
 
     values: np.ndarray
     threshold: float
-    active: bool
 
 
-def project_slice(v: np.ndarray, w: float, gamma: float) -> ProjectionResult:
-    """Project one slice onto {u : w * sum|u_i| <= gamma}."""
+def _project_rows(values: np.ndarray, w: float, gamma: float):
+    """Project every row of a 2D array onto {u : w * sum|u_i| <= gamma}.
+
+    Returns the projected rows and the per-row thresholds.  Feasible rows
+    pass through bit for bit; only the rows over budget are sorted.
+    """
     if not gamma > 0:
         raise ValueError(f"gamma must be > 0, got {gamma}")
     if not w > 0:
         raise ValueError(f"cell weight must be > 0, got {w}")
-    v = np.asarray(v, dtype=float)
-    d = np.abs(v)
-    total = w * float(np.sum(d))
-    slack = _FEASIBLE_RTOL * max(1.0, total)
-    if total <= gamma + slack:
-        return ProjectionResult(v.copy(), 0.0, active=total >= gamma - slack)
-    d_sorted = np.sort(d)[::-1]
-    cumulative = np.cumsum(d_sorted)
-    k = np.arange(1, d.size + 1)
+    d = np.abs(values)
+    total = w * np.sum(d, axis=1)
+    over = ~(total <= gamma + _FEASIBLE_RTOL * np.maximum(1.0, total))
+    projected = values.copy()
+    thresholds = np.zeros(values.shape[0])
+    if not np.any(over):
+        return projected, thresholds
+    d_over = d[over]
+    d_sorted = np.sort(d_over, axis=1)[:, ::-1]
+    cumulative = np.cumsum(d_sorted, axis=1)
+    k = np.arange(1, d_sorted.shape[1] + 1)
     # candidate threshold if exactly the k largest entries stay nonzero
     lam_k = (cumulative - gamma / w) / k
-    next_break = np.append(d_sorted[1:], 0.0)
+    next_break = np.zeros_like(d_sorted)
+    next_break[:, :-1] = d_sorted[:, 1:]
     # first k whose candidate clears the next breakpoint is the true count
-    idx = int(np.argmax(lam_k >= next_break))
-    lam = float(lam_k[idx])
-    projected = np.sign(v) * np.maximum(d - lam, 0.0)
-    return ProjectionResult(projected, lam, active=True)
+    idx = np.argmax(lam_k >= next_break, axis=1)
+    lam = lam_k[np.arange(lam_k.shape[0]), idx]
+    projected[over] = (np.sign(values[over])
+                       * np.maximum(d_over - lam[:, None], 0.0))
+    thresholds[over] = lam
+    return projected, thresholds
+
+
+def project_slice(v: np.ndarray, w: float, gamma: float) -> ProjectionResult:
+    """Project one slice onto {u : w * sum|u_i| <= gamma}."""
+    values, thresholds = _project_rows(
+        np.asarray(v, dtype=float)[np.newaxis], w, gamma)
+    return ProjectionResult(values[0], float(thresholds[0]))
 
 
 def project_field(v: SpaceTimeField, gamma: float):
-    """Apply project_slice independently to every time slice.
+    """Project every time slice of v independently.
 
     Returns the projected field and the per-slice thresholds.
     """
-    w = v.grid.cell_weight
-    out = np.empty_like(v.values)
-    thresholds = np.empty(v.n_slices)
-    for m in range(v.n_slices):
-        res = project_slice(v.values[m], w, gamma)
-        out[m] = res.values
-        thresholds[m] = res.threshold
-    return like(v, out), thresholds
+    values, thresholds = _project_rows(v.values, v.grid.cell_weight, gamma)
+    return like(v, values), thresholds
 
 
-def l1_directional_derivative(u_slice: np.ndarray, v_slice: np.ndarray,
-                              w: float, zero_tol: float | None = None) -> float:
+def l1_directional_derivative(u: np.ndarray, v: np.ndarray, w: float,
+                              zero_tol: float | None = None):
     """One-sided derivative of the weighted slice l1 norm at u in direction v.
 
-    Nodes where u is (numerically) zero contribute |v|; elsewhere sign(u)*v.
-    zero_tol defaults to 1e-10 times the slice max of |u|.
+    Reduces over the last axis: one value per slice for stacked slices, a
+    float for a single slice.  Nodes where u is (numerically) zero
+    contribute |v|; elsewhere sign(u)*v.  zero_tol defaults to 1e-10 times
+    the slice max of |u|.
     """
-    u_slice = np.asarray(u_slice, dtype=float)
-    v_slice = np.asarray(v_slice, dtype=float)
-    if u_slice.shape != v_slice.shape:
-        raise ValueError("slices have different lengths")
+    u = np.asarray(u, dtype=float)
+    v = np.asarray(v, dtype=float)
+    if u.shape != v.shape:
+        raise ValueError("slices have different shapes")
     if zero_tol is None:
-        zero_tol = 1e-10 * float(np.max(np.abs(u_slice), initial=0.0))
-    contrib = np.where(np.abs(u_slice) > zero_tol,
-                       np.sign(u_slice) * v_slice,
-                       np.abs(v_slice))
-    return float(w * np.sum(contrib))
+        zero_tol = 1e-10 * np.max(np.abs(u), axis=-1, initial=0.0,
+                                  keepdims=True)
+    contrib = np.where(np.abs(u) > zero_tol, np.sign(u) * v, np.abs(v))
+    return w * np.sum(contrib, axis=-1)
 
 
 def recover_multiplier(u: SpaceTimeField, phi: SpaceTimeField,

@@ -201,7 +201,10 @@ def _require_truncation(spec: NonlinearitySpec) -> TruncationSpec:
 
 def eval_a_truncated(spec: NonlinearitySpec, y):
     """Clamped reaction a(f_M(y))."""
-    return eval_a(spec, f_M(_require_truncation(spec), y))
+    trunc = _require_truncation(spec)
+    if spec.kind == "zero":
+        return np.zeros_like(y, dtype=float)
+    return eval_a(spec, f_M(trunc, y))
 
 
 def eval_ay_truncated(spec: NonlinearitySpec, y):

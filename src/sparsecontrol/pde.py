@@ -30,7 +30,6 @@ StepSystem serves the state, linearized and adjoint sweeps.
 from __future__ import annotations
 
 import warnings
-from dataclasses import dataclass
 
 import numpy as np
 import scipy.sparse as sp
@@ -42,6 +41,11 @@ from .nonlinearity import eval_a_truncated, eval_ay_truncated
 from .problem import ProblemSpec
 
 
+# Newton stops at a residual norm of _NEWTON_TOL relative to max(|rhs|, 1)
+_NEWTON_TOL = 1e-12
+_NEWTON_MAX_ITER = 30
+
+
 class NewtonError(RuntimeError):
     """Newton failed to reach the residual tolerance within its budget."""
 
@@ -49,18 +53,6 @@ class NewtonError(RuntimeError):
 class TruncationActiveWarning(UserWarning):
     """The computed state touched the reaction clamp; results describe the
     clamped equation, not the original one."""
-
-
-@dataclass(frozen=True)
-class NewtonConfig:
-    tol: float = 1e-12          # relative residual
-    max_iter: int = 30
-
-    def __post_init__(self):
-        if not self.tol > 0:
-            raise ValueError("Newton tolerance must be > 0")
-        if self.max_iter < 1:
-            raise ValueError("Newton needs at least one iteration")
 
 
 def _second_difference(n: int, h: float) -> sp.csr_matrix:
@@ -137,26 +129,24 @@ class StepSystem:
             return self._shared
         return splu(self.matrix(y))
 
-    def step(self, rhs: np.ndarray, y_start: np.ndarray,
-             newton: NewtonConfig) -> np.ndarray:
+    def step(self, rhs: np.ndarray, y_start: np.ndarray) -> np.ndarray:
         """Solve y + dt*A_h y + dt*a_M(y) = rhs by Newton from y_start;
         undamped first, then bisection-damped retries before giving up."""
         scale = max(float(np.linalg.norm(rhs)), 1.0)
         for damping in [0.5**retry for retry in range(6)]:
             y = y_start
-            for _ in range(newton.max_iter):
+            for _ in range(_NEWTON_MAX_ITER):
                 residual = (y + self.dt * (self.operator_matrix @ y)
                             + self.dt * eval_a_truncated(self.nl, y) - rhs)
-                if np.linalg.norm(residual) <= newton.tol * scale:
+                if np.linalg.norm(residual) <= _NEWTON_TOL * scale:
                     return y
                 y = y + damping * self.factor(y).solve(-residual)
         raise NewtonError(
-            f"implicit step did not converge to tol={newton.tol} in "
-            f"{newton.max_iter} iterations (with 5 damped retries)")
+            f"implicit step did not converge to tol={_NEWTON_TOL} in "
+            f"{_NEWTON_MAX_ITER} iterations (with 5 damped retries)")
 
 
-def solve_state(spec: ProblemSpec, u: SpaceTimeField,
-                newton: NewtonConfig = NewtonConfig()) -> SpaceTimeField:
+def solve_state(spec: ProblemSpec, u: SpaceTimeField) -> SpaceTimeField:
     """March the state equation forward from spec.y0 under the control u.
 
     u must be per-interval on spec's grids.  Emits TruncationActiveWarning
@@ -172,7 +162,7 @@ def solve_state(spec: ProblemSpec, u: SpaceTimeField,
     y = np.empty((n_t + 1, spec.grid.n_nodes))
     y[0] = spec.y0
     for m in range(1, n_t + 1):
-        y[m] = steps.step(y[m - 1] + dt * u.values[m - 1], y[m - 1], newton)
+        y[m] = steps.step(y[m - 1] + dt * u.values[m - 1], y[m - 1])
     max_abs = float(np.max(np.abs(y)))
     if max_abs >= spec.truncation_level:
         warnings.warn(

@@ -8,7 +8,7 @@ import numpy as np
 
 import sparsecontrol as sc
 from sparsecontrol.checks import (bisect_threshold, mms_quadratic_error,
-                                  mms_sine_error, observed_order)
+                                  mms_sine_error, observed_order, random_slice)
 from sparsecontrol.cli import main
 from sparsecontrol.grid import like, slice_linf_norm
 from sparsecontrol.l1ball import project_slice
@@ -30,17 +30,14 @@ def test_criterion_1_projection_oracle():
     worst_growth = 0.0
     idempotent = True
     for _ in range(1000):
-        n = int(rng.integers(1, 51))
-        v = rng.standard_normal(n) * 10.0 ** rng.uniform(-1, 1)
-        w = float(10.0 ** rng.uniform(-1, 0.5))
-        gamma = float(w * np.sum(np.abs(v)) * 10.0 ** rng.uniform(-1.0, 0.3)) + 1e-12
+        v, w, gamma = random_slice(rng)
         res = project_slice(v, w, gamma)
         lam = bisect_threshold(v, w, gamma)
         oracle = np.sign(v) * np.maximum(np.abs(v) - lam, 0.0)
         worst_dev = max(worst_dev, float(np.max(np.abs(res.values - oracle))))
         again = project_slice(res.values, w, gamma)
         idempotent = idempotent and np.array_equal(again.values, res.values)
-        b = v + rng.standard_normal(n)
+        b = v + rng.standard_normal(v.size)
         pa, pb = res.values, project_slice(b, w, gamma).values
         growth = (np.sqrt(w * np.sum((pa - pb) ** 2))
                   - np.sqrt(w * np.sum((v - b) ** 2)))

@@ -3,10 +3,11 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 import sparsecontrol as sc
-from sparsecontrol.checks import bisect_threshold
+from sparsecontrol.checks import bisect_threshold, random_slice
 from sparsecontrol.grid import like
-from sparsecontrol.l1ball import (l1_directional_derivative, project_field,
-                                  project_slice, recover_multiplier)
+from sparsecontrol.l1ball import (_project_rows, l1_directional_derivative,
+                                  project_field, project_slice,
+                                  recover_multiplier)
 
 slices = st.lists(st.floats(-100.0, 100.0), min_size=1, max_size=50).map(np.array)
 weights = st.floats(0.05, 3.0)
@@ -16,14 +17,12 @@ budgets = st.floats(0.01, 50.0)
 def test_feasible_slice_passes_through():
     res = project_slice(np.array([0.3, -0.2]), 1.0, 2.0)
     assert res.threshold == 0.0
-    assert not res.active
     assert np.array_equal(res.values, [0.3, -0.2])
 
 
 def test_hand_example_unit_weight():
     res = project_slice(np.array([3.0, 1.0]), 1.0, 2.0)
     assert res.threshold == pytest.approx(1.0)
-    assert res.active
     assert np.allclose(res.values, [2.0, 0.0], atol=1e-15)
 
 
@@ -53,10 +52,10 @@ def test_projection_properties(v, w, gamma):
     res = project_slice(v, w, gamma)
     total = w * np.sum(np.abs(res.values))
     assert total <= gamma + 1e-12 * max(1.0, gamma)
-    if res.active:
+    if res.threshold > 0.0:
         assert total == pytest.approx(gamma, abs=1e-10 * max(1.0, gamma))
     else:
-        assert res.threshold == 0.0
+        assert np.array_equal(res.values, v)
     # threshold engages exactly when the input is (strictly) infeasible
     input_total = w * np.sum(np.abs(v))
     if input_total > gamma * (1.0 + 1e-10):
@@ -84,15 +83,34 @@ def test_matches_bisection_oracle():
     rng = np.random.default_rng(123)
     worst = 0.0
     for _ in range(500):
-        n = int(rng.integers(1, 51))
-        v = rng.standard_normal(n) * 10.0 ** rng.uniform(-1, 1)
-        w = float(10.0 ** rng.uniform(-1, 0.5))
-        gamma = float(w * np.sum(np.abs(v)) * 10.0 ** rng.uniform(-1.0, 0.3)) + 1e-12
+        v, w, gamma = random_slice(rng)
         res = project_slice(v, w, gamma)
         lam = bisect_threshold(v, w, gamma)
         oracle = np.sign(v) * np.maximum(np.abs(v) - lam, 0.0)
         worst = max(worst, float(np.max(np.abs(res.values - oracle))))
     assert worst <= 1e-10
+
+
+def test_project_rows_mixed_stack():
+    w, gamma = 0.2, 0.5
+    values = np.array([
+        [5.0, -3.0, 2.0, 0.0],      # infeasible
+        [0.1, -0.1, 0.0, 0.1],      # feasible
+        [1.25, 0.0, -1.0, 0.25],    # exactly on budget: w * 2.5 == gamma
+        [0.0, 0.0, 0.0, 0.0],       # all zero
+        [2.0, -2.0, 2.0, -2.0],     # ties
+    ])
+    assert w * np.sum(np.abs(values[2])) == gamma
+    projected, thresholds = _project_rows(values, w, gamma)
+    for m in range(values.shape[0]):
+        lam = bisect_threshold(values[m], w, gamma)
+        assert abs(thresholds[m] - lam) <= 1e-10
+        if thresholds[m] == 0.0:
+            assert np.array_equal(projected[m], values[m])
+        else:
+            assert w * np.sum(np.abs(projected[m])) == pytest.approx(gamma)
+    assert list(thresholds > 0.0) == [True, False, False, False, True]
+    assert thresholds[4] == pytest.approx((8.0 - gamma / w) / 4.0)
 
 
 def test_project_field_slicewise():
@@ -129,6 +147,18 @@ def test_l1_directional_derivative_cases():
                                      zero_tol=1e-10) == pytest.approx(4.0)
     with pytest.raises(ValueError):
         l1_directional_derivative(np.zeros(2), np.zeros(3), w)
+
+
+def test_l1_directional_derivative_stacked_equals_per_row():
+    rng = np.random.default_rng(5)
+    u = rng.standard_normal((6, 30))
+    u[rng.random(u.shape) < 0.4] = 0.0
+    u[2] = 0.0
+    v = rng.standard_normal(u.shape)
+    stacked = l1_directional_derivative(u, v, 0.3)
+    assert stacked.shape == (6,)
+    for m in range(u.shape[0]):
+        assert stacked[m] == l1_directional_derivative(u[m], v[m], 0.3)
 
 
 def test_recover_multiplier_values():
@@ -168,7 +198,7 @@ def test_soft_threshold_identity_chain():
         mu = -(phi + kappa * u)
         assert np.max(np.abs(np.abs(phi) - (kappa * np.abs(u) + np.abs(mu)))) <= 1e-12
         assert np.all(u * mu >= -1e-14)          # same signs
-        if res.active and res.threshold > 0:
+        if res.threshold > 0:
             on_support = np.abs(u) > 0
             assert np.all(np.abs(np.abs(mu[on_support]) / kappa
                                  - res.threshold) <= 1e-12)

@@ -126,9 +126,19 @@ def test_truncated_reaction():
     assert np.max(np.abs(eval_a_truncated(spec, wide))) <= 27.0 + 1e-12
 
 
+def test_truncated_zero_reaction():
+    spec = NonlinearitySpec("zero", truncation=TruncationSpec(2.0))
+    y = np.linspace(-100.0, 100.0, 7)
+    out = eval_a_truncated(spec, y)
+    assert out.dtype == float
+    assert np.array_equal(out, eval_a(spec, f_M(spec.truncation, y)))
+
+
 def test_truncated_requires_level():
     with pytest.raises(ValueError):
         eval_a_truncated(CUBIC, 1.0)
+    with pytest.raises(ValueError):
+        eval_a_truncated(NonlinearitySpec("zero"), 1.0)
     with pytest.raises(ValueError):
         eval_ay_truncated(CUBIC, 1.0)
 

@@ -7,8 +7,7 @@ from sparsecontrol.checks import (mms_quadratic_error, mms_sine_error,
                                   observed_order)
 from sparsecontrol.grid import like
 from sparsecontrol.nonlinearity import eval_ay_truncated
-from sparsecontrol.pde import (NewtonConfig, NewtonError, StepSystem,
-                               TruncationActiveWarning)
+from sparsecontrol.pde import NewtonError, StepSystem, TruncationActiveWarning
 
 from conftest import linear_1d_spec, random_control, schloegl_spec
 
@@ -304,11 +303,19 @@ def test_truncation_active_warning():
 
 
 def test_newton_failure_raises():
-    spec = schloegl_spec()
-    rng = np.random.default_rng(14)
-    u = random_control(spec, rng, scale=20.0)
+    # 1 + dt*(lambda_min(A_h) + c_a) < 0: under this large control some
+    # implicit step has no solution that Newton reaches
+    grid = sc.SpaceGrid(2, 10)
+    tgrid = sc.TimeGrid(1.0, 4)
+    spec = sc.ProblemSpec(
+        kappa=0.1, gamma=10.0, grid=grid, tgrid=tgrid,
+        diffusion=sc.isotropic(2, 1.0),
+        nonlinearity=sc.NonlinearitySpec("polynomial", (0.0, -30.0, 0.0, 1.0)),
+        y0=sc.spatial_preset("one-mode", grid),
+        yd=sc.target_preset("constant(3)", grid, tgrid))
+    u = random_control(spec, np.random.default_rng(14), scale=20.0)
     with pytest.raises(NewtonError):
-        sc.solve_state(spec, u, newton=NewtonConfig(tol=1e-15, max_iter=1))
+        sc.solve_state(spec, u)
 
 
 def test_control_shape_rejected():
