@@ -19,6 +19,7 @@ The clamp f_M maps the real line onto [-M-1, M+1], is the identity on
 side).  It is C^1 with 0 <= f_M' <= 4/3; the maximum 4/3 of the blend
 derivative 1 - 2(M-s) - 3(M-s)^2 is attained at s = M + 1/3.  The clamped
 reaction is a_M(y) = a(f_M(y)) with derivative a'(f_M(y)) * f_M'(y).
+When every |y| < M (clamp_idle) the clamp is not evaluated at all.
 """
 
 from __future__ import annotations
@@ -199,17 +200,28 @@ def _require_truncation(spec: NonlinearitySpec) -> TruncationSpec:
     return spec.truncation
 
 
+def clamp_idle(trunc: TruncationSpec, y) -> bool:
+    """True when every |y| < M, where f_M is the identity and f_M' is
+    exactly 1.0, so the clamped reaction equals the plain one bit for bit.
+    False for NaN input."""
+    return bool(np.max(np.abs(y), initial=0.0) < trunc.level)
+
+
 def eval_a_truncated(spec: NonlinearitySpec, y):
     """Clamped reaction a(f_M(y))."""
     trunc = _require_truncation(spec)
     if spec.kind == "zero":
         return np.zeros_like(y, dtype=float)
+    if clamp_idle(trunc, y):
+        return eval_a(spec, y)
     return eval_a(spec, f_M(trunc, y))
 
 
 def eval_ay_truncated(spec: NonlinearitySpec, y):
     """Derivative of the clamped reaction: a'(f_M(y)) * f_M'(y)."""
     trunc = _require_truncation(spec)
+    if clamp_idle(trunc, y):
+        return eval_ay(spec, y)
     return eval_ay(spec, f_M(trunc, y)) * f_M_prime(trunc, y)
 
 

@@ -45,7 +45,17 @@ def eval_gradient(spec: ProblemSpec, u: SpaceTimeField) -> SpaceTimeField:
 
 def curvature_with_state(spec: ProblemSpec, y: SpaceTimeField,
                          phi: SpaceTimeField, v: SpaceTimeField) -> float:
-    """Quadratic form at (y, phi) in direction v; reuses computed fields."""
+    """Quadratic form at (y, phi) in direction v; reuses computed fields.
+
+    Raises ValueError when y reaches the reaction clamp: the form uses the
+    unclamped a'', which is wrong where the clamp acts.
+    """
+    max_abs = float(np.max(np.abs(y.values)))
+    if not max_abs < spec.truncation_level:
+        raise ValueError(
+            f"state magnitude {max_abs:.3g} reached the clamp level "
+            f"{spec.truncation_level:.3g}; the second-order form uses the "
+            "unclamped a'' and is not defined there")
     z = solve_linearized(spec, y, v)
     zi = z.values[1:]
     weight = 1.0 - eval_ayy(spec.nonlinearity, y.values[1:]) * phi.values

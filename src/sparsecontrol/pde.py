@@ -24,7 +24,8 @@ A_h is the finite-difference operator on interior nodes: the standard
 3/5-point stencil for the diagonal part plus centered cross differences for
 the off-diagonal tensor entry, Dirichlet values eliminated.  It is exactly
 symmetric, bit for bit (the tests assert it), so B_m^T = B_m and one
-StepSystem serves the state, linearized and adjoint sweeps.
+StepSystem serves the state, linearized and adjoint sweeps.  It is built
+once per problem (ProblemSpec.steps) and reused by every sweep on it.
 """
 
 from __future__ import annotations
@@ -37,7 +38,7 @@ from scipy.sparse.linalg import splu
 
 from .grid import (PER_INTERVAL, DiffusionTensor, SpaceGrid, SpaceTimeField,
                    field_at_nodes, field_per_interval)
-from .nonlinearity import eval_a_truncated, eval_ay_truncated
+from .nonlinearity import clamp_idle, eval_a_truncated, eval_ay_truncated
 from .problem import ProblemSpec
 
 
@@ -101,8 +102,12 @@ class EllipticOperator:
 class StepSystem:
     """Implicit Euler step matrices B(y) = I + dt*A_h + dt*diag(a_M'(y)).
 
-    I + dt*A_h is assembled once (CSC); B(y) writes dt*a_M'(y) onto its
-    diagonal entries only.  The zero reaction shares one factorization.
+    One per problem (ProblemSpec.steps).  I + dt*A_h is assembled once
+    (CSC); matrix(y) copies it into one work matrix and writes dt*a_M'(y)
+    onto the diagonal entries only.  Where a_M' is a constant c (the zero
+    reaction, and the linear one while the clamp is idle) B(y) does not
+    depend on y, and factor(y) returns one shared factorization of
+    I + dt*A_h + dt*c*I, built on first use.
     """
 
     def __init__(self, spec: ProblemSpec):
@@ -112,20 +117,28 @@ class StepSystem:
         n = self.operator_matrix.shape[0]
         self._base = (sp.identity(n, format="csr")
                       + self.dt * self.operator_matrix).tocsc()
+        self._work = self._base.copy()
         # data index of each diagonal entry; 1 + dt*a_ii > 0, so all are stored
         columns = np.repeat(np.arange(n), np.diff(self._base.indptr))
         self._diagonal = np.flatnonzero(self._base.indices == columns)
-        self._shared = splu(self._base) if self.nl.kind == "zero" else None
+        self._shared = None
 
     def matrix(self, y: np.ndarray) -> sp.csc_matrix:
-        """B(y) in CSC form."""
-        b = self._base.copy()
-        b.data[self._diagonal] += self.dt * eval_ay_truncated(self.nl, y)
-        return b
+        """B(y) in CSC form.  The same matrix object is returned on every
+        call and overwritten by the next one; factors taken from it are
+        independent copies."""
+        work = self._work
+        np.copyto(work.data, self._base.data)
+        work.data[self._diagonal] += self.dt * eval_ay_truncated(self.nl, y)
+        return work
 
     def factor(self, y: np.ndarray):
-        """Sparse LU factorization of B(y)."""
-        if self._shared is not None:
+        """Sparse LU factorization of B(y); shared where a_M' is constant."""
+        kind = self.nl.kind
+        if kind == "zero" or (kind == "linear"
+                              and clamp_idle(self.nl.truncation, y)):
+            if self._shared is None:
+                self._shared = splu(self.matrix(y))
             return self._shared
         return splu(self.matrix(y))
 
@@ -156,7 +169,7 @@ def solve_state(spec: ProblemSpec, u: SpaceTimeField) -> SpaceTimeField:
         raise ValueError("control must be a per-interval field")
     if u.grid != spec.grid or u.tgrid != spec.tgrid:
         raise ValueError("control lives on different grids")
-    steps = StepSystem(spec)
+    steps = spec.steps
     dt = spec.tgrid.dt
     n_t = spec.tgrid.n_t
     y = np.empty((n_t + 1, spec.grid.n_nodes))
@@ -177,7 +190,7 @@ def solve_linearized(spec: ProblemSpec, y: SpaceTimeField,
     """Directional state derivative at y in the control direction v."""
     if v.slice_semantics != PER_INTERVAL:
         raise ValueError("direction must be a per-interval field")
-    steps = StepSystem(spec)
+    steps = spec.steps
     dt = spec.tgrid.dt
     n_t = spec.tgrid.n_t
     z = np.zeros((n_t + 1, spec.grid.n_nodes))
@@ -189,7 +202,7 @@ def solve_linearized(spec: ProblemSpec, y: SpaceTimeField,
 def solve_adjoint(spec: ProblemSpec, y: SpaceTimeField) -> SpaceTimeField:
     """Backward solve with right-hand side y - yd, the exact transpose of
     the forward linearization (with B_m = B_m^T).  Per-interval field."""
-    steps = StepSystem(spec)
+    steps = spec.steps
     dt = spec.tgrid.dt
     n_t = spec.tgrid.n_t
     p = np.zeros((n_t, spec.grid.n_nodes))

@@ -20,7 +20,8 @@ class ProblemSpec:
 
     kappa is the quadratic control-cost weight (strictly positive), gamma the
     per-time-slice l1 budget.  Treat instances as immutable; the assembled
-    elliptic operator is cached on first use.
+    elliptic operator and the step system are cached on first use, so build
+    a changed instance with dataclasses.replace.
     """
 
     kappa: float
@@ -55,6 +56,14 @@ class ProblemSpec:
         from .pde import EllipticOperator
 
         return EllipticOperator(self.grid, self.diffusion)
+
+    @cached_property
+    def steps(self):
+        """The implicit Euler step system shared by every sweep on this
+        problem."""
+        from .pde import StepSystem
+
+        return StepSystem(self)
 
     @cached_property
     def truncation_level(self) -> float:

@@ -4,9 +4,9 @@ from hypothesis import given, settings, strategies as st
 
 import sparsecontrol as sc
 from sparsecontrol.nonlinearity import (NonlinearitySpec, TruncationSpec,
-                                        eval_a, eval_a_truncated, eval_ay,
-                                        eval_ay_truncated, eval_ayy, f_M,
-                                        f_M_prime)
+                                        clamp_idle, eval_a, eval_a_truncated,
+                                        eval_ay, eval_ay_truncated, eval_ayy,
+                                        f_M, f_M_prime, with_truncation)
 
 CUBIC = NonlinearitySpec("schloegl", (0.0, 0.0, 0.0))          # a(y) = y^3
 BISTABLE = NonlinearitySpec("schloegl", (-1.0, 0.0, 1.0))      # a(y) = y^3 - y
@@ -132,6 +132,29 @@ def test_truncated_zero_reaction():
     out = eval_a_truncated(spec, y)
     assert out.dtype == float
     assert np.array_equal(out, eval_a(spec, f_M(spec.truncation, y)))
+
+
+# at level M = 2: strictly inside (-M, M), exactly at +-M, beyond M + 1, NaN
+CLAMP_PROBES = {
+    "inside": np.array([-1.999, -0.5, -0.0, 0.0, 0.7, 1.999]),
+    "at-level": np.array([-2.0, -1.0, 0.5, 2.0]),
+    "beyond": np.array([-3.5, 0.3, 3.01, 40.0]),
+    "nan": np.array([0.1, np.nan, -1.0]),
+}
+
+
+@pytest.mark.parametrize("probe", sorted(CLAMP_PROBES))
+@pytest.mark.parametrize("spec", ALL_KINDS, ids=lambda s: s.kind + str(s.params))
+def test_truncated_equals_clamp_formula_bitwise(spec, probe):
+    # the idle-clamp shortcut must not change a single bit
+    trunc = TruncationSpec(2.0)
+    clamped = with_truncation(spec, trunc.level)
+    y = CLAMP_PROBES[probe]
+    assert clamp_idle(trunc, y) == (probe == "inside")
+    value = eval_a(spec, f_M(trunc, y))
+    slope = eval_ay(spec, f_M(trunc, y)) * f_M_prime(trunc, y)
+    assert eval_a_truncated(clamped, y).tobytes() == value.tobytes()
+    assert eval_ay_truncated(clamped, y).tobytes() == slope.tobytes()
 
 
 def test_truncated_requires_level():

@@ -1,3 +1,5 @@
+from dataclasses import replace
+
 import numpy as np
 import pytest
 
@@ -140,3 +142,16 @@ def test_curvature_coercivity_witness():
     bound = spec.kappa * sc.l2_inner(v, v) \
         - float(np.max(np.abs(weight))) * sc.l2_inner(zq, zq)
     assert sc.eval_curvature(spec, u, v) >= bound - 1e-12
+
+
+@pytest.mark.filterwarnings("ignore::sparsecontrol.pde.TruncationActiveWarning")
+def test_curvature_refuses_engaged_clamp():
+    # the clamp-engaged Schloegl instance of the adjoint tests: a'' would be
+    # the unclamped one, so the form must refuse rather than answer
+    spec = replace(schloegl_spec(), nonlinearity=sc.NonlinearitySpec(
+        "schloegl", (-1.0, 0.0, 1.0), truncation=sc.TruncationSpec(0.05)))
+    rng = np.random.default_rng(6)
+    u = random_control(spec, rng)
+    v = random_control(spec, rng)
+    with pytest.raises(ValueError, match="clamp level 0.05"):
+        sc.eval_curvature(spec, u, v)

@@ -1,6 +1,10 @@
+import weakref
+from dataclasses import replace
+
 import numpy as np
 import pytest
 import scipy.sparse as sp
+from scipy.sparse.linalg import splu
 
 import sparsecontrol as sc
 from sparsecontrol.checks import (mms_quadratic_error, mms_sine_error,
@@ -227,6 +231,63 @@ def test_zero_reaction_shares_one_factorization():
     spec = heat_spec(n=4, n_t=2)
     steps = StepSystem(spec)
     assert steps.factor(spec.y0) is steps.factor(2.0 * spec.y0)
+
+
+def test_linear_reaction_shares_factor_while_clamp_idle():
+    spec = step_system_spec("linear")
+    steps = StepSystem(spec)
+    rng = np.random.default_rng(9)
+    y1, y2, rhs = rng.standard_normal((3, spec.grid.n_nodes))
+    shared = steps.factor(y1)
+    assert steps.factor(y2) is shared
+    x = shared.solve(rhs)
+    assert x.tobytes() == splu(steps.matrix(y2)).solve(rhs).tobytes()
+    engaged = y2.copy()
+    engaged[0] = 2.0 * spec.truncation_level
+    fresh = steps.factor(engaged)
+    assert fresh is not shared
+    assert (fresh.solve(rhs).tobytes()
+            == splu(steps.matrix(engaged)).solve(rhs).tobytes())
+    assert fresh.solve(rhs).tobytes() != x.tobytes()
+
+
+def test_factor_survives_matrix_overwrite():
+    spec = step_system_spec("anisotropic-schloegl")
+    steps = spec.steps
+    rng = np.random.default_rng(11)
+    y1, y2, rhs = rng.standard_normal((3, spec.grid.n_nodes))
+    lu = steps.factor(y1)
+    x = lu.solve(rhs)
+    steps.matrix(y2)
+    assert lu.solve(rhs).tobytes() == x.tobytes()
+    assert steps.factor(y1).solve(rhs).tobytes() == x.tobytes()
+
+
+def test_one_step_system_per_problem():
+    spec = schloegl_spec()
+    steps = spec.steps
+    assert spec.steps is steps
+    assert replace(spec, gamma=2.0).steps is not steps
+    # steps is still alive, but holds no reference back to its spec: no
+    # cycle, so the spec is freed as soon as its last name goes
+    ref = weakref.ref(spec)
+    del spec
+    assert ref() is None
+
+
+@pytest.mark.parametrize("name", ["anisotropic-schloegl", "linear"])
+def test_solve_repeats_bitwise_on_one_spec(name):
+    # the cached step system (work matrix, shared factor) carries no state
+    # from one solve into the next
+    spec = step_system_spec(name)
+    cfg = sc.OptimizerConfig(tol=1e-10, max_iter=300)
+    runs = [sc.solve(spec, cfg), sc.solve(spec, cfg),
+            sc.solve(step_system_spec(name), cfg)]
+    assert all(run.converged for run in runs)
+    for name in ("u", "y", "phi", "mu"):
+        fresh = getattr(runs[2], name).values.tobytes()
+        assert getattr(runs[0], name).values.tobytes() == fresh
+        assert getattr(runs[1], name).values.tobytes() == fresh
 
 
 def test_adjoint_zero_when_target_met():
