@@ -17,7 +17,7 @@ from __future__ import annotations
 import numpy as np
 
 from .grid import SpaceTimeField, l2_inner, like
-from .nonlinearity import eval_ayy
+from .nonlinearity import clamp_idle, eval_ayy
 from .pde import solve_adjoint, solve_linearized, solve_state
 from .problem import ProblemSpec
 
@@ -48,17 +48,18 @@ def curvature_with_state(spec: ProblemSpec, y: SpaceTimeField,
     """Quadratic form at (y, phi) in direction v; reuses computed fields.
 
     Raises ValueError when y reaches the reaction clamp: the form uses the
-    unclamped a'', which is wrong where the clamp acts.
+    unclamped a'', which is wrong where the clamp acts.  y_0 is not
+    checked: the reaction, and so the clamp, enters only at m >= 1.
     """
-    max_abs = float(np.max(np.abs(y.values)))
-    if not max_abs < spec.truncation_level:
+    states = y.values[1:]
+    if not clamp_idle(spec.clamped_nonlinearity.truncation, states):
         raise ValueError(
-            f"state magnitude {max_abs:.3g} reached the clamp level "
-            f"{spec.truncation_level:.3g}; the second-order form uses the "
-            "unclamped a'' and is not defined there")
+            f"state magnitude {np.max(np.abs(states)):.3g} reached the "
+            f"clamp level {spec.truncation_level:.3g}; the second-order form "
+            "uses the unclamped a'' and is not defined there")
     z = solve_linearized(spec, y, v)
     zi = z.values[1:]
-    weight = 1.0 - eval_ayy(spec.nonlinearity, y.values[1:]) * phi.values
+    weight = 1.0 - eval_ayy(spec.nonlinearity, states) * phi.values
     dt, w = spec.tgrid.dt, spec.grid.cell_weight
     tracking = dt * w * float(np.sum(weight * zi * zi))
     return tracking + spec.kappa * l2_inner(v, v)

@@ -38,7 +38,7 @@ from scipy.sparse.linalg import splu
 
 from .grid import (PER_INTERVAL, DiffusionTensor, SpaceGrid, SpaceTimeField,
                    field_at_nodes, field_per_interval)
-from .nonlinearity import clamp_idle, eval_a_truncated, eval_ay_truncated
+from .nonlinearity import eval_a_truncated, eval_ay_truncated
 from .problem import ProblemSpec
 
 
@@ -103,11 +103,9 @@ class StepSystem:
     """Implicit Euler step matrices B(y) = I + dt*A_h + dt*diag(a_M'(y)).
 
     One per problem (ProblemSpec.steps).  I + dt*A_h is assembled once
-    (CSC); matrix(y) copies it into one work matrix and writes dt*a_M'(y)
-    onto the diagonal entries only.  Where a_M' is a constant c (the zero
-    reaction, and the linear one while the clamp is idle) B(y) does not
-    depend on y, and factor(y) returns one shared factorization of
-    I + dt*A_h + dt*c*I, built on first use.
+    (CSC); B(y) copies it and writes dt*a_M'(y) onto the diagonal entries
+    only.  factor(y) writes B(y) into one preallocated work matrix instead
+    of a fresh copy.  The zero reaction shares one factorization.
     """
 
     def __init__(self, spec: ProblemSpec):
@@ -121,26 +119,25 @@ class StepSystem:
         # data index of each diagonal entry; 1 + dt*a_ii > 0, so all are stored
         columns = np.repeat(np.arange(n), np.diff(self._base.indptr))
         self._diagonal = np.flatnonzero(self._base.indices == columns)
-        self._shared = None
+        self._shared = splu(self._base) if self.nl.kind == "zero" else None
 
-    def matrix(self, y: np.ndarray) -> sp.csc_matrix:
-        """B(y) in CSC form.  The same matrix object is returned on every
-        call and overwritten by the next one; factors taken from it are
-        independent copies."""
+    def _write(self, y: np.ndarray) -> sp.csc_matrix:
+        """B(y) written into the work matrix, which the next call
+        overwrites."""
         work = self._work
         np.copyto(work.data, self._base.data)
         work.data[self._diagonal] += self.dt * eval_ay_truncated(self.nl, y)
         return work
 
+    def matrix(self, y: np.ndarray) -> sp.csc_matrix:
+        """B(y) in CSC form, a new matrix."""
+        return self._write(y).copy()
+
     def factor(self, y: np.ndarray):
-        """Sparse LU factorization of B(y); shared where a_M' is constant."""
-        kind = self.nl.kind
-        if kind == "zero" or (kind == "linear"
-                              and clamp_idle(self.nl.truncation, y)):
-            if self._shared is None:
-                self._shared = splu(self.matrix(y))
+        """Sparse LU factorization of B(y); splu keeps its own copy."""
+        if self._shared is not None:
             return self._shared
-        return splu(self.matrix(y))
+        return splu(self._write(y))
 
     def step(self, rhs: np.ndarray, y_start: np.ndarray) -> np.ndarray:
         """Solve y + dt*A_h y + dt*a_M(y) = rhs by Newton from y_start;

@@ -155,3 +155,20 @@ def test_curvature_refuses_engaged_clamp():
     v = random_control(spec, rng)
     with pytest.raises(ValueError, match="clamp level 0.05"):
         sc.eval_curvature(spec, u, v)
+
+
+@pytest.mark.filterwarnings("ignore::sparsecontrol.pde.TruncationActiveWarning")
+def test_curvature_ignores_initial_state_above_clamp():
+    # a level between max|y_m|, m >= 1, and max|y_0|: the clamp never acts
+    # on the states the form reads, so the form is the one at the default
+    # (idle) level
+    spec = schloegl_spec()
+    u = sc.field_per_interval(spec.grid, spec.tgrid)
+    later = float(np.max(np.abs(sc.solve_state(spec, u).values[1:])))
+    level = 0.5 * (later + float(np.max(np.abs(spec.y0))))
+    assert later < level <= float(np.max(np.abs(spec.y0)))
+    clamped = replace(spec, nonlinearity=sc.NonlinearitySpec(
+        "schloegl", (-1.0, 0.0, 1.0), truncation=sc.TruncationSpec(level)))
+    v = random_control(spec, np.random.default_rng(6))
+    assert sc.eval_curvature(clamped, u, v) == pytest.approx(
+        sc.eval_curvature(spec, u, v), rel=1e-12)

@@ -4,7 +4,6 @@ from dataclasses import replace
 import numpy as np
 import pytest
 import scipy.sparse as sp
-from scipy.sparse.linalg import splu
 
 import sparsecontrol as sc
 from sparsecontrol.checks import (mms_quadratic_error, mms_sine_error,
@@ -233,34 +232,21 @@ def test_zero_reaction_shares_one_factorization():
     assert steps.factor(spec.y0) is steps.factor(2.0 * spec.y0)
 
 
-def test_linear_reaction_shares_factor_while_clamp_idle():
-    spec = step_system_spec("linear")
-    steps = StepSystem(spec)
-    rng = np.random.default_rng(9)
-    y1, y2, rhs = rng.standard_normal((3, spec.grid.n_nodes))
-    shared = steps.factor(y1)
-    assert steps.factor(y2) is shared
-    x = shared.solve(rhs)
-    assert x.tobytes() == splu(steps.matrix(y2)).solve(rhs).tobytes()
-    engaged = y2.copy()
-    engaged[0] = 2.0 * spec.truncation_level
-    fresh = steps.factor(engaged)
-    assert fresh is not shared
-    assert (fresh.solve(rhs).tobytes()
-            == splu(steps.matrix(engaged)).solve(rhs).tobytes())
-    assert fresh.solve(rhs).tobytes() != x.tobytes()
-
-
-def test_factor_survives_matrix_overwrite():
+def test_factor_survives_work_matrix_overwrite():
+    # factor() writes B(y) into one work matrix; an earlier factor and an
+    # earlier matrix(y) must not see the next write
     spec = step_system_spec("anisotropic-schloegl")
     steps = spec.steps
     rng = np.random.default_rng(11)
     y1, y2, rhs = rng.standard_normal((3, spec.grid.n_nodes))
+    b1 = steps.matrix(y1)
     lu = steps.factor(y1)
     x = lu.solve(rhs)
-    steps.matrix(y2)
+    steps.factor(y2)
     assert lu.solve(rhs).tobytes() == x.tobytes()
     assert steps.factor(y1).solve(rhs).tobytes() == x.tobytes()
+    assert b1.data.tobytes() == steps.matrix(y1).data.tobytes()
+    assert steps.matrix(y2).data.tobytes() != b1.data.tobytes()
 
 
 def test_one_step_system_per_problem():
@@ -277,7 +263,7 @@ def test_one_step_system_per_problem():
 
 @pytest.mark.parametrize("name", ["anisotropic-schloegl", "linear"])
 def test_solve_repeats_bitwise_on_one_spec(name):
-    # the cached step system (work matrix, shared factor) carries no state
+    # the cached step system (its work matrix) carries no state
     # from one solve into the next
     spec = step_system_spec(name)
     cfg = sc.OptimizerConfig(tol=1e-10, max_iter=300)
