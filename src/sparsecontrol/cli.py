@@ -90,9 +90,8 @@ def cmd_solve(cfg: RunConfig, out_dir: Path) -> int:
     return EXIT_OK if report.converged else EXIT_NONCONVERGED
 
 
-def cmd_check(cfg: RunConfig, seed: int, corrupt_adjoint: bool = False) -> int:
-    results = run_checks(cfg.problem_spec(), seed,
-                         corrupt_adjoint=corrupt_adjoint)
+def cmd_check(cfg: RunConfig, seed: int) -> int:
+    results = run_checks(cfg.problem_spec(), seed)
     width = max(len(r.name) for r in results)
     for r in results:
         print(f"{r.name:<{width}}  {'PASS' if r.passed else 'FAIL'}  {r.detail}")
@@ -147,10 +146,6 @@ def _build_parser() -> argparse.ArgumentParser:
             p.add_argument("--gammas", default=None,
                            help="comma-separated budget list (default: "
                                 "log-spaced decrements below gamma)")
-        if name == "check":
-            p.add_argument("--corrupt-adjoint", action="store_true",
-                           help="negative-control hook: perturb the adjoint "
-                                "so the identity check must fail")
     return parser
 
 
@@ -166,8 +161,7 @@ def main(argv=None) -> int:
         if args.command == "solve":
             return cmd_solve(cfg, out_dir)
         if args.command == "check":
-            return cmd_check(cfg, cfg.seed,
-                             corrupt_adjoint=args.corrupt_adjoint)
+            return cmd_check(cfg, cfg.seed)
         gammas = None
         if args.gammas:
             gammas = [float(tok) for tok in args.gammas.split(",") if tok.strip()]

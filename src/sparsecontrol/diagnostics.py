@@ -31,7 +31,6 @@ class SliceActivity:
     l1_norms: np.ndarray
     binding: np.ndarray
     multiplier_active: np.ndarray
-    thresholds: np.ndarray | None
     tol: float
 
     @property
@@ -44,12 +43,10 @@ class SliceActivity:
 
 
 def classify_slices(u: SpaceTimeField, mu: SpaceTimeField, gamma: float,
-                    tol: float | None = None,
-                    thresholds: np.ndarray | None = None) -> SliceActivity:
+                    tol: float | None = None) -> SliceActivity:
     """Flag binding and multiplier-active slices.
 
     tol defaults to 1e-8 * gamma, the numeric stand-in for exact equality.
-    thresholds, when given (from the projection), are carried through.
     """
     if tol is None:
         tol = 1e-8 * gamma
@@ -57,7 +54,7 @@ def classify_slices(u: SpaceTimeField, mu: SpaceTimeField, gamma: float,
     mu_inf = np.max(np.abs(mu.values), axis=1)
     binding = np.abs(l1 - gamma) <= tol
     multiplier_active = binding & (mu_inf > tol)
-    return SliceActivity(l1, binding, multiplier_active, thresholds, tol)
+    return SliceActivity(l1, binding, multiplier_active, tol)
 
 
 @dataclass

@@ -17,8 +17,9 @@ from __future__ import annotations
 import numpy as np
 
 from .grid import SpaceTimeField, l2_inner, like
-from .nonlinearity import clamp_idle, eval_ayy
-from .pde import solve_adjoint, solve_linearized, solve_state
+from .nonlinearity import eval_ayy
+from .pde import (clamp_idle_on_states, solve_adjoint, solve_linearized,
+                  solve_state)
 from .problem import ProblemSpec
 
 __all__ = ["eval_J", "objective_value", "eval_gradient",
@@ -47,12 +48,11 @@ def curvature_with_state(spec: ProblemSpec, y: SpaceTimeField,
                          phi: SpaceTimeField, v: SpaceTimeField) -> float:
     """Quadratic form at (y, phi) in direction v; reuses computed fields.
 
-    Raises ValueError when y reaches the reaction clamp: the form uses the
-    unclamped a'', which is wrong where the clamp acts.  y_0 is not
-    checked: the reaction, and so the clamp, enters only at m >= 1.
+    Raises ValueError when a state y_m, m >= 1, reaches the reaction clamp:
+    the form uses the unclamped a'', which is wrong where the clamp acts.
     """
     states = y.values[1:]
-    if not clamp_idle(spec.clamped_nonlinearity.truncation, states):
+    if not clamp_idle_on_states(spec, y):
         raise ValueError(
             f"state magnitude {np.max(np.abs(states)):.3g} reached the "
             f"clamp level {spec.truncation_level:.3g}; the second-order form "

@@ -23,7 +23,7 @@ from .diagnostics import SliceActivity, classify_slices
 from .grid import SpaceTimeField, field_per_interval, l2_inner, l2_norm, like
 from .l1ball import project_field, recover_multiplier
 from .objective import objective_value
-from .pde import NewtonError, solve_adjoint, solve_state
+from .pde import NewtonError, clamp_idle_on_states, solve_adjoint, solve_state
 from .problem import ProblemSpec
 
 
@@ -191,16 +191,13 @@ def solve(spec: ProblemSpec, cfg: OptimizerConfig = OptimizerConfig()) -> SolveR
 
     # every exit from the loop leaves thresholds at the final (u, phi)
     mu = recover_multiplier(u, phi, spec.kappa)
-    activity = classify_slices(u, mu, spec.gamma, thresholds=thresholds)
-    level = spec.truncation_level
-    truncation_inactive = bool(np.max(np.abs(y.values)) < level)
     return SolveReport(
         u=u, y=y, phi=phi, mu=mu,
         converged=converged, iterations=iterations,
         j_history=j_history, residual_history=residual_history,
         step_history=step_history,
-        activity=activity, thresholds=thresholds,
+        activity=classify_slices(u, mu, spec.gamma), thresholds=thresholds,
         kkt=kkt_residuals(spec, u, y, phi, mu),
-        truncation_inactive=truncation_inactive,
+        truncation_inactive=clamp_idle_on_states(spec, y),
         message=message,
     )

@@ -38,7 +38,7 @@ from scipy.sparse.linalg import splu
 
 from .grid import (PER_INTERVAL, DiffusionTensor, SpaceGrid, SpaceTimeField,
                    field_at_nodes, field_per_interval)
-from .nonlinearity import eval_a_truncated, eval_ay_truncated
+from .nonlinearity import clamp_idle, eval_a_truncated, eval_ay_truncated
 from .problem import ProblemSpec
 
 
@@ -156,11 +156,18 @@ class StepSystem:
             f"{_NEWTON_MAX_ITER} iterations (with 5 damped retries)")
 
 
+def clamp_idle_on_states(spec: ProblemSpec, y: SpaceTimeField) -> bool:
+    """True when no state y_m, m >= 1, reaches the reaction clamp.  y_0 is
+    not checked: the reaction, and so the clamp, enters only at m >= 1."""
+    return clamp_idle(spec.clamped_nonlinearity.truncation, y.values[1:])
+
+
 def solve_state(spec: ProblemSpec, u: SpaceTimeField) -> SpaceTimeField:
     """March the state equation forward from spec.y0 under the control u.
 
     u must be per-interval on spec's grids.  Emits TruncationActiveWarning
-    when the computed state leaves (-M, M); the solution is still returned.
+    when a computed state y_m, m >= 1, leaves (-M, M); the solution is
+    still returned.
     """
     if u.slice_semantics != PER_INTERVAL:
         raise ValueError("control must be a per-interval field")
@@ -173,13 +180,13 @@ def solve_state(spec: ProblemSpec, u: SpaceTimeField) -> SpaceTimeField:
     y[0] = spec.y0
     for m in range(1, n_t + 1):
         y[m] = steps.step(y[m - 1] + dt * u.values[m - 1], y[m - 1])
-    max_abs = float(np.max(np.abs(y)))
-    if max_abs >= spec.truncation_level:
+    state = field_at_nodes(spec.grid, spec.tgrid, y)
+    if not clamp_idle_on_states(spec, state):
         warnings.warn(
-            f"state magnitude {max_abs:.3g} reached the clamp level "
-            f"{spec.truncation_level:.3g}; the clamped equation was solved",
-            TruncationActiveWarning, stacklevel=2)
-    return field_at_nodes(spec.grid, spec.tgrid, y)
+            f"state magnitude {np.max(np.abs(y[1:])):.3g} reached the clamp "
+            f"level {spec.truncation_level:.3g}; the clamped equation was "
+            "solved", TruncationActiveWarning, stacklevel=2)
+    return state
 
 
 def solve_linearized(spec: ProblemSpec, y: SpaceTimeField,

@@ -8,7 +8,7 @@ offending key path in the error message.  The fully resolved configuration
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, fields
 
 import numpy as np
 import yaml
@@ -24,14 +24,9 @@ class ConfigError(ValueError):
     """Malformed run configuration."""
 
 
-_PROBLEM_KEYS = {"n_dim", "n_per_axis", "n_t", "T", "kappa", "gamma",
-                 "diffusion", "nonlinearity", "truncation", "y0", "yd"}
-_NONLINEARITY_KEYS = {"kind", "params"}
-_OPTIMIZER_KEYS = {"tol", "max_iter", "armijo_c", "backtrack", "initial_step",
-                   "max_backtracks"}
-_OUTPUT_KEYS = {"directory", "dump_fields"}
 _TOP_KEYS = {"problem", "optimizer", "output", "seed"}
 
+# the allowed keys of each block are the keys of its defaults
 _PROBLEM_DEFAULTS = {
     "n_dim": 1, "n_per_axis": 16, "n_t": 16, "T": 1.0,
     "kappa": 0.1, "gamma": 1.0,
@@ -40,14 +35,13 @@ _PROBLEM_DEFAULTS = {
     "truncation": "auto",
     "y0": "zero", "yd": "zero",
 }
-_OPTIMIZER_DEFAULTS = {
-    "tol": 1e-8, "max_iter": 2000, "armijo_c": 1e-4, "backtrack": 0.5,
-    "initial_step": None, "max_backtracks": 60,
-}
+# the initial control is not a config key
+_OPTIMIZER_DEFAULTS = {f.name: f.default for f in fields(OptimizerConfig)
+                       if f.name != "u0"}
 _OUTPUT_DEFAULTS = {"directory": ".", "dump_fields": False}
 
 
-def _reject_unknown(block: dict, allowed: set, path: str):
+def _reject_unknown(block: dict, allowed, path: str):
     if not isinstance(block, dict):
         raise ConfigError(f"section {path!r} must be a mapping")
     for key in block:
@@ -56,9 +50,9 @@ def _reject_unknown(block: dict, allowed: set, path: str):
                               f"unknown key {key}")
 
 
-def _merged(block, defaults, allowed, path):
+def _merged(block, defaults, path):
     block = {} if block is None else block
-    _reject_unknown(block, allowed, path)
+    _reject_unknown(block, defaults, path)
     out = dict(defaults)
     out.update(block)
     return out
@@ -102,8 +96,8 @@ def _coerce_diffusion(entry, n_dim: int) -> DiffusionTensor:
 def _coerce_nonlinearity(entry, truncation) -> NonlinearitySpec:
     if isinstance(entry, str):
         entry = {"kind": entry, "params": []}
-    entry = _merged(entry, {"kind": "zero", "params": []},
-                    _NONLINEARITY_KEYS, "problem.nonlinearity")
+    entry = _merged(entry, _PROBLEM_DEFAULTS["nonlinearity"],
+                    "problem.nonlinearity")
     if entry["kind"] not in KINDS:
         raise ConfigError(f"problem.nonlinearity.kind must be one of {KINDS}")
     trunc = None
@@ -147,12 +141,9 @@ def parse_config(text: str) -> RunConfig:
     if raw is None:
         raw = {}
     _reject_unknown(raw, _TOP_KEYS, "")
-    problem = _merged(raw.get("problem"), _PROBLEM_DEFAULTS, _PROBLEM_KEYS,
-                      "problem")
-    optimizer = _merged(raw.get("optimizer"), _OPTIMIZER_DEFAULTS,
-                        _OPTIMIZER_KEYS, "optimizer")
-    output = _merged(raw.get("output"), _OUTPUT_DEFAULTS, _OUTPUT_KEYS,
-                     "output")
+    problem = _merged(raw.get("problem"), _PROBLEM_DEFAULTS, "problem")
+    optimizer = _merged(raw.get("optimizer"), _OPTIMIZER_DEFAULTS, "optimizer")
+    output = _merged(raw.get("output"), _OUTPUT_DEFAULTS, "output")
     seed = raw.get("seed", 0)
     if not isinstance(seed, int) or seed < 0:
         raise ConfigError("seed must be a nonnegative integer")

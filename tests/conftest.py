@@ -1,7 +1,10 @@
+from dataclasses import replace
+
 import pytest
 
 import sparsecontrol as sc
 from sparsecontrol.grid import like
+from sparsecontrol.nonlinearity import with_truncation
 
 
 def schloegl_spec(n=8, n_t=10, T=1.0, kappa=0.1, gamma=1.0, diff=1.0,
@@ -39,6 +42,16 @@ def linear_1d_spec(gamma=1e6, kappa=0.1, n=12, n_t=10, T=0.5):
         nonlinearity=sc.NonlinearitySpec("zero"),
         y0=sc.spatial_preset("one-mode", grid),
         yd=sc.target_preset("zero", grid, tgrid))
+
+
+# schloegl_spec() at zero control has max|y_0| = 0.970 and max|y_m| = 0.339
+# for m >= 1: at this level the clamp reaches y_0 only, where it never acts
+Y0_ONLY_CLAMP_LEVEL = 0.654
+
+
+def with_clamp(spec, level):
+    """spec with the reaction clamp at an explicit level."""
+    return replace(spec, nonlinearity=with_truncation(spec.nonlinearity, level))
 
 
 def random_control(spec, rng, scale=1.0):

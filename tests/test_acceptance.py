@@ -7,15 +7,14 @@ import json
 import numpy as np
 
 import sparsecontrol as sc
-from sparsecontrol.checks import (bisect_threshold, mms_quadratic_error,
-                                  mms_sine_error, observed_order, random_slice)
+from sparsecontrol.checks import (check_adjoint_identity, check_curvature_fd,
+                                  check_gradient_fd, check_mms_convergence,
+                                  check_nonexpansive, check_projection_oracle)
 from sparsecontrol.cli import main
 from sparsecontrol.grid import like, slice_linf_norm
-from sparsecontrol.l1ball import project_slice
 from sparsecontrol.nonlinearity import TruncationSpec, f_M, f_M_prime
 
-from conftest import (active_schloegl_spec, linear_1d_spec, random_control,
-                      schloegl_spec)
+from conftest import active_schloegl_spec, linear_1d_spec, schloegl_spec
 
 
 def criterion(number, passed, detail):
@@ -24,88 +23,34 @@ def criterion(number, passed, detail):
     assert passed, f"criterion {number}: {detail}"
 
 
+def check_criterion(number, results):
+    """One criterion made of checks-module oracles, with their details."""
+    criterion(number, all(r.passed for r in results),
+              "; ".join(f"{r.name}: {r.detail}" for r in results))
+
+
 def test_criterion_1_projection_oracle():
+    # deviation from bisection, exact idempotence, then nonexpansiveness
     rng = np.random.default_rng(101)
-    worst_dev = 0.0
-    worst_growth = 0.0
-    idempotent = True
-    for _ in range(1000):
-        v, w, gamma = random_slice(rng)
-        res = project_slice(v, w, gamma)
-        lam = bisect_threshold(v, w, gamma)
-        oracle = np.sign(v) * np.maximum(np.abs(v) - lam, 0.0)
-        worst_dev = max(worst_dev, float(np.max(np.abs(res.values - oracle))))
-        again = project_slice(res.values, w, gamma)
-        idempotent = idempotent and np.array_equal(again.values, res.values)
-        b = v + rng.standard_normal(v.size)
-        pa, pb = res.values, project_slice(b, w, gamma).values
-        growth = (np.sqrt(w * np.sum((pa - pb) ** 2))
-                  - np.sqrt(w * np.sum((v - b) ** 2)))
-        worst_growth = max(worst_growth, float(growth))
-    criterion(1, worst_dev <= 1e-10 and idempotent and worst_growth <= 1e-12,
-              f"bisection deviation {worst_dev:.2e} (<=1e-10), idempotence "
-              f"{'exact' if idempotent else 'broken'}, nonexpansiveness "
-              f"excess {worst_growth:.2e}")
+    check_criterion(1, [check_projection_oracle(rng, 1000),
+                        check_nonexpansive(rng, 1000)])
 
 
 def test_criterion_2_gradient_exactness():
     rng = np.random.default_rng(102)
-    worst_adjoint = 0.0
-    for spec in (schloegl_spec(n=8, n_t=10), schloegl_spec(n=16, n_t=32)):
-        for _ in range(10):
-            u = random_control(spec, rng)
-            v = random_control(spec, rng)
-            y = sc.solve_state(spec, u)
-            z = sc.solve_linearized(spec, y, v)
-            phi = sc.solve_adjoint(spec, y)
-            lhs = sc.l2_inner(like(y, y.values - spec.yd.values), z)
-            rhs = sc.l2_inner(phi, v)
-            worst_adjoint = max(worst_adjoint,
-                                abs(lhs - rhs) / max(abs(lhs), abs(rhs), 1e-30))
-    spec = schloegl_spec(n=8, n_t=10)
-    eps = 1e-4
-    worst_fd = 0.0
-    for _ in range(10):
-        u = random_control(spec, rng)
-        v = random_control(spec, rng)
-        g = sc.eval_gradient(spec, u)
-        plus = sc.eval_J(spec, like(u, u.values + eps * v.values))
-        minus = sc.eval_J(spec, like(u, u.values - eps * v.values))
-        fd = (plus - minus) / (2 * eps)
-        exact = sc.l2_inner(g, v)
-        worst_fd = max(worst_fd, abs(fd - exact) / abs(exact))
-    criterion(2, worst_adjoint <= 1e-10 and worst_fd <= 1e-6,
-              f"adjoint identity {worst_adjoint:.2e} (<=1e-10), central "
-              f"difference {worst_fd:.2e} (<=1e-6)")
+    check_criterion(2, [
+        check_adjoint_identity(schloegl_spec(n=8, n_t=10), rng, n_pairs=10),
+        check_adjoint_identity(schloegl_spec(n=16, n_t=32), rng, n_pairs=10),
+        check_gradient_fd(rng, n_pairs=10)])
 
 
 def test_criterion_3_curvature():
-    rng = np.random.default_rng(103)
-    spec = schloegl_spec(n=8, n_t=10)
-    eps = 1e-3
-    worst = 0.0
-    for _ in range(10):
-        u = random_control(spec, rng)
-        v = random_control(spec, rng)
-        mid = sc.eval_J(spec, u)
-        plus = sc.eval_J(spec, like(u, u.values + eps * v.values))
-        minus = sc.eval_J(spec, like(u, u.values - eps * v.values))
-        fd = (plus - 2 * mid + minus) / eps**2
-        q = sc.eval_curvature(spec, u, v)
-        worst = max(worst, abs(fd - q) / abs(q))
-    criterion(3, worst <= 1e-4,
-              f"second-difference mismatch {worst:.2e} (<=1e-4)")
+    check_criterion(3, [check_curvature_fd(np.random.default_rng(103),
+                                           n_dirs=10)])
 
 
 def test_criterion_4_pde_convergence():
-    dt_errors = [mms_quadratic_error(8, n_t, 1.0) for n_t in (2, 4, 8)]
-    dt_orders = observed_order(dt_errors, [0.5, 0.25, 0.125])
-    h_errors = [mms_sine_error(n, 400, 0.2) for n in (4, 8, 16)]
-    h_orders = observed_order(h_errors, [1 / 5, 1 / 9, 1 / 17])
-    ok = all(o >= 0.9 for o in dt_orders) and all(o >= 1.9 for o in h_orders)
-    criterion(4, ok,
-              f"dt orders {[f'{o:.2f}' for o in dt_orders]} (>=0.9), "
-              f"h orders {[f'{o:.2f}' for o in h_orders]} (>=1.9)")
+    check_criterion(4, [check_mms_convergence()])
 
 
 def test_criterion_5_kkt_suite(active_solve):

@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 
 import sparsecontrol as sc
+from sparsecontrol import checks
 from sparsecontrol.cli import main
 from sparsecontrol.fieldio import read_field, write_field
 from sparsecontrol.runconfig import ConfigError, parse_config
@@ -151,23 +152,31 @@ def test_sweep_writes_outputs(tmp_path):
     assert len(payload["distances"]) == 3
 
 
-def test_check_passes_and_corrupt_adjoint_fails(tmp_path, capsys):
+def test_check_passes_and_corrupt_adjoint_fails(tmp_path, capsys,
+                                                monkeypatch):
     cfg = write_config(tmp_path, FAST_SOLVE)
     assert main(["check", "--config", cfg]) == 0
     table = capsys.readouterr().out
     assert "projection-oracle" in table and "FAIL" not in table
-    assert main(["check", "--config", cfg, "--corrupt-adjoint"]) == 3
-    table = capsys.readouterr().out
-    assert "adjoint-identity" in table and "FAIL" in table
+    # negative control: an adjoint off by a relative 1e-3 must fail
+    exact = checks.solve_adjoint
+
+    def corrupt(spec, y):
+        phi = exact(spec, y)
+        return sc.like(phi, phi.values * (1.0 + 1e-3))
+
+    monkeypatch.setattr(checks, "solve_adjoint", corrupt)
+    assert main(["check", "--config", cfg]) == 3
+    rows = capsys.readouterr().out.splitlines()
+    assert [r.split()[0] for r in rows if "FAIL" in r] == ["adjoint-identity"]
 
 
 def test_check_suite_robust_across_seeds():
     # the shipped defaults must pass, whatever the seed
-    from sparsecontrol.checks import run_checks
     cfg = parse_config("{}")
     spec = cfg.problem_spec()
     for seed in (1, 2, 3, 4, 5):
-        results = run_checks(spec, seed)
+        results = checks.run_checks(spec, seed)
         assert all(r.passed for r in results), \
             [r.detail for r in results if not r.passed]
 

@@ -3,7 +3,8 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 import sparsecontrol as sc
-from sparsecontrol.checks import bisect_threshold, random_slice
+from sparsecontrol.checks import (bisect_threshold,
+                                  check_projection_oracle)
 from sparsecontrol.grid import like
 from sparsecontrol.l1ball import (_project_rows, l1_directional_derivative,
                                   project_field, project_slice,
@@ -80,15 +81,8 @@ def test_nonexpansive(v, w, gamma, seed):
 
 
 def test_matches_bisection_oracle():
-    rng = np.random.default_rng(123)
-    worst = 0.0
-    for _ in range(500):
-        v, w, gamma = random_slice(rng)
-        res = project_slice(v, w, gamma)
-        lam = bisect_threshold(v, w, gamma)
-        oracle = np.sign(v) * np.maximum(np.abs(v) - lam, 0.0)
-        worst = max(worst, float(np.max(np.abs(res.values - oracle))))
-    assert worst <= 1e-10
+    result = check_projection_oracle(np.random.default_rng(123), 500)
+    assert result.passed, result.detail
 
 
 def test_project_rows_mixed_stack():

@@ -1,12 +1,12 @@
-from dataclasses import replace
-
 import numpy as np
 import pytest
 
 import sparsecontrol as sc
+from sparsecontrol.checks import check_curvature_fd, check_gradient_fd
 from sparsecontrol.grid import like
 
-from conftest import linear_1d_spec, random_control, schloegl_spec
+from conftest import (Y0_ONLY_CLAMP_LEVEL, linear_1d_spec, random_control,
+                      schloegl_spec, with_clamp)
 
 
 def test_zero_problem_zero_objective():
@@ -65,18 +65,8 @@ def test_gradient_reduces_to_adjoint_at_zero_control():
 
 
 def test_gradient_matches_central_differences():
-    spec = schloegl_spec()
-    rng = np.random.default_rng(25)
-    eps = 1e-4
-    for _ in range(3):
-        u = random_control(spec, rng)
-        v = random_control(spec, rng)
-        g = sc.eval_gradient(spec, u)
-        plus = sc.eval_J(spec, like(u, u.values + eps * v.values))
-        minus = sc.eval_J(spec, like(u, u.values - eps * v.values))
-        fd = (plus - minus) / (2 * eps)
-        exact = sc.l2_inner(g, v)
-        assert abs(fd - exact) <= 1e-6 * abs(exact)
+    result = check_gradient_fd(np.random.default_rng(25))
+    assert result.passed, result.detail
 
 
 def test_curvature_zero_direction():
@@ -101,18 +91,8 @@ def test_curvature_positive_without_reaction():
 
 
 def test_curvature_matches_second_differences():
-    spec = schloegl_spec()
-    rng = np.random.default_rng(29)
-    eps = 1e-3
-    for _ in range(3):
-        u = random_control(spec, rng)
-        v = random_control(spec, rng)
-        mid = sc.eval_J(spec, u)
-        plus = sc.eval_J(spec, like(u, u.values + eps * v.values))
-        minus = sc.eval_J(spec, like(u, u.values - eps * v.values))
-        fd = (plus - 2 * mid + minus) / eps**2
-        q = sc.eval_curvature(spec, u, v)
-        assert abs(fd - q) <= 1e-4 * abs(q)
+    result = check_curvature_fd(np.random.default_rng(29))
+    assert result.passed, result.detail
 
 
 def test_curvature_polarization_symmetry():
@@ -148,8 +128,7 @@ def test_curvature_coercivity_witness():
 def test_curvature_refuses_engaged_clamp():
     # the clamp-engaged Schloegl instance of the adjoint tests: a'' would be
     # the unclamped one, so the form must refuse rather than answer
-    spec = replace(schloegl_spec(), nonlinearity=sc.NonlinearitySpec(
-        "schloegl", (-1.0, 0.0, 1.0), truncation=sc.TruncationSpec(0.05)))
+    spec = with_clamp(schloegl_spec(), 0.05)
     rng = np.random.default_rng(6)
     u = random_control(spec, rng)
     v = random_control(spec, rng)
@@ -157,18 +136,12 @@ def test_curvature_refuses_engaged_clamp():
         sc.eval_curvature(spec, u, v)
 
 
-@pytest.mark.filterwarnings("ignore::sparsecontrol.pde.TruncationActiveWarning")
 def test_curvature_ignores_initial_state_above_clamp():
-    # a level between max|y_m|, m >= 1, and max|y_0|: the clamp never acts
-    # on the states the form reads, so the form is the one at the default
-    # (idle) level
+    # the clamp reaches y_0 only, which the form does not read, so the form
+    # is the one at the default (idle) level
     spec = schloegl_spec()
     u = sc.field_per_interval(spec.grid, spec.tgrid)
-    later = float(np.max(np.abs(sc.solve_state(spec, u).values[1:])))
-    level = 0.5 * (later + float(np.max(np.abs(spec.y0))))
-    assert later < level <= float(np.max(np.abs(spec.y0)))
-    clamped = replace(spec, nonlinearity=sc.NonlinearitySpec(
-        "schloegl", (-1.0, 0.0, 1.0), truncation=sc.TruncationSpec(level)))
     v = random_control(spec, np.random.default_rng(6))
+    clamped = with_clamp(spec, Y0_ONLY_CLAMP_LEVEL)
     assert sc.eval_curvature(clamped, u, v) == pytest.approx(
         sc.eval_curvature(spec, u, v), rel=1e-12)

@@ -1,3 +1,5 @@
+import warnings
+
 import numpy as np
 import pytest
 
@@ -5,10 +7,10 @@ import sparsecontrol as sc
 from sparsecontrol.grid import like, slice_linf_norm
 from sparsecontrol import optimizer
 from sparsecontrol.l1ball import project_field, recover_multiplier
-from sparsecontrol.pde import NewtonError
+from sparsecontrol.pde import NewtonError, TruncationActiveWarning
 
-from conftest import (active_schloegl_spec, linear_1d_spec, random_control,
-                      schloegl_spec)
+from conftest import (Y0_ONLY_CLAMP_LEVEL, active_schloegl_spec,
+                      random_control, schloegl_spec, with_clamp)
 
 
 def test_config_validation():
@@ -107,42 +109,6 @@ def test_multiplier_active_slices_have_thresholds(active_solve):
     assert np.all(report.thresholds[active] > 0.0)
 
 
-def test_unconstrained_matches_dense_lq_oracle():
-    spec = linear_1d_spec(gamma=1e6)
-    report = sc.solve(spec, sc.OptimizerConfig(tol=1e-12, max_iter=3000))
-    assert report.converged
-    # assemble the control-to-state map densely and solve the normal
-    # equations; weights cancel because control and state share them
-    import scipy.sparse as sp
-    from scipy.sparse.linalg import splu
-    n, n_t, dt = spec.grid.n_nodes, spec.tgrid.n_t, spec.tgrid.dt
-    lu = splu((sp.identity(n) + dt * spec.operator.matrix).tocsc())
-    free = np.zeros((n_t, n))
-    state = spec.y0.copy()
-    for m in range(n_t):
-        state = lu.solve(state)
-        free[m] = state
-    columns = np.zeros((n_t * n, n_t * n))
-    for k in range(n_t):
-        for i in range(n):
-            z = np.zeros(n)
-            rows = np.zeros((n_t, n))
-            for m in range(n_t):
-                rhs = z.copy()
-                if m == k:
-                    rhs[i] += dt
-                z = lu.solve(rhs)
-                rows[m] = z
-            columns[:, k * n + i] = rows.ravel()
-    target = spec.yd.values[1:].ravel()
-    optimal = np.linalg.solve(
-        columns.T @ columns + spec.kappa * np.eye(n_t * n),
-        columns.T @ (target - free.ravel()))
-    gap = sc.l2_norm(like(report.u, report.u.values - optimal.reshape(n_t, n)))
-    assert gap <= 1e-6
-    assert max(slice_linf_norm(report.mu, m) for m in range(n_t)) <= 1e-10
-
-
 def test_kkt_residuals_on_constructed_fixed_point():
     spec = active_schloegl_spec()
     rng = np.random.default_rng(41)
@@ -183,4 +149,13 @@ def test_kkt_feasible_but_not_stationary():
 
 def test_truncation_inactive_flag(active_solve):
     _, report = active_solve
+    assert report.truncation_inactive
+
+
+def test_truncation_inactive_ignores_initial_state():
+    spec = with_clamp(schloegl_spec(), Y0_ONLY_CLAMP_LEVEL)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error", TruncationActiveWarning)
+        report = sc.solve(spec, sc.OptimizerConfig(tol=1e-8, max_iter=200))
+    assert report.converged
     assert report.truncation_inactive
