@@ -3,8 +3,7 @@ pointwise-in-time l1 budget, with a first-order verification harness."""
 
 from .grid import (AT_NODES, PER_INTERVAL, DiffusionTensor, SpaceGrid,
                    SpaceTimeField, TimeGrid, field_at_nodes,
-                   field_per_interval, isotropic, l2_inner, l2_norm, like,
-                   slice_l1_norm, slice_l2_norm, slice_linf_norm)
+                   field_per_interval, isotropic, l2_inner, l2_norm, like)
 from .nonlinearity import (NonlinearitySpec, TruncationSpec,
                            auto_truncation_level, eval_a, eval_a_truncated,
                            eval_ay, eval_ay_truncated, eval_ayy, f_M,

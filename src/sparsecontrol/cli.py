@@ -7,8 +7,8 @@ Subcommands:
 * ``check``  run the property suite, print a pass/fail table
 * ``sweep``  solve across a list of budgets, write stability.csv/.json
 
-Exit codes: 0 success, 1 config error, 2 solver/sweep nonconvergence,
-3 property-suite failure.
+Exit codes: 0 success, 1 config or command-line error, 2 solver/sweep
+nonconvergence, 3 property-suite failure.
 """
 
 from __future__ import annotations
@@ -127,8 +127,17 @@ def cmd_sweep(cfg: RunConfig, out_dir: Path, gammas=None) -> int:
     return EXIT_OK if report.converged else EXIT_NONCONVERGED
 
 
+class _Parser(argparse.ArgumentParser):
+    """Ends a bad command line with the config-error code; argparse's own
+    code 2 is the nonconvergence code here.  Subparsers inherit the class."""
+
+    def error(self, message):
+        self.print_usage(sys.stderr)
+        self.exit(EXIT_CONFIG, f"{self.prog}: error: {message}\n")
+
+
 def _build_parser() -> argparse.ArgumentParser:
-    parser = argparse.ArgumentParser(
+    parser = _Parser(
         prog="sparsecontrol",
         description="budget-constrained sparse control of reaction-diffusion "
                     "equations")

@@ -34,10 +34,6 @@ class SliceActivity:
     tol: float
 
     @property
-    def n_binding(self) -> int:
-        return int(np.sum(self.binding))
-
-    @property
     def n_multiplier_active(self) -> int:
         return int(np.sum(self.multiplier_active))
 

@@ -205,26 +205,3 @@ def l2_inner(f: SpaceTimeField, g: SpaceTimeField) -> float:
 
 def l2_norm(f: SpaceTimeField) -> float:
     return float(np.sqrt(max(l2_inner(f, f), 0.0)))
-
-
-def _slice(f: SpaceTimeField, m: int) -> np.ndarray:
-    if not 0 <= m < f.n_slices:
-        raise IndexError(f"slice index {m} out of range for {f.n_slices} slices")
-    return f.values[m]
-
-
-def slice_l1_norm(f: SpaceTimeField, m: int) -> float:
-    """Weighted l1 norm of time slice m: sum_i cell_weight * |f[m,i]|."""
-    return float(f.grid.cell_weight * np.sum(np.abs(_slice(f, m))))
-
-
-def slice_l2_norm(f: SpaceTimeField, m: int) -> float:
-    """Weighted l2 norm of time slice m."""
-    v = _slice(f, m)
-    return float(np.sqrt(f.grid.cell_weight * np.sum(v * v)))
-
-
-def slice_linf_norm(f: SpaceTimeField, m: int) -> float:
-    """max_i |f[m, i]|."""
-    v = _slice(f, m)
-    return float(np.max(np.abs(v))) if v.size else 0.0

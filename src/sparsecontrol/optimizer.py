@@ -1,11 +1,13 @@
 """Projected gradient solve of the budget-constrained tracking problem.
 
-Iterates u+ = proj(u - s * (phi + kappa*u)) with an Armijo backtracking
-line search; the method drives u to the fixed point u = proj(-phi/kappa)
-of the first-order system.  The initial step 1/kappa makes the very first
-trial iterate exactly the fixed-point map; afterwards the last accepted
-step is reused and doubled whenever it was accepted without backtracking.
-Convergence is declared on the relative fixed-point residual
+Iterates u+ = proj(u - t * g), g = phi + kappa*u, with a monotone Armijo
+backtracking line search; the method drives u to the fixed point
+u = proj(-phi/kappa) of the first-order system.  The first trial step
+1/kappa makes the first trial iterate exactly the fixed-point map; after
+each accept the next one is the Barzilai-Borwein step <s,s>/<s,g+ - g>,
+s = u+ - u, clipped to [1e-10, 1e10], or 1/kappa when <s,g+ - g> <= 0
+(spectral projected gradient: Birgin, Martinez & Raydan, SIAM J. Optim.
+10, 2000).  Convergence is declared on the relative fixed-point residual
 
     ||u - proj(-phi/kappa)|| / max(1, ||u||)
 
@@ -27,27 +29,23 @@ from .pde import NewtonError, clamp_idle_on_states, solve_adjoint, solve_state
 from .problem import ProblemSpec
 
 
+_ARMIJO_C = 1e-4
+_BACKTRACK = 0.5
+_MAX_BACKTRACKS = 60
+_MIN_STEP, _MAX_STEP = 1e-10, 1e10
+
+
 @dataclass(frozen=True)
 class OptimizerConfig:
     tol: float = 1e-8
     max_iter: int = 2000
-    armijo_c: float = 1e-4
-    backtrack: float = 0.5
-    initial_step: float | None = None    # defaults to 1/kappa
-    max_backtracks: int = 60
     u0: SpaceTimeField | None = None     # defaults to the zero control
 
     def __post_init__(self):
-        if not 0.0 < self.armijo_c < 1.0:
-            raise ValueError("armijo_c must lie in (0, 1)")
-        if not 0.0 < self.backtrack < 1.0:
-            raise ValueError("backtrack factor must lie in (0, 1)")
         if not self.tol > 0:
             raise ValueError("tolerance must be > 0")
         if self.max_iter < 0:
             raise ValueError("max_iter must be >= 0")
-        if self.max_backtracks < 1:
-            raise ValueError("max_backtracks must be >= 1")
 
 
 @dataclass
@@ -126,8 +124,7 @@ def solve(spec: ProblemSpec, cfg: OptimizerConfig = OptimizerConfig()) -> SolveR
         u = cfg.u0.copy()
     else:
         u = field_per_interval(spec.grid, spec.tgrid)
-    base_step = cfg.initial_step if cfg.initial_step is not None else 1.0 / spec.kappa
-    step = base_step
+    step = 1.0 / spec.kappa
 
     y = solve_state(spec, u)
     j_val = objective_value(spec, u, y)
@@ -158,36 +155,33 @@ def solve(spec: ProblemSpec, cfg: OptimizerConfig = OptimizerConfig()) -> SolveR
         # Armijo comparison is pure noise; accept such steps
         noise_floor = 16.0 * np.finfo(float).eps * max(1.0, abs(j_val))
         accepted = False
-        trial_step = step
-        for backtracks in range(cfg.max_backtracks):
+        for _ in range(_MAX_BACKTRACKS):
             candidate, _ = project_field(
-                like(u, u.values - trial_step * gradient.values), spec.gamma)
+                like(u, u.values - step * gradient.values), spec.gamma)
             try:
                 y_new = solve_state(spec, candidate)
             except NewtonError:     # no implicit step solution: reject
-                trial_step *= cfg.backtrack
+                step *= _BACKTRACK
                 continue
             j_new = objective_value(spec, candidate, y_new)
-            decrement = l2_inner(gradient, like(u, candidate.values - u.values))
-            if j_new <= j_val + cfg.armijo_c * decrement + noise_floor:
+            s = like(u, candidate.values - u.values)
+            decrement = l2_inner(gradient, s)
+            if j_new <= j_val + _ARMIJO_C * decrement + noise_floor:
                 accepted = True
                 break
-            trial_step *= cfg.backtrack
+            step *= _BACKTRACK
         if not accepted:
             message = "line search stalled"
             break
 
         u, y, j_val = candidate, y_new, j_new
         phi = solve_adjoint(spec, y)
-        gradient = like(u, phi.values + spec.kappa * u.values)
+        previous, gradient = gradient, like(u, phi.values + spec.kappa * u.values)
         j_history.append(j_val)
-        step_history.append(trial_step)
-        if cfg.armijo_c * abs(decrement) <= noise_floor:
-            # progress is no longer measurable in J; polish with the plain
-            # fixed-point step instead of growing further
-            step = base_step
-        else:
-            step = 2.0 * trial_step if backtracks == 0 else trial_step
+        step_history.append(step)
+        curvature = l2_inner(s, like(u, gradient.values - previous.values))
+        step = 1.0 / spec.kappa if curvature <= 0.0 else min(
+            max(l2_inner(s, s) / curvature, _MIN_STEP), _MAX_STEP)
 
     # every exit from the loop leaves thresholds at the final (u, phi)
     mu = recover_multiplier(u, phi, spec.kappa)

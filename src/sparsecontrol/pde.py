@@ -129,10 +129,6 @@ class StepSystem:
         work.data[self._diagonal] += self.dt * eval_ay_truncated(self.nl, y)
         return work
 
-    def matrix(self, y: np.ndarray) -> sp.csc_matrix:
-        """B(y) in CSC form, a new matrix."""
-        return self._write(y).copy()
-
     def factor(self, y: np.ndarray):
         """Sparse LU factorization of B(y); splu keeps its own copy."""
         if self._shared is not None:

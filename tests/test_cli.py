@@ -45,7 +45,7 @@ def test_solve_writes_outputs(tmp_path):
     assert report["truncation_inactive"] is True
     # effective config embedded with defaults resolved
     assert report["config"]["problem"]["kappa"] == 0.2
-    assert report["config"]["optimizer"]["backtrack"] == 0.5
+    assert report["config"]["optimizer"] == {"max_iter": 300, "tol": 1e-9}
     assert report["config"]["seed"] == 5
     lines = (out / "timeseries.csv").read_text(encoding="utf-8").splitlines()
     assert lines[0] == "t,∥u(t)∥₁,∥μ(t)∥_∞,λ_t,sparsity fraction"
@@ -81,6 +81,24 @@ def test_malformed_config_exits_one(tmp_path, capsys):
     cfg = write_config(tmp_path, "problem:\n  n_per_axiss: 4\n")
     assert main(["solve", "--config", cfg, "--out", str(tmp_path)]) == 1
     assert "n_per_axiss" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("key", ["initial_step", "armijo_c", "backtrack",
+                                 "max_backtracks"])
+def test_step_rule_takes_no_settings(tmp_path, capsys, key):
+    cfg = write_config(tmp_path, f"optimizer:\n  {key}: 0.5\n")
+    assert main(["solve", "--config", cfg, "--out", str(tmp_path)]) == 1
+    assert f"optimizer.{key}" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("argv", [["solve", "--config", "run.yaml", "--bogus"],
+                                  []])
+def test_usage_error_exits_one(argv, capsys):
+    # 2 is the nonconvergence code
+    with pytest.raises(SystemExit) as stop:
+        main(argv)
+    assert stop.value.code == 1
+    assert "error" in capsys.readouterr().err
 
 
 def test_domain_error_exits_one(tmp_path, capsys):

@@ -111,53 +111,18 @@ def test_quadrature_consistency_refines_first_order():
 
 
 def test_slice_l1_norm_hand_sum():
+    # the per-slice weighted l1 norm the library reduces rows to
     f = small_field(np.array([[3.0], [-1.0]]))
+    zero = like(f, np.zeros_like(f.values))
     # cell_weight = 1/2
-    assert sc.slice_l1_norm(f, 0) == pytest.approx(1.5)
-    assert sc.slice_l1_norm(f, 1) == pytest.approx(0.5)
-    grid = sc.SpaceGrid(1, 2)  # h = 1/3... use explicit weight check instead
+    l1 = sc.classify_slices(f, zero, 1.0).l1_norms
+    assert l1 == pytest.approx([1.5, 0.5])
+    grid = sc.SpaceGrid(1, 2)
     two = sc.SpaceTimeField(grid, sc.TimeGrid(1.0, 1),
                             np.array([[3.0, -1.0]]), "per-interval")
-    assert sc.slice_l1_norm(two, 0) == pytest.approx(grid.cell_weight * 4.0)
-
-
-def test_slice_norm_properties():
-    rng = np.random.default_rng(5)
-    grid = sc.SpaceGrid(2, 5)
-    tgrid = sc.TimeGrid(1.0, 3)
-    f = sc.field_per_interval(grid, tgrid, rng.standard_normal((3, 25)))
-    assert sc.slice_linf_norm(f, 1) == np.abs(f.values[1]).max()
-    # permutation invariance
-    perm = rng.permutation(25)
-    g = like(f, f.values[:, perm])
-    assert sc.slice_linf_norm(g, 1) == sc.slice_linf_norm(f, 1)
-    assert sc.slice_l1_norm(g, 1) == pytest.approx(sc.slice_l1_norm(f, 1))
-    # homogeneity
-    assert sc.slice_l1_norm(like(f, -2.5 * f.values), 2) == pytest.approx(
-        2.5 * sc.slice_l1_norm(f, 2))
-    # zero slice
-    z = like(f, np.zeros_like(f.values))
-    assert sc.slice_l1_norm(z, 0) == 0.0
-    assert sc.slice_linf_norm(z, 0) == 0.0
-
-
-def test_slice_index_out_of_range():
-    f = small_field(np.ones((2, 1)))
-    with pytest.raises(IndexError):
-        sc.slice_l1_norm(f, 2)
-    with pytest.raises(IndexError):
-        sc.slice_linf_norm(f, -1)
-
-
-def test_slice_cauchy_schwarz_bound():
-    # ||f(t)||_1 <= sqrt(|Omega_h|) ||f(t)||_2 under the discrete weights
-    rng = np.random.default_rng(9)
-    grid = sc.SpaceGrid(2, 6)
-    tgrid = sc.TimeGrid(1.0, 2)
-    f = sc.field_per_interval(grid, tgrid, rng.standard_normal((2, 36)))
-    area = grid.n_nodes * grid.cell_weight
-    for m in range(2):
-        assert sc.slice_l1_norm(f, m) <= np.sqrt(area) * sc.slice_l2_norm(f, m) + 1e-12
+    l1 = sc.classify_slices(two, like(two, np.zeros_like(two.values)),
+                            1.0).l1_norms
+    assert l1[0] == pytest.approx(grid.cell_weight * 4.0)
 
 
 def test_diffusion_tensor_validation():
