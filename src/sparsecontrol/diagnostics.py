@@ -38,14 +38,11 @@ class SliceActivity:
         return int(np.sum(self.multiplier_active))
 
 
-def classify_slices(u: SpaceTimeField, mu: SpaceTimeField, gamma: float,
-                    tol: float | None = None) -> SliceActivity:
-    """Flag binding and multiplier-active slices.
-
-    tol defaults to 1e-8 * gamma, the numeric stand-in for exact equality.
-    """
-    if tol is None:
-        tol = 1e-8 * gamma
+def classify_slices(u: SpaceTimeField, mu: SpaceTimeField,
+                    gamma: float) -> SliceActivity:
+    """Flag binding and multiplier-active slices; 1e-8 * gamma is the
+    numeric stand-in for exact equality."""
+    tol = 1e-8 * gamma
     l1 = u.grid.cell_weight * np.sum(np.abs(u.values), axis=1)
     mu_inf = np.max(np.abs(mu.values), axis=1)
     binding = np.abs(l1 - gamma) <= tol

@@ -11,20 +11,27 @@ Built-in kinds (all autonomous in (x, t)):
 * ``polynomial``    odd degree with positive leading coefficient,
                     coefficients ascending: c0 + c1*y + ...
 
-Every kind stores an analytic global lower bound ``c_a`` for a'(y); the
-bound is asserted in tests, it never enters a computation.
+Every kind but ``exponential`` is a polynomial: its spec computes once the
+ascending coefficients of a, a' and a'' (Schloegl's from its roots), and
+each is one Horner evaluation.  ``c_a``, a global lower bound for a'(y),
+is the exact minimum of the slope polynomial (0 for exp); it is asserted
+in tests and never enters a computation.
 
-The clamp f_M maps the real line onto [-M-1, M+1], is the identity on
-(-M, M), and blends with a cubic on [M, M+1] (mirrored on the negative
-side).  It is C^1 with 0 <= f_M' <= 4/3; the maximum 4/3 of the blend
-derivative 1 - 2(M-s) - 3(M-s)^2 is attained at s = M + 1/3.  The clamped
-reaction is a_M(y) = a(f_M(y)) with derivative a'(f_M(y)) * f_M'(y).
-When every |y| < M (clamp_idle) the clamp is not evaluated at all.
+The clamp f_M maps the real line onto [-M-1, M+1].  With the overshoot
+e = clip(|s| - M, 0, 1),
+
+    f_M(s) = sign(s) (min(|s|, M) + e + e^2 - e^3),   f_M'(s) = 1 + 2e - 3e^2:
+
+the identity on (-M, M), bit for bit, a cubic blend on [M, M+1] (mirrored
+for s < 0), constant beyond; C^1 with 0 <= f_M' <= 4/3, the maximum at
+e = 1/3.  The clamped reaction is a_M(y) = a(f_M(y)) with derivative
+a'(f_M(y)) * f_M'(y); when every |y| < M (clamp_idle) the clamp is not
+evaluated at all.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
 import numpy as np
 
@@ -50,6 +57,7 @@ class NonlinearitySpec:
     kind: str
     params: tuple = ()
     truncation: TruncationSpec | None = None
+    _coefficients: tuple | None = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
         if self.kind not in KINDS:
@@ -67,131 +75,93 @@ class NonlinearitySpec:
                 raise ValueError("polynomial coefficients must run up to an odd degree")
             if self.params[-1] <= 0:
                 raise ValueError("polynomial leading coefficient must be positive")
+        object.__setattr__(self, "_coefficients",
+                           _polynomial_form(self.kind, self.params))
 
     @property
     def c_a(self) -> float:
         """Analytic global lower bound of a'(y)."""
-        if self.kind == "zero":
-            return 0.0
-        if self.kind == "linear":
-            return self.params[0]
         if self.kind == "exponential":
             return 0.0
-        if self.kind == "schloegl":
-            z1, z2, z3 = self.params
-            s1 = z1 + z2 + z3
-            s2 = z1 * z2 + z1 * z3 + z2 * z3
-            # a'(y) = 3y^2 - 2*s1*y + s2, minimized at y = s1/3
-            return s2 - s1 * s1 / 3.0
-        return _poly_derivative_min(self.params)
+        return _poly_derivative_min(self._coefficients[1])
 
 
-def _poly_derivative_min(coeffs: tuple) -> float:
-    """Global minimum of the derivative of c0 + c1*y + ... over the reals.
-
-    The derivative has even degree and positive leading coefficient, so the
-    minimum sits at a real root of the second derivative.
-    """
-    deriv = np.polynomial.polynomial.polyder(np.asarray(coeffs))
-    if len(deriv) == 1:
-        return float(deriv[0])
-    dderiv = np.polynomial.polynomial.polyder(deriv)
-    roots = np.polynomial.polynomial.polyroots(dderiv)
-    crit = np.real(roots[np.abs(np.imag(roots)) < 1e-10])
-    if crit.size == 0:
-        return float(np.polynomial.polynomial.polyval(0.0, deriv))
-    return float(np.min(np.polynomial.polynomial.polyval(crit, deriv)))
+def _polynomial_form(kind: str, params: tuple):
+    """Ascending coefficients of a, a' and a'' as tuples of Python floats;
+    None for the exponential kind."""
+    if kind == "exponential":
+        return None
+    if kind in ("zero", "linear"):
+        a = (0.0,) + params
+    elif kind == "schloegl":
+        a = np.polynomial.polynomial.polyfromroots(params)
+    else:
+        a = params
+    return tuple(tuple(float(c) for c in np.polynomial.polynomial.polyder(a, k))
+                 for k in range(3))
 
 
-def _check_exp_range(y):
-    if np.max(y, initial=-np.inf) > _EXP_MAX_ARG:
-        raise OverflowError("exponential reaction evaluated outside double range; "
-                            "enable truncation or reduce the state magnitude")
+def _poly_derivative_min(slope: tuple) -> float:
+    """Global minimum of a'(y) from its ascending coefficients: a' has even
+    degree and positive leading coefficient, so the minimum sits at a real
+    root of a''; real parts of complex roots only add larger candidates."""
+    if len(slope) == 1:
+        return slope[0]
+    roots = np.polynomial.polynomial.polyroots(
+        np.polynomial.polynomial.polyder(slope))
+    return float(np.min(np.polynomial.polynomial.polyval(np.real(roots),
+                                                         slope)))
+
+
+def _evaluate(spec: NonlinearitySpec, y, order: int):
+    """The order-th derivative of a at y: exp, or Horner's rule over the
+    cached coefficients (zero coefficients skipped)."""
+    y = np.asarray(y, dtype=float)
+    if spec.kind == "exponential":
+        if np.max(y, initial=-np.inf) > _EXP_MAX_ARG:
+            raise OverflowError("exponential reaction evaluated outside double range; "
+                                "enable truncation or reduce the state magnitude")
+        return np.exp(y)
+    coeffs = spec._coefficients[order]
+    if len(coeffs) == 1:
+        return np.full_like(y, coeffs[0])
+    out = coeffs[-1] * y
+    for c in coeffs[-2:0:-1]:
+        if c:
+            out += c
+        out *= y
+    if coeffs[0]:
+        out += coeffs[0]
+    return out
 
 
 def eval_a(spec: NonlinearitySpec, y):
     """Reaction value a(y); accepts scalars or arrays."""
-    y = np.asarray(y, dtype=float)
-    if spec.kind == "zero":
-        return np.zeros_like(y)
-    if spec.kind == "linear":
-        return spec.params[0] * y
-    if spec.kind == "exponential":
-        _check_exp_range(y)
-        return np.exp(y)
-    if spec.kind == "schloegl":
-        z1, z2, z3 = spec.params
-        return (y - z1) * (y - z2) * (y - z3)
-    return np.polynomial.polynomial.polyval(y, np.asarray(spec.params))
+    return _evaluate(spec, y, 0)
 
 
 def eval_ay(spec: NonlinearitySpec, y):
     """First derivative a'(y)."""
-    y = np.asarray(y, dtype=float)
-    if spec.kind == "zero":
-        return np.zeros_like(y)
-    if spec.kind == "linear":
-        return np.full_like(y, spec.params[0])
-    if spec.kind == "exponential":
-        _check_exp_range(y)
-        return np.exp(y)
-    if spec.kind == "schloegl":
-        z1, z2, z3 = spec.params
-        s1 = z1 + z2 + z3
-        s2 = z1 * z2 + z1 * z3 + z2 * z3
-        return 3.0 * y * y - 2.0 * s1 * y + s2
-    c = np.polynomial.polynomial.polyder(np.asarray(spec.params))
-    return np.polynomial.polynomial.polyval(y, c)
+    return _evaluate(spec, y, 1)
 
 
 def eval_ayy(spec: NonlinearitySpec, y):
     """Second derivative a''(y)."""
-    y = np.asarray(y, dtype=float)
-    if spec.kind == "zero":
-        return np.zeros_like(y)
-    if spec.kind == "linear":
-        return np.zeros_like(y)
-    if spec.kind == "exponential":
-        _check_exp_range(y)
-        return np.exp(y)
-    if spec.kind == "schloegl":
-        z1, z2, z3 = spec.params
-        s1 = z1 + z2 + z3
-        return 6.0 * y - 2.0 * s1
-    c = np.polynomial.polynomial.polyder(np.asarray(spec.params), 2)
-    return np.polynomial.polynomial.polyval(y, c)
+    return _evaluate(spec, y, 2)
 
 
 def f_M(trunc: TruncationSpec, s):
-    """Five-branch C^1 clamp of the real line onto [-M-1, M+1]."""
-    M = trunc.level
+    """C^1 clamp of the real line onto [-M-1, M+1]."""
     s = np.asarray(s, dtype=float)
-    up = M - s
-    dn = M + s
-    return np.select(
-        [s > M + 1.0, s >= M, s > -M, s >= -M - 1.0],
-        [M + 1.0,
-         s + up * up + up * up * up,
-         s,
-         s - dn * dn - dn * dn * dn],
-        default=-M - 1.0,
-    )
+    e = np.clip(np.abs(s) - trunc.level, 0.0, 1.0)      # the overshoot
+    return np.copysign(np.minimum(np.abs(s), trunc.level) + e + e * e
+                       - e * e * e, s)
 
 
 def f_M_prime(trunc: TruncationSpec, s):
-    """Branchwise derivative of the clamp; values in [0, 4/3]."""
-    M = trunc.level
-    s = np.asarray(s, dtype=float)
-    up = M - s
-    dn = M + s
-    return np.select(
-        [s > M + 1.0, s >= M, s > -M, s >= -M - 1.0],
-        [0.0,
-         1.0 - 2.0 * up - 3.0 * up * up,
-         1.0,
-         1.0 - 2.0 * dn - 3.0 * dn * dn],
-        default=0.0,
-    )
+    """Derivative of the clamp; values in [0, 4/3]."""
+    e = np.clip(np.abs(np.asarray(s, dtype=float)) - trunc.level, 0.0, 1.0)
+    return 1.0 + 2.0 * e - 3.0 * e * e
 
 
 def _require_truncation(spec: NonlinearitySpec) -> TruncationSpec:
@@ -210,8 +180,6 @@ def clamp_idle(trunc: TruncationSpec, y) -> bool:
 def eval_a_truncated(spec: NonlinearitySpec, y):
     """Clamped reaction a(f_M(y))."""
     trunc = _require_truncation(spec)
-    if spec.kind == "zero":
-        return np.zeros_like(y, dtype=float)
     if clamp_idle(trunc, y):
         return eval_a(spec, y)
     return eval_a(spec, f_M(trunc, y))

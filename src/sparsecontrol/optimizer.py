@@ -50,12 +50,13 @@ class OptimizerConfig:
 
 @dataclass
 class KKTResiduals:
-    """First-order residual bundle at a point (u, y, phi, mu)."""
+    """First-order residual bundle at a point (u, y, phi, mu); slack_gap is
+    relative to gamma, so it reads roundoff at a solution for any budget."""
 
     stationarity: float    # ||u - proj(-phi/kappa)||
     feasibility: float     # worst budget violation over slices
     sign_gap: float        # Q norm of |u*mu| - u*mu
-    slack_gap: float       # worst ||mu(m)||_inf * (gamma - ||u(m)||_1)^+
+    slack_gap: float       # worst ||mu(m)||_inf (gamma - ||u(m)||_1)^+ / gamma
     identity_gap: float    # worst | ||phi||_1 - kappa ||u||_1 - ||mu||_1 | per slice
 
     def as_dict(self) -> dict:
@@ -83,7 +84,8 @@ def kkt_residuals(spec: ProblemSpec, u: SpaceTimeField, y: SpaceTimeField,
     prod = u.values * mu.values
     sign_gap = l2_norm(like(u, np.abs(prod) - prod))
     mu_inf = np.max(np.abs(mu.values), axis=1)
-    slack_gap = float(np.max(mu_inf * np.maximum(spec.gamma - u_l1, 0.0)))
+    slack_gap = float(np.max(mu_inf * np.maximum(spec.gamma - u_l1, 0.0)
+                             / spec.gamma))
     phi_l1 = w * np.sum(np.abs(phi.values), axis=1)
     mu_l1 = w * np.sum(np.abs(mu.values), axis=1)
     identity_gap = float(np.max(np.abs(phi_l1 - spec.kappa * u_l1 - mu_l1)))

@@ -5,7 +5,8 @@ State steps, m = 1..n_t with y_0 the initial datum:
 
     (y_m - y_{m-1})/dt + A_h y_m + a_M(y_m) = u_m,
 
-solved by Newton.  The linearization at a state y solves
+solved by Newton (by one linear solve for the zero reaction).  The
+linearization at a state y solves
 
     (z_m - z_{m-1})/dt + A_h z_m + a_M'(y_m) z_m = v_m,   z_0 = 0,
 
@@ -105,7 +106,8 @@ class StepSystem:
     One per problem (ProblemSpec.steps).  I + dt*A_h is assembled once
     (CSC); B(y) copies it and writes dt*a_M'(y) onto the diagonal entries
     only.  factor(y) writes B(y) into one preallocated work matrix instead
-    of a fresh copy.  The zero reaction shares one factorization.
+    of a fresh copy.  The zero reaction's B is the constant I + dt*A_h: one
+    shared factorization, and one solve per implicit step.
     """
 
     def __init__(self, spec: ProblemSpec):
@@ -137,16 +139,22 @@ class StepSystem:
 
     def step(self, rhs: np.ndarray, y_start: np.ndarray) -> np.ndarray:
         """Solve y + dt*A_h y + dt*a_M(y) = rhs by Newton from y_start;
-        undamped first, then bisection-damped retries before giving up."""
+        undamped first, then bisection-damped retries before giving up.  An
+        overflowing reaction fails its attempt.  Zero reaction: one solve."""
+        if self._shared is not None:
+            return self._shared.solve(rhs)
         scale = max(float(np.linalg.norm(rhs)), 1.0)
         for damping in [0.5**retry for retry in range(6)]:
             y = y_start
-            for _ in range(_NEWTON_MAX_ITER):
-                residual = (y + self.dt * (self.operator_matrix @ y)
-                            + self.dt * eval_a_truncated(self.nl, y) - rhs)
-                if np.linalg.norm(residual) <= _NEWTON_TOL * scale:
-                    return y
-                y = y + damping * self.factor(y).solve(-residual)
+            try:
+                for _ in range(_NEWTON_MAX_ITER):
+                    residual = (y + self.dt * (self.operator_matrix @ y)
+                                + self.dt * eval_a_truncated(self.nl, y) - rhs)
+                    if np.linalg.norm(residual) <= _NEWTON_TOL * scale:
+                        return y
+                    y = y + damping * self.factor(y).solve(-residual)
+            except OverflowError:
+                continue
         raise NewtonError(
             f"implicit step did not converge to tol={_NEWTON_TOL} in "
             f"{_NEWTON_MAX_ITER} iterations (with 5 damped retries)")

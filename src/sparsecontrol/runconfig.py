@@ -77,10 +77,8 @@ class RunConfig:
     def problem_spec(self) -> ProblemSpec:
         return build_problem_spec(self.problem)
 
-    def optimizer_config(self, **overrides) -> OptimizerConfig:
-        kwargs = dict(self.optimizer)
-        kwargs.update(overrides)
-        return OptimizerConfig(**kwargs)
+    def optimizer_config(self) -> OptimizerConfig:
+        return OptimizerConfig(**self.optimizer)
 
 
 def _coerce_diffusion(entry, n_dim: int) -> DiffusionTensor:

@@ -147,6 +147,33 @@ def test_newton_failure_on_trial_is_rejected_not_fatal(tmp_path, capsys):
     assert (out / "timeseries.csv").exists()
 
 
+# the automatic clamp level sits far above exp's double range, so a
+# line-search trial state overflows the reaction inside Newton
+EXP_OVERFLOW_SOLVE = """
+problem:
+  n_dim: 1
+  n_per_axis: 8
+  n_t: 1
+  kappa: 1.0e-3
+  gamma: 1000.0
+  diffusion: 1.0e-3
+  nonlinearity: exponential
+  yd: constant(50)
+optimizer:
+  max_iter: 10
+"""
+
+
+@pytest.mark.filterwarnings("ignore::RuntimeWarning")   # overflowing norms
+def test_reaction_overflow_on_trial_is_rejected_not_fatal(tmp_path):
+    cfg = write_config(tmp_path, EXP_OVERFLOW_SOLVE)
+    out = tmp_path / "out"
+    assert main(["solve", "--config", cfg, "--out", str(out)]) == 2
+    report = json.loads((out / "report.json").read_text())
+    assert report["converged"] is False
+    assert (out / "timeseries.csv").exists()
+
+
 def test_seed_override_lands_in_report(tmp_path):
     cfg = write_config(tmp_path, FAST_SOLVE)
     out = tmp_path / "out"

@@ -137,8 +137,8 @@ def test_l1_directional_derivative_cases():
                                      np.array([1.0, -2.0, 3.0]), w) == pytest.approx(6.0)
     # mixed hand example
     assert l1_directional_derivative(np.array([1.0, 0.0, -2.0]),
-                                     np.array([5.0, -3.0, 4.0]), w,
-                                     zero_tol=1e-10) == pytest.approx(4.0)
+                                     np.array([5.0, -3.0, 4.0]),
+                                     w) == pytest.approx(4.0)
     with pytest.raises(ValueError):
         l1_directional_derivative(np.zeros(2), np.zeros(3), w)
 

@@ -22,6 +22,79 @@ ALL_KINDS = [
 ]
 
 
+# the case-by-case closed forms the coefficient form replaced, kept as
+# references
+def reference_derivative(spec, y, order):
+    y = np.asarray(y, dtype=float)
+    if spec.kind == "zero" or (spec.kind == "linear" and order == 2):
+        return np.zeros_like(y)
+    if spec.kind == "linear":
+        return spec.params[0] * y if order == 0 else np.full_like(y, spec.params[0])
+    if spec.kind == "schloegl":
+        z1, z2, z3 = spec.params
+        s1 = z1 + z2 + z3
+        s2 = z1 * z2 + z1 * z3 + z2 * z3
+        return ((y - z1) * (y - z2) * (y - z3), 3.0 * y * y - 2.0 * s1 * y + s2,
+                6.0 * y - 2.0 * s1)[order]
+    c = np.polynomial.polynomial.polyder(np.asarray(spec.params), order)
+    return np.polynomial.polynomial.polyval(y, c)
+
+
+def reference_clamp(trunc, s):
+    """The five-branch np.select clamp and its derivative."""
+    M = trunc.level
+    s = np.asarray(s, dtype=float)
+    up, dn = M - s, M + s
+    conditions = [s > M + 1.0, s >= M, s > -M, s >= -M - 1.0]
+    value = np.select(conditions, [M + 1.0, s + up * up + up * up * up, s,
+                                   s - dn * dn - dn * dn * dn], default=-M - 1.0)
+    slope = np.select(conditions, [0.0, 1.0 - 2.0 * up - 3.0 * up * up, 1.0,
+                                   1.0 - 2.0 * dn - 3.0 * dn * dn], default=0.0)
+    return value, slope
+
+
+POLYNOMIAL_KINDS = [spec for spec in ALL_KINDS if spec.kind != "exponential"]
+
+
+@pytest.mark.parametrize("order", [0, 1, 2])
+@pytest.mark.parametrize("spec", POLYNOMIAL_KINDS,
+                         ids=lambda s: s.kind + str(s.params))
+def test_coefficient_form_matches_closed_forms(spec, order):
+    y = np.linspace(-3.0, 3.0, 601)
+    value = (eval_a, eval_ay, eval_ayy)[order](spec, y)
+    reference = reference_derivative(spec, y, order)
+    if spec.kind in ("zero", "linear"):
+        assert value.tobytes() == reference.tobytes()
+    else:
+        scale = max(float(np.max(np.abs(reference))), 1.0)
+        assert np.max(np.abs(value - reference)) <= 1e-14 * scale
+
+
+@pytest.mark.parametrize("roots", [(-1.0, 0.0, 1.0), (0.3, -0.7, 2.0)])
+def test_schloegl_slope_bound_closed_form(roots):
+    # a'(y) = 3y^2 - 2*s1*y + s2 is minimal at y = s1/3
+    z1, z2, z3 = roots
+    s1 = z1 + z2 + z3
+    s2 = z1 * z2 + z1 * z3 + z2 * z3
+    c_a = NonlinearitySpec("schloegl", roots).c_a
+    assert abs(c_a - (s2 - s1 * s1 / 3.0)) <= 1e-12
+
+
+@pytest.mark.parametrize("level", [0.05, 1.7, 3.0])
+def test_clamp_matches_five_branch_form(level):
+    trunc = TruncationSpec(level)
+    M = level
+    s = np.concatenate([np.linspace(-M - 3.0, M + 3.0, 20001),
+                        [-M - 1.0, -M, M, M + 1.0, M + 1.0 / 3.0]])
+    inside = np.abs(s) < M
+    ref_value, ref_slope = reference_clamp(trunc, s)
+    tol = 4.0 * np.finfo(float).eps * (M + 1.0)
+    for new, ref in ((f_M(trunc, s), ref_value),
+                     (f_M_prime(trunc, s), ref_slope)):
+        assert new[inside].tobytes() == ref[inside].tobytes()
+        assert np.max(np.abs(new[~inside] - ref[~inside])) <= tol
+
+
 def test_cubic_values():
     assert eval_a(CUBIC, 2.0) == pytest.approx(8.0)
     assert eval_ay(CUBIC, 2.0) == pytest.approx(12.0)

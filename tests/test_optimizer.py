@@ -10,7 +10,8 @@ from sparsecontrol.l1ball import project_field, recover_multiplier
 from sparsecontrol.pde import NewtonError, TruncationActiveWarning
 
 from conftest import (Y0_ONLY_CLAMP_LEVEL, active_schloegl_spec,
-                      random_control, schloegl_spec, with_clamp)
+                      linear_1d_spec, random_control, schloegl_spec,
+                      with_clamp)
 
 
 def test_config_validation():
@@ -140,6 +141,15 @@ def test_kkt_residuals_interior_point():
     bundle = sc.kkt_residuals(spec, u, y, phi, mu)
     # zero up to the rounding of kappa * (phi/kappa)
     assert bundle.max() <= 1e-14
+
+
+def test_huge_budget_kkt_at_roundoff():
+    # acceptance criterion 6's unconstrained instance: slack_gap is relative
+    # to gamma, so a budget that never binds reads roundoff there
+    report = sc.solve(linear_1d_spec(gamma=1e9),
+                      sc.OptimizerConfig(tol=1e-12, max_iter=3000))
+    assert report.converged
+    assert report.kkt.max() <= 1e-10
 
 
 def test_kkt_feasible_but_not_stationary():

@@ -7,7 +7,8 @@ import pytest
 import scipy.sparse as sp
 
 import sparsecontrol as sc
-from sparsecontrol.checks import mms_sine_error
+from sparsecontrol import pde
+from sparsecontrol.checks import check_adjoint_identity, mms_sine_error
 from sparsecontrol.grid import like
 from sparsecontrol.nonlinearity import eval_ay_truncated
 from sparsecontrol.pde import NewtonError, StepSystem, TruncationActiveWarning
@@ -151,22 +152,9 @@ def test_linearized_is_state_derivative():
     assert errors[2] <= 0.6 * errors[1]
 
 
-def assert_adjoint_identity(spec, rng):
-    """<y - yd, z_v> == <phi, v> for random v; returns the state."""
-    u = random_control(spec, rng)
-    y = sc.solve_state(spec, u)
-    phi = sc.solve_adjoint(spec, y)
-    residual = like(y, y.values - spec.yd.values)
-    for _ in range(5):
-        v = random_control(spec, rng)
-        lhs = sc.l2_inner(residual, sc.solve_linearized(spec, y, v))
-        rhs = sc.l2_inner(phi, v)
-        assert abs(lhs - rhs) <= 1e-10 * max(abs(lhs), 1e-12)
-    return y
-
-
 def test_adjoint_identity_random_directions():
-    assert_adjoint_identity(schloegl_spec(), np.random.default_rng(6))
+    result = check_adjoint_identity(schloegl_spec(), np.random.default_rng(6))
+    assert result.passed, result.detail
 
 
 SCHLOEGL = sc.NonlinearitySpec("schloegl", (-1.0, 0.0, 1.0))
@@ -198,8 +186,11 @@ def step_system_spec(name):
 @pytest.mark.parametrize("name", sorted(STEP_SYSTEM_CASES))
 def test_adjoint_identity_across_step_systems(name):
     spec = step_system_spec(name)
-    y = assert_adjoint_identity(spec, np.random.default_rng(6))
+    result = check_adjoint_identity(spec, np.random.default_rng(6))
+    assert result.passed, result.detail
     if spec.nonlinearity.truncation is not None:
+        # the check's first state, from the first draw of the same seed
+        y = sc.solve_state(spec, random_control(spec, np.random.default_rng(6)))
         assert np.max(np.abs(y.values)) > spec.truncation_level
 
 
@@ -347,6 +338,20 @@ def test_initial_state_above_clamp_does_not_warn():
         y = sc.solve_state(spec, u)
     assert np.max(np.abs(y.values[1:])) < Y0_ONLY_CLAMP_LEVEL \
         <= np.max(np.abs(y.values[0]))
+
+
+def test_zero_reaction_step_is_one_solve(monkeypatch):
+    # the step matrix is the constant I + dt*A_h: no Newton, no reaction
+    def no_reaction(*args):
+        raise AssertionError("the zero reaction's step evaluated a reaction")
+    monkeypatch.setattr(pde, "eval_a_truncated", no_reaction)
+    monkeypatch.setattr(pde, "eval_ay_truncated", no_reaction)
+    spec = heat_spec(n=8, n_t=4)
+    rng = np.random.default_rng(2)
+    rhs, y_start = rng.standard_normal((2, spec.grid.n_nodes))
+    steps = StepSystem(spec)
+    y = steps.step(rhs, y_start)
+    assert y.tobytes() == steps.factor(y_start).solve(rhs).tobytes()
 
 
 def test_newton_failure_raises():
