@@ -8,7 +8,7 @@ from .nonlinearity import (NonlinearitySpec, TruncationSpec,
                            auto_truncation_level, eval_a, eval_a_truncated,
                            eval_ay, eval_ay_truncated, eval_ayy, f_M,
                            f_M_prime, with_truncation)
-from .pde import (EllipticOperator, NewtonError, TruncationActiveWarning,
+from .pde import (NewtonError, TruncationActiveWarning, elliptic_matrix,
                   solve_adjoint, solve_linearized, solve_state)
 from .l1ball import (ProjectionResult, l1_directional_derivative,
                      project_field, project_slice, recover_multiplier)

@@ -54,9 +54,9 @@ def curvature_with_state(spec: ProblemSpec, y: SpaceTimeField,
     states = y.values[1:]
     if not clamp_idle_on_states(spec, y):
         raise ValueError(
-            f"state magnitude {np.max(np.abs(states)):.3g} reached the "
-            f"clamp level {spec.truncation_level:.3g}; the second-order form "
-            "uses the unclamped a'' and is not defined there")
+            f"state magnitude {np.max(np.abs(states)):.3g} reached the clamp "
+            f"level {spec.nonlinearity.truncation.level:.3g}; the "
+            "second-order form uses the unclamped a'' and is not defined there")
     z = solve_linearized(spec, y, v)
     zi = z.values[1:]
     weight = 1.0 - eval_ayy(spec.nonlinearity, states) * phi.values

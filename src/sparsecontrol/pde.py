@@ -26,7 +26,8 @@ A_h is the finite-difference operator on interior nodes: the standard
 the off-diagonal tensor entry, Dirichlet values eliminated.  It is exactly
 symmetric, bit for bit (the tests assert it), so B_m^T = B_m and one
 StepSystem serves the state, linearized and adjoint sweeps.  It is built
-once per problem (ProblemSpec.steps) and reused by every sweep on it.
+once per problem (ProblemSpec.steps) and reused by every sweep on it and by
+every budget of a budget sweep (ProblemSpec.with_budget).
 """
 
 from __future__ import annotations
@@ -70,34 +71,23 @@ def _first_difference(n: int, h: float) -> sp.csr_matrix:
     return sp.diags([-off, off], offsets=[-1, 1], format="csr")
 
 
-class EllipticOperator:
-    """Assembled sparse matrix of -div(a_ij grad) on interior nodes.
+def elliptic_matrix(grid: SpaceGrid, tensor: DiffusionTensor) -> sp.csr_matrix:
+    """Assembled sparse matrix A_h of -div(a_ij grad) on interior nodes.
 
     Exactly symmetric, cross term included (the adjoint relies on this), and
     positive definite; tests assert both on tiny grids, symmetry bitwise.
     """
-
-    def __init__(self, grid: SpaceGrid, tensor: DiffusionTensor):
-        if tensor.n_dim != grid.n_dim:
-            raise ValueError("tensor dimension does not match the grid")
-        self.grid = grid
-        self.tensor = tensor
-        n, h = grid.n_per_axis, grid.h
-        a = tensor.as_array()
-        d2 = _second_difference(n, h)
-        if grid.n_dim == 1:
-            m = a[0, 0] * d2
-        else:
-            eye = sp.identity(n, format="csr")
-            d1 = _first_difference(n, h)
-            m = (a[0, 0] * sp.kron(d2, eye)
-                 + a[1, 1] * sp.kron(eye, d2)
-                 - 2.0 * a[0, 1] * sp.kron(d1, d1))
-        self.matrix = m.tocsr()
-
-    @property
-    def n_nodes(self) -> int:
-        return self.grid.n_nodes
+    if tensor.n_dim != grid.n_dim:
+        raise ValueError("tensor dimension does not match the grid")
+    n, h = grid.n_per_axis, grid.h
+    a = tensor.as_array()
+    d2 = _second_difference(n, h)
+    if grid.n_dim == 1:
+        return (a[0, 0] * d2).tocsr()
+    eye = sp.identity(n, format="csr")
+    d1 = _first_difference(n, h)
+    return (a[0, 0] * sp.kron(d2, eye) + a[1, 1] * sp.kron(eye, d2)
+            - 2.0 * a[0, 1] * sp.kron(d1, d1)).tocsr()
 
 
 class StepSystem:
@@ -111,9 +101,9 @@ class StepSystem:
     """
 
     def __init__(self, spec: ProblemSpec):
-        self.nl = spec.clamped_nonlinearity
+        self.nl = spec.nonlinearity
         self.dt = spec.tgrid.dt
-        self.operator_matrix = spec.operator.matrix
+        self.operator_matrix = elliptic_matrix(spec.grid, spec.diffusion)
         n = self.operator_matrix.shape[0]
         self._base = (sp.identity(n, format="csr")
                       + self.dt * self.operator_matrix).tocsc()
@@ -140,20 +130,23 @@ class StepSystem:
     def step(self, rhs: np.ndarray, y_start: np.ndarray) -> np.ndarray:
         """Solve y + dt*A_h y + dt*a_M(y) = rhs by Newton from y_start;
         undamped first, then bisection-damped retries before giving up.  An
-        overflowing reaction fails its attempt.  Zero reaction: one solve."""
+        overflow anywhere in an attempt (the reaction, the residual or its
+        norm) fails that attempt.  Zero reaction: one solve."""
         if self._shared is not None:
             return self._shared.solve(rhs)
         scale = max(float(np.linalg.norm(rhs)), 1.0)
         for damping in [0.5**retry for retry in range(6)]:
             y = y_start
             try:
-                for _ in range(_NEWTON_MAX_ITER):
-                    residual = (y + self.dt * (self.operator_matrix @ y)
-                                + self.dt * eval_a_truncated(self.nl, y) - rhs)
-                    if np.linalg.norm(residual) <= _NEWTON_TOL * scale:
-                        return y
-                    y = y + damping * self.factor(y).solve(-residual)
-            except OverflowError:
+                with np.errstate(over="raise"):
+                    for _ in range(_NEWTON_MAX_ITER):
+                        residual = (y + self.dt * (self.operator_matrix @ y)
+                                    + self.dt * eval_a_truncated(self.nl, y)
+                                    - rhs)
+                        if np.linalg.norm(residual) <= _NEWTON_TOL * scale:
+                            return y
+                        y = y + damping * self.factor(y).solve(-residual)
+            except (OverflowError, FloatingPointError):
                 continue
         raise NewtonError(
             f"implicit step did not converge to tol={_NEWTON_TOL} in "
@@ -163,7 +156,7 @@ class StepSystem:
 def clamp_idle_on_states(spec: ProblemSpec, y: SpaceTimeField) -> bool:
     """True when no state y_m, m >= 1, reaches the reaction clamp.  y_0 is
     not checked: the reaction, and so the clamp, enters only at m >= 1."""
-    return clamp_idle(spec.clamped_nonlinearity.truncation, y.values[1:])
+    return clamp_idle(spec.nonlinearity.truncation, y.values[1:])
 
 
 def solve_state(spec: ProblemSpec, u: SpaceTimeField) -> SpaceTimeField:
@@ -188,8 +181,8 @@ def solve_state(spec: ProblemSpec, u: SpaceTimeField) -> SpaceTimeField:
     if not clamp_idle_on_states(spec, state):
         warnings.warn(
             f"state magnitude {np.max(np.abs(y[1:])):.3g} reached the clamp "
-            f"level {spec.truncation_level:.3g}; the clamped equation was "
-            "solved", TruncationActiveWarning, stacklevel=2)
+            f"level {spec.nonlinearity.truncation.level:.3g}; the clamped "
+            "equation was solved", TruncationActiveWarning, stacklevel=2)
     return state
 
 

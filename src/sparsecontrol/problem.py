@@ -3,7 +3,7 @@ diffusion, reaction term, initial datum and target."""
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from functools import cached_property
 
 import numpy as np
@@ -19,9 +19,9 @@ class ProblemSpec:
     """Everything defining one control problem instance.
 
     kappa is the quadratic control-cost weight (strictly positive), gamma the
-    per-time-slice l1 budget.  Treat instances as immutable; the assembled
-    elliptic operator and the step system are cached on first use, so build
-    a changed instance with dataclasses.replace.
+    per-time-slice l1 budget.  The reaction clamp level is resolved at
+    construction.  Treat instances as immutable; the cached step system is
+    rebuilt by a dataclasses.replace copy and shared by with_budget.
     """
 
     kappa: float
@@ -50,12 +50,11 @@ class ProblemSpec:
             raise ValueError("target yd must be an at-nodes field")
         if self.yd.grid != self.grid or self.yd.tgrid != self.tgrid:
             raise ValueError("target yd lives on different grids")
-
-    @cached_property
-    def operator(self):
-        from .pde import EllipticOperator
-
-        return EllipticOperator(self.grid, self.diffusion)
+        if self.nonlinearity.truncation is None:
+            level = auto_truncation_level(np.abs(self.y0).max(),
+                                          np.abs(self.yd.values).max(),
+                                          self.gamma, self.kappa)
+            self.nonlinearity = with_truncation(self.nonlinearity, float(level))
 
     @cached_property
     def steps(self):
@@ -65,17 +64,9 @@ class ProblemSpec:
 
         return StepSystem(self)
 
-    @cached_property
-    def truncation_level(self) -> float:
-        """Clamp level for the reaction term: explicit if configured, else a
-        generous multiple of the a-priori solution bound."""
-        if self.nonlinearity.truncation is not None:
-            return self.nonlinearity.truncation.level
-        y0_max = float(np.max(np.abs(self.y0), initial=0.0))
-        yd_max = float(np.max(np.abs(self.yd.values), initial=0.0))
-        return auto_truncation_level(y0_max, yd_max, self.gamma, self.kappa)
-
-    @cached_property
-    def clamped_nonlinearity(self) -> NonlinearitySpec:
-        """The reaction spec with the resolved truncation level attached."""
-        return with_truncation(self.nonlinearity, self.truncation_level)
+    def with_budget(self, gamma: float) -> ProblemSpec:
+        """This problem at budget gamma, sharing its step system: the budget
+        enters neither A_h, dt nor the resolved clamp level."""
+        spec = replace(self, gamma=gamma)
+        spec.steps = self.steps
+        return spec

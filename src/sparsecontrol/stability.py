@@ -4,7 +4,9 @@ the l1 budget gamma changes, and the fitted power of that distance.
 Solves the problem over a list of budgets around the base gamma, each solve
 warm-started from its neighbor (controls are rescaled by gamma'/gamma when
 the ball shrinks, which keeps them feasible and stays on one local branch),
-then fits log(distance) against log(|gamma' - gamma|).
+then fits log(distance) against log(|gamma' - gamma|).  Every budget
+solves one clamped equation, with the base problem's step system and clamp
+level (ProblemSpec.with_budget); a warning names the budgets that reach it.
 """
 
 from __future__ import annotations
@@ -14,7 +16,7 @@ from dataclasses import dataclass, field, replace
 import numpy as np
 
 from .grid import SpaceTimeField, l2_norm, like
-from .optimizer import OptimizerConfig, SolveReport, solve
+from .optimizer import OptimizerConfig, solve
 from .problem import ProblemSpec
 
 
@@ -56,10 +58,6 @@ def rescale_into_ball(u: SpaceTimeField, gamma_from: float,
     return u.copy()
 
 
-def _distance_floor(cfg: OptimizerConfig, base: SolveReport) -> float:
-    return 10.0 * cfg.tol * max(1.0, l2_norm(base.u))
-
-
 def gamma_sweep(spec: ProblemSpec, gammas, cfg: OptimizerConfig) -> StabilityReport:
     """Solve for every budget in gammas and report distances to the base
     solution at spec.gamma.
@@ -81,31 +79,34 @@ def gamma_sweep(spec: ProblemSpec, gammas, cfg: OptimizerConfig) -> StabilityRep
     below = [g for g in gammas if g < spec.gamma]
     above = [g for g in gammas if g >= spec.gamma]
     results: dict[float, float] = {}
-    aborted = False
-    for chain in (sorted(above), sorted(below, reverse=True)):
-        warm = base.u
-        warm_gamma = spec.gamma
+    clamped = set() if base.truncation_inactive else {spec.gamma}
+    for chain in (above, below[::-1]):
+        warm, warm_gamma = base.u, spec.gamma
         for g in chain:
             start = rescale_into_ball(warm, warm_gamma, g)
-            run = solve(replace(spec, gamma=g), replace(cfg, u0=start))
+            run = solve(spec.with_budget(g), replace(cfg, u0=start))
+            if not run.truncation_inactive:
+                clamped.add(g)
             if not run.converged:
                 report.warnings.append(f"solve at gamma'={g} did not converge; "
                                        "sweep aborted")
                 report.converged = False
-                aborted = True
                 break
             results[g] = l2_norm(like(base.u, run.u.values - base.u.values))
             warm, warm_gamma = run.u, g
-        if aborted:
+        if not report.converged:
             break
-
+    if clamped:
+        report.warnings.append(
+            f"reaction clamp engaged at gamma'={sorted(clamped)}; the "
+            "distances and the fit describe the clamped equation")
     report.gammas = [g for g in gammas if g in results]
     report.distances = [results[g] for g in report.gammas]
 
     deltas = np.abs(np.array(report.gammas) - spec.gamma)
     dists = np.array(report.distances)
     order = np.argsort(deltas)
-    floor = _distance_floor(cfg, base)
+    floor = 10.0 * cfg.tol * max(1.0, l2_norm(base.u))
     if np.any(np.diff(dists[order]) < -floor):
         report.warnings.append("distances are not monotone in |gamma' - gamma|")
 

@@ -91,7 +91,8 @@ def test_criterion_6_unconstrained_regime():
     import scipy.sparse as sp
     from scipy.sparse.linalg import splu
     n, n_t, dt = spec.grid.n_nodes, spec.tgrid.n_t, spec.tgrid.dt
-    lu = splu((sp.identity(n) + dt * spec.operator.matrix).tocsc())
+    a_h = sc.elliptic_matrix(spec.grid, spec.diffusion)
+    lu = splu((sp.identity(n) + dt * a_h).tocsc())
     free = np.zeros((n_t, n))
     state = spec.y0.copy()
     for m in range(n_t):

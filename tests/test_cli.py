@@ -164,11 +164,11 @@ optimizer:
 """
 
 
-@pytest.mark.filterwarnings("ignore::RuntimeWarning")   # overflowing norms
-def test_reaction_overflow_on_trial_is_rejected_not_fatal(tmp_path):
+def test_reaction_overflow_on_trial_is_rejected_not_fatal(tmp_path, capsys):
     cfg = write_config(tmp_path, EXP_OVERFLOW_SOLVE)
     out = tmp_path / "out"
     assert main(["solve", "--config", cfg, "--out", str(out)]) == 2
+    assert capsys.readouterr().err == ""
     report = json.loads((out / "report.json").read_text())
     assert report["converged"] is False
     assert (out / "timeseries.csv").exists()
@@ -195,6 +195,20 @@ def test_sweep_writes_outputs(tmp_path):
     assert payload["base_gamma"] == 0.1
     assert payload["regime"] in ("active", "inactive")
     assert len(payload["distances"]) == 3
+
+
+@pytest.mark.filterwarnings(
+    "ignore::sparsecontrol.pde.TruncationActiveWarning")
+def test_sweep_warns_when_the_clamp_engages(tmp_path):
+    cfg = write_config(tmp_path, FAST_SOLVE.replace(
+        "  y0: zero\n", "  y0: zero\n  truncation: 0.002\n"))
+    out = tmp_path / "sw"
+    assert main(["sweep", "--config", cfg, "--out", str(out),
+                 "--gammas", "0.1,0.09,0.08"]) == 0
+    payload = json.loads((out / "stability.json").read_text())
+    assert ("reaction clamp engaged at gamma'=[0.08, 0.09, 0.1]; the "
+            "distances and the fit describe the clamped equation"
+            in payload["warnings"])
 
 
 def test_check_passes_and_corrupt_adjoint_fails(tmp_path, capsys,

@@ -34,21 +34,21 @@ def test_elliptic_operator_symmetric_positive():
     for tensor in (sc.isotropic(2, 1.0),
                    sc.DiffusionTensor(((2.0, 0.4), (0.4, 1.0))),
                    sc.DiffusionTensor(((1.0, -0.3), (-0.3, 2.0)))):
-        op = sc.EllipticOperator(grid, tensor)
-        assert abs(op.matrix - op.matrix.T).max() == 0.0
-        assert np.linalg.eigvalsh(op.matrix.toarray()).min() > 0.0
-    op1 = sc.EllipticOperator(sc.SpaceGrid(1, 6), sc.isotropic(1, 2.0))
-    assert abs(op1.matrix - op1.matrix.T).max() == 0.0
-    assert np.linalg.eigvalsh(op1.matrix.toarray()).min() > 0.0
+        a = sc.elliptic_matrix(grid, tensor)
+        assert abs(a - a.T).max() == 0.0
+        assert np.linalg.eigvalsh(a.toarray()).min() > 0.0
+    a1 = sc.elliptic_matrix(sc.SpaceGrid(1, 6), sc.isotropic(1, 2.0))
+    assert abs(a1 - a1.T).max() == 0.0
+    assert np.linalg.eigvalsh(a1.toarray()).min() > 0.0
 
 
 def test_elliptic_operator_matches_laplacian_row():
     # interior row of the isotropic operator is the classic 5-point stencil
     grid = sc.SpaceGrid(2, 5)
-    op = sc.EllipticOperator(grid, sc.isotropic(2, 1.0))
+    a = sc.elliptic_matrix(grid, sc.isotropic(2, 1.0))
     n = grid.n_per_axis
     center = 2 * n + 2          # node (2, 2), fully interior
-    row = op.matrix.getrow(center).toarray().ravel()
+    row = a.getrow(center).toarray().ravel()
     h2 = grid.h**2
     assert row[center] == pytest.approx(4.0 / h2)
     for neighbor in (center - 1, center + 1, center - n, center + n):
@@ -188,10 +188,10 @@ def test_adjoint_identity_across_step_systems(name):
     spec = step_system_spec(name)
     result = check_adjoint_identity(spec, np.random.default_rng(6))
     assert result.passed, result.detail
-    if spec.nonlinearity.truncation is not None:
+    if STEP_SYSTEM_CASES[name][2].truncation is not None:
         # the check's first state, from the first draw of the same seed
         y = sc.solve_state(spec, random_control(spec, np.random.default_rng(6)))
-        assert np.max(np.abs(y.values)) > spec.truncation_level
+        assert np.max(np.abs(y.values)) > spec.nonlinearity.truncation.level
 
 
 @pytest.mark.parametrize("name", sorted(STEP_SYSTEM_CASES))
@@ -201,9 +201,10 @@ def test_step_system_matrix_matches_fresh_assembly(name):
     spec = step_system_spec(name)
     y = 2.0 * np.random.default_rng(3).standard_normal(spec.grid.n_nodes)
     dt = spec.tgrid.dt
-    a_prime = eval_ay_truncated(spec.clamped_nonlinearity, y)
+    a_prime = eval_ay_truncated(spec.nonlinearity, y)
     fresh = (sp.identity(spec.grid.n_nodes, format="csr")
-             + dt * spec.operator.matrix + sp.diags(dt * a_prime)).tocsc()
+             + dt * sc.elliptic_matrix(spec.grid, spec.diffusion)
+             + sp.diags(dt * a_prime)).tocsc()
     written = StepSystem(spec)._write(y).copy()
     for attr in ("indptr", "indices", "data"):
         assert np.array_equal(getattr(written, attr), getattr(fresh, attr))
@@ -237,6 +238,7 @@ def test_one_step_system_per_problem():
     steps = spec.steps
     assert spec.steps is steps
     assert replace(spec, gamma=2.0).steps is not steps
+    assert spec.with_budget(2.0).steps is steps
     # steps is still alive, but holds no reference back to its spec: no
     # cycle, so the spec is freed as soon as its last name goes
     ref = weakref.ref(spec)
@@ -246,17 +248,21 @@ def test_one_step_system_per_problem():
 
 @pytest.mark.parametrize("name", ["anisotropic-schloegl", "linear"])
 def test_solve_repeats_bitwise_on_one_spec(name):
-    # the cached step system (its work matrix) carries no state
-    # from one solve into the next
+    # the cached step system (its work matrix) carries no state from one
+    # solve into the next, nor into a solve at another budget sharing it
     spec = step_system_spec(name)
     cfg = sc.OptimizerConfig(tol=1e-10, max_iter=300)
     runs = [sc.solve(spec, cfg), sc.solve(spec, cfg),
-            sc.solve(step_system_spec(name), cfg)]
+            sc.solve(step_system_spec(name), cfg),
+            sc.solve(spec.with_budget(0.5), cfg),
+            sc.solve(replace(spec, gamma=0.5), cfg)]
     assert all(run.converged for run in runs)
     for name in ("u", "y", "phi", "mu"):
         fresh = getattr(runs[2], name).values.tobytes()
         assert getattr(runs[0], name).values.tobytes() == fresh
         assert getattr(runs[1], name).values.tobytes() == fresh
+        assert (getattr(runs[3], name).values.tobytes()
+                == getattr(runs[4], name).values.tobytes())
 
 
 def test_adjoint_zero_when_target_met():
@@ -319,7 +325,22 @@ def test_state_magnitude_reported():
     rng = np.random.default_rng(12)
     u = random_control(spec, rng, scale=2.0)
     y = sc.solve_state(spec, u)
-    assert np.max(np.abs(y.values)) < spec.truncation_level
+    assert np.max(np.abs(y.values)) < spec.nonlinearity.truncation.level
+
+
+def test_clamp_level_resolved_at_construction():
+    # a spec without a level gets the automatic one once, from its own
+    # data; a changed budget keeps it, and an explicit level passes through
+    spec = schloegl_spec()
+    level = sc.auto_truncation_level(np.max(np.abs(spec.y0)),
+                                     np.max(np.abs(spec.yd.values)),
+                                     spec.gamma, spec.kappa)
+    assert spec.nonlinearity.truncation == sc.TruncationSpec(level)
+    for changed in (replace(spec, gamma=2.0 * spec.gamma),
+                    spec.with_budget(2.0 * spec.gamma)):
+        assert changed.nonlinearity.truncation.level == level
+    explicit = step_system_spec("clamped-schloegl")
+    assert explicit.nonlinearity.truncation.level == 0.05
 
 
 def test_truncation_active_warning():

@@ -2,10 +2,11 @@ import numpy as np
 import pytest
 
 import sparsecontrol as sc
+from sparsecontrol import pde
 from sparsecontrol.grid import like
 from sparsecontrol.stability import fit_rate, rescale_into_ball
 
-from conftest import active_schloegl_spec
+from conftest import active_schloegl_spec, schloegl_spec
 
 
 def test_fit_rate_exact_linear():
@@ -94,3 +95,20 @@ def test_active_sweep_distances_monotone(active_solve):
     assert not any("monotone" in w for w in report.warnings)
     # three points over under 1.5 decades: fit is skipped by policy
     assert report.exponent is None
+
+
+def test_sweep_builds_one_step_system(monkeypatch):
+    # every budget shares the base problem's step system
+    built = []
+    init = pde.StepSystem.__init__
+
+    def counting_init(self, spec):
+        built.append(spec.gamma)
+        init(self, spec)
+
+    monkeypatch.setattr(pde.StepSystem, "__init__", counting_init)
+    spec = schloegl_spec(n=6, n_t=6, gamma=0.05)
+    report = sc.gamma_sweep(spec, [0.05, 0.045, 0.04],
+                            sc.OptimizerConfig(tol=1e-8, max_iter=400))
+    assert report.converged
+    assert built == [0.05]
