@@ -14,8 +14,9 @@ Built-in kinds (all autonomous in (x, t)):
 Every kind but ``exponential`` is a polynomial: its spec computes once the
 ascending coefficients of a, a' and a'' (Schloegl's from its roots), and
 each is one Horner evaluation.  ``c_a``, a global lower bound for a'(y),
-is the exact minimum of the slope polynomial (0 for exp); it is asserted
-in tests and never enters a computation.
+is the exact minimum of the slope polynomial (0 for exp); with the
+clamp's slope bound below, it gives a_M' >= (4/3)*min(c_a, 0), the
+reaction's part of the step system's admissibility bound (pde).
 
 The clamp f_M maps the real line onto [-M-1, M+1].  With the overshoot
 e = clip(|s| - M, 0, 1),

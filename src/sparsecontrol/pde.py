@@ -28,6 +28,18 @@ symmetric, bit for bit (the tests assert it), so B_m^T = B_m and one
 StepSystem serves the state, linearized and adjoint sweeps.  It is built
 once per problem (ProblemSpec.steps) and reused by every sweep on it and by
 every budget of a budget sweep (ProblemSpec.with_budget).
+
+B_m is symmetric positive definite for every state whenever
+
+    1 + dt*(lambda_low + (4/3)*min(c_a, 0)) > 0,
+
+with lambda_low <= lambda_min(A_h) (elliptic_lower_bound) and c_a <= a'
+(the clamp's slope f_M' <= 4/3 can push a_M' below c_a by that factor).
+Then every B_m is factored without pivoting in SuperLU's symmetric mode
+(X. S. Li, ACM TOMS 31(3), 2005), under one fill-reducing ordering that
+depends only on the sparsity pattern and is computed once per StepSystem.
+Otherwise a step matrix may be indefinite, and each is factored by the
+general pivoting LU.
 """
 
 from __future__ import annotations
@@ -90,14 +102,55 @@ def elliptic_matrix(grid: SpaceGrid, tensor: DiffusionTensor) -> sp.csr_matrix:
             - 2.0 * a[0, 1] * sp.kron(d1, d1)).tocsr()
 
 
+def elliptic_lower_bound(grid: SpaceGrid, tensor: DiffusionTensor) -> float:
+    """Lower bound on lambda_min(A_h): the tensor's smallest eigenvalue
+    times n_dim*(4/h^2)*sin^2(pi*h/2), the smallest eigenvalue of the
+    Dirichlet-eliminated 3/5-point -Laplacian.
+
+    It holds with the cross term: the centered difference D1 and the forward
+    difference G along one axis satisfy ||D1 v|| <= ||G v||, so the cross
+    term is at most 2|a_12| ||G_1 v|| ||G_2 v||, and the quadratic form of
+    [[a_11, -|a_12|], [-|a_12|, a_22]] (eigenvalues those of the tensor)
+    bounds v.A_h v from below by lambda_min times v.(-Laplacian) v.
+    """
+    h = grid.h
+    return (tensor.lambda_min * grid.n_dim * (4.0 / h**2)
+            * np.sin(0.5 * np.pi * h)**2)
+
+
+# SuperLU without pivoting, the ordering applied symmetrically (P B P^T)
+_SYMMETRIC = dict(diag_pivot_thresh=0.0, options={"SymmetricMode": True})
+
+
+class _OrderedFactor:
+    """Solves B x = b with the factor of the reordered B[q][:, q]."""
+
+    __slots__ = ("lu", "order", "inverse")
+
+    def __init__(self, lu, order: np.ndarray, inverse: np.ndarray):
+        self.lu, self.order, self.inverse = lu, order, inverse
+
+    def solve(self, b: np.ndarray) -> np.ndarray:
+        return self.lu.solve(b[self.order])[self.inverse]
+
+
 class StepSystem:
     """Implicit Euler step matrices B(y) = I + dt*A_h + dt*diag(a_M'(y)).
 
     One per problem (ProblemSpec.steps).  I + dt*A_h is assembled once
     (CSC); B(y) copies it and writes dt*a_M'(y) onto the diagonal entries
     only.  factor(y) writes B(y) into one preallocated work matrix instead
-    of a fresh copy.  The zero reaction's B is the constant I + dt*A_h: one
-    shared factorization, and one solve per implicit step.
+    of a fresh copy.
+
+    spd is the admissibility bound of the module docstring, decided once.
+    When it holds, every B(y) is SPD: a minimum-degree ordering q of
+    I + dt*A_h is computed once, the stored matrices are kept reordered as
+    B[q][:, q], and each factor(y) is a no-pivot symmetric-mode LU in that
+    fixed order, whose solve() permutes b in and x out.  The zero reaction's
+    B is the constant I + dt*A_h (c_a = 0, so the bound always holds): one
+    shared symmetric-mode factorization, kept in the original order, and
+    one solve per implicit step.  When the bound fails, B(y) is factored by
+    the default pivoting splu.
     """
 
     def __init__(self, spec: ProblemSpec):
@@ -105,27 +158,54 @@ class StepSystem:
         self.dt = spec.tgrid.dt
         self.operator_matrix = elliptic_matrix(spec.grid, spec.diffusion)
         n = self.operator_matrix.shape[0]
-        self._base = (sp.identity(n, format="csr")
-                      + self.dt * self.operator_matrix).tocsc()
-        self._work = self._base.copy()
-        # data index of each diagonal entry; 1 + dt*a_ii > 0, so all are stored
-        columns = np.repeat(np.arange(n), np.diff(self._base.indptr))
-        self._diagonal = np.flatnonzero(self._base.indices == columns)
-        self._shared = splu(self._base) if self.nl.kind == "zero" else None
+        base = (sp.identity(n, format="csr")
+                + self.dt * self.operator_matrix).tocsc()
+        # a_M' >= (4/3)*min(c_a, 0), since a' >= c_a and 0 <= f_M' <= 4/3
+        self.spd = 1.0 + self.dt * (
+            elliptic_lower_bound(spec.grid, spec.diffusion)
+            + (4.0 / 3.0) * min(self.nl.c_a, 0.0)) > 0.0
+        self._shared = None
+        self._order = None
+        if self.spd:
+            probe = splu(base, permc_spec="MMD_AT_PLUS_A", **_SYMMETRIC)
+            if self.nl.kind == "zero":
+                self._shared = probe
+            else:
+                # probe factored base[q][:, q] with q = argsort(perm_c); perm_c
+                # is a view that would keep probe's factors alive, so copy it
+                self._inverse = probe.perm_c.astype(np.intp)
+                self._order = np.argsort(self._inverse)
+                base = base[self._order][:, self._order]
+                # splu would sort the work matrix in place, and the next
+                # write would then scramble it
+                base.sort_indices()
+        self._base = base
+        self._work = base.copy()
+        # data index of each diagonal entry, by node; 1 + dt*a_ii > 0, so
+        # all are stored
+        columns = np.repeat(np.arange(n), np.diff(base.indptr))
+        self._diagonal = np.flatnonzero(base.indices == columns)
+        if self._order is not None:
+            self._diagonal = self._diagonal[self._inverse]
 
     def _write(self, y: np.ndarray) -> sp.csc_matrix:
-        """B(y) written into the work matrix, which the next call
-        overwrites."""
+        """B(y), reordered when spd, written into the work matrix, which
+        the next call overwrites."""
         work = self._work
         np.copyto(work.data, self._base.data)
         work.data[self._diagonal] += self.dt * eval_ay_truncated(self.nl, y)
         return work
 
     def factor(self, y: np.ndarray):
-        """Sparse LU factorization of B(y); splu keeps its own copy."""
+        """Sparse factorization of B(y), with a solve(b) method; splu
+        keeps its own copy of the work matrix."""
         if self._shared is not None:
             return self._shared
-        return splu(self._write(y))
+        if self._order is None:
+            return splu(self._write(y))
+        return _OrderedFactor(
+            splu(self._write(y), permc_spec="NATURAL", **_SYMMETRIC),
+            self._order, self._inverse)
 
     def step(self, rhs: np.ndarray, y_start: np.ndarray) -> np.ndarray:
         """Solve y + dt*A_h y + dt*a_M(y) = rhs by Newton from y_start;

@@ -77,8 +77,9 @@ def gamma_sweep(spec: ProblemSpec, gammas, cfg: OptimizerConfig) -> StabilityRep
         return report
 
     below = [g for g in gammas if g < spec.gamma]
-    above = [g for g in gammas if g >= spec.gamma]
-    results: dict[float, float] = {}
+    above = [g for g in gammas if g > spec.gamma]
+    # the base budget is the base solve itself, at distance 0
+    results = {spec.gamma: 0.0} if spec.gamma in gammas else {}
     clamped = set() if base.truncation_inactive else {spec.gamma}
     for chain in (above, below[::-1]):
         warm, warm_gamma = base.u, spec.gamma

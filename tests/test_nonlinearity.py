@@ -187,6 +187,17 @@ def test_clamp_derivative_peak_is_four_thirds():
     assert float(np.max(f_M_prime(trunc, s))) <= 4.0 / 3.0 + 1e-12
 
 
+
+@pytest.mark.parametrize("level", [0.1, 0.5, 2.0])
+@pytest.mark.parametrize("spec", ALL_KINDS, ids=lambda s: s.kind + str(s.params))
+def test_clamped_derivative_lower_bound(spec, level):
+    # a_M' = a'(f_M) * f_M' >= (4/3)*min(c_a, 0): a' >= c_a and
+    # 0 <= f_M' <= 4/3.  The step system's admissibility bound rests on it.
+    y = np.linspace(-level - 3.0, level + 3.0, 20001)
+    slope = eval_ay_truncated(with_truncation(spec, level), y)
+    bound = (4.0 / 3.0) * min(spec.c_a, 0.0)
+    assert np.min(slope) >= bound - 1e-12 * max(1.0, abs(spec.c_a))
+
 def test_truncated_reaction():
     spec = NonlinearitySpec("schloegl", (0.0, 0.0, 0.0),
                             truncation=TruncationSpec(2.0))

@@ -5,6 +5,7 @@ from dataclasses import replace
 import numpy as np
 import pytest
 import scipy.sparse as sp
+from scipy.sparse.linalg import splu
 
 import sparsecontrol as sc
 from sparsecontrol import pde
@@ -197,7 +198,8 @@ def test_adjoint_identity_across_step_systems(name):
 @pytest.mark.parametrize("name", sorted(STEP_SYSTEM_CASES))
 def test_step_system_matrix_matches_fresh_assembly(name):
     # writing dt*a_M'(y) onto the cached diagonal gives the same CSC matrix,
-    # structure and bits, as assembling I + dt*A + diag(dt*a_M'(y)) anew
+    # structure and bits, as assembling I + dt*A + diag(dt*a_M'(y)) anew and
+    # reordering it symmetrically by the step system's one ordering q
     spec = step_system_spec(name)
     y = 2.0 * np.random.default_rng(3).standard_normal(spec.grid.n_nodes)
     dt = spec.tgrid.dt
@@ -205,7 +207,11 @@ def test_step_system_matrix_matches_fresh_assembly(name):
     fresh = (sp.identity(spec.grid.n_nodes, format="csr")
              + dt * sc.elliptic_matrix(spec.grid, spec.diffusion)
              + sp.diags(dt * a_prime)).tocsc()
-    written = StepSystem(spec)._write(y).copy()
+    steps = StepSystem(spec)
+    assert steps.spd
+    q = steps._order
+    fresh = fresh[q][:, q].sorted_indices()
+    written = steps._write(y).copy()
     for attr in ("indptr", "indices", "data"):
         assert np.array_equal(getattr(written, attr), getattr(fresh, attr))
 
@@ -231,6 +237,63 @@ def test_factor_survives_work_matrix_overwrite():
     assert steps.factor(y1).solve(rhs).tobytes() == x.tobytes()
     assert b1.data.tobytes() == steps._write(y1).data.tobytes()
     assert steps._write(y2).data.tobytes() != b1.data.tobytes()
+
+
+@pytest.mark.parametrize("n_dim", [1, 2])
+def test_elliptic_lower_bound_below_lambda_min(n_dim):
+    # lambda_low <= lambda_min(A_h) on random anisotropic tensors and small
+    # grids, cross term included; for an isotropic tensor the two agree in
+    # exact arithmetic, hence the roundoff allowance
+    rng = np.random.default_rng(40 + n_dim)
+    for _ in range(25):
+        a11, a22 = np.exp(rng.uniform(-3.0, 3.0, 2))
+        a12 = rng.uniform(-0.95, 0.95) * np.sqrt(a11 * a22)
+        matrix = ((a11,),) if n_dim == 1 else ((a11, a12), (a12, a22))
+        tensor = sc.DiffusionTensor(matrix)
+        grid = sc.SpaceGrid(n_dim, int(rng.integers(1, 30 if n_dim == 1 else 9)))
+        a_h = sc.elliptic_matrix(grid, tensor).toarray()
+        lam_low = pde.elliptic_lower_bound(grid, tensor)
+        assert 0.0 < lam_low <= np.linalg.eigvalsh(a_h).min() * (1.0 + 1e-12)
+
+
+def general_path_spec():
+    # 1 + dt*(lambda_low + (4/3)*c_a) = 1 + 0.02 - 4/3 < 0 at dt 1, c_a -1
+    return schloegl_spec(T=1.0, n_t=1, diff=1e-3)
+
+
+def test_admissibility_bound_picks_the_factor_path():
+    # the solve-2d-schloegl benchmark workload's problem
+    assert schloegl_spec(n=32, n_t=4, kappa=0.3, gamma=0.05, diff=0.3,
+                         y0="zero").steps.spd
+    assert not general_path_spec().steps.spd
+    assert heat_spec(n=4, n_t=2).steps.spd
+
+
+def test_adjoint_identity_on_the_general_path():
+    # the SPD path is the one every other adjoint test takes
+    spec = general_path_spec()
+    assert not spec.steps.spd
+    result = check_adjoint_identity(spec, np.random.default_rng(6))
+    assert result.passed, result.detail
+
+
+@pytest.mark.parametrize("spd", [True, False])
+def test_factor_solves_like_fresh_splu(spd):
+    # on either path, factor(y).solve agrees with the default pivoting LU of
+    # a freshly assembled B(y)
+    spec = schloegl_spec() if spd else general_path_spec()
+    steps = spec.steps
+    assert steps.spd == spd
+    rng = np.random.default_rng(13)
+    for _ in range(3):
+        y, b = 0.5 * rng.standard_normal((2, spec.grid.n_nodes))
+        fresh = (sp.identity(spec.grid.n_nodes, format="csc")
+                 + spec.tgrid.dt * sc.elliptic_matrix(spec.grid, spec.diffusion)
+                 + sp.diags(spec.tgrid.dt
+                            * eval_ay_truncated(spec.nonlinearity, y))).tocsc()
+        reference = splu(fresh).solve(b)
+        x = steps.factor(y).solve(b)
+        assert np.linalg.norm(x - reference) <= 1e-12 * np.linalg.norm(reference)
 
 
 def test_one_step_system_per_problem():

@@ -2,7 +2,7 @@ import numpy as np
 import pytest
 
 import sparsecontrol as sc
-from sparsecontrol import pde
+from sparsecontrol import pde, stability
 from sparsecontrol.grid import like
 from sparsecontrol.stability import fit_rate, rescale_into_ball
 
@@ -112,3 +112,22 @@ def test_sweep_builds_one_step_system(monkeypatch):
                             sc.OptimizerConfig(tol=1e-8, max_iter=400))
     assert report.converged
     assert built == [0.05]
+
+
+def test_sweep_does_not_resolve_the_base_budget(monkeypatch):
+    # the base budget's row is the base solve itself: one solve per
+    # distinct budget, and a distance of exactly 0.0
+    solved = []
+    solve = stability.solve
+
+    def counting_solve(spec, cfg):
+        solved.append(spec.gamma)
+        return solve(spec, cfg)
+
+    monkeypatch.setattr(stability, "solve", counting_solve)
+    spec = schloegl_spec(n=6, n_t=6, gamma=0.05)
+    report = sc.gamma_sweep(spec, [0.05, 0.045, 0.04],
+                            sc.OptimizerConfig(tol=1e-8, max_iter=400))
+    assert report.converged
+    assert solved == [0.05, 0.045, 0.04]
+    assert report.distances[report.gammas.index(0.05)] == 0.0
