@@ -176,10 +176,6 @@ class DiffusionTensor:
     def as_array(self) -> np.ndarray:
         return np.asarray(self.matrix, dtype=float)
 
-    @property
-    def lambda_min(self) -> float:
-        return float(np.linalg.eigvalsh(self.as_array()).min())
-
 
 def isotropic(n_dim: int, coefficient: float = 1.0) -> DiffusionTensor:
     return DiffusionTensor(tuple(tuple(coefficient * float(i == j) for j in range(n_dim))

@@ -13,10 +13,7 @@ Built-in kinds (all autonomous in (x, t)):
 
 Every kind but ``exponential`` is a polynomial: its spec computes once the
 ascending coefficients of a, a' and a'' (Schloegl's from its roots), and
-each is one Horner evaluation.  ``c_a``, a global lower bound for a'(y),
-is the exact minimum of the slope polynomial (0 for exp); with the
-clamp's slope bound below, it gives a_M' >= (4/3)*min(c_a, 0), the
-reaction's part of the step system's admissibility bound (pde).
+each is one Horner evaluation.
 
 The clamp f_M maps the real line onto [-M-1, M+1].  With the overshoot
 e = clip(|s| - M, 0, 1),
@@ -79,13 +76,6 @@ class NonlinearitySpec:
         object.__setattr__(self, "_coefficients",
                            _polynomial_form(self.kind, self.params))
 
-    @property
-    def c_a(self) -> float:
-        """Analytic global lower bound of a'(y)."""
-        if self.kind == "exponential":
-            return 0.0
-        return _poly_derivative_min(self._coefficients[1])
-
 
 def _polynomial_form(kind: str, params: tuple):
     """Ascending coefficients of a, a' and a'' as tuples of Python floats;
@@ -100,18 +90,6 @@ def _polynomial_form(kind: str, params: tuple):
         a = params
     return tuple(tuple(float(c) for c in np.polynomial.polynomial.polyder(a, k))
                  for k in range(3))
-
-
-def _poly_derivative_min(slope: tuple) -> float:
-    """Global minimum of a'(y) from its ascending coefficients: a' has even
-    degree and positive leading coefficient, so the minimum sits at a real
-    root of a''; real parts of complex roots only add larger candidates."""
-    if len(slope) == 1:
-        return slope[0]
-    roots = np.polynomial.polynomial.polyroots(
-        np.polynomial.polynomial.polyder(slope))
-    return float(np.min(np.polynomial.polynomial.polyval(np.real(roots),
-                                                         slope)))
 
 
 def _evaluate(spec: NonlinearitySpec, y, order: int):

@@ -1,7 +1,13 @@
+import contextlib
+import io
 import json
+import tempfile
+from pathlib import Path
 
 import numpy as np
 import pytest
+import yaml
+from hypothesis import given, settings, strategies as st
 
 import sparsecontrol as sc
 from sparsecontrol import checks
@@ -117,7 +123,7 @@ def test_iteration_cap_exits_two_with_partial_report(tmp_path):
     assert (out / "timeseries.csv").exists()
 
 
-# 1 + dt*(lambda_min(A_h) + c_a) < 0: some trial controls admit no implicit
+# 1 + dt*a'(0) = 1 - 0.25*30 < 0: some trial controls admit no implicit
 # step solution
 NEWTON_FAILURE_SOLVE = """
 problem:
@@ -145,6 +151,31 @@ def test_newton_failure_on_trial_is_rejected_not_fatal(tmp_path, capsys):
     assert report["converged"] is False
     assert report["iterations"] == 3
     assert (out / "timeseries.csv").exists()
+
+
+# 1 + dt*a'(0) = 1 - 0.05*30 < 0 and the diffusion is too weak to help: the
+# initial state solve itself fails
+INITIAL_STATE_FAILURE_SOLVE = """
+problem:
+  n_dim: 2
+  n_per_axis: 8
+  n_t: 2
+  T: 0.1
+  diffusion: 1.0e-4
+  nonlinearity:
+    kind: polynomial
+    params: [0.0, -30.0, 0.0, 1.0]
+  y0: one-mode
+  yd: bump
+"""
+
+
+def test_initial_state_failure_exits_two_and_writes_nothing(tmp_path, capsys):
+    cfg = write_config(tmp_path, INITIAL_STATE_FAILURE_SOLVE)
+    out = tmp_path / "out"
+    assert main(["solve", "--config", cfg, "--out", str(out)]) == 2
+    assert "state solver failed" in capsys.readouterr().err
+    assert list(out.iterdir()) == []
 
 
 # the automatic clamp level sits far above exp's double range, so a
@@ -284,3 +315,61 @@ problem:
     assert np.all(spec.y0 == 0.5)
     with pytest.raises(ConfigError):
         parse_config("problem:\n  truncation: never\n")
+
+
+def _log_uniform(low, high):
+    return st.floats(np.log10(low), np.log10(high)).map(lambda e: 10.0 ** e)
+
+
+_NONLINEARITIES = st.one_of(
+    st.just({"kind": "zero", "params": []}),
+    st.just({"kind": "exponential", "params": []}),
+    st.just({"kind": "polynomial", "params": [0.0, -30.0, 0.0, 1.0]}),
+    st.builds(lambda c: {"kind": "linear", "params": [c]},
+              st.floats(-20.0, 20.0)),
+    st.builds(lambda r: {"kind": "schloegl", "params": sorted(r)},
+              st.lists(st.floats(-2.0, 2.0), min_size=3, max_size=3)),
+    st.builds(lambda c: {"kind": "polynomial", "params": c + [1.0]},
+              st.lists(st.floats(-30.0, 30.0), min_size=3, max_size=3)))
+
+_SHAPES = st.sampled_from(["zero", "one-mode", "bump", "constant(2)"])
+
+_CONFIGS = st.fixed_dictionaries({
+    "problem": st.fixed_dictionaries({
+        "n_dim": st.integers(1, 2),
+        "n_per_axis": st.integers(2, 6),
+        "n_t": st.integers(1, 4),
+        "T": _log_uniform(0.01, 3.0),
+        "kappa": _log_uniform(1e-3, 1.0),
+        "gamma": _log_uniform(1e-3, 10.0),
+        "diffusion": _log_uniform(1e-4, 1.0),
+        "nonlinearity": _NONLINEARITIES,
+        "truncation": st.one_of(st.just("auto"), _log_uniform(0.05, 20.0)),
+        "y0": _SHAPES,
+        "yd": _SHAPES,
+    }),
+    "optimizer": st.fixed_dictionaries({"max_iter": st.integers(1, 20)}),
+})
+
+
+@pytest.mark.filterwarnings("ignore::sparsecontrol.pde.TruncationActiveWarning")
+@settings(max_examples=30, derandomize=True, deadline=None)
+@given(_CONFIGS)
+def test_solve_ends_in_a_report_or_a_named_state_failure(config):
+    # every valid config exits 0 or 2 without a traceback; only a failed
+    # initial state solve leaves no outputs (see
+    # test_initial_state_failure_exits_two_and_writes_nothing)
+    with tempfile.TemporaryDirectory() as tmp:
+        cfg = Path(tmp) / "run.yaml"
+        cfg.write_text(yaml.safe_dump(config), encoding="utf-8")
+        out = Path(tmp) / "out"
+        err = io.StringIO()
+        with contextlib.redirect_stderr(err):
+            code = main(["solve", "--config", str(cfg), "--out", str(out)])
+        assert code in (0, 2), err.getvalue()
+        if code == 2 and "state solver failed" in err.getvalue():
+            assert list(out.iterdir()) == []
+        else:
+            report = json.loads((out / "report.json").read_text())
+            assert report["converged"] is (code == 0)
+            assert (out / "timeseries.csv").exists()

@@ -53,6 +53,27 @@ def reference_clamp(trunc, s):
     return value, slope
 
 
+def reference_slope_min(spec):
+    """inf over the real line of a'(y), from the closed forms above.
+
+    a' is constant for zero and linear, tends to 0 from above for exp, and
+    for a cubic is a parabola with its vertex where a'' vanishes.
+    """
+    if spec.kind == "zero":
+        return 0.0
+    if spec.kind == "linear":
+        return spec.params[0]
+    if spec.kind == "exponential":
+        return 0.0
+    if spec.kind == "schloegl":
+        vertex = sum(spec.params) / 3.0
+    else:
+        c = spec.params
+        assert len(c) == 4, "closed form covers cubics only"
+        vertex = -c[2] / (3.0 * c[3])
+    return float(reference_derivative(spec, vertex, 1))
+
+
 POLYNOMIAL_KINDS = [spec for spec in ALL_KINDS if spec.kind != "exponential"]
 
 
@@ -76,8 +97,11 @@ def test_schloegl_slope_bound_closed_form(roots):
     z1, z2, z3 = roots
     s1 = z1 + z2 + z3
     s2 = z1 * z2 + z1 * z3 + z2 * z3
-    c_a = NonlinearitySpec("schloegl", roots).c_a
-    assert abs(c_a - (s2 - s1 * s1 / 3.0)) <= 1e-12
+    spec = NonlinearitySpec("schloegl", roots)
+    bound = s2 - s1 * s1 / 3.0
+    assert abs(float(eval_ay(spec, s1 / 3.0)) - bound) <= 1e-12
+    y = np.linspace(-30.0, 30.0, 2001)
+    assert np.all(eval_ay(spec, y) >= bound - 1e-12)
 
 
 @pytest.mark.parametrize("level", [0.05, 1.7, 3.0])
@@ -110,14 +134,21 @@ def test_exponential_values_and_overflow():
 
 def test_bistable_derivative_lower_bound():
     # a'(y) = 3y^2 - 1 has its minimum -1 at y = 0
-    assert BISTABLE.c_a == pytest.approx(-1.0)
+    assert reference_slope_min(BISTABLE) == pytest.approx(-1.0)
     assert eval_ay(BISTABLE, 0.0) == pytest.approx(-1.0)
+    assert eval_ay(BISTABLE, 1e-3) > eval_ay(BISTABLE, 0.0)
+    assert eval_ay(BISTABLE, -1e-3) > eval_ay(BISTABLE, 0.0)
 
 
 @pytest.mark.parametrize("spec", ALL_KINDS, ids=lambda s: s.kind + str(s.params))
 def test_derivative_lower_bound_sampled(spec):
+    # a' stays above its closed-form infimum and comes within sampling
+    # distance of it
+    low = reference_slope_min(spec)
     y = np.linspace(-30.0, 30.0, 2001)
-    assert np.all(eval_ay(spec, y) >= spec.c_a - 1e-9 * max(1.0, abs(spec.c_a)))
+    slope = eval_ay(spec, y)
+    assert np.all(slope >= low - 1e-9 * max(1.0, abs(low)))
+    assert np.min(slope) - low <= 0.1
 
 
 @pytest.mark.parametrize("spec", ALL_KINDS, ids=lambda s: s.kind + str(s.params))
@@ -187,16 +218,16 @@ def test_clamp_derivative_peak_is_four_thirds():
     assert float(np.max(f_M_prime(trunc, s))) <= 4.0 / 3.0 + 1e-12
 
 
-
 @pytest.mark.parametrize("level", [0.1, 0.5, 2.0])
 @pytest.mark.parametrize("spec", ALL_KINDS, ids=lambda s: s.kind + str(s.params))
 def test_clamped_derivative_lower_bound(spec, level):
-    # a_M' = a'(f_M) * f_M' >= (4/3)*min(c_a, 0): a' >= c_a and
-    # 0 <= f_M' <= 4/3.  The step system's admissibility bound rests on it.
+    # a_M' = a'(f_M) * f_M' >= (4/3)*min(inf a', 0), since 0 <= f_M' <= 4/3
     y = np.linspace(-level - 3.0, level + 3.0, 20001)
     slope = eval_ay_truncated(with_truncation(spec, level), y)
-    bound = (4.0 / 3.0) * min(spec.c_a, 0.0)
-    assert np.min(slope) >= bound - 1e-12 * max(1.0, abs(spec.c_a))
+    low = reference_slope_min(spec)
+    bound = (4.0 / 3.0) * min(low, 0.0)
+    assert np.min(slope) >= bound - 1e-12 * max(1.0, abs(low))
+
 
 def test_truncated_reaction():
     spec = NonlinearitySpec("schloegl", (0.0, 0.0, 0.0),

@@ -43,6 +43,22 @@ def test_elliptic_operator_symmetric_positive():
     assert np.linalg.eigvalsh(a1.toarray()).min() > 0.0
 
 
+@pytest.mark.parametrize("n_dim", [1, 2])
+def test_elliptic_operator_spd_on_random_tensors(n_dim):
+    # random anisotropic tensors and small grids, cross term included: the
+    # step system's ordering probe factors I + dt*A_h without pivoting, which
+    # needs A_h symmetric positive definite
+    rng = np.random.default_rng(40 + n_dim)
+    for _ in range(25):
+        a11, a22 = np.exp(rng.uniform(-3.0, 3.0, 2))
+        a12 = rng.uniform(-0.95, 0.95) * np.sqrt(a11 * a22)
+        matrix = ((a11,),) if n_dim == 1 else ((a11, a12), (a12, a22))
+        grid = sc.SpaceGrid(n_dim, int(rng.integers(1, 30 if n_dim == 1 else 9)))
+        a_h = sc.elliptic_matrix(grid, sc.DiffusionTensor(matrix))
+        assert abs(a_h - a_h.T).max() == 0.0
+        assert np.linalg.eigvalsh(a_h.toarray()).min() > 0.0
+
+
 def test_elliptic_operator_matches_laplacian_row():
     # interior row of the isotropic operator is the classic 5-point stencil
     grid = sc.SpaceGrid(2, 5)
@@ -183,6 +199,14 @@ def step_system_spec(name):
         yd=sc.target_preset("bump", grid, tgrid))
 
 
+def fresh_step_matrix(spec, y):
+    """I + dt*A_h + dt*diag(a_M'(y)), assembled anew in the original order."""
+    return (sp.identity(spec.grid.n_nodes, format="csc")
+            + spec.tgrid.dt * sc.elliptic_matrix(spec.grid, spec.diffusion)
+            + sp.diags(spec.tgrid.dt
+                       * eval_ay_truncated(spec.nonlinearity, y))).tocsc()
+
+
 @pytest.mark.filterwarnings("ignore::sparsecontrol.pde.TruncationActiveWarning")
 @pytest.mark.parametrize("name", sorted(STEP_SYSTEM_CASES))
 def test_adjoint_identity_across_step_systems(name):
@@ -202,15 +226,9 @@ def test_step_system_matrix_matches_fresh_assembly(name):
     # reordering it symmetrically by the step system's one ordering q
     spec = step_system_spec(name)
     y = 2.0 * np.random.default_rng(3).standard_normal(spec.grid.n_nodes)
-    dt = spec.tgrid.dt
-    a_prime = eval_ay_truncated(spec.nonlinearity, y)
-    fresh = (sp.identity(spec.grid.n_nodes, format="csr")
-             + dt * sc.elliptic_matrix(spec.grid, spec.diffusion)
-             + sp.diags(dt * a_prime)).tocsc()
     steps = StepSystem(spec)
-    assert steps.spd
     q = steps._order
-    fresh = fresh[q][:, q].sorted_indices()
+    fresh = fresh_step_matrix(spec, y)[q][:, q].sorted_indices()
     written = steps._write(y).copy()
     for attr in ("indptr", "indices", "data"):
         assert np.array_equal(getattr(written, attr), getattr(fresh, attr))
@@ -239,61 +257,57 @@ def test_factor_survives_work_matrix_overwrite():
     assert steps._write(y2).data.tobytes() != b1.data.tobytes()
 
 
-@pytest.mark.parametrize("n_dim", [1, 2])
-def test_elliptic_lower_bound_below_lambda_min(n_dim):
-    # lambda_low <= lambda_min(A_h) on random anisotropic tensors and small
-    # grids, cross term included; for an isotropic tensor the two agree in
-    # exact arithmetic, hence the roundoff allowance
-    rng = np.random.default_rng(40 + n_dim)
-    for _ in range(25):
-        a11, a22 = np.exp(rng.uniform(-3.0, 3.0, 2))
-        a12 = rng.uniform(-0.95, 0.95) * np.sqrt(a11 * a22)
-        matrix = ((a11,),) if n_dim == 1 else ((a11, a12), (a12, a22))
-        tensor = sc.DiffusionTensor(matrix)
-        grid = sc.SpaceGrid(n_dim, int(rng.integers(1, 30 if n_dim == 1 else 9)))
-        a_h = sc.elliptic_matrix(grid, tensor).toarray()
-        lam_low = pde.elliptic_lower_bound(grid, tensor)
-        assert 0.0 < lam_low <= np.linalg.eigvalsh(a_h).min() * (1.0 + 1e-12)
-
-
-def general_path_spec():
-    # 1 + dt*(lambda_low + (4/3)*c_a) = 1 + 0.02 - 4/3 < 0 at dt 1, c_a -1
+def nearly_singular_spec():
+    # Schloegl (-1, 0, 1) at dt 1: 1 + dt*a'(0) = 1 - 1 = 0, so B(0) = A_h,
+    # whose smallest eigenvalue is about 2*pi^2*1e-3 = 0.02
     return schloegl_spec(T=1.0, n_t=1, diff=1e-3)
 
 
-def test_admissibility_bound_picks_the_factor_path():
-    # the solve-2d-schloegl benchmark workload's problem
-    assert schloegl_spec(n=32, n_t=4, kappa=0.3, gamma=0.05, diff=0.3,
-                         y0="zero").steps.spd
-    assert not general_path_spec().steps.spd
-    assert heat_spec(n=4, n_t=2).steps.spd
+def indefinite_spec():
+    # 1 + dt*a'(0) = 1 - 0.05*30 = -0.5 < 0 and 1 + dt*a'(5) = 1 + 0.05*45
+    # > 0, so B(y) on y = linspace(0, 5) has eigenvalues of both signs
+    grid = sc.SpaceGrid(2, 12)
+    tgrid = sc.TimeGrid(0.1, 2)
+    return sc.ProblemSpec(
+        kappa=0.1, gamma=1.0, grid=grid, tgrid=tgrid,
+        diffusion=sc.isotropic(2, 1e-3),
+        nonlinearity=sc.NonlinearitySpec("polynomial", (0.0, -30.0, 0.0, 1.0)),
+        y0=sc.spatial_preset("one-mode", grid),
+        yd=sc.target_preset("bump", grid, tgrid))
 
 
-def test_adjoint_identity_on_the_general_path():
-    # the SPD path is the one every other adjoint test takes
-    spec = general_path_spec()
-    assert not spec.steps.spd
-    result = check_adjoint_identity(spec, np.random.default_rng(6))
+def test_adjoint_identity_on_a_nearly_singular_step():
+    result = check_adjoint_identity(nearly_singular_spec(),
+                                    np.random.default_rng(6))
     assert result.passed, result.detail
 
 
-@pytest.mark.parametrize("spd", [True, False])
-def test_factor_solves_like_fresh_splu(spd):
-    # on either path, factor(y).solve agrees with the default pivoting LU of
-    # a freshly assembled B(y)
-    spec = schloegl_spec() if spd else general_path_spec()
+@pytest.mark.parametrize("make_spec", [schloegl_spec, nearly_singular_spec,
+                                       indefinite_spec])
+def test_factor_solves_like_fresh_splu(make_spec):
+    # factor(y).solve agrees with the default pivoting LU of a freshly
+    # assembled B(y) in the original order; with y this small the indefinite
+    # problem's B(y) is negative definite
+    spec = make_spec()
     steps = spec.steps
-    assert steps.spd == spd
     rng = np.random.default_rng(13)
     for _ in range(3):
         y, b = 0.5 * rng.standard_normal((2, spec.grid.n_nodes))
-        fresh = (sp.identity(spec.grid.n_nodes, format="csc")
-                 + spec.tgrid.dt * sc.elliptic_matrix(spec.grid, spec.diffusion)
-                 + sp.diags(spec.tgrid.dt
-                            * eval_ay_truncated(spec.nonlinearity, y))).tocsc()
-        reference = splu(fresh).solve(b)
+        reference = splu(fresh_step_matrix(spec, y)).solve(b)
         x = steps.factor(y).solve(b)
         assert np.linalg.norm(x - reference) <= 1e-12 * np.linalg.norm(reference)
+
+
+def test_factor_solves_an_indefinite_step_matrix():
+    spec = indefinite_spec()
+    y = np.linspace(0.0, 5.0, spec.grid.n_nodes)
+    dense = fresh_step_matrix(spec, y).toarray()
+    eigenvalues = np.linalg.eigvalsh(dense)
+    assert eigenvalues[0] < 0.0 < eigenvalues[-1]
+    b = np.random.default_rng(21).standard_normal(spec.grid.n_nodes)
+    x = spec.steps.factor(y).solve(b)
+    bound = 10.0 * np.finfo(float).eps * np.linalg.cond(dense)
+    assert np.linalg.norm(dense @ x - b) <= bound * np.linalg.norm(b)
 
 
 def test_one_step_system_per_problem():
@@ -439,7 +453,7 @@ def test_zero_reaction_step_is_one_solve(monkeypatch):
 
 
 def test_newton_failure_raises():
-    # 1 + dt*(lambda_min(A_h) + c_a) < 0: under this large control some
+    # 1 + dt*a'(0) = 1 - 0.25*30 < 0: under this large control some
     # implicit step has no solution that Newton reaches
     grid = sc.SpaceGrid(2, 10)
     tgrid = sc.TimeGrid(1.0, 4)
