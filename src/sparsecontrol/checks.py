@@ -21,7 +21,7 @@ from .grid import (SpaceGrid, TimeGrid, field_per_interval, isotropic,
 from .l1ball import project_slice
 from .nonlinearity import NonlinearitySpec
 from .objective import eval_J, eval_curvature, eval_gradient
-from .pde import solve_adjoint, solve_linearized, solve_state
+from .pde import NewtonError, solve_adjoint, solve_linearized, solve_state
 from .presets import spatial_preset, target_preset
 from .problem import ProblemSpec
 
@@ -110,17 +110,31 @@ def _random_control(rng, spec) -> np.ndarray:
 
 def check_adjoint_identity(spec: ProblemSpec, rng,
                            n_pairs: int = 5) -> CheckResult:
+    """The transpose identity on n_pairs random (u, v) draws.  A draw whose
+    state solve fails fails the check, by number; the other draws still
+    run, so the generator advances as it would have."""
     worst = 0.0
-    for _ in range(n_pairs):
+    failed, error = [], None
+    for draw in range(1, n_pairs + 1):
         u = field_per_interval(spec.grid, spec.tgrid, _random_control(rng, spec))
         v = field_per_interval(spec.grid, spec.tgrid, _random_control(rng, spec))
-        y = solve_state(spec, u)
+        try:
+            y = solve_state(spec, u)
+        except NewtonError as exc:
+            failed.append(draw)
+            error = exc
+            continue
         z = solve_linearized(spec, y, v)
         phi = solve_adjoint(spec, y)
         lhs = l2_inner(like(y, y.values - spec.yd.values), z)
         rhs = l2_inner(phi, v)
         scale = max(abs(lhs), abs(rhs), 1e-30)
         worst = max(worst, abs(lhs - rhs) / scale)
+    if failed:
+        return CheckResult(
+            "adjoint-identity", False,
+            f"state solve failed on draw {', '.join(map(str, failed))} of "
+            f"{n_pairs}: {error}")
     passed = worst <= 1e-10
     return CheckResult("adjoint-identity", passed,
                        f"max relative defect {worst:.2e} (<= 1e-10)")

@@ -130,7 +130,9 @@ def solve(spec: ProblemSpec, cfg: OptimizerConfig = OptimizerConfig()) -> SolveR
 
     y = solve_state(spec, u)
     j_val = objective_value(spec, u, y)
-    phi = solve_adjoint(spec, y)
+    # the adjoint's factors of B(y_m) start every trial's chord iterations
+    factors: list = []
+    phi = solve_adjoint(spec, y, factors)
     gradient = like(u, phi.values + spec.kappa * u.values)
 
     j_history = [j_val]
@@ -161,7 +163,7 @@ def solve(spec: ProblemSpec, cfg: OptimizerConfig = OptimizerConfig()) -> SolveR
             candidate, _ = project_field(
                 like(u, u.values - step * gradient.values), spec.gamma)
             try:
-                y_new = solve_state(spec, candidate)
+                y_new = solve_state(spec, candidate, (y, factors))
             except NewtonError:     # no implicit step solution: reject
                 step *= _BACKTRACK
                 continue
@@ -177,7 +179,8 @@ def solve(spec: ProblemSpec, cfg: OptimizerConfig = OptimizerConfig()) -> SolveR
             break
 
         u, y, j_val = candidate, y_new, j_new
-        phi = solve_adjoint(spec, y)
+        factors = []
+        phi = solve_adjoint(spec, y, factors)
         previous, gradient = gradient, like(u, phi.values + spec.kappa * u.values)
         j_history.append(j_val)
         step_history.append(step)

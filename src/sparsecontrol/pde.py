@@ -5,8 +5,14 @@ State steps, m = 1..n_t with y_0 the initial datum:
 
     (y_m - y_{m-1})/dt + A_h y_m + a_M(y_m) = u_m,
 
-solved by Newton (by one linear solve for the zero reaction).  The
-linearization at a state y solves
+solved by Newton (by one linear solve for the zero reaction).  Given the
+factors of B(w_m) at a nearby accepted state w (solve_adjoint leaves them,
+and the optimizer holds one state's n_t of them), step m first runs chord
+iterations x <- x - B(w_m)^-1 R(x) from x = w_m, with R the step's
+residual.  They continue past Newton's residual test until the residual
+stops shrinking 4x or is exactly zero, which resolves the root to
+roundoff; when they did not meet the test, Newton runs from y_{m-1}.
+The linearization at a state y solves
 
     (z_m - z_{m-1})/dt + A_h z_m + a_M'(y_m) z_m = v_m,   z_0 = 0,
 
@@ -165,23 +171,57 @@ class StepSystem:
         return _OrderedFactor(splu(self._write(y), permc_spec="NATURAL"),
                               self._order, self._inverse)
 
-    def step(self, rhs: np.ndarray, y_start: np.ndarray) -> np.ndarray:
-        """Solve y + dt*A_h y + dt*a_M(y) = rhs by Newton from y_start;
-        undamped first, then bisection-damped retries before giving up.  An
-        overflow anywhere in an attempt (the reaction, the residual or its
-        norm) fails that attempt.  Zero reaction: one solve."""
+    def _residual(self, y: np.ndarray, rhs: np.ndarray) -> np.ndarray:
+        return (y + self.dt * (self.operator_matrix @ y)
+                + self.dt * eval_a_truncated(self.nl, y) - rhs)
+
+    def _chord(self, rhs: np.ndarray, y: np.ndarray, lu,
+               tol: float) -> np.ndarray | None:
+        """Chord iterations y <- y - lu^-1 R(y) from y, run until the
+        residual norm stops shrinking 4x (or is exactly zero), so a root is
+        resolved to roundoff, not just to tol.  Returns the iterate with the
+        smallest residual when that met tol, else None."""
+        best, best_norm, previous = y, np.inf, np.inf
+        try:
+            with np.errstate(over="raise"):
+                for _ in range(_NEWTON_MAX_ITER):
+                    residual = self._residual(y, rhs)
+                    norm = np.linalg.norm(residual)
+                    if norm < best_norm:
+                        best, best_norm = y, norm
+                    if norm == 0.0 or not norm < 0.25 * previous:
+                        break
+                    previous = norm
+                    y = y - lu.solve(residual)
+        except (OverflowError, FloatingPointError):
+            pass
+        return best if best_norm <= tol else None
+
+    def step(self, rhs: np.ndarray, y_start: np.ndarray,
+             chord: tuple | None = None) -> np.ndarray:
+        """Solve y + dt*A_h y + dt*a_M(y) = rhs.
+
+        chord, when given, is a pair (y_guess, lu): a start near the root
+        and a factor of B at a nearby state.  Chord iterations on lu from
+        y_guess come first; when they do not reach the tolerance, Newton
+        runs from y_start, undamped first, then bisection-damped retries
+        before giving up.  An overflow anywhere in an attempt (the reaction,
+        the residual or its norm) fails that attempt.  Zero reaction: one
+        solve."""
         if self._shared is not None:
             return self._shared.solve(rhs)
-        scale = max(float(np.linalg.norm(rhs)), 1.0)
+        tol = _NEWTON_TOL * max(float(np.linalg.norm(rhs)), 1.0)
+        if chord is not None:
+            y = self._chord(rhs, *chord, tol)
+            if y is not None:
+                return y
         for damping in [0.5**retry for retry in range(6)]:
             y = y_start
             try:
                 with np.errstate(over="raise"):
                     for _ in range(_NEWTON_MAX_ITER):
-                        residual = (y + self.dt * (self.operator_matrix @ y)
-                                    + self.dt * eval_a_truncated(self.nl, y)
-                                    - rhs)
-                        if np.linalg.norm(residual) <= _NEWTON_TOL * scale:
+                        residual = self._residual(y, rhs)
+                        if np.linalg.norm(residual) <= tol:
                             return y
                         y = y + damping * self.factor(y).solve(-residual)
             except (OverflowError, FloatingPointError):
@@ -197,12 +237,16 @@ def clamp_idle_on_states(spec: ProblemSpec, y: SpaceTimeField) -> bool:
     return clamp_idle(spec.nonlinearity.truncation, y.values[1:])
 
 
-def solve_state(spec: ProblemSpec, u: SpaceTimeField) -> SpaceTimeField:
+def solve_state(spec: ProblemSpec, u: SpaceTimeField,
+                accepted: tuple | None = None) -> SpaceTimeField:
     """March the state equation forward from spec.y0 under the control u.
 
-    u must be per-interval on spec's grids.  Emits TruncationActiveWarning
-    when a computed state y_m, m >= 1, leaves (-M, M); the solution is
-    still returned.
+    u must be per-interval on spec's grids.  accepted, when given, is a
+    pair (y, factors) of a nearby state and the factors of its step
+    matrices B(y_m), m = 1..n_t, as solve_adjoint leaves them: step m then
+    starts with chord iterations on factors[m - 1] from y_m.  Emits
+    TruncationActiveWarning when a computed state y_m, m >= 1, leaves
+    (-M, M); the solution is still returned.
     """
     if u.slice_semantics != PER_INTERVAL:
         raise ValueError("control must be a per-interval field")
@@ -214,7 +258,9 @@ def solve_state(spec: ProblemSpec, u: SpaceTimeField) -> SpaceTimeField:
     y = np.empty((n_t + 1, spec.grid.n_nodes))
     y[0] = spec.y0
     for m in range(1, n_t + 1):
-        y[m] = steps.step(y[m - 1] + dt * u.values[m - 1], y[m - 1])
+        chord = None if accepted is None else (
+            accepted[0].values[m], accepted[1][m - 1])
+        y[m] = steps.step(y[m - 1] + dt * u.values[m - 1], y[m - 1], chord)
     state = field_at_nodes(spec.grid, spec.tgrid, y)
     if not clamp_idle_on_states(spec, state):
         warnings.warn(
@@ -238,16 +284,26 @@ def solve_linearized(spec: ProblemSpec, y: SpaceTimeField,
     return field_at_nodes(spec.grid, spec.tgrid, z)
 
 
-def solve_adjoint(spec: ProblemSpec, y: SpaceTimeField) -> SpaceTimeField:
+def solve_adjoint(spec: ProblemSpec, y: SpaceTimeField,
+                  factors: list | None = None) -> SpaceTimeField:
     """Backward solve with right-hand side y - yd, the exact transpose of
-    the forward linearization (with B_m = B_m^T).  Per-interval field."""
+    the forward linearization (with B_m = B_m^T).  Per-interval field.
+
+    factors, when given, is an empty list that receives the factors of
+    B(y_m), m = 1..n_t, in that order: the chord start of a later
+    solve_state(spec, u, (y, factors)).
+    """
     steps = spec.steps
     dt = spec.tgrid.dt
     n_t = spec.tgrid.n_t
     p = np.zeros((n_t, spec.grid.n_nodes))
     p_next = np.zeros(spec.grid.n_nodes)
     for m in range(n_t, 0, -1):
-        p[m - 1] = steps.factor(y.values[m]).solve(
-            p_next + dt * (y.values[m] - spec.yd.values[m]))
+        lu = steps.factor(y.values[m])
+        p[m - 1] = lu.solve(p_next + dt * (y.values[m] - spec.yd.values[m]))
         p_next = p[m - 1]
+        if factors is not None:
+            factors.append(lu)
+    if factors is not None:
+        factors.reverse()
     return field_per_interval(spec.grid, spec.tgrid, p)

@@ -1,8 +1,10 @@
 from dataclasses import replace
 
 import pytest
+from scipy.sparse.linalg import splu
 
 import sparsecontrol as sc
+from sparsecontrol import pde
 from sparsecontrol.grid import like
 from sparsecontrol.nonlinearity import with_truncation
 
@@ -67,3 +69,16 @@ def active_solve():
     report = sc.solve(spec, sc.OptimizerConfig(tol=1e-11, max_iter=400))
     assert report.converged
     return spec, report
+
+
+@pytest.fixture
+def splu_calls(monkeypatch):
+    """One entry per factorization the package makes from here on."""
+    calls = []
+
+    def counting(*args, **kwargs):
+        calls.append(None)
+        return splu(*args, **kwargs)
+
+    monkeypatch.setattr(pde, "splu", counting)
+    return calls

@@ -131,10 +131,11 @@ def test_criterion_7_stability_sweep(active_solve):
     inactive = sc.gamma_sweep(active_schloegl_spec(gamma=1e6),
                               [1e6, 9e5, 1.2e6], cfg)
     inactive_ok = all(d <= 10.0 * cfg.tol for d in inactive.distances)
+    exponent = "none" if sweep.exponent is None else f"{sweep.exponent:.3f}"
     criterion(7, sweep.converged and sweep.exponent is not None
               and sweep.exponent >= 0.45 and self_distance == 0.0
               and inactive.converged and inactive_ok,
-              f"fitted exponent {sweep.exponent:.3f} (>=0.45) over "
+              f"fitted exponent {exponent} (>=0.45) over "
               f"{len(deltas)} budgets spanning 1.5 decades, self distance "
               f"{self_distance}, inactive-regime distances all <= 10x tol: "
               f"{inactive_ok}")

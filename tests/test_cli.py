@@ -261,6 +261,31 @@ def test_check_passes_and_corrupt_adjoint_fails(tmp_path, capsys,
     assert [r.split()[0] for r in rows if "FAIL" in r] == ["adjoint-identity"]
 
 
+# 1 + dt*a'(0) = 1 - 0.0535*30 < 0: the random controls of the adjoint
+# check's draws admit no implicit step solution that Newton reaches
+CHECK_STATE_FAILURE = """
+problem:
+  n_dim: 2
+  n_per_axis: 4
+  n_t: 2
+  T: 0.107
+  diffusion: 0.092
+  nonlinearity:
+    kind: polynomial
+    params: [0.0, -30.0, 0.0, 1.0]
+"""
+
+
+def test_check_state_failure_is_a_failed_row(tmp_path, capsys):
+    cfg = write_config(tmp_path, CHECK_STATE_FAILURE)
+    assert main(["check", "--config", cfg]) == 3
+    out = capsys.readouterr().out
+    failed = [r for r in out.splitlines() if "FAIL" in r]
+    assert len(failed) == 1
+    assert failed[0].split()[0] == "adjoint-identity"
+    assert "state solve failed on draw 1" in failed[0]
+
+
 def test_check_suite_robust_across_seeds():
     # the shipped defaults must pass, whatever the seed
     cfg = parse_config("{}")

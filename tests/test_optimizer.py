@@ -73,6 +73,17 @@ def test_low_kappa_converges():
     assert report.kkt.identity_gap <= 1e-7
 
 
+def test_trials_reuse_the_accepted_state_factors(splu_calls):
+    # y_0 = 0 at zero control is an exact root, so the initial state solve
+    # factors nothing, and every trial's chord iterations on the accepted
+    # state's factors converge: only the ordering probe and one adjoint
+    # sweep per accepted state factor
+    spec = active_schloegl_spec()
+    report = sc.solve(spec, sc.OptimizerConfig(tol=1e-11, max_iter=400))
+    assert report.converged
+    assert len(splu_calls) == 1 + spec.tgrid.n_t * (report.iterations + 1)
+
+
 def test_descent_is_monotone(active_solve):
     _, report = active_solve
     j = np.array(report.j_history)

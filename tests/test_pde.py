@@ -452,6 +452,73 @@ def test_zero_reaction_step_is_one_solve(monkeypatch):
     assert y.tobytes() == steps.factor(y_start).solve(rhs).tobytes()
 
 
+class CountingFactor:
+    """A factor whose solves are counted."""
+
+    def __init__(self, lu):
+        self.lu, self.solves = lu, 0
+
+    def solve(self, b):
+        self.solves += 1
+        return self.lu.solve(b)
+
+
+def chord_step_problem():
+    """A step system, a zero-control step's (rhs, y_start), equal, and its
+    Newton root, whose peak 0.76 is large enough for the reaction to
+    matter: at 10x the root, dt*a' reaches 17, against dt*a' = -0.1 at 0."""
+    spec = step_system_spec("anisotropic-schloegl")
+    steps = spec.steps
+    y_start = 3.0 * spec.y0
+    return spec, steps, y_start, y_start, steps.step(y_start, y_start)
+
+
+def step_residual(spec, y, rhs):
+    return (y + spec.tgrid.dt * (spec.steps.operator_matrix @ y)
+            + spec.tgrid.dt * pde.eval_a_truncated(spec.nonlinearity, y) - rhs)
+
+
+def test_chord_on_a_stale_factor_matches_newton(splu_calls):
+    # the factor and the start are at a perturbed root, as when a trial
+    # starts from the accepted state: chord iterations alone reach the
+    # tolerance, with no factorization
+    spec, steps, rhs, y_start, newton = chord_step_problem()
+    noise = np.random.default_rng(32).standard_normal(newton.size)
+    stale = newton + 0.05 * noise
+    lu = steps.factor(stale)
+    del splu_calls[:]
+    y = steps.step(rhs, y_start, (stale, lu))
+    assert not splu_calls
+    tol = pde._NEWTON_TOL * max(np.linalg.norm(rhs), 1.0)
+    assert np.linalg.norm(step_residual(spec, y, rhs)) <= tol
+    assert np.linalg.norm(y - newton) <= 1e-12 * np.linalg.norm(newton)
+
+
+def test_chord_on_a_distant_factor_falls_back_to_newton(splu_calls):
+    spec, steps, rhs, y_start, newton = chord_step_problem()
+    lu = CountingFactor(steps.factor(10.0 * newton))
+    del splu_calls[:]
+    y = steps.step(rhs, y_start, (10.0 * newton, lu))
+    assert 0 < lu.solves < pde._NEWTON_MAX_ITER
+    assert splu_calls
+    assert y.tobytes() == newton.tobytes()
+
+
+def test_chord_stops_on_an_exactly_zero_residual(splu_calls):
+    # rhs is the step operator evaluated at y, term by term as the residual
+    # is, so the residual at y is 0.0: the chord must return y at once;
+    # "stop once it no longer shrinks 4x" alone would spin to the iteration
+    # cap, since "0 > 0.25 * 0" is false, and then fall back to Newton
+    spec, steps, _, y_start, newton = chord_step_problem()
+    rhs = step_residual(spec, newton, np.zeros_like(newton))
+    assert not np.any(step_residual(spec, newton, rhs))
+    lu = CountingFactor(steps.factor(newton))
+    del splu_calls[:]
+    y = steps.step(rhs, y_start, (newton, lu))
+    assert lu.solves == 0 and not splu_calls
+    assert y is newton
+
+
 def test_newton_failure_raises():
     # 1 + dt*a'(0) = 1 - 0.25*30 < 0: under this large control some
     # implicit step has no solution that Newton reaches
