@@ -164,6 +164,12 @@ def main(argv=None) -> int:
         cfg = load_config(args.config)
         if args.seed is not None:
             cfg.seed = args.seed
+        gammas = None
+        if getattr(args, "gammas", None):
+            gammas = [float(tok) for tok in args.gammas.split(",") if tok.strip()]
+            if not all(0 < g < np.inf for g in gammas):
+                raise ConfigError(f"--gammas must be finite and > 0, "
+                                  f"got {args.gammas}")
         out_dir = Path(args.out if args.out is not None
                        else cfg.output["directory"])
         out_dir.mkdir(parents=True, exist_ok=True)
@@ -171,9 +177,6 @@ def main(argv=None) -> int:
             return cmd_solve(cfg, out_dir)
         if args.command == "check":
             return cmd_check(cfg, cfg.seed)
-        gammas = None
-        if args.gammas:
-            gammas = [float(tok) for tok in args.gammas.split(",") if tok.strip()]
         return cmd_sweep(cfg, out_dir, gammas)
     except NewtonError as exc:
         print(f"error: state solver failed: {exc}", file=sys.stderr)

@@ -69,8 +69,8 @@ class TimeGrid:
     n_t: int
 
     def __post_init__(self):
-        if self.T <= 0:
-            raise ValueError(f"horizon T must be > 0, got {self.T}")
+        if not 0 < self.T < np.inf:
+            raise ValueError(f"horizon T must be finite and > 0, got {self.T}")
         if self.n_t < 1:
             raise ValueError(f"n_t must be >= 1, got {self.n_t}")
 
@@ -161,6 +161,8 @@ class DiffusionTensor:
         m = np.asarray(self.matrix, dtype=float)
         if m.ndim != 2 or m.shape[0] != m.shape[1] or m.shape[0] not in (1, 2):
             raise ValueError(f"diffusion tensor must be 1x1 or 2x2, got shape {m.shape}")
+        if not np.all(np.isfinite(m)):
+            raise ValueError("diffusion tensor entries must be finite")
         if not np.allclose(m, m.T, rtol=0.0, atol=1e-14):
             raise ValueError("diffusion tensor must be symmetric")
         lam = np.linalg.eigvalsh(m).min()

@@ -46,8 +46,9 @@ class TruncationSpec:
     level: float
 
     def __post_init__(self):
-        if not self.level > 0:
-            raise ValueError(f"truncation level must be > 0, got {self.level}")
+        if not 0 < self.level < np.inf:
+            raise ValueError(f"truncation level must be finite and > 0, "
+                             f"got {self.level}")
 
 
 @dataclass(frozen=True)
@@ -61,6 +62,8 @@ class NonlinearitySpec:
         if self.kind not in KINDS:
             raise ValueError(f"unknown nonlinearity kind {self.kind!r}")
         object.__setattr__(self, "params", tuple(float(p) for p in self.params))
+        if not np.all(np.isfinite(self.params)):
+            raise ValueError(f"parameters must be finite, got {self.params}")
         n = len(self.params)
         if self.kind == "linear" and n != 1:
             raise ValueError("linear kind takes one parameter (the slope)")

@@ -42,10 +42,10 @@ class OptimizerConfig:
     u0: SpaceTimeField | None = None     # defaults to the zero control
 
     def __post_init__(self):
-        if not self.tol > 0:
-            raise ValueError("tolerance must be > 0")
-        if self.max_iter < 0:
-            raise ValueError("max_iter must be >= 0")
+        if not 0 < self.tol < np.inf:
+            raise ValueError("tolerance must be finite and > 0")
+        if not isinstance(self.max_iter, (int, np.integer)) or self.max_iter < 0:
+            raise ValueError("max_iter must be an integer >= 0")
 
 
 @dataclass

@@ -5,13 +5,13 @@ State steps, m = 1..n_t with y_0 the initial datum:
 
     (y_m - y_{m-1})/dt + A_h y_m + a_M(y_m) = u_m,
 
-solved by Newton (by one linear solve for the zero reaction).  Given the
-factors of B(w_m) at a nearby accepted state w (solve_adjoint leaves them,
-and the optimizer holds one state's n_t of them), step m first runs chord
-iterations x <- x - B(w_m)^-1 R(x) from x = w_m, with R the step's
-residual.  They continue past Newton's residual test until the residual
-stops shrinking 4x or is exactly zero, which resolves the root to
-roundoff; when they did not meet the test, Newton runs from y_{m-1}.
+solved by x <- x - lu^-1 R(x), R the step's residual (one linear solve for
+the zero reaction).  Given the factors of B(w_m) at a nearby accepted state
+w (solve_adjoint leaves them; the optimizer holds one state's n_t of them),
+step m first runs it as the chord, lu = B(w_m) from x = w_m, past Newton's
+residual test until the residual stops shrinking 4x or is exactly zero,
+which resolves the root to roundoff; else as Newton from y_{m-1}, with
+lu = B(x) at every iterate.
 The linearization at a state y solves
 
     (z_m - z_{m-1})/dt + A_h z_m + a_M'(y_m) z_m = v_m,   z_0 = 0,
@@ -175,12 +175,13 @@ class StepSystem:
         return (y + self.dt * (self.operator_matrix @ y)
                 + self.dt * eval_a_truncated(self.nl, y) - rhs)
 
-    def _chord(self, rhs: np.ndarray, y: np.ndarray, lu,
-               tol: float) -> np.ndarray | None:
-        """Chord iterations y <- y - lu^-1 R(y) from y, run until the
-        residual norm stops shrinking 4x (or is exactly zero), so a root is
-        resolved to roundoff, not just to tol.  Returns the iterate with the
-        smallest residual when that met tol, else None."""
+    def _iterate(self, rhs: np.ndarray, tol: float, y: np.ndarray,
+                 lu=None) -> np.ndarray | None:
+        """y <- y - lu^-1 R(y) from y: the chord on lu, run past tol until
+        the residual stops shrinking 4x or is exactly zero, which resolves a
+        root to roundoff, or Newton without lu, refactored at every iterate
+        and stopped at tol.  An overflow ends it.  Returns the iterate with
+        the smallest residual when that met tol, else None."""
         best, best_norm, previous = y, np.inf, np.inf
         try:
             with np.errstate(over="raise"):
@@ -189,10 +190,12 @@ class StepSystem:
                     norm = np.linalg.norm(residual)
                     if norm < best_norm:
                         best, best_norm = y, norm
-                    if norm == 0.0 or not norm < 0.25 * previous:
+                    if (norm <= tol if lu is None
+                            else norm == 0.0 or not norm < 0.25 * previous):
                         break
                     previous = norm
-                    y = y - lu.solve(residual)
+                    # inline, so Newton's factor is freed before the next
+                    y = y - (lu or self.factor(y)).solve(residual)
         except (OverflowError, FloatingPointError):
             pass
         return best if best_norm <= tol else None
@@ -203,32 +206,20 @@ class StepSystem:
 
         chord, when given, is a pair (y_guess, lu): a start near the root
         and a factor of B at a nearby state.  Chord iterations on lu from
-        y_guess come first; when they do not reach the tolerance, Newton
-        runs from y_start, undamped first, then bisection-damped retries
-        before giving up.  An overflow anywhere in an attempt (the reaction,
-        the residual or its norm) fails that attempt.  Zero reaction: one
-        solve."""
+        y_guess come first; when they do not reach the tolerance, one
+        undamped Newton pass runs from y_start, and then NewtonError.  Zero
+        reaction: one solve."""
         if self._shared is not None:
             return self._shared.solve(rhs)
         tol = _NEWTON_TOL * max(float(np.linalg.norm(rhs)), 1.0)
-        if chord is not None:
-            y = self._chord(rhs, *chord, tol)
-            if y is not None:
-                return y
-        for damping in [0.5**retry for retry in range(6)]:
-            y = y_start
-            try:
-                with np.errstate(over="raise"):
-                    for _ in range(_NEWTON_MAX_ITER):
-                        residual = self._residual(y, rhs)
-                        if np.linalg.norm(residual) <= tol:
-                            return y
-                        y = y + damping * self.factor(y).solve(-residual)
-            except (OverflowError, FloatingPointError):
-                continue
-        raise NewtonError(
-            f"implicit step did not converge to tol={_NEWTON_TOL} in "
-            f"{_NEWTON_MAX_ITER} iterations (with 5 damped retries)")
+        y = None if chord is None else self._iterate(rhs, tol, *chord)
+        if y is None:
+            y = self._iterate(rhs, tol, y_start)
+        if y is None:
+            raise NewtonError(
+                f"implicit step did not converge to tol={_NEWTON_TOL} in "
+                f"{_NEWTON_MAX_ITER} iterations")
+        return y
 
 
 def clamp_idle_on_states(spec: ProblemSpec, y: SpaceTimeField) -> bool:

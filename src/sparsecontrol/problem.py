@@ -34,10 +34,10 @@ class ProblemSpec:
     yd: SpaceTimeField
 
     def __post_init__(self):
-        if not self.kappa > 0:
-            raise ValueError(f"kappa must be > 0, got {self.kappa}")
-        if not self.gamma > 0:
-            raise ValueError(f"gamma must be > 0, got {self.gamma}")
+        if not 0 < self.kappa < np.inf:
+            raise ValueError(f"kappa must be finite and > 0, got {self.kappa}")
+        if not 0 < self.gamma < np.inf:
+            raise ValueError(f"gamma must be finite and > 0, got {self.gamma}")
         if self.diffusion.n_dim != self.grid.n_dim:
             raise ValueError("diffusion tensor dimension does not match the grid")
         self.y0 = np.asarray(self.y0, dtype=float)

@@ -127,7 +127,7 @@ def build_problem_spec(problem: dict) -> ProblemSpec:
             nonlinearity=nonlinearity, y0=y0, yd=yd)
     except ConfigError:
         raise
-    except (ValueError, TypeError) as exc:
+    except (ValueError, TypeError, OverflowError) as exc:
         raise ConfigError(f"problem block: {exc}") from exc
 
 

@@ -113,6 +113,38 @@ def test_domain_error_exits_one(tmp_path, capsys):
     assert "kappa" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("command, text, block", [
+    (["solve"], "problem: {T: .inf}", "problem block"),
+    (["solve"], "problem: {T: .nan}", "problem block"),
+    (["solve"], "problem: {n_t: .inf}", "problem block"),
+    (["solve"], "problem: {diffusion: [[.inf]]}", "problem block"),
+    (["solve"], "problem: {diffusion: .nan}", "problem block"),
+    (["solve"], "problem: {nonlinearity: {kind: linear, params: [.inf]}}",
+     "problem.nonlinearity"),
+    (["solve"], "problem: {nonlinearity: {kind: linear, params: [.nan]}}",
+     "problem.nonlinearity"),
+    (["solve"], "problem: {kappa: .inf}", "problem block"),
+    (["solve"], "problem: {gamma: .inf}", "problem block"),
+    (["solve"], "problem: {gamma: .nan}", "problem block"),
+    (["solve"], "problem: {truncation: .inf}", "problem.truncation"),
+    (["solve"], "problem: {truncation: .nan}", "problem.truncation"),
+    (["solve"], "optimizer: {tol: .inf}", "optimizer block"),
+    (["solve"], "optimizer: {max_iter: .inf}", "optimizer block"),
+    (["sweep", "--gammas", "0.05,inf"], "{}", "--gammas"),
+    (["sweep", "--gammas", "0.05,nan"], "{}", "--gammas"),
+    (["sweep", "--gammas", "0.05,-0.01"], "{}", "--gammas"),
+])
+def test_non_finite_input_is_a_config_error(tmp_path, capsys, command, text,
+                                            block):
+    cfg = write_config(tmp_path, text + "\n")
+    out = tmp_path / "out"
+    assert main([command[0], "--config", cfg, "--out", str(out)]
+                + command[1:]) == 1
+    assert not out.exists()
+    err = capsys.readouterr().err
+    assert err.startswith(f"error: {block}") and "Traceback" not in err
+
+
 def test_iteration_cap_exits_two_with_partial_report(tmp_path):
     cfg = write_config(tmp_path, FAST_SOLVE.replace("max_iter: 300",
                                                     "max_iter: 1"))
@@ -377,6 +409,19 @@ _CONFIGS = st.fixed_dictionaries({
 })
 
 
+def _run_on(command, config, tmp):
+    """Run command on config under tmp; (exit code, out dir, stderr,
+    stdout)."""
+    cfg = Path(tmp) / "run.yaml"
+    cfg.write_text(yaml.safe_dump(config), encoding="utf-8")
+    out = Path(tmp) / "out"
+    err, table = io.StringIO(), io.StringIO()
+    with contextlib.redirect_stderr(err), contextlib.redirect_stdout(table):
+        code = main([command, "--config", str(cfg), "--out", str(out)])
+    assert "Traceback" not in err.getvalue()
+    return code, out, err.getvalue(), table.getvalue()
+
+
 @pytest.mark.filterwarnings("ignore::sparsecontrol.pde.TruncationActiveWarning")
 @settings(max_examples=30, derandomize=True, deadline=None)
 @given(_CONFIGS)
@@ -385,16 +430,41 @@ def test_solve_ends_in_a_report_or_a_named_state_failure(config):
     # initial state solve leaves no outputs (see
     # test_initial_state_failure_exits_two_and_writes_nothing)
     with tempfile.TemporaryDirectory() as tmp:
-        cfg = Path(tmp) / "run.yaml"
-        cfg.write_text(yaml.safe_dump(config), encoding="utf-8")
-        out = Path(tmp) / "out"
-        err = io.StringIO()
-        with contextlib.redirect_stderr(err):
-            code = main(["solve", "--config", str(cfg), "--out", str(out)])
-        assert code in (0, 2), err.getvalue()
-        if code == 2 and "state solver failed" in err.getvalue():
+        code, out, err, _ = _run_on("solve", config, tmp)
+        assert code in (0, 2), err
+        if code == 2 and "state solver failed" in err:
             assert list(out.iterdir()) == []
         else:
             report = json.loads((out / "report.json").read_text())
             assert report["converged"] is (code == 0)
             assert (out / "timeseries.csv").exists()
+
+
+@pytest.mark.filterwarnings("ignore::sparsecontrol.pde.TruncationActiveWarning")
+@settings(max_examples=20, derandomize=True, deadline=None)
+@given(_CONFIGS)
+def test_sweep_ends_in_outputs_or_a_named_state_failure(config):
+    # as for solve: a state solve that fails before any budget is solved
+    # leaves no outputs, anything else writes both files
+    with tempfile.TemporaryDirectory() as tmp:
+        code, out, err, _ = _run_on("sweep", config, tmp)
+        assert code in (0, 2), err
+        if code == 2 and "state solver failed" in err:
+            assert list(out.iterdir()) == []
+        else:
+            payload = json.loads((out / "stability.json").read_text())
+            assert payload["converged"] is (code == 0)
+            assert (out / "stability.csv").exists()
+
+
+# one check runs the whole property suite, over a second
+@pytest.mark.filterwarnings("ignore::sparsecontrol.pde.TruncationActiveWarning")
+@settings(max_examples=3, derandomize=True, deadline=None)
+@given(_CONFIGS)
+def test_check_ends_in_a_table(config):
+    with tempfile.TemporaryDirectory() as tmp:
+        code, _, err, table = _run_on("check", config, tmp)
+    assert code in (0, 3), err
+    verdicts = [row.split()[1] for row in table.splitlines()]
+    assert verdicts and set(verdicts) <= {"PASS", "FAIL"}
+    assert (code == 3) is ("FAIL" in verdicts)

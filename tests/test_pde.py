@@ -535,6 +535,31 @@ def test_newton_failure_raises():
         sc.solve_state(spec, u)
 
 
+def test_a_failing_step_pays_for_one_newton_pass(splu_calls):
+    # the step of test_newton_failure_raises that fails makes one Newton
+    # pass's factorizations and no more
+    grid = sc.SpaceGrid(2, 10)
+    tgrid = sc.TimeGrid(1.0, 4)
+    spec = sc.ProblemSpec(
+        kappa=0.1, gamma=10.0, grid=grid, tgrid=tgrid,
+        diffusion=sc.isotropic(2, 1.0),
+        nonlinearity=sc.NonlinearitySpec("polynomial", (0.0, -30.0, 0.0, 1.0)),
+        y0=sc.spatial_preset("one-mode", grid),
+        yd=sc.target_preset("constant(3)", grid, tgrid))
+    u = random_control(spec, np.random.default_rng(14), scale=20.0)
+    steps, dt = spec.steps, tgrid.dt
+    y = spec.y0
+    for m in range(tgrid.n_t):
+        del splu_calls[:]
+        try:
+            y = steps.step(y + dt * u.values[m], y)
+        except NewtonError:
+            break
+    else:
+        pytest.fail("every step converged")
+    assert len(splu_calls) <= pde._NEWTON_MAX_ITER
+
+
 def test_control_shape_rejected():
     spec = schloegl_spec()
     bad = sc.field_at_nodes(spec.grid, spec.tgrid)
