@@ -44,7 +44,8 @@ class OptimizerConfig:
     def __post_init__(self):
         if not 0 < self.tol < np.inf:
             raise ValueError("tolerance must be finite and > 0")
-        if not isinstance(self.max_iter, (int, np.integer)) or self.max_iter < 0:
+        if (not isinstance(self.max_iter, (int, np.integer))
+                or isinstance(self.max_iter, bool) or self.max_iter < 0):
             raise ValueError("max_iter must be an integer >= 0")
 
 
@@ -130,8 +131,9 @@ def solve(spec: ProblemSpec, cfg: OptimizerConfig = OptimizerConfig()) -> SolveR
 
     y = solve_state(spec, u)
     j_val = objective_value(spec, u, y)
-    # the adjoint's factors of B(y_m) start every trial's chord iterations
-    factors: list = []
+    # factors of step matrices B(w_m) at accepted states w: every adjoint
+    # sweep refines on them and every trial's chord iterates on them
+    factors: list = [None] * spec.tgrid.n_t
     phi = solve_adjoint(spec, y, factors)
     gradient = like(u, phi.values + spec.kappa * u.values)
 
@@ -179,7 +181,6 @@ def solve(spec: ProblemSpec, cfg: OptimizerConfig = OptimizerConfig()) -> SolveR
             break
 
         u, y, j_val = candidate, y_new, j_new
-        factors = []
         phi = solve_adjoint(spec, y, factors)
         previous, gradient = gradient, like(u, phi.values + spec.kappa * u.values)
         j_history.append(j_val)

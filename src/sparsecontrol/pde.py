@@ -6,12 +6,12 @@ State steps, m = 1..n_t with y_0 the initial datum:
     (y_m - y_{m-1})/dt + A_h y_m + a_M(y_m) = u_m,
 
 solved by x <- x - lu^-1 R(x), R the step's residual (one linear solve for
-the zero reaction).  Given the factors of B(w_m) at a nearby accepted state
-w (solve_adjoint leaves them; the optimizer holds one state's n_t of them),
-step m first runs it as the chord, lu = B(w_m) from x = w_m, past Newton's
-residual test until the residual stops shrinking 4x or is exactly zero,
-which resolves the root to roundoff; else as Newton from y_{m-1}, with
-lu = B(x) at every iterate.
+the zero reaction).  Given factors of B(w_m) at an earlier state w and a
+nearby accepted state y' (the optimizer holds one list of n_t factors for
+a whole solve), step m first runs it as the chord, lu = B(w_m) from
+x = y'_m, past Newton's residual test until the residual stops shrinking
+4x or is exactly zero, which resolves the root to roundoff; else as Newton
+from y_{m-1}, with lu = B(x) at every iterate.
 The linearization at a state y solves
 
     (z_m - z_{m-1})/dt + A_h z_m + a_M'(y_m) z_m = v_m,   z_0 = 0,
@@ -25,7 +25,11 @@ r_m = y_m - yd_m,
 which makes sum_m dt <r_m, z_m> = sum_m dt <p_m, v_m> an exact identity
 (telescoping), i.e. the adjoint-based gradient matches difference quotients
 of the discrete objective to roundoff.  The adjoint field is per-interval,
-p_m sitting at the right node t_m.
+p_m sitting at the right node t_m.  Given the held factors, each backward
+step is the same iteration on the linear residual B_m p - rhs: iterative
+refinement on the stale factor, kept while every correction shrinks the
+residual 1000x down to roundoff, else one factorization of B_m, which then
+replaces the held one.
 
 A_h is the finite-difference operator on interior nodes: the standard
 3/5-point stencil for the diagonal part plus centered cross differences for
@@ -171,31 +175,29 @@ class StepSystem:
         return _OrderedFactor(splu(self._write(y), permc_spec="NATURAL"),
                               self._order, self._inverse)
 
-    def _residual(self, y: np.ndarray, rhs: np.ndarray) -> np.ndarray:
-        return (y + self.dt * (self.operator_matrix @ y)
-                + self.dt * eval_a_truncated(self.nl, y) - rhs)
-
-    def _iterate(self, rhs: np.ndarray, tol: float, y: np.ndarray,
-                 lu=None) -> np.ndarray | None:
-        """y <- y - lu^-1 R(y) from y: the chord on lu, run past tol until
-        the residual stops shrinking 4x or is exactly zero, which resolves a
-        root to roundoff, or Newton without lu, refactored at every iterate
-        and stopped at tol.  An overflow ends it.  Returns the iterate with
-        the smallest residual when that met tol, else None."""
+    def _iterate(self, residual, tol: float, y: np.ndarray, lu=None,
+                 shrink: float = 0.25) -> np.ndarray | None:
+        """y <- y - lu^-1 R(y) from y, R = residual: the chord on lu, run
+        past tol until a correction no longer takes the residual norm below
+        shrink times the last one (4x by default) or it is exactly zero,
+        which resolves a root to roundoff; or Newton without lu, refactored
+        at every iterate and stopped at tol.  An overflow ends it.  Returns
+        the iterate with the smallest residual when that met tol, else
+        None."""
         best, best_norm, previous = y, np.inf, np.inf
         try:
             with np.errstate(over="raise"):
                 for _ in range(_NEWTON_MAX_ITER):
-                    residual = self._residual(y, rhs)
-                    norm = np.linalg.norm(residual)
+                    residual_y = residual(y)
+                    norm = np.linalg.norm(residual_y)
                     if norm < best_norm:
                         best, best_norm = y, norm
                     if (norm <= tol if lu is None
-                            else norm == 0.0 or not norm < 0.25 * previous):
+                            else norm == 0.0 or not norm < shrink * previous):
                         break
                     previous = norm
                     # inline, so Newton's factor is freed before the next
-                    y = y - (lu or self.factor(y)).solve(residual)
+                    y = y - (lu or self.factor(y)).solve(residual_y)
         except (OverflowError, FloatingPointError):
             pass
         return best if best_norm <= tol else None
@@ -212,14 +214,42 @@ class StepSystem:
         if self._shared is not None:
             return self._shared.solve(rhs)
         tol = _NEWTON_TOL * max(float(np.linalg.norm(rhs)), 1.0)
-        y = None if chord is None else self._iterate(rhs, tol, *chord)
+
+        def residual(y):
+            return (y + self.dt * (self.operator_matrix @ y)
+                    + self.dt * eval_a_truncated(self.nl, y) - rhs)
+
+        y = None if chord is None else self._iterate(residual, tol, *chord)
         if y is None:
-            y = self._iterate(rhs, tol, y_start)
+            y = self._iterate(residual, tol, y_start)
         if y is None:
             raise NewtonError(
                 f"implicit step did not converge to tol={_NEWTON_TOL} in "
                 f"{_NEWTON_MAX_ITER} iterations")
         return y
+
+    def linear_step(self, rhs: np.ndarray, y: np.ndarray, lu=None):
+        """Solve B(y) p = rhs; returns p and the factor it used.
+
+        lu, when given, is a factor of B at another state.  Iterative
+        refinement p <- p - lu^-1 (B(y) p - rhs) from p = lu^-1 rhs keeps
+        lu when every correction shrinks the residual 1000x, until it is at
+        roundoff, and the result meets Newton's residual test; else B(y) is
+        factored once and solved directly.  A refinement that contracts
+        slower costs more residual evaluations than one factorization.
+        Zero reaction: one solve on the shared factor."""
+        if lu is None or self._shared is not None:
+            lu = self.factor(y)
+            return lu.solve(rhs), lu
+        diagonal = 1.0 + self.dt * eval_ay_truncated(self.nl, y)
+        p = self._iterate(
+            lambda p: diagonal * p + self.dt * (self.operator_matrix @ p) - rhs,
+            _NEWTON_TOL * max(float(np.linalg.norm(rhs)), 1.0),
+            lu.solve(rhs), lu, shrink=1e-3)
+        if p is None:
+            lu = self.factor(y)
+            p = lu.solve(rhs)
+        return p, lu
 
 
 def clamp_idle_on_states(spec: ProblemSpec, y: SpaceTimeField) -> bool:
@@ -233,10 +263,10 @@ def solve_state(spec: ProblemSpec, u: SpaceTimeField,
     """March the state equation forward from spec.y0 under the control u.
 
     u must be per-interval on spec's grids.  accepted, when given, is a
-    pair (y, factors) of a nearby state and the factors of its step
-    matrices B(y_m), m = 1..n_t, as solve_adjoint leaves them: step m then
-    starts with chord iterations on factors[m - 1] from y_m.  Emits
-    TruncationActiveWarning when a computed state y_m, m >= 1, leaves
+    pair (y, factors) of a nearby state and factors of step matrices
+    B(w_m), m = 1..n_t, at earlier states w, as solve_adjoint leaves them:
+    step m then starts with chord iterations on factors[m - 1] from y_m.
+    Emits TruncationActiveWarning when a computed state y_m, m >= 1, leaves
     (-M, M); the solution is still returned.
     """
     if u.slice_semantics != PER_INTERVAL:
@@ -280,21 +310,23 @@ def solve_adjoint(spec: ProblemSpec, y: SpaceTimeField,
     """Backward solve with right-hand side y - yd, the exact transpose of
     the forward linearization (with B_m = B_m^T).  Per-interval field.
 
-    factors, when given, is an empty list that receives the factors of
-    B(y_m), m = 1..n_t, in that order: the chord start of a later
-    solve_state(spec, u, (y, factors)).
+    factors, when given, is a list of n_t factors of step matrices B(w_m)
+    at earlier states w, or None where there is none yet, as the chord
+    start of a later solve_state(spec, u, (y, factors)).  Step m refines on
+    factors[m - 1] (StepSystem.linear_step), and where that does not serve
+    it factors B(y_m) and stores that factor there.  Without it every step
+    is factored.
     """
     steps = spec.steps
     dt = spec.tgrid.dt
     n_t = spec.tgrid.n_t
+    if factors is None:
+        factors = [None] * n_t
     p = np.zeros((n_t, spec.grid.n_nodes))
     p_next = np.zeros(spec.grid.n_nodes)
     for m in range(n_t, 0, -1):
-        lu = steps.factor(y.values[m])
-        p[m - 1] = lu.solve(p_next + dt * (y.values[m] - spec.yd.values[m]))
+        p[m - 1], factors[m - 1] = steps.linear_step(
+            p_next + dt * (y.values[m] - spec.yd.values[m]), y.values[m],
+            factors[m - 1])
         p_next = p[m - 1]
-        if factors is not None:
-            factors.append(lu)
-    if factors is not None:
-        factors.reverse()
     return field_per_interval(spec.grid, spec.tgrid, p)

@@ -112,10 +112,19 @@ def _coerce_nonlinearity(entry, truncation) -> NonlinearitySpec:
         raise ConfigError(f"problem.nonlinearity: {exc}") from exc
 
 
+def _is_integer(value) -> bool:
+    """An int and not a bool, which YAML's true and false are."""
+    return isinstance(value, int) and not isinstance(value, bool)
+
+
 def build_problem_spec(problem: dict) -> ProblemSpec:
     try:
-        grid = SpaceGrid(int(problem["n_dim"]), int(problem["n_per_axis"]))
-        tgrid = TimeGrid(float(problem["T"]), int(problem["n_t"]))
+        for key in ("n_dim", "n_per_axis", "n_t"):
+            if not _is_integer(problem[key]):
+                raise ValueError(f"{key} must be an integer, got "
+                                 f"{problem[key]!r}")
+        grid = SpaceGrid(problem["n_dim"], problem["n_per_axis"])
+        tgrid = TimeGrid(float(problem["T"]), problem["n_t"])
         diffusion = _coerce_diffusion(problem["diffusion"], grid.n_dim)
         nonlinearity = _coerce_nonlinearity(problem["nonlinearity"],
                                             problem["truncation"])
@@ -143,7 +152,7 @@ def parse_config(text: str) -> RunConfig:
     optimizer = _merged(raw.get("optimizer"), _OPTIMIZER_DEFAULTS, "optimizer")
     output = _merged(raw.get("output"), _OUTPUT_DEFAULTS, "output")
     seed = raw.get("seed", 0)
-    if not isinstance(seed, int) or seed < 0:
+    if not _is_integer(seed) or seed < 0:
         raise ConfigError("seed must be a nonnegative integer")
     cfg = RunConfig(problem, optimizer, output, seed)
     # fail fast on domain errors so the CLI can exit with a config error

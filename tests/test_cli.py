@@ -133,6 +133,14 @@ def test_domain_error_exits_one(tmp_path, capsys):
     (["sweep", "--gammas", "0.05,inf"], "{}", "--gammas"),
     (["sweep", "--gammas", "0.05,nan"], "{}", "--gammas"),
     (["sweep", "--gammas", "0.05,-0.01"], "{}", "--gammas"),
+    # counts must be integers: int() would truncate 2.7 to 2, and YAML's
+    # true is a Python int
+    (["solve"], "problem: {n_dim: 1.5}", "problem block"),
+    (["solve"], "problem: {n_per_axis: 4.9}", "problem block"),
+    (["solve"], "problem: {n_t: 2.7}", "problem block"),
+    (["solve"], "problem: {n_t: true}", "problem block"),
+    (["solve"], "optimizer: {max_iter: true}", "optimizer block"),
+    (["solve"], "seed: true", "seed"),
 ])
 def test_non_finite_input_is_a_config_error(tmp_path, capsys, command, text,
                                             block):

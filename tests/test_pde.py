@@ -519,6 +519,63 @@ def test_chord_stops_on_an_exactly_zero_residual(splu_calls):
     assert y is newton
 
 
+def refinement_problem(offset):
+    """schloegl_spec, a state y under a random control, and factors of the
+    step matrices at y + offset + 1e-3 noise, as an earlier accepted state
+    would leave them."""
+    spec = schloegl_spec()
+    rng = np.random.default_rng(33)
+    y = sc.solve_state(spec, random_control(spec, rng))
+    noise = 1e-3 * rng.standard_normal(y.values.shape)
+    factors = [spec.steps.factor(w)
+               for w in (y.values + offset + noise)[1:]]
+    return spec, y, factors
+
+
+def test_adjoint_refined_on_stale_factors_matches_a_fresh_one(splu_calls):
+    spec, y, factors = refinement_problem(0.0)
+    stale = list(factors)
+    fresh = sc.solve_adjoint(spec, y)
+    del splu_calls[:]
+    phi = sc.solve_adjoint(spec, y, factors)
+    assert not splu_calls
+    assert all(a is b for a, b in zip(factors, stale))
+    assert (np.linalg.norm(phi.values - fresh.values)
+            <= 1e-13 * np.linalg.norm(fresh.values))
+
+
+@pytest.mark.parametrize("offset", [0.3, 2.0])
+def test_adjoint_on_distant_factors_refactors_each_step_once(splu_calls,
+                                                            offset):
+    # a stale factor at y + 0.3 shrinks the residual only 40-130x per
+    # correction, and at y + 2 (dt*a' about 1.2 larger) hardly at all: each
+    # step factors B(y_m) once and solves directly, as a fresh sweep does.
+    # A 4x rule would keep the factor at y + 0.3 for about eight
+    # corrections, which cost more than the one factorization
+    spec, y, factors = refinement_problem(offset)
+    stale = list(factors)
+    fresh = sc.solve_adjoint(spec, y)
+    del splu_calls[:]
+    phi = sc.solve_adjoint(spec, y, factors)
+    assert len(splu_calls) == spec.tgrid.n_t == len(factors)
+    assert not any(a is b for a, b in zip(factors, stale))
+    assert phi.values.tobytes() == fresh.values.tobytes()
+
+
+def test_adjoint_identity_with_a_refined_adjoint(splu_calls):
+    # the transpose identity of check_adjoint_identity, at its tolerance,
+    # with phi from refinement on stale factors
+    spec, y, factors = refinement_problem(0.0)
+    v = random_control(spec, np.random.default_rng(34))
+    z = sc.solve_linearized(spec, y, v)
+    del splu_calls[:]
+    phi = sc.solve_adjoint(spec, y, factors)
+    assert not splu_calls
+    lhs = sc.l2_inner(like(y, y.values - spec.yd.values), z)
+    rhs = sc.l2_inner(phi, v)
+    assert abs(lhs - rhs) <= 1e-10 * max(abs(lhs), abs(rhs))
+
+
 def test_newton_failure_raises():
     # 1 + dt*a'(0) = 1 - 0.25*30 < 0: under this large control some
     # implicit step has no solution that Newton reaches
