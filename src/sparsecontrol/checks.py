@@ -111,21 +111,23 @@ def _random_control(rng, spec) -> np.ndarray:
 def check_adjoint_identity(spec: ProblemSpec, rng,
                            n_pairs: int = 5) -> CheckResult:
     """The transpose identity on n_pairs random (u, v) draws.  A draw whose
-    state solve fails fails the check, by number; the other draws still
-    run, so the generator advances as it would have."""
+    state, linearized or adjoint solve fails (NewtonError, which a singular
+    step matrix raises too) fails the check, by number; the other draws
+    still run, so the generator advances as it would have."""
     worst = 0.0
-    failed, error = [], None
+    failed, stage, error = [], None, None
     for draw in range(1, n_pairs + 1):
         u = field_per_interval(spec.grid, spec.tgrid, _random_control(rng, spec))
         v = field_per_interval(spec.grid, spec.tgrid, _random_control(rng, spec))
+        y = None
         try:
             y = solve_state(spec, u)
+            z = solve_linearized(spec, y, v)
+            phi = solve_adjoint(spec, y)
         except NewtonError as exc:
             failed.append(draw)
-            error = exc
+            stage, error = "state" if y is None else "linear", exc
             continue
-        z = solve_linearized(spec, y, v)
-        phi = solve_adjoint(spec, y)
         lhs = l2_inner(like(y, y.values - spec.yd.values), z)
         rhs = l2_inner(phi, v)
         scale = max(abs(lhs), abs(rhs), 1e-30)
@@ -133,7 +135,7 @@ def check_adjoint_identity(spec: ProblemSpec, rng,
     if failed:
         return CheckResult(
             "adjoint-identity", False,
-            f"state solve failed on draw {', '.join(map(str, failed))} of "
+            f"{stage} solve failed on draw {', '.join(map(str, failed))} of "
             f"{n_pairs}: {error}")
     passed = worst <= 1e-10
     return CheckResult("adjoint-identity", passed,

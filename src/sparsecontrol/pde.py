@@ -43,7 +43,12 @@ I + dt A_h is symmetric positive definite, so its minimum-degree ordering
 comes from one no-pivot symmetric-mode LU (X. S. Li, ACM TOMS 31(3), 2005),
 computed once per StepSystem.  Every B_m is stored and factored in that one
 order by SuperLU's default partial pivoting, which also covers the step
-matrices that a decreasing reaction makes indefinite.
+matrices that a decreasing reaction makes indefinite.  The StepSystem holds
+its last factor with the diagonal shift dt*a_M'(y) it was made for and
+returns it again for a bitwise equal shift, so a run of equal step
+matrices (every state 0 under a reaction with a(0) = 0, or the linear
+reaction's constant B) is factored once.  An exactly singular B(y) raises
+NewtonError.
 """
 
 from __future__ import annotations
@@ -66,7 +71,8 @@ _NEWTON_MAX_ITER = 30
 
 
 class NewtonError(RuntimeError):
-    """Newton failed to reach the residual tolerance within its budget."""
+    """Newton failed to reach the residual tolerance within its budget, or
+    a step matrix it or a linear sweep needed is exactly singular."""
 
 
 class TruncationActiveWarning(UserWarning):
@@ -129,8 +135,10 @@ class StepSystem:
     A minimum-degree ordering q of I + dt*A_h is computed once, the stored
     matrices are kept reordered as B[q][:, q], and each factor(y) is a
     partial-pivoting LU in that fixed order, whose solve() permutes b in
-    and x out.  The zero reaction's B is the constant I + dt*A_h: the
-    ordering's own factorization is shared, one solve per implicit step.
+    and x out.  The last factor made is held and returned again for the
+    same B(y).  The zero reaction's B is the constant I + dt*A_h: the
+    ordering's own factorization is shared, one solve per implicit step,
+    with no shift computed.
     """
 
     def __init__(self, spec: ProblemSpec):
@@ -158,22 +166,41 @@ class StepSystem:
         # all are stored
         columns = np.repeat(np.arange(n), np.diff(base.indptr))
         self._diagonal = np.flatnonzero(base.indices == columns)[self._inverse]
+        # (dt*a_M'(y), factor of B(y)) of the last factor() call that factored
+        self._held = None
 
-    def _write(self, y: np.ndarray) -> sp.csc_matrix:
+    def _write(self, y: np.ndarray,
+               shift: np.ndarray | None = None) -> sp.csc_matrix:
         """B(y), reordered, written into the work matrix, which the next
-        call overwrites."""
+        call overwrites; shift, when given, is dt*a_M'(y)."""
+        if shift is None:
+            shift = self.dt * eval_ay_truncated(self.nl, y)
         work = self._work
         np.copyto(work.data, self._base.data)
-        work.data[self._diagonal] += self.dt * eval_ay_truncated(self.nl, y)
+        work.data[self._diagonal] += shift
         return work
 
     def factor(self, y: np.ndarray):
         """Sparse factorization of B(y), with a solve(b) method; splu
-        keeps its own copy of the work matrix."""
+        keeps its own copy of the work matrix.
+
+        The last factor made is held with its shift dt*a_M'(y), the only
+        part of B(y) that varies, and returned again while the shift is
+        bitwise equal: SuperLU is deterministic, so a fresh factor would
+        be bitwise the same.  An exactly singular B(y) raises NewtonError
+        and is not held."""
         if self._shared is not None:
             return self._shared
-        return _OrderedFactor(splu(self._write(y), permc_spec="NATURAL"),
-                              self._order, self._inverse)
+        shift = self.dt * eval_ay_truncated(self.nl, y)
+        if self._held is not None and np.array_equal(shift, self._held[0]):
+            return self._held[1]
+        try:
+            lu = splu(self._write(y, shift), permc_spec="NATURAL")
+        except RuntimeError as exc:     # "Factor is exactly singular"
+            raise NewtonError("step matrix I + dt*A_h + dt*diag(a_M'(y)) is "
+                              "exactly singular") from exc
+        self._held = shift, _OrderedFactor(lu, self._order, self._inverse)
+        return self._held[1]
 
     def _iterate(self, residual, tol: float, y: np.ndarray, lu=None,
                  shrink: float = 0.25) -> np.ndarray | None:
@@ -196,7 +223,6 @@ class StepSystem:
                             else norm == 0.0 or not norm < shrink * previous):
                         break
                     previous = norm
-                    # inline, so Newton's factor is freed before the next
                     y = y - (lu or self.factor(y)).solve(residual_y)
         except (OverflowError, FloatingPointError):
             pass

@@ -24,6 +24,13 @@ class ConfigError(ValueError):
     """Malformed run configuration."""
 
 
+# libyaml's parser where PyYAML was built with it, about 7x faster than the
+# pure-Python one.  Both use the safe constructor and resolver, so a text
+# both accept parses to the same values; libyaml also accepts a tab as
+# separating white space, as the YAML spec does and PyYAML's scanner does not
+_YAML_LOADER = getattr(yaml, "CSafeLoader", yaml.SafeLoader)
+
+
 _TOP_KEYS = {"problem", "optimizer", "output", "seed"}
 
 # the allowed keys of each block are the keys of its defaults
@@ -142,7 +149,7 @@ def build_problem_spec(problem: dict) -> ProblemSpec:
 
 def parse_config(text: str) -> RunConfig:
     try:
-        raw = yaml.safe_load(text)
+        raw = yaml.load(text, Loader=_YAML_LOADER)
     except yaml.YAMLError as exc:
         raise ConfigError(f"config is not valid YAML: {exc}") from exc
     if raw is None:

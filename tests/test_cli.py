@@ -10,7 +10,7 @@ import yaml
 from hypothesis import given, settings, strategies as st
 
 import sparsecontrol as sc
-from sparsecontrol import checks
+from sparsecontrol import checks, runconfig
 from sparsecontrol.cli import main
 from sparsecontrol.fieldio import read_field, write_field
 from sparsecontrol.runconfig import ConfigError, parse_config
@@ -326,6 +326,32 @@ def test_check_state_failure_is_a_failed_row(tmp_path, capsys):
     assert "state solve failed on draw 1" in failed[0]
 
 
+# one interior node, h = 1/2: B = 1 + dt*8 + dt*(-9) = 0 at dt = 1, so
+# every step matrix is exactly singular
+SINGULAR_STEP = """
+problem: {n_per_axis: 1, n_t: 1, T: 1.0, diffusion: 1.0,
+          nonlinearity: {kind: linear, params: [-9.0]}, yd: bump}
+"""
+
+
+@pytest.mark.parametrize("command, code", [("solve", 2), ("sweep", 2),
+                                           ("check", 3)])
+def test_singular_step_matrix_is_a_named_failure(tmp_path, capsys, command,
+                                                 code):
+    cfg = write_config(tmp_path, SINGULAR_STEP)
+    out = tmp_path / "out"
+    assert main([command, "--config", cfg, "--out", str(out)]) == code
+    captured = capsys.readouterr()
+    if command == "check":
+        failed = [r for r in captured.out.splitlines() if "FAIL" in r]
+        assert [r.split()[0] for r in failed] == ["adjoint-identity"]
+        assert "exactly singular" in failed[0]
+    else:
+        assert "state solver failed" in captured.err
+        assert "exactly singular" in captured.err
+        assert list(out.iterdir()) == []
+
+
 def test_check_suite_robust_across_seeds():
     # the shipped defaults must pass, whatever the seed
     cfg = parse_config("{}")
@@ -334,6 +360,19 @@ def test_check_suite_robust_across_seeds():
         results = checks.run_checks(spec, seed)
         assert all(r.passed for r in results), \
             [r.detail for r in results if not r.passed]
+
+
+def test_readme_example_config_parses_alike_under_both_loaders():
+    # parse_config uses libyaml's loader where PyYAML has it; it must give
+    # the pure-Python safe loader's values
+    readme = (Path(__file__).resolve().parents[1] / "README.md").read_text(
+        encoding="utf-8")
+    text = readme.split("```yaml\n", 1)[1].split("```", 1)[0]
+    expected = yaml.load(text, Loader=yaml.SafeLoader)
+    assert expected["problem"]["nonlinearity"]["kind"] == "schloegl"
+    assert yaml.load(text, Loader=runconfig._YAML_LOADER) == expected
+    if yaml.__with_libyaml__:
+        assert runconfig._YAML_LOADER is yaml.CSafeLoader
 
 
 def test_parse_config_strictness():

@@ -257,6 +257,63 @@ def test_factor_survives_work_matrix_overwrite():
     assert steps._write(y2).data.tobytes() != b1.data.tobytes()
 
 
+def test_factor_is_held_for_a_bitwise_equal_shift():
+    # Schloegl (-1, 0, 1): a'(y) = 3y^2 - 1 is even, bit for bit, so y and
+    # -y give one step matrix and one factor; another shift a new one
+    spec = schloegl_spec()
+    steps = spec.steps
+    y, b = np.random.default_rng(15).standard_normal((2, spec.grid.n_nodes))
+    lu = steps.factor(y)
+    held = steps.factor(-y)
+    assert held is lu
+    # SuperLU is deterministic: the held factor solves bit for bit like a
+    # fresh one
+    fresh = StepSystem(spec).factor(-y)
+    assert held.solve(b).tobytes() == fresh.solve(b).tobytes()
+    assert steps.factor(2.0 * y) is not lu
+    assert steps.factor(y) is not lu
+
+
+def test_linear_reaction_factors_its_step_matrix_once(splu_calls):
+    # the linear reaction's B(y) = (1 + dt*c) I + dt*A_h is one matrix for
+    # every state: the ordering probe and one factor serve the state,
+    # adjoint and linearized sweeps (73 when each step factored)
+    grid = sc.SpaceGrid(2, 12)
+    tgrid = sc.TimeGrid(1.0, 24)
+    spec = sc.ProblemSpec(
+        kappa=0.1, gamma=1.0, grid=grid, tgrid=tgrid,
+        diffusion=sc.isotropic(2, 1.0),
+        nonlinearity=sc.NonlinearitySpec("linear", (2.0,)),
+        y0=sc.spatial_preset("one-mode", grid),
+        yd=sc.target_preset("bump", grid, tgrid))
+    rng = np.random.default_rng(17)
+    y = sc.solve_state(spec, random_control(spec, rng))
+    sc.solve_adjoint(spec, y)
+    sc.solve_linearized(spec, y, random_control(spec, rng))
+    assert len(splu_calls) == 2
+
+
+def singular_spec():
+    # n = 1, h = 1/2: B = 1 + dt*8 + dt*(-9) = 0 at dt = 1
+    grid = sc.SpaceGrid(1, 1)
+    tgrid = sc.TimeGrid(1.0, 1)
+    return sc.ProblemSpec(
+        kappa=0.1, gamma=1.0, grid=grid, tgrid=tgrid,
+        diffusion=sc.isotropic(1, 1.0),
+        nonlinearity=sc.NonlinearitySpec("linear", (-9.0,)),
+        y0=sc.spatial_preset("zero", grid),
+        yd=sc.target_preset("bump", grid, tgrid))
+
+
+def test_singular_step_matrix_raises_newton_error():
+    spec = singular_spec()
+    with pytest.raises(NewtonError, match="singular"):
+        spec.steps.factor(spec.y0)
+    assert spec.steps._held is None
+    with pytest.raises(NewtonError, match="singular"):
+        sc.solve_state(spec, random_control(spec, np.random.default_rng(18)))
+
+
 def nearly_singular_spec():
     # Schloegl (-1, 0, 1) at dt 1: 1 + dt*a'(0) = 1 - 1 = 0, so B(0) = A_h,
     # whose smallest eigenvalue is about 2*pi^2*1e-3 = 0.02
