@@ -179,7 +179,7 @@ def main(argv=None) -> int:
             return cmd_check(cfg, cfg.seed)
         return cmd_sweep(cfg, out_dir, gammas)
     except NewtonError as exc:
-        print(f"error: state solver failed: {exc}", file=sys.stderr)
+        print(f"error: {exc}", file=sys.stderr)
         return EXIT_NONCONVERGED
     except (ConfigError, OSError, ValueError) as exc:
         print(f"error: {exc}", file=sys.stderr)

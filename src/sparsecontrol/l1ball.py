@@ -10,8 +10,10 @@ g(lam) = w * sum max(|v_i| - lam, 0) = gamma.  g is piecewise linear and
 decreasing with breakpoints at the sorted |v_i|, so lam is found exactly by
 one sort and a scan (Duchi et al. 2008; Condat 2016).  One kernel does this
 for all slices of a field together: a row-wise sort, cumulative sum and
-argmax over the slices that are over budget.  A bisection solver in
-``checks`` is an independent oracle, not the shipped path.
+argmax over the slices that are over budget, worked in place on |v|, the
+sorted rows and their cumulative sums: every fresh full-size temporary is
+page-faulted in again on each call.  A bisection solver in ``checks`` is
+an independent oracle, not the shipped path.
 
 The same map characterizes first-order optimality of the control problem:
 at a solution, u(t) is the projection of -phi(t)/kappa, the multiplier is
@@ -54,24 +56,29 @@ def _project_rows(values: np.ndarray, w: float, gamma: float):
     d = np.abs(values)
     total = w * np.sum(d, axis=1)
     over = ~(total <= gamma + _FEASIBLE_RTOL * np.maximum(1.0, total))
-    projected = values.copy()
     thresholds = np.zeros(values.shape[0])
     if not np.any(over):
-        return projected, thresholds
-    d_over = d[over]
+        return values.copy(), thresholds
+    # every row over budget: work on d itself, no boolean-index copies
+    every = bool(np.all(over))
+    d_over = d if every else d[over]
     d_sorted = np.sort(d_over, axis=1)[:, ::-1]
-    cumulative = np.cumsum(d_sorted, axis=1)
-    k = np.arange(1, d_sorted.shape[1] + 1)
     # candidate threshold if exactly the k largest entries stay nonzero
-    lam_k = (cumulative - gamma / w) / k
-    next_break = np.zeros_like(d_sorted)
-    next_break[:, :-1] = d_sorted[:, 1:]
-    # first k whose candidate clears the next breakpoint is the true count
-    idx = np.argmax(lam_k >= next_break, axis=1)
-    lam = lam_k[np.arange(lam_k.shape[0]), idx]
-    projected[over] = (np.sign(values[over])
-                       * np.maximum(d_over - lam[:, None], 0.0))
+    lam_k = np.cumsum(d_sorted, axis=1)
+    lam_k -= gamma / w
+    lam_k /= np.arange(1, lam_k.shape[1] + 1)
+    # the true count is the first k clearing the next breakpoint, 0 at the end
+    clears = lam_k >= 0.0
+    np.greater_equal(lam_k[:, :-1], d_sorted[:, 1:], out=clears[:, :-1])
+    lam = lam_k[np.arange(lam_k.shape[0]), np.argmax(clears, axis=1)]
+    d_over -= lam[:, None]
+    np.maximum(d_over, 0.0, out=d_over)
+    d_over *= np.sign(values if every else values[over])
     thresholds[over] = lam
+    if every:
+        return d_over, thresholds
+    projected = values.copy()
+    projected[over] = d_over
     return projected, thresholds
 
 

@@ -119,9 +119,10 @@ class SolveReport:
 def solve(spec: ProblemSpec, cfg: OptimizerConfig = OptimizerConfig()) -> SolveReport:
     """Run the projected gradient method on spec.
 
-    Returns a report with converged=False when the iteration cap is reached
-    or the line search stalls.  A line-search trial whose state solve fails
-    is rejected; a failure of the initial state solve propagates.
+    Returns a report with converged=False when the iteration cap is reached,
+    the line search stalls or the adjoint sweep at an accepted point fails
+    (the report keeps the point before).  A trial whose state solve fails is
+    rejected; a failure of the initial state or adjoint solve propagates.
     """
     if cfg.u0 is not None:
         u = cfg.u0.copy()
@@ -180,8 +181,12 @@ def solve(spec: ProblemSpec, cfg: OptimizerConfig = OptimizerConfig()) -> SolveR
             message = "line search stalled"
             break
 
+        try:
+            phi = solve_adjoint(spec, y_new, factors)
+        except NewtonError as exc:  # the report keeps the last point
+            message = str(exc)
+            break
         u, y, j_val = candidate, y_new, j_new
-        phi = solve_adjoint(spec, y, factors)
         previous, gradient = gradient, like(u, phi.values + spec.kappa * u.values)
         j_history.append(j_val)
         step_history.append(step)

@@ -29,7 +29,9 @@ p_m sitting at the right node t_m.  Given the held factors, each backward
 step is the same iteration on the linear residual B_m p - rhs: iterative
 refinement on the stale factor, kept while every correction shrinks the
 residual 1000x down to roundoff, else one factorization of B_m, which then
-replaces the held one.
+replaces the held one.  The state and adjoint sweeps form their sources
+dt*u_m and dt*r_m for all steps in one array operation before the loop, and
+the NewtonError of a step they cannot solve names the sweep and the step.
 
 A_h is the finite-difference operator on interior nodes: the standard
 3/5-point stencil for the diagonal part plus centered cross differences for
@@ -38,17 +40,6 @@ symmetric, bit for bit (the tests assert it), so B_m^T = B_m and one
 StepSystem serves the state, linearized and adjoint sweeps.  It is built
 once per problem (ProblemSpec.steps) and reused by every sweep on it and by
 every budget of a budget sweep (ProblemSpec.with_budget).
-
-I + dt A_h is symmetric positive definite, so its minimum-degree ordering
-comes from one no-pivot symmetric-mode LU (X. S. Li, ACM TOMS 31(3), 2005),
-computed once per StepSystem.  Every B_m is stored and factored in that one
-order by SuperLU's default partial pivoting, which also covers the step
-matrices that a decreasing reaction makes indefinite.  The StepSystem holds
-its last factor with the diagonal shift dt*a_M'(y) it was made for and
-returns it again for a bitwise equal shift, so a run of equal step
-matrices (every state 0 under a reaction with a(0) = 0, or the linear
-reaction's constant B) is factored once.  An exactly singular B(y) raises
-NewtonError.
 """
 
 from __future__ import annotations
@@ -128,17 +119,18 @@ class StepSystem:
     """Implicit Euler step matrices B(y) = I + dt*A_h + dt*diag(a_M'(y)).
 
     One per problem (ProblemSpec.steps).  I + dt*A_h is assembled once
-    (CSC); B(y) copies it and writes dt*a_M'(y) onto the diagonal entries
-    only.  factor(y) writes B(y) into one preallocated work matrix instead
-    of a fresh copy.
+    (CSC); factor(y) writes dt*a_M'(y) onto the diagonal entries of one
+    preallocated work matrix instead of a fresh copy.
 
-    A minimum-degree ordering q of I + dt*A_h is computed once, the stored
-    matrices are kept reordered as B[q][:, q], and each factor(y) is a
-    partial-pivoting LU in that fixed order, whose solve() permutes b in
-    and x out.  The last factor made is held and returned again for the
-    same B(y).  The zero reaction's B is the constant I + dt*A_h: the
-    ordering's own factorization is shared, one solve per implicit step,
-    with no shift computed.
+    A minimum-degree ordering q of the positive definite I + dt*A_h comes
+    once from a no-pivot symmetric-mode LU (X. S. Li, ACM TOMS 31(3),
+    2005).  The stored matrices are kept reordered as B[q][:, q], and each
+    factor(y) is a partial-pivoting LU in that order, which also covers the
+    step matrices a decreasing reaction makes indefinite; its solve()
+    permutes b in and x out.  The last factor made is held and returned
+    again for the same B(y).  The zero reaction's B is the constant
+    I + dt*A_h: the ordering's own factorization is shared, one solve per
+    implicit step, with no shift computed.
     """
 
     def __init__(self, spec: ProblemSpec):
@@ -300,14 +292,17 @@ def solve_state(spec: ProblemSpec, u: SpaceTimeField,
     if u.grid != spec.grid or u.tgrid != spec.tgrid:
         raise ValueError("control lives on different grids")
     steps = spec.steps
-    dt = spec.tgrid.dt
     n_t = spec.tgrid.n_t
     y = np.empty((n_t + 1, spec.grid.n_nodes))
     y[0] = spec.y0
-    for m in range(1, n_t + 1):
-        chord = None if accepted is None else (
-            accepted[0].values[m], accepted[1][m - 1])
-        y[m] = steps.step(y[m - 1] + dt * u.values[m - 1], y[m - 1], chord)
+    forcing = spec.tgrid.dt * u.values
+    try:
+        for m in range(1, n_t + 1):
+            chord = None if accepted is None else (
+                accepted[0].values[m], accepted[1][m - 1])
+            y[m] = steps.step(y[m - 1] + forcing[m - 1], y[m - 1], chord)
+    except NewtonError as exc:
+        raise NewtonError(f"state solver failed at step {m}: {exc}") from exc
     state = field_at_nodes(spec.grid, spec.tgrid, y)
     if not clamp_idle_on_states(spec, state):
         warnings.warn(
@@ -344,15 +339,17 @@ def solve_adjoint(spec: ProblemSpec, y: SpaceTimeField,
     is factored.
     """
     steps = spec.steps
-    dt = spec.tgrid.dt
     n_t = spec.tgrid.n_t
     if factors is None:
         factors = [None] * n_t
     p = np.zeros((n_t, spec.grid.n_nodes))
     p_next = np.zeros(spec.grid.n_nodes)
-    for m in range(n_t, 0, -1):
-        p[m - 1], factors[m - 1] = steps.linear_step(
-            p_next + dt * (y.values[m] - spec.yd.values[m]), y.values[m],
-            factors[m - 1])
-        p_next = p[m - 1]
+    source = spec.tgrid.dt * (y.values[1:] - spec.yd.values[1:])
+    try:
+        for m in range(n_t, 0, -1):
+            p[m - 1], factors[m - 1] = steps.linear_step(
+                p_next + source[m - 1], y.values[m], factors[m - 1])
+            p_next = p[m - 1]
+    except NewtonError as exc:
+        raise NewtonError(f"adjoint solver failed at step {m}: {exc}") from exc
     return field_per_interval(spec.grid, spec.tgrid, p)

@@ -10,9 +10,10 @@ import yaml
 from hypothesis import given, settings, strategies as st
 
 import sparsecontrol as sc
-from sparsecontrol import checks, runconfig
+from sparsecontrol import checks, optimizer, runconfig
 from sparsecontrol.cli import main
 from sparsecontrol.fieldio import read_field, write_field
+from sparsecontrol.pde import NewtonError
 from sparsecontrol.runconfig import ConfigError, parse_config
 
 FAST_SOLVE = """
@@ -214,7 +215,8 @@ def test_initial_state_failure_exits_two_and_writes_nothing(tmp_path, capsys):
     cfg = write_config(tmp_path, INITIAL_STATE_FAILURE_SOLVE)
     out = tmp_path / "out"
     assert main(["solve", "--config", cfg, "--out", str(out)]) == 2
-    assert "state solver failed" in capsys.readouterr().err
+    assert capsys.readouterr().err.startswith(
+        "error: state solver failed at step ")
     assert list(out.iterdir()) == []
 
 
@@ -347,9 +349,34 @@ def test_singular_step_matrix_is_a_named_failure(tmp_path, capsys, command,
         assert [r.split()[0] for r in failed] == ["adjoint-identity"]
         assert "exactly singular" in failed[0]
     else:
-        assert "state solver failed" in captured.err
+        # the initial state solve factors nothing; the first adjoint sweep
+        # fails, and no point with an adjoint exists to report
+        assert captured.err.startswith(
+            "error: adjoint solver failed at step 1: ")
         assert "exactly singular" in captured.err
         assert list(out.iterdir()) == []
+
+
+def test_adjoint_failure_after_an_accepted_step_exits_two_with_outputs(
+        tmp_path, capsys, monkeypatch):
+    exact, calls = optimizer.solve_adjoint, []
+
+    def failing_second(spec, y, factors=None):
+        calls.append(None)
+        if len(calls) == 2:
+            raise NewtonError("adjoint solver failed at step 3: singular")
+        return exact(spec, y, factors)
+
+    monkeypatch.setattr(optimizer, "solve_adjoint", failing_second)
+    cfg = write_config(tmp_path, FAST_SOLVE)
+    out = tmp_path / "out"
+    assert main(["solve", "--config", cfg, "--out", str(out)]) == 2
+    assert capsys.readouterr().err == ""
+    report = json.loads((out / "report.json").read_text())
+    assert report["converged"] is False
+    assert report["message"] == "adjoint solver failed at step 3: singular"
+    assert len(report["objective_history"]) == 1
+    assert (out / "timeseries.csv").exists()
 
 
 def test_check_suite_robust_across_seeds():
@@ -474,12 +501,12 @@ def _run_on(command, config, tmp):
 @given(_CONFIGS)
 def test_solve_ends_in_a_report_or_a_named_state_failure(config):
     # every valid config exits 0 or 2 without a traceback; only a failed
-    # initial state solve leaves no outputs (see
+    # initial state or adjoint solve leaves no outputs (see
     # test_initial_state_failure_exits_two_and_writes_nothing)
     with tempfile.TemporaryDirectory() as tmp:
         code, out, err, _ = _run_on("solve", config, tmp)
         assert code in (0, 2), err
-        if code == 2 and "state solver failed" in err:
+        if code == 2 and "solver failed" in err:
             assert list(out.iterdir()) == []
         else:
             report = json.loads((out / "report.json").read_text())
@@ -491,12 +518,12 @@ def test_solve_ends_in_a_report_or_a_named_state_failure(config):
 @settings(max_examples=20, derandomize=True, deadline=None)
 @given(_CONFIGS)
 def test_sweep_ends_in_outputs_or_a_named_state_failure(config):
-    # as for solve: a state solve that fails before any budget is solved
-    # leaves no outputs, anything else writes both files
+    # as for solve: a state or adjoint solve that fails before any budget
+    # is solved leaves no outputs, anything else writes both files
     with tempfile.TemporaryDirectory() as tmp:
         code, out, err, _ = _run_on("sweep", config, tmp)
         assert code in (0, 2), err
-        if code == 2 and "state solver failed" in err:
+        if code == 2 and "solver failed" in err:
             assert list(out.iterdir()) == []
         else:
             payload = json.loads((out / "stability.json").read_text())

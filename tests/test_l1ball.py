@@ -1,3 +1,5 @@
+import tracemalloc
+
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -105,6 +107,64 @@ def test_project_rows_mixed_stack():
             assert w * np.sum(np.abs(projected[m])) == pytest.approx(gamma)
     assert list(thresholds > 0.0) == [True, False, False, False, True]
     assert thresholds[4] == pytest.approx((8.0 - gamma / w) / 4.0)
+
+
+def random_stack(rng, all_over):
+    """(values, w, gamma): rows over budget, feasible, all zero, tied and
+    all -0.0 mixed, or over budget only; signed zeros inside rows."""
+    n, m = int(rng.integers(1, 30)), int(rng.integers(1, 8))
+    w, gamma = float(10.0 ** rng.uniform(-1, 0.5)), float(rng.uniform(0.1, 5))
+    kinds = np.zeros(m, int) if all_over else rng.integers(0, 5, m)
+    values = np.empty((m, n))
+    for row, kind in zip(values, kinds):
+        v = rng.standard_normal(n)
+        v[1:][rng.random(n - 1) < 0.2] = -0.0
+        mass = gamma / w / np.sum(np.abs(v))
+        if kind == 0:       # over budget
+            row[:] = v * mass * 10.0 ** rng.uniform(0.01, 1.0)
+        elif kind == 1:     # feasible
+            row[:] = v * mass * rng.uniform(0.0, 0.99)
+        elif kind == 2:
+            row[:] = 0.0
+        elif kind == 3:     # over budget, every magnitude tied
+            row[:] = rng.choice([-1.0, 1.0], n) * gamma / w / n * 3.0
+        else:
+            row[:] = -0.0
+    return values, kinds, w, gamma
+
+
+def test_project_rows_equals_project_slice_bitwise():
+    rng = np.random.default_rng(2024)
+    branches = set()
+    for trial in range(300):
+        values, kinds, w, gamma = random_stack(rng, all_over=trial % 3 == 0)
+        projected, thresholds = _project_rows(values, w, gamma)
+        branches.add(bool(np.all(thresholds > 0.0)))
+        for m, row in enumerate(values):
+            single = project_slice(row, w, gamma)
+            assert projected[m].tobytes() == single.values.tobytes()
+            assert thresholds[m] == single.threshold
+            assert abs(thresholds[m] - bisect_threshold(row, w, gamma)) <= 1e-10
+            if kinds[m] in (1, 2, 4):       # feasible: passes through
+                assert thresholds[m] == 0.0
+                assert projected[m].tobytes() == row.tobytes()
+    assert branches == {True, False}
+
+
+@pytest.mark.parametrize("over_share", [1.0, 0.5])
+def test_projection_allocates_few_full_size_arrays(over_share):
+    # every fresh full-size temporary is page-faulted in on each call
+    rng = np.random.default_rng(3)
+    values = rng.standard_normal((200, 200))
+    values[int(200 * over_share):] *= 1e-6      # these rows are feasible
+    tracemalloc.start()
+    try:
+        _, thresholds = _project_rows(values, 1.0 / 201.0, 0.05)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert np.mean(thresholds > 0.0) == over_share
+    assert peak <= 5 * values.nbytes
 
 
 def test_project_field_slicewise():

@@ -31,6 +31,32 @@ def test_initial_state_failure_propagates(monkeypatch):
         sc.solve(schloegl_spec())
 
 
+def test_adjoint_failure_after_an_accept_keeps_the_last_point(monkeypatch):
+    # the third adjoint sweep, at the second accepted point, fails: the
+    # report is the first accepted point's, as the iteration cap 1 leaves it
+    spec = active_schloegl_spec()
+    capped = sc.solve(spec, sc.OptimizerConfig(max_iter=1))
+    exact, calls = optimizer.solve_adjoint, []
+
+    def failing_third(spec, y, factors=None):
+        calls.append(None)
+        if len(calls) == 3:
+            raise NewtonError("adjoint solver failed at step 2: singular")
+        return exact(spec, y, factors)
+
+    monkeypatch.setattr(optimizer, "solve_adjoint", failing_third)
+    report = sc.solve(spec, sc.OptimizerConfig(max_iter=5))
+    assert not report.converged
+    assert report.message == "adjoint solver failed at step 2: singular"
+    assert report.iterations == capped.iterations == 1
+    for name in ("u", "y", "phi", "mu"):
+        assert np.array_equal(getattr(report, name).values,
+                              getattr(capped, name).values)
+    assert report.j_history == capped.j_history
+    assert report.residual_history == capped.residual_history
+    assert report.kkt.as_dict() == capped.kkt.as_dict()
+
+
 def test_stationary_start_stops_immediately():
     spec = schloegl_spec()
     y = sc.solve_state(spec, sc.field_per_interval(spec.grid, spec.tgrid))

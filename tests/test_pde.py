@@ -310,8 +310,15 @@ def test_singular_step_matrix_raises_newton_error():
     with pytest.raises(NewtonError, match="singular"):
         spec.steps.factor(spec.y0)
     assert spec.steps._held is None
-    with pytest.raises(NewtonError, match="singular"):
+    with pytest.raises(NewtonError,
+                       match="^state solver failed at step 1: .*singular"):
         sc.solve_state(spec, random_control(spec, np.random.default_rng(18)))
+    # from zero control the state step has an exactly zero residual and
+    # factors nothing; the adjoint's first step factors B and fails
+    y = sc.solve_state(spec, sc.field_per_interval(spec.grid, spec.tgrid))
+    with pytest.raises(NewtonError,
+                       match="^adjoint solver failed at step 1: .*singular"):
+        sc.solve_adjoint(spec, y)
 
 
 def nearly_singular_spec():
@@ -679,3 +686,55 @@ def test_control_shape_rejected():
     bad = sc.field_at_nodes(spec.grid, spec.tgrid)
     with pytest.raises(ValueError):
         sc.solve_state(spec, bad)
+
+
+def reference_state(spec, u, accepted=None):
+    """solve_state's values as a plain loop of StepSystem.step calls."""
+    steps, dt = spec.steps, spec.tgrid.dt
+    y = [spec.y0]
+    for m in range(1, spec.tgrid.n_t + 1):
+        chord = None if accepted is None else (
+            accepted[0].values[m], accepted[1][m - 1])
+        y.append(steps.step(y[m - 1] + dt * u.values[m - 1], y[m - 1], chord))
+    return np.array(y)
+
+
+def reference_adjoint(spec, y, factors=None):
+    """solve_adjoint's values as a plain loop of StepSystem.linear_step
+    calls."""
+    steps, dt, n_t = spec.steps, spec.tgrid.dt, spec.tgrid.n_t
+    factors = [None] * n_t if factors is None else factors
+    p = [np.zeros(spec.grid.n_nodes)] * (n_t + 1)
+    for m in range(n_t, 0, -1):
+        p[m - 1], factors[m - 1] = steps.linear_step(
+            p[m] + dt * (y.values[m] - spec.yd.values[m]), y.values[m],
+            factors[m - 1])
+    return np.array(p[:-1])
+
+
+@pytest.mark.parametrize("kind", ["zero", "linear", "schloegl"])
+def test_sweeps_match_a_per_step_loop_bitwise(kind):
+    # the sweeps form their sources for all steps at once; every output
+    # byte must equal the per-step loop's, with and without held factors
+    spec = schloegl_spec(n=6, n_t=8)
+    if kind != "schloegl":
+        spec = replace(spec, nonlinearity=sc.NonlinearitySpec(
+            kind, (2.0,) if kind == "linear" else ()))
+    rng = np.random.default_rng(77)
+    u = random_control(spec, rng, scale=0.5)
+    y = sc.solve_state(spec, u)
+    assert y.values.tobytes() == reference_state(spec, u).tobytes()
+    assert (sc.solve_adjoint(spec, y).values.tobytes()
+            == reference_adjoint(spec, y).tobytes())
+    # held factors at y, then a nearby control: the state chords on them
+    # and the adjoint refines on them, and may replace some
+    factors = [None] * spec.tgrid.n_t
+    sc.solve_adjoint(spec, y, factors)
+    near = like(u, u.values + 1e-3 * rng.standard_normal(u.values.shape))
+    held = list(factors)
+    y_near = sc.solve_state(spec, near, (y, factors))
+    assert (y_near.values.tobytes()
+            == reference_state(spec, near, (y, held)).tobytes())
+    phi_near = sc.solve_adjoint(spec, y_near, factors)
+    assert (phi_near.values.tobytes()
+            == reference_adjoint(spec, y_near, held).tobytes())
