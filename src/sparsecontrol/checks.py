@@ -115,18 +115,17 @@ def check_adjoint_identity(spec: ProblemSpec, rng,
     step matrix raises too) fails the check, by number; the other draws
     still run, so the generator advances as it would have."""
     worst = 0.0
-    failed, stage, error = [], None, None
+    failed, error = [], None
     for draw in range(1, n_pairs + 1):
         u = field_per_interval(spec.grid, spec.tgrid, _random_control(rng, spec))
         v = field_per_interval(spec.grid, spec.tgrid, _random_control(rng, spec))
-        y = None
         try:
             y = solve_state(spec, u)
             z = solve_linearized(spec, y, v)
             phi = solve_adjoint(spec, y)
-        except NewtonError as exc:
+        except NewtonError as exc:     # it names the sweep and the step
             failed.append(draw)
-            stage, error = "state" if y is None else "linear", exc
+            error = exc
             continue
         lhs = l2_inner(like(y, y.values - spec.yd.values), z)
         rhs = l2_inner(phi, v)
@@ -135,7 +134,7 @@ def check_adjoint_identity(spec: ProblemSpec, rng,
     if failed:
         return CheckResult(
             "adjoint-identity", False,
-            f"{stage} solve failed on draw {', '.join(map(str, failed))} of "
+            f"failed on draw {', '.join(map(str, failed))} of "
             f"{n_pairs}: {error}")
     passed = worst <= 1e-10
     return CheckResult("adjoint-identity", passed,

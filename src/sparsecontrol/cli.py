@@ -117,6 +117,7 @@ def cmd_sweep(cfg: RunConfig, out_dir: Path, gammas=None) -> int:
         "base_gamma": report.base_gamma,
         "gammas": list(report.gammas),
         "distances": list(report.distances),
+        "iterations": list(report.iterations),
         "exponent": report.exponent,
         "L": report.constant,
         "regime": report.regime,

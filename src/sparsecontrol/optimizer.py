@@ -110,14 +110,20 @@ class SolveReport:
     kkt: KKTResiduals | None = None
     truncation_inactive: bool = True
     message: str = ""
+    factors: list | None = None       # the n_t held step factors at exit
 
     @property
     def objective(self) -> float:
         return self.j_history[-1]
 
 
-def solve(spec: ProblemSpec, cfg: OptimizerConfig = OptimizerConfig()) -> SolveReport:
+def solve(spec: ProblemSpec, cfg: OptimizerConfig = OptimizerConfig(),
+          accepted: tuple | None = None) -> SolveReport:
     """Run the projected gradient method on spec.
+
+    accepted, when given, is a pair (y, factors) as an earlier report's on
+    spec's step system: the initial state solve chords from y on the
+    factors and the first adjoint sweep refines on a copy of the list.
 
     Returns a report with converged=False when the iteration cap is reached,
     the line search stalls or the adjoint sweep at an accepted point fails
@@ -130,11 +136,15 @@ def solve(spec: ProblemSpec, cfg: OptimizerConfig = OptimizerConfig()) -> SolveR
         u = field_per_interval(spec.grid, spec.tgrid)
     step = 1.0 / spec.kappa
 
-    y = solve_state(spec, u)
-    j_val = objective_value(spec, u, y)
     # factors of step matrices B(w_m) at accepted states w: every adjoint
     # sweep refines on them and every trial's chord iterates on them
-    factors: list = [None] * spec.tgrid.n_t
+    if accepted is None:
+        factors: list = [None] * spec.tgrid.n_t
+        y = solve_state(spec, u)
+    else:
+        factors = list(accepted[1])
+        y = solve_state(spec, u, (accepted[0], factors))
+    j_val = objective_value(spec, u, y)
     phi = solve_adjoint(spec, y, factors)
     gradient = like(u, phi.values + spec.kappa * u.values)
 
@@ -204,5 +214,5 @@ def solve(spec: ProblemSpec, cfg: OptimizerConfig = OptimizerConfig()) -> SolveR
         activity=classify_slices(u, mu, spec.gamma), thresholds=thresholds,
         kkt=kkt_residuals(spec, u, y, phi, mu),
         truncation_inactive=clamp_idle_on_states(spec, y),
-        message=message,
+        message=message, factors=factors,
     )

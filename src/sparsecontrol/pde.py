@@ -30,8 +30,8 @@ step is the same iteration on the linear residual B_m p - rhs: iterative
 refinement on the stale factor, kept while every correction shrinks the
 residual 1000x down to roundoff, else one factorization of B_m, which then
 replaces the held one.  The state and adjoint sweeps form their sources
-dt*u_m and dt*r_m for all steps in one array operation before the loop, and
-the NewtonError of a step they cannot solve names the sweep and the step.
+dt*u_m and dt*r_m for all steps in one array operation before the loop.
+Every sweep's NewtonError names the sweep and the step.
 
 A_h is the finite-difference operator on interior nodes: the standard
 3/5-point stencil for the diagonal part plus centered cross differences for
@@ -321,8 +321,13 @@ def solve_linearized(spec: ProblemSpec, y: SpaceTimeField,
     dt = spec.tgrid.dt
     n_t = spec.tgrid.n_t
     z = np.zeros((n_t + 1, spec.grid.n_nodes))
-    for m in range(1, n_t + 1):
-        z[m] = steps.factor(y.values[m]).solve(z[m - 1] + dt * v.values[m - 1])
+    try:
+        for m in range(1, n_t + 1):
+            z[m] = steps.factor(y.values[m]).solve(
+                z[m - 1] + dt * v.values[m - 1])
+    except NewtonError as exc:
+        raise NewtonError(f"linearized solver failed at step {m}: "
+                          f"{exc}") from exc
     return field_at_nodes(spec.grid, spec.tgrid, z)
 
 

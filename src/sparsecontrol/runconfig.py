@@ -8,6 +8,7 @@ offending key path in the error message.  The fully resolved configuration
 
 from __future__ import annotations
 
+import re
 from dataclasses import dataclass, fields
 
 import numpy as np
@@ -24,11 +25,23 @@ class ConfigError(ValueError):
     """Malformed run configuration."""
 
 
+def _with_exponent_floats(loader: type) -> type:
+    """A subclass of loader that reads 1e-10, an exponent without a dot, as
+    a float, as YAML 1.2 does; PyYAML's YAML 1.1 resolver reads a string."""
+    subclass = type(f"Exponent{loader.__name__}", (loader,), {})
+    subclass.add_implicit_resolver("tag:yaml.org,2002:float", re.compile(
+        r"^[-+]?(?:[0-9][0-9_]*(?:\.[0-9_]*)?|\.[0-9_]+)[eE][-+]?[0-9]+$"),
+        list("-+.0123456789"))
+    return subclass
+
+
 # libyaml's parser where PyYAML was built with it, about 7x faster than the
-# pure-Python one.  Both use the safe constructor and resolver, so a text
-# both accept parses to the same values; libyaml also accepts a tab as
-# separating white space, as the YAML spec does and PyYAML's scanner does not
-_YAML_LOADER = getattr(yaml, "CSafeLoader", yaml.SafeLoader)
+# pure-Python one.  Both use the safe constructor and resolver, plus the
+# float resolver above, so a text both accept parses to the same values;
+# libyaml also accepts a tab as separating white space, as the YAML spec
+# does and PyYAML's scanner does not
+_YAML_LOADER = _with_exponent_floats(
+    getattr(yaml, "CSafeLoader", yaml.SafeLoader))
 
 
 _TOP_KEYS = {"problem", "optimizer", "output", "seed"}

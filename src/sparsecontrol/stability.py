@@ -1,12 +1,14 @@
 """Empirical budget-stability study: how far the optimal control moves when
 the l1 budget gamma changes, and the fitted power of that distance.
 
-Solves the problem over a list of budgets around the base gamma, each solve
-warm-started from its neighbor (controls are rescaled by gamma'/gamma when
-the ball shrinks, which keeps them feasible and stays on one local branch),
-then fits log(distance) against log(|gamma' - gamma|).  Every budget
-solves one clamped equation, with the base problem's step system and clamp
-level (ProblemSpec.with_budget); a warning names the budgets that reach it.
+Solves the problem over a list of budgets around the base gamma, outward on
+each side, then fits log(distance) against log(|gamma' - gamma|).  Each
+solve starts from the projected secant through the last two solved budgets
+(the base counts as one; the first budget on a side, with only the base
+behind it, rescales the base control into its ball) and takes over its
+neighbor's state and held step factors: every budget shares the base
+problem's step system and clamp level (ProblemSpec.with_budget).  A warning
+names the budgets that reach the clamp.
 """
 
 from __future__ import annotations
@@ -16,6 +18,7 @@ from dataclasses import dataclass, field, replace
 import numpy as np
 
 from .grid import SpaceTimeField, l2_norm, like
+from .l1ball import project_field
 from .optimizer import OptimizerConfig, solve
 from .problem import ProblemSpec
 
@@ -30,6 +33,7 @@ class StabilityReport:
     regime: str                      # "active" or "inactive" at the base budget
     converged: bool
     warnings: list = field(default_factory=list)
+    iterations: list = field(default_factory=list)   # per budget, as gammas
 
 
 def fit_rate(pairs) -> tuple[float, float]:
@@ -63,8 +67,10 @@ def gamma_sweep(spec: ProblemSpec, gammas, cfg: OptimizerConfig) -> StabilityRep
     solution at spec.gamma.
 
     Budgets are processed outward from the base on each side so every solve
-    warm-starts from its nearest already-solved neighbor.  A nonconvergent
-    solve aborts the sweep; the partial report is returned.
+    warm-starts from its nearest already-solved neighbor, with its state and
+    step factors, at the projected secant u_k + (g - g_k)/(g_k - g_{k-1})
+    (u_k - u_{k-1}) (rescale_into_ball for the first budget on a side).  A
+    nonconvergent solve aborts the sweep; the partial report is returned.
     """
     gammas = sorted(float(g) for g in gammas)
     base = solve(spec, cfg)
@@ -80,12 +86,19 @@ def gamma_sweep(spec: ProblemSpec, gammas, cfg: OptimizerConfig) -> StabilityRep
     above = [g for g in gammas if g > spec.gamma]
     # the base budget is the base solve itself, at distance 0
     results = {spec.gamma: 0.0} if spec.gamma in gammas else {}
+    iterations = {spec.gamma: base.iterations}
     clamped = set() if base.truncation_inactive else {spec.gamma}
     for chain in (above, below[::-1]):
-        warm, warm_gamma = base.u, spec.gamma
+        warm, warm_gamma, previous = base, spec.gamma, None
         for g in chain:
-            start = rescale_into_ball(warm, warm_gamma, g)
-            run = solve(spec.with_budget(g), replace(cfg, u0=start))
+            if previous is None:
+                start = rescale_into_ball(warm.u, warm_gamma, g)
+            else:
+                ratio = (g - warm_gamma) / (warm_gamma - previous[0])
+                secant = warm.u.values + ratio * (warm.u.values - previous[1])
+                start, _ = project_field(like(warm.u, secant), g)
+            run = solve(spec.with_budget(g), replace(cfg, u0=start),
+                        (warm.y, warm.factors))
             if not run.truncation_inactive:
                 clamped.add(g)
             if not run.converged:
@@ -94,7 +107,9 @@ def gamma_sweep(spec: ProblemSpec, gammas, cfg: OptimizerConfig) -> StabilityRep
                 report.converged = False
                 break
             results[g] = l2_norm(like(base.u, run.u.values - base.u.values))
-            warm, warm_gamma = run.u, g
+            iterations[g] = run.iterations
+            previous = warm_gamma, warm.u.values
+            warm, warm_gamma = run, g
         if not report.converged:
             break
     if clamped:
@@ -103,6 +118,7 @@ def gamma_sweep(spec: ProblemSpec, gammas, cfg: OptimizerConfig) -> StabilityRep
             "distances and the fit describe the clamped equation")
     report.gammas = [g for g in gammas if g in results]
     report.distances = [results[g] for g in report.gammas]
+    report.iterations = [iterations[g] for g in report.gammas]
 
     deltas = np.abs(np.array(report.gammas) - spec.gamma)
     dists = np.array(report.distances)

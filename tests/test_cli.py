@@ -268,6 +268,13 @@ def test_sweep_writes_outputs(tmp_path):
     assert payload["base_gamma"] == 0.1
     assert payload["regime"] in ("active", "inactive")
     assert len(payload["distances"]) == 3
+    # the base budget's row is the base solve: its iterations are in
+    # report.json's of a solve on the same config
+    assert len(payload["iterations"]) == 3
+    assert all(type(n) is int and n >= 0 for n in payload["iterations"])
+    assert main(["solve", "--config", cfg, "--out", str(tmp_path / "so")]) == 0
+    report = json.loads((tmp_path / "so" / "report.json").read_text())
+    assert payload["iterations"][-1] == report["iterations"]
 
 
 @pytest.mark.filterwarnings(
@@ -325,7 +332,9 @@ def test_check_state_failure_is_a_failed_row(tmp_path, capsys):
     failed = [r for r in out.splitlines() if "FAIL" in r]
     assert len(failed) == 1
     assert failed[0].split()[0] == "adjoint-identity"
-    assert "state solve failed on draw 1" in failed[0]
+    # the sweep's own error names the stage, once
+    assert failed[0].split("FAIL", 1)[1].strip().startswith(
+        "failed on draw 1, 2, 3, 4, 5 of 5: state solver failed at step 2: ")
 
 
 # one interior node, h = 1/2: B = 1 + dt*8 + dt*(-9) = 0 at dt = 1, so
@@ -395,11 +404,40 @@ def test_readme_example_config_parses_alike_under_both_loaders():
     readme = (Path(__file__).resolve().parents[1] / "README.md").read_text(
         encoding="utf-8")
     text = readme.split("```yaml\n", 1)[1].split("```", 1)[0]
-    expected = yaml.load(text, Loader=yaml.SafeLoader)
+    expected = yaml.load(
+        text, Loader=runconfig._with_exponent_floats(yaml.SafeLoader))
     assert expected["problem"]["nonlinearity"]["kind"] == "schloegl"
     assert yaml.load(text, Loader=runconfig._YAML_LOADER) == expected
     if yaml.__with_libyaml__:
-        assert runconfig._YAML_LOADER is yaml.CSafeLoader
+        assert runconfig._YAML_LOADER.__bases__ == (yaml.CSafeLoader,)
+
+
+@pytest.mark.parametrize("block, key, text, value", [
+    ("optimizer", "tol", "1e-10", 1e-10),
+    ("problem", "kappa", "3e-1", 0.3),
+    ("problem", "gamma", "+5E-2", 0.05),
+    ("problem", "T", ".5e1", 5.0),
+])
+def test_float_without_a_dot_is_a_float(tmp_path, block, key, text, value):
+    # PyYAML's own resolver reads these as strings
+    assert isinstance(yaml.safe_load(text), str)
+    cfg = parse_config(f"{block}: {{{key}: {text}}}\n")
+    assert type(cfg.to_dict()[block][key]) is float
+    assert cfg.to_dict()[block][key] == value
+    # ... and the loader of the pure-Python fallback reads them alike
+    loader = runconfig._with_exponent_floats(yaml.SafeLoader)
+    assert yaml.load(text, Loader=loader) == value
+
+
+def test_float_without_a_dot_is_echoed_as_a_float(tmp_path):
+    cfg = write_config(tmp_path, FAST_SOLVE.replace(
+        "  kappa: 0.2\n", "  kappa: 2e-1\n").replace(
+        "  tol: 1.0e-9\n", "  tol: 1e-9\n"))
+    out = tmp_path / "out"
+    assert main(["solve", "--config", cfg, "--out", str(out)]) == 0
+    config = json.loads((out / "report.json").read_text())["config"]
+    assert config["problem"]["kappa"] == 0.2
+    assert config["optimizer"]["tol"] == 1e-9
 
 
 def test_parse_config_strictness():

@@ -1,3 +1,5 @@
+from dataclasses import replace
+
 import numpy as np
 import pytest
 
@@ -70,6 +72,95 @@ def test_warm_start_agrees_with_cold_start(active_solve):
         assert gap <= 1e-9
 
 
+def test_accepted_start_agrees_with_cold_start(active_solve):
+    # a solve handed the base budget's state and step factors reaches the
+    # cold solve's control, and leaves the base report's factors alone
+    spec, base = active_solve
+    cfg = sc.OptimizerConfig(tol=1e-11, max_iter=400)
+    held = list(base.factors)
+    for gamma in (0.045, 0.04):
+        target = spec.with_budget(gamma)
+        cold = sc.solve(target, cfg)
+        warm = sc.solve(target, replace(
+            cfg, u0=rescale_into_ball(base.u, spec.gamma, gamma)),
+            accepted=(base.y, base.factors))
+        assert cold.converged and warm.converged
+        gap = sc.l2_norm(like(cold.u, cold.u.values - warm.u.values))
+        assert gap <= 1e-9
+        assert len(warm.factors) == spec.tgrid.n_t
+    assert all(a is b for a, b in zip(held, base.factors))
+
+
+def test_sweep_factors_no_more_than_its_base_solve(splu_calls):
+    # every budget refines on its neighbor's held factors and refactors
+    # only where that fails; here it never does, so a sweep over six
+    # budgets factors exactly what its base solve alone does
+    cfg = sc.OptimizerConfig(tol=1e-8, max_iter=400)
+    sc.solve(schloegl_spec(n=6, n_t=6, gamma=0.05), cfg)
+    base_calls = len(splu_calls)
+    splu_calls.clear()
+    report = sc.gamma_sweep(schloegl_spec(n=6, n_t=6, gamma=0.05),
+                            [0.06, 0.055, 0.05, 0.045, 0.04, 0.035], cfg)
+    assert report.converged
+    assert len(splu_calls) == base_calls
+
+
+# criterion 7's budgets below the base budget 0.05, which are also those
+# of `sweep` at that budget
+CRITERION_7_GAMMAS = [0.05] + [0.05 - d for d in
+                               0.0005 * 10.0 ** np.linspace(0.0, 1.5, 5)]
+
+
+def _iterations_against_rescaled_starts(monkeypatch, spec, cfg):
+    """Sweep spec over CRITERION_7_GAMMAS; for every budget after the
+    first, the sweep's solve and a solve from its neighbor rescaled into
+    the ball."""
+    gammas = CRITERION_7_GAMMAS
+    runs = []
+    solve = stability.solve
+
+    def recording_solve(spec, cfg, *accepted):
+        runs.append((spec.gamma, solve(spec, cfg, *accepted)))
+        return runs[-1][1]
+
+    monkeypatch.setattr(stability, "solve", recording_solve)
+    report = sc.gamma_sweep(spec, gammas, cfg)
+    assert report.converged
+    assert [g for g, _ in runs[1:]] == sorted(gammas[1:], reverse=True)
+    pairs = []
+    for (g_prev, prev), (g, run) in zip(runs[1:], runs[2:]):
+        rescaled = solve(spec.with_budget(g), replace(
+            cfg, u0=rescale_into_ball(prev.u, g_prev, g)))
+        assert rescaled.converged
+        pairs.append((run, rescaled))
+    return pairs
+
+
+def test_secant_start_saves_iterations_on_a_linear_path(monkeypatch):
+    # the benchmark's low-kappa sweep instance, on which the solution is
+    # linear in gamma to 7 digits
+    spec = schloegl_spec(n=10, n_t=4, kappa=2e-3, gamma=0.05, diff=0.3,
+                         y0="zero", yd="bump")
+    pairs = _iterations_against_rescaled_starts(
+        monkeypatch, spec, sc.OptimizerConfig(tol=1e-8, max_iter=2000))
+    assert len(pairs) == 4
+    for run, rescaled in pairs:
+        assert run.iterations < rescaled.iterations
+
+
+def test_secant_start_is_closer_on_criterion_7_budgets(monkeypatch,
+                                                         active_solve):
+    # the support moves along this path, so the secant start is only a
+    # few times closer, and both starts take the same number of iterations
+    spec, _ = active_solve
+    pairs = _iterations_against_rescaled_starts(
+        monkeypatch, spec, sc.OptimizerConfig(tol=1e-11, max_iter=400))
+    assert len(pairs) == 4
+    for run, rescaled in pairs:
+        assert run.residual_history[0] < rescaled.residual_history[0]
+        assert run.iterations <= rescaled.iterations
+
+
 def test_inactive_regime_sweep(active_solve):
     spec = active_schloegl_spec(gamma=1e6)
     cfg = sc.OptimizerConfig(tol=1e-10, max_iter=400)
@@ -120,9 +211,9 @@ def test_sweep_does_not_resolve_the_base_budget(monkeypatch):
     solved = []
     solve = stability.solve
 
-    def counting_solve(spec, cfg):
+    def counting_solve(spec, cfg, accepted=None):
         solved.append(spec.gamma)
-        return solve(spec, cfg)
+        return solve(spec, cfg, accepted)
 
     monkeypatch.setattr(stability, "solve", counting_solve)
     spec = schloegl_spec(n=6, n_t=6, gamma=0.05)
