@@ -10,15 +10,15 @@ from .nonlinearity import (NonlinearitySpec, TruncationSpec,
                            f_M_prime, with_truncation)
 from .pde import (NewtonError, TruncationActiveWarning, elliptic_matrix,
                   solve_adjoint, solve_linearized, solve_state)
-from .l1ball import (ProjectionResult, l1_directional_derivative,
-                     project_field, project_slice, recover_multiplier)
+from .l1ball import (ProjectionResult, project_field, project_slice,
+                     recover_multiplier)
 from .problem import ProblemSpec
-from .objective import (curvature_with_state, eval_curvature, eval_gradient,
-                        eval_J, objective_value)
+from .objective import (curvature_weight, curvature_with_state,
+                        eval_curvature, eval_gradient, eval_J, hessian_vector,
+                        objective_value)
 from .optimizer import (KKTResiduals, OptimizerConfig, SolveReport,
                         kkt_residuals, solve)
-from .diagnostics import (ConeReport, CoercivityProbe, SliceActivity,
-                          classify_slices, coercivity_probe, cone_membership)
+from .diagnostics import SliceActivity, classify_slices, second_order_bound
 from .stability import (StabilityReport, fit_rate, gamma_sweep,
                         rescale_into_ball)
 from .presets import spatial_preset, target_preset

@@ -177,45 +177,44 @@ def check_curvature_fd(rng, n_dirs: int = 3) -> CheckResult:
                        f"max relative error {worst:.2e} (<= 1e-4) at eps={eps}")
 
 
-def _mms_spec(grid, tgrid, y0):
-    return ProblemSpec(
+def _mms_error(n: int, n_t: int, T: float, profile) -> float:
+    """Error of the stepper against y* = exp(-t) s(x) under the matching
+    analytic forcing, where profile(x) gives s and -Laplace(s) at the nodes
+    x of the 2D grid with n nodes per axis."""
+    grid, tgrid = SpaceGrid(2, n), TimeGrid(T, n_t)
+    shape, neg_laplace = profile(grid.coords())
+    exact = np.exp(-tgrid.node_times())[:, None] * shape[None, :]
+    decay = np.exp(-tgrid.interval_times())[:, None]
+    at_right = decay * shape[None, :]
+    forcing = -at_right + decay * neg_laplace[None, :] + (at_right**3 - at_right)
+    spec = ProblemSpec(
         kappa=1.0, gamma=1e9, grid=grid, tgrid=tgrid,
         diffusion=isotropic(2, 1.0),
         nonlinearity=NonlinearitySpec("schloegl", (-1.0, 0.0, 1.0)),
-        y0=y0,
-        yd=target_preset("zero", grid, tgrid))
+        y0=shape, yd=target_preset("zero", grid, tgrid))
+    y = solve_state(spec, field_per_interval(grid, tgrid, forcing))
+    return l2_norm(like(y, y.values - exact))
+
+
+def _sine(x):
+    shape = np.sin(np.pi * x[:, 0]) * np.sin(np.pi * x[:, 1])
+    return shape, 2.0 * np.pi**2 * shape
+
+
+def _quadratic(x):
+    q1, q2 = x[:, 0] * (1.0 - x[:, 0]), x[:, 1] * (1.0 - x[:, 1])
+    return q1 * q2, 2.0 * (q1 + q2)
 
 
 def mms_sine_error(n: int, n_t: int, T: float) -> float:
-    """Error of the stepper against y* = exp(-t) sin(pi x1) sin(pi x2) under
-    the matching analytic forcing; O(dt + h^2)."""
-    grid, tgrid = SpaceGrid(2, n), TimeGrid(T, n_t)
-    x = grid.coords()
-    shape = np.sin(np.pi * x[:, 0]) * np.sin(np.pi * x[:, 1])
-    exact = np.exp(-tgrid.node_times())[:, None] * shape[None, :]
-    at_right = np.exp(-tgrid.interval_times())[:, None] * shape[None, :]
-    forcing = (-1.0 + 2.0 * np.pi**2) * at_right + (at_right**3 - at_right)
-    spec = _mms_spec(grid, tgrid, shape)
-    y = solve_state(spec, field_per_interval(grid, tgrid, forcing))
-    return l2_norm(like(y, y.values - exact))
+    """Error against y* = exp(-t) sin(pi x1) sin(pi x2); O(dt + h^2)."""
+    return _mms_error(n, n_t, T, _sine)
 
 
 def mms_quadratic_error(n: int, n_t: int, T: float) -> float:
     """Error against y* = exp(-t) x1(1-x1) x2(1-x2); the stencil is exact on
     quadratics, so this isolates the time discretization error."""
-    grid, tgrid = SpaceGrid(2, n), TimeGrid(T, n_t)
-    x = grid.coords()
-    q1 = x[:, 0] * (1.0 - x[:, 0])
-    q2 = x[:, 1] * (1.0 - x[:, 1])
-    shape = q1 * q2
-    neg_laplace = 2.0 * (q1 + q2)
-    exact = np.exp(-tgrid.node_times())[:, None] * shape[None, :]
-    decay = np.exp(-tgrid.interval_times())[:, None]
-    at_right = decay * shape[None, :]
-    forcing = -at_right + decay * neg_laplace[None, :] + (at_right**3 - at_right)
-    spec = _mms_spec(grid, tgrid, shape)
-    y = solve_state(spec, field_per_interval(grid, tgrid, forcing))
-    return l2_norm(like(y, y.values - exact))
+    return _mms_error(n, n_t, T, _quadratic)
 
 
 def observed_order(errors, steps) -> list:

@@ -121,6 +121,7 @@ def cmd_sweep(cfg: RunConfig, out_dir: Path, gammas=None) -> int:
         "exponent": report.exponent,
         "L": report.constant,
         "regime": report.regime,
+        "second_order_bound": report.second_order_bound,
         "converged": report.converged,
         "warnings": list(report.warnings),
         "config": cfg.to_dict(),

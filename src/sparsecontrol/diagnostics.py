@@ -1,26 +1,25 @@
-"""Slice activity classification and second-order cone diagnostics.
+"""Slice activity classification and a certified second-order bound.
 
 A time slice is *binding* when its weighted l1 norm sits on the budget
 gamma (within tolerance) and *multiplier-active* when additionally the
-multiplier slice is not identically zero.  Critical directions v are those
-with (approximately) vanishing first-order change and budget-compatible
-one-sided l1 derivatives; the extended cone relaxes the equalities to a
-tau-band.  The coercivity probe samples feasible directions inside that
-band and reports the smallest observed Rayleigh quotient of the
-second-order form.  Sampling can only falsify coercivity, never certify
-it; the sampling scheme is recorded in the report.
+multiplier slice is not identically zero.  On a multiplier-active slice
+the linear hull of the critical cone holds the directions supported on
+supp(u) and orthogonal to sign(u); other slices are free (Casas, Herzog &
+Wachsmuth, SIAM J. Optim. 22, 2012).  As <H v, v> >= kappa <v, v> -
+<W_- S v, S v>, W_- the negative part of the form's weight, a positive
+kappa - lambda_max(P S* W_- S P) on that hull certifies the strong
+second-order condition of the discrete problem.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
+from scipy.sparse.linalg import LinearOperator, eigsh
 
-from .grid import SpaceTimeField, l2_inner, l2_norm, like
-from .l1ball import l1_directional_derivative, project_field, recover_multiplier
-from .objective import curvature_with_state
-from .pde import solve_adjoint, solve_state
+from .grid import SpaceTimeField, like
+from .objective import curvature_weight, weighted_product
 from .problem import ProblemSpec
 
 
@@ -50,77 +49,41 @@ def classify_slices(u: SpaceTimeField, mu: SpaceTimeField,
     return SliceActivity(l1, binding, multiplier_active, tol)
 
 
-@dataclass
-class ConeReport:
-    """Extended-cone membership of one direction."""
+def second_order_bound(spec: ProblemSpec, report) -> float:
+    """Lower bound on <H v, v> / <v, v> over the linear hull of the
+    critical cone at a SolveReport's (u, y, phi, mu) and held factors.
 
-    first_order_change: float        # <phi + kappa*u, v>
-    slice_derivatives: np.ndarray    # one-sided l1 derivative per slice
-    direction_norm: float
-    tau: float
-    member: bool
-
-
-def cone_membership(spec: ProblemSpec, u: SpaceTimeField, phi: SpaceTimeField,
-                    mu: SpaceTimeField, v: SpaceTimeField,
-                    tau: float) -> ConeReport:
-    """Test v against the tau-extended critical cone at (u, phi, mu)."""
-    gradient = like(u, phi.values + spec.kappa * u.values)
-    change = l2_inner(gradient, v)
-    vnorm = l2_norm(v)
-    jprime = l1_directional_derivative(u.values, v.values, u.grid.cell_weight)
-    activity = classify_slices(u, mu, spec.gamma)
-    bound = tau * vnorm
-    binding_only = activity.binding & ~activity.multiplier_active
-    ok = (abs(change) <= bound
-          and np.all(np.abs(jprime[activity.multiplier_active]) <= bound)
-          and np.all(jprime[binding_only] <= bound))
-    return ConeReport(change, jprime, vnorm, tau, bool(ok))
-
-
-@dataclass
-class CoercivityProbe:
-    """Smallest observed Rayleigh quotient over sampled cone directions."""
-
-    min_quotient: float | None
-    quotients: list = field(default_factory=list)
-    sampled: int = 0
-    accepted: int = 0
-    seed: int | None = None
-    sampling: str = ""
-
-
-def coercivity_probe(spec: ProblemSpec, u: SpaceTimeField, sample_count: int,
-                     tau: float, seed: int = 0) -> CoercivityProbe:
-    """Sample normalized feasible perturbation differences, keep those in
-    the tau-extended cone, and return the minimum of Q(v)/||v||^2.
-
-    An empty sample after filtering is reported (min_quotient None), not
-    fatal.
+    kappa where the weight 1 - a''(y) phi is >= 0 everywhere; otherwise
+    kappa - lambda_max(P S* W_- S P), W_- the weight's negative part and P
+    the orthogonal projection onto the hull, by Lanczos with a fixed start
+    (dense below 3 unknowns, where ARPACK does not run).  ValueError where
+    the clamp engages (objective.curvature_weight).
     """
-    rng = np.random.default_rng(seed)
-    y = solve_state(spec, u)
-    phi = solve_adjoint(spec, y)
-    mu = recover_multiplier(u, phi, spec.kappa)
-    sigma = 0.5 * max(1.0, float(np.max(np.abs(u.values), initial=0.0)))
-    report = CoercivityProbe(
-        min_quotient=None, seed=seed,
-        sampling=(f"v = normalize(proj(u + xi) - u), xi iid normal(0, "
-                  f"{sigma:.3g}^2) per node, default_rng({seed})"))
-    for _ in range(sample_count):
-        xi = sigma * rng.standard_normal(u.values.shape)
-        perturbed, _ = project_field(like(u, u.values + xi), spec.gamma)
-        direction = perturbed.values - u.values
-        norm = l2_norm(like(u, direction))
-        if norm == 0.0:
-            continue
-        v = like(u, direction / norm)
-        report.sampled += 1
-        if not cone_membership(spec, u, phi, mu, v, tau).member:
-            continue
-        quotient = curvature_with_state(spec, y, phi, v)
-        report.accepted += 1
-        report.quotients.append(quotient)
-    if report.quotients:
-        report.min_quotient = min(report.quotients)
-    return report
+    weight = curvature_weight(spec, report.y, report.phi)
+    if np.all(weight >= 0.0):
+        return float(spec.kappa)
+    negative = np.maximum(-weight, 0.0)
+    u = report.u
+    active = report.activity.multiplier_active[:, None]
+    sign = np.sign(u.values) * active
+    keep = ~active | (sign != 0.0)
+    count = np.maximum(np.sum(sign * sign, axis=1, keepdims=True), 1.0)
+    factors = list(report.factors)
+
+    def hull(x):
+        x = x.reshape(u.values.shape) * keep
+        return x - sign * (np.sum(sign * x, axis=1, keepdims=True) / count)
+
+    def apply(x):
+        product = weighted_product(spec, report.y, negative,
+                                   like(u, hull(x)), factors)
+        return hull(product).ravel()
+
+    n = u.values.size
+    operator = LinearOperator((n, n), matvec=apply, dtype=float)
+    if n < 3:
+        top = np.linalg.eigvalsh(operator.matmat(np.eye(n)))[-1]
+    else:
+        top = eigsh(operator, k=1, which="LA", return_eigenvectors=False,
+                    v0=np.random.default_rng(0).standard_normal(n))[0]
+    return float(spec.kappa - max(top, 0.0))

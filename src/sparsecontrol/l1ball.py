@@ -98,22 +98,6 @@ def project_field(v: SpaceTimeField, gamma: float):
     return like(v, values), thresholds
 
 
-def l1_directional_derivative(u: np.ndarray, v: np.ndarray, w: float):
-    """One-sided derivative of the weighted slice l1 norm at u in direction v.
-
-    Reduces over the last axis: one value per slice for stacked slices, a
-    float for a single slice.  Nodes where |u| is at most 1e-10 times the
-    slice max of |u| count as zero and contribute |v|; elsewhere sign(u)*v.
-    """
-    u = np.asarray(u, dtype=float)
-    v = np.asarray(v, dtype=float)
-    if u.shape != v.shape:
-        raise ValueError("slices have different shapes")
-    zero_tol = 1e-10 * np.max(np.abs(u), axis=-1, initial=0.0, keepdims=True)
-    contrib = np.where(np.abs(u) > zero_tol, np.sign(u) * v, np.abs(v))
-    return w * np.sum(contrib, axis=-1)
-
-
 def recover_multiplier(u: SpaceTimeField, phi: SpaceTimeField,
                        kappa: float) -> SpaceTimeField:
     """Budget-constraint multiplier mu = -(phi + kappa*u)."""

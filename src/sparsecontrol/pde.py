@@ -16,21 +16,22 @@ The linearization at a state y solves
 
     (z_m - z_{m-1})/dt + A_h z_m + a_M'(y_m) z_m = v_m,   z_0 = 0,
 
-one sparse solve per step.  The backward solve is the algebraic transpose
-of the forward step map: with B_m = I + dt A_h + dt diag(a_M'(y_m)) and
-r_m = y_m - yd_m,
+and the backward solve is the algebraic transpose of that step map: with
+B_m = I + dt A_h + dt diag(a_M'(y_m)) and r_m = y_m - yd_m,
 
     B_m^T p_m = p_{m+1} + dt r_m,   p_{n_t+1} = 0,  m = n_t..1,
 
 which makes sum_m dt <r_m, z_m> = sum_m dt <p_m, v_m> an exact identity
 (telescoping), i.e. the adjoint-based gradient matches difference quotients
 of the discrete objective to roundoff.  The adjoint field is per-interval,
-p_m sitting at the right node t_m.  Given the held factors, each backward
-step is the same iteration on the linear residual B_m p - rhs: iterative
-refinement on the stale factor, kept while every correction shrinks the
-residual 1000x down to roundoff, else one factorization of B_m, which then
-replaces the held one.  The state and adjoint sweeps form their sources
-dt*u_m and dt*r_m for all steps in one array operation before the loop.
+p_m sitting at the right node t_m.  Both are one linear sweep, forward or
+backward, each with its own source (dt*v_m, dt*r_m; the Hessian-vector
+product in objective sends a third source backward).  Given held factors,
+each step is the same iteration on the linear residual B_m x - rhs:
+iterative refinement on the stale factor, kept while every correction
+shrinks the residual 1000x down to roundoff, else one factorization of B_m,
+which then replaces the held one.  Every sweep forms its source for all
+steps in one array operation before the loop.
 Every sweep's NewtonError names the sweep and the step.
 
 A_h is the finite-difference operator on interior nodes: the standard
@@ -312,23 +313,43 @@ def solve_state(spec: ProblemSpec, u: SpaceTimeField,
     return state
 
 
-def solve_linearized(spec: ProblemSpec, y: SpaceTimeField,
-                     v: SpaceTimeField) -> SpaceTimeField:
-    """Directional state derivative at y in the control direction v."""
+def _linear_sweep(spec: ProblemSpec, y: SpaceTimeField, source: np.ndarray,
+                  factors: list | None, backward: bool) -> SpaceTimeField:
+    """z_m = B(y_m)^-1 (z_{m-1} + source[m - 1]), m = 1..n_t from z_0 = 0,
+    at the nodes; or backward p_m = B(y_m)^-1 (p_{m+1} + source[m - 1]),
+    m = n_t..1 from p_{n_t+1} = 0, per interval.
+
+    factors, when given, is a list of n_t factors of step matrices B(w_m)
+    at earlier states w, or None where there is none yet.  Step m refines
+    on factors[m - 1] (StepSystem.linear_step), and where that does not
+    serve it factors B(y_m) and stores that factor there.  Without it every
+    step is factored.
+    """
+    steps = spec.steps
+    n_t = spec.tgrid.n_t
+    if factors is None:
+        factors = [None] * n_t
+    x = np.zeros((n_t + 2, spec.grid.n_nodes))
+    previous = 1 if backward else -1
+    try:
+        for m in range(n_t, 0, -1) if backward else range(1, n_t + 1):
+            x[m], factors[m - 1] = steps.linear_step(
+                x[m + previous] + source[m - 1], y.values[m], factors[m - 1])
+    except NewtonError as exc:
+        sweep = "adjoint" if backward else "linearized"
+        raise NewtonError(f"{sweep} solver failed at step {m}: {exc}") from exc
+    if backward:
+        return field_per_interval(spec.grid, spec.tgrid, x[1:-1])
+    return field_at_nodes(spec.grid, spec.tgrid, x[:-1])
+
+
+def solve_linearized(spec: ProblemSpec, y: SpaceTimeField, v: SpaceTimeField,
+                     factors: list | None = None) -> SpaceTimeField:
+    """Directional state derivative at y in the control direction v; factors
+    as for solve_adjoint."""
     if v.slice_semantics != PER_INTERVAL:
         raise ValueError("direction must be a per-interval field")
-    steps = spec.steps
-    dt = spec.tgrid.dt
-    n_t = spec.tgrid.n_t
-    z = np.zeros((n_t + 1, spec.grid.n_nodes))
-    try:
-        for m in range(1, n_t + 1):
-            z[m] = steps.factor(y.values[m]).solve(
-                z[m - 1] + dt * v.values[m - 1])
-    except NewtonError as exc:
-        raise NewtonError(f"linearized solver failed at step {m}: "
-                          f"{exc}") from exc
-    return field_at_nodes(spec.grid, spec.tgrid, z)
+    return _linear_sweep(spec, y, spec.tgrid.dt * v.values, factors, False)
 
 
 def solve_adjoint(spec: ProblemSpec, y: SpaceTimeField,
@@ -336,25 +357,8 @@ def solve_adjoint(spec: ProblemSpec, y: SpaceTimeField,
     """Backward solve with right-hand side y - yd, the exact transpose of
     the forward linearization (with B_m = B_m^T).  Per-interval field.
 
-    factors, when given, is a list of n_t factors of step matrices B(w_m)
-    at earlier states w, or None where there is none yet, as the chord
-    start of a later solve_state(spec, u, (y, factors)).  Step m refines on
-    factors[m - 1] (StepSystem.linear_step), and where that does not serve
-    it factors B(y_m) and stores that factor there.  Without it every step
-    is factored.
+    factors, when given, is the held list of _linear_sweep; it leaves the
+    chord start of a later solve_state(spec, u, (y, factors)).
     """
-    steps = spec.steps
-    n_t = spec.tgrid.n_t
-    if factors is None:
-        factors = [None] * n_t
-    p = np.zeros((n_t, spec.grid.n_nodes))
-    p_next = np.zeros(spec.grid.n_nodes)
     source = spec.tgrid.dt * (y.values[1:] - spec.yd.values[1:])
-    try:
-        for m in range(n_t, 0, -1):
-            p[m - 1], factors[m - 1] = steps.linear_step(
-                p_next + source[m - 1], y.values[m], factors[m - 1])
-            p_next = p[m - 1]
-    except NewtonError as exc:
-        raise NewtonError(f"adjoint solver failed at step {m}: {exc}") from exc
-    return field_per_interval(spec.grid, spec.tgrid, p)
+    return _linear_sweep(spec, y, source, factors, True)

@@ -102,12 +102,15 @@ class RunConfig:
 
 
 def _coerce_diffusion(entry, n_dim: int) -> DiffusionTensor:
-    if isinstance(entry, (int, float)):
+    if _is_number(entry):
         return isotropic(n_dim, float(entry))
-    matrix = np.asarray(entry, dtype=float)
-    if matrix.shape != (n_dim, n_dim):
-        raise ConfigError(f"problem.diffusion must be a scalar or an "
-                          f"{n_dim}x{n_dim} matrix")
+    try:
+        matrix = np.asarray(entry, dtype=float)
+    except (TypeError, ValueError):
+        matrix = None
+    if matrix is None or matrix.shape != (n_dim, n_dim):
+        raise ConfigError(f"problem.diffusion must be a number or an "
+                          f"{n_dim}x{n_dim} matrix, got {entry!r}")
     return DiffusionTensor(tuple(tuple(row) for row in matrix))
 
 
@@ -137,7 +140,19 @@ def _is_integer(value) -> bool:
     return isinstance(value, int) and not isinstance(value, bool)
 
 
+def _is_number(value) -> bool:
+    return _is_integer(value) or isinstance(value, float)
+
+
+def _require_numbers(block: dict, keys, path: str):
+    for key in keys:
+        if not _is_number(block[key]):
+            raise ConfigError(f"{path}.{key} must be a number, got "
+                              f"{block[key]!r}")
+
+
 def build_problem_spec(problem: dict) -> ProblemSpec:
+    _require_numbers(problem, ("T", "kappa", "gamma"), "problem")
     try:
         for key in ("n_dim", "n_per_axis", "n_t"):
             if not _is_integer(problem[key]):
@@ -174,6 +189,7 @@ def parse_config(text: str) -> RunConfig:
     seed = raw.get("seed", 0)
     if not _is_integer(seed) or seed < 0:
         raise ConfigError("seed must be a nonnegative integer")
+    _require_numbers(optimizer, ("tol",), "optimizer")
     cfg = RunConfig(problem, optimizer, output, seed)
     # fail fast on domain errors so the CLI can exit with a config error
     cfg.problem_spec()

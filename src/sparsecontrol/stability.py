@@ -8,7 +8,8 @@ solve starts from the projected secant through the last two solved budgets
 behind it, rescales the base control into its ball) and takes over its
 neighbor's state and held step factors: every budget shares the base
 problem's step system and clamp level (ProblemSpec.with_budget).  A warning
-names the budgets that reach the clamp.
+names the budgets that reach the clamp.  The report also carries the
+certified second-order bound at the base budget.
 """
 
 from __future__ import annotations
@@ -17,6 +18,7 @@ from dataclasses import dataclass, field, replace
 
 import numpy as np
 
+from .diagnostics import second_order_bound
 from .grid import SpaceTimeField, l2_norm, like
 from .l1ball import project_field
 from .optimizer import OptimizerConfig, solve
@@ -34,6 +36,9 @@ class StabilityReport:
     converged: bool
     warnings: list = field(default_factory=list)
     iterations: list = field(default_factory=list)   # per budget, as gammas
+    # diagnostics.second_order_bound at the base budget; None when the base
+    # solve did not converge or reached the clamp
+    second_order_bound: float | None = None
 
 
 def fit_rate(pairs) -> tuple[float, float]:
@@ -116,6 +121,8 @@ def gamma_sweep(spec: ProblemSpec, gammas, cfg: OptimizerConfig) -> StabilityRep
         report.warnings.append(
             f"reaction clamp engaged at gamma'={sorted(clamped)}; the "
             "distances and the fit describe the clamped equation")
+    if base.truncation_inactive:
+        report.second_order_bound = second_order_bound(spec, base)
     report.gammas = [g for g in gammas if g in results]
     report.distances = [results[g] for g in report.gammas]
     report.iterations = [iterations[g] for g in report.gammas]

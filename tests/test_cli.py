@@ -142,6 +142,12 @@ def test_domain_error_exits_one(tmp_path, capsys):
     (["solve"], "problem: {n_t: true}", "problem block"),
     (["solve"], "optimizer: {max_iter: true}", "optimizer block"),
     (["solve"], "seed: true", "seed"),
+    # a string or a list where a number is wanted names its key
+    (["solve"], "optimizer: {tol: abc}", "optimizer.tol must be a number"),
+    (["solve"], "problem: {kappa: abc}", "problem.kappa must be a number"),
+    (["solve"], "problem: {T: abc}", "problem.T must be a number"),
+    (["solve"], "problem: {diffusion: abc}", "problem.diffusion must be a "),
+    (["solve"], "problem: {gamma: [1]}", "problem.gamma must be a number"),
 ])
 def test_non_finite_input_is_a_config_error(tmp_path, capsys, command, text,
                                             block):
@@ -268,6 +274,7 @@ def test_sweep_writes_outputs(tmp_path):
     assert payload["base_gamma"] == 0.1
     assert payload["regime"] in ("active", "inactive")
     assert len(payload["distances"]) == 3
+    assert payload["second_order_bound"] <= 0.2
     # the base budget's row is the base solve: its iterations are in
     # report.json's of a solve on the same config
     assert len(payload["iterations"]) == 3
@@ -289,6 +296,26 @@ def test_sweep_warns_when_the_clamp_engages(tmp_path):
     assert ("reaction clamp engaged at gamma'=[0.08, 0.09, 0.1]; the "
             "distances and the fit describe the clamped equation"
             in payload["warnings"])
+    # the second-order form is not defined on the clamped equation
+    assert payload["second_order_bound"] is None
+
+
+# one node, one step, a negative curvature weight at the solution; the
+# hull of the critical cone has dimension 0 at kappa 0.1 (the slice is
+# multiplier-active) and 1 at kappa 1, gamma 10 (it is free)
+ONE_UNKNOWN = ("problem: {n_dim: 1, n_per_axis: 1, n_t: 1, kappa: %s, "
+               "gamma: %s, diffusion: 0.1, nonlinearity: {kind: schloegl, "
+               "params: [-1.0, 0.0, 1.0]}, y0: constant(2), yd: zero}\n")
+
+
+@pytest.mark.parametrize("kappa, gamma", [(0.1, 0.05), (1.0, 10.0)])
+def test_sweep_on_one_unknown_writes_a_finite_bound(tmp_path, kappa, gamma):
+    cfg = write_config(tmp_path, ONE_UNKNOWN % (kappa, gamma))
+    out = tmp_path / "sw"
+    assert main(["sweep", "--config", cfg, "--out", str(out)]) == 0
+    bound = json.loads((out / "stability.json").read_text())[
+        "second_order_bound"]
+    assert np.isfinite(bound) and 0.0 < bound <= kappa
 
 
 def test_check_passes_and_corrupt_adjoint_fails(tmp_path, capsys,
@@ -567,6 +594,9 @@ def test_sweep_ends_in_outputs_or_a_named_state_failure(config):
             payload = json.loads((out / "stability.json").read_text())
             assert payload["converged"] is (code == 0)
             assert (out / "stability.csv").exists()
+            bound = payload["second_order_bound"]
+            kappa = payload["config"]["problem"]["kappa"]
+            assert bound is None or (np.isfinite(bound) and bound <= kappa)
 
 
 # one check runs the whole property suite, over a second

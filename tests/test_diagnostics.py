@@ -1,11 +1,13 @@
+from dataclasses import replace
+
 import numpy as np
 import pytest
 
 import sparsecontrol as sc
 from sparsecontrol.grid import like
-from sparsecontrol.l1ball import l1_directional_derivative
 
-from conftest import linear_1d_spec, random_control, schloegl_spec
+from conftest import (linear_1d_spec, random_control, schloegl_spec,
+                      with_clamp)
 
 
 def make_pair(grid, tgrid, u_values, mu_values):
@@ -82,64 +84,6 @@ def test_solver_activity_support_structure(active_solve):
         assert np.all(mu_slice[support] >= peak - 1e-7)
 
 
-def test_cone_zero_direction_is_member(active_solve):
-    spec, report = active_solve
-    v = like(report.u, np.zeros_like(report.u.values))
-    cone = sc.cone_membership(spec, report.u, report.phi, report.mu, v, 0.0)
-    assert cone.member
-    assert cone.first_order_change == 0.0
-
-
-def test_cone_gradient_kernel_unconstrained():
-    spec = linear_1d_spec(gamma=1e9)
-    report = sc.solve(spec, sc.OptimizerConfig(tol=1e-12, max_iter=2000))
-    assert report.converged
-    rng = np.random.default_rng(5)
-    raw = random_control(spec, rng)
-    g = like(report.u, report.phi.values + spec.kappa * report.u.values)
-    g_norm = sc.l2_inner(g, g)
-    coef = sc.l2_inner(g, raw) / g_norm if g_norm > 0 else 0.0
-    v = like(raw, raw.values - coef * g.values)
-    cone = sc.cone_membership(spec, report.u, report.phi, report.mu, v,
-                              tau=1e-9)
-    assert cone.member
-
-
-def test_cone_verdict_matches_direct_transcription(active_solve):
-    spec, report = active_solve
-    rng = np.random.default_rng(7)
-    w = spec.grid.cell_weight
-    tau = 0.1
-    for _ in range(5):
-        v = random_control(spec, rng)
-        cone = sc.cone_membership(spec, report.u, report.phi, report.mu, v, tau)
-        # independent re-implementation of the three inequalities
-        bound = tau * sc.l2_norm(v)
-        change = sc.l2_inner(
-            like(v, report.phi.values + spec.kappa * report.u.values), v)
-        verdict = abs(change) <= bound
-        for m in range(report.u.n_slices):
-            l1 = w * np.sum(np.abs(report.u.values[m]))
-            if abs(l1 - spec.gamma) > 1e-8 * spec.gamma:
-                continue
-            jp = l1_directional_derivative(report.u.values[m], v.values[m], w)
-            mu_inf = np.max(np.abs(report.mu.values[m]))
-            if mu_inf > 1e-8 * spec.gamma:
-                verdict = verdict and abs(jp) <= bound
-            else:
-                verdict = verdict and jp <= bound
-        assert cone.member == verdict
-
-
-def test_coercivity_probe_without_reaction():
-    spec = linear_1d_spec(gamma=1e6)
-    report = sc.solve(spec, sc.OptimizerConfig(tol=1e-10, max_iter=2000))
-    probe = sc.coercivity_probe(spec, report.u, sample_count=12, tau=1e3,
-                                seed=11)
-    assert probe.accepted > 0
-    assert probe.min_quotient >= spec.kappa - 1e-10
-
-
 def test_coercivity_probe_impulse_direction(active_solve):
     # a single-node impulse: the quotient is kappa plus the tracking
     # curvature along the linearized response, evaluated directly
@@ -169,19 +113,99 @@ def test_quotient_sign_symmetric(active_solve):
         sc.eval_curvature(spec, report.u, like(v, -v.values)), rel=1e-13)
 
 
-def test_probe_is_reproducible(active_solve):
-    spec, report = active_solve
-    a = sc.coercivity_probe(spec, report.u, sample_count=6, tau=1e3, seed=13)
-    b = sc.coercivity_probe(spec, report.u, sample_count=6, tau=1e3, seed=13)
-    assert a.quotients == b.quotients
-    assert a.sampling == b.sampling
+def one_mode_family(n, gamma):
+    """The y0 = 2 x one-mode Schloegl family: a negative curvature weight
+    at the solution."""
+    spec = schloegl_spec(n=n, n_t=6, diff=0.1, gamma=gamma, yd="zero")
+    spec = replace(spec, y0=2.0 * spec.y0)
+    report = sc.solve(spec, sc.OptimizerConfig(tol=1e-10, max_iter=400))
+    assert report.converged and report.truncation_inactive
+    return spec, report
 
 
-def test_probe_reports_empty_filter(active_solve):
+def exact_subspace_minimum(spec, report):
+    """Smallest eigenvalue of the dense reduced Hessian on the linear hull
+    of the critical cone, built column by column, independently of the
+    bound's projection."""
+    u = report.u.values
+    n = u.size
+    columns = [sc.hessian_vector(spec, report.y, report.phi,
+                                 like(report.u, e.reshape(u.shape))).values
+               for e in np.eye(n)]
+    hessian = np.array([c.ravel() for c in columns]).T
+    active = report.activity.multiplier_active
+    free = np.ones(u.shape, dtype=bool)
+    free[active] = u[active] != 0.0
+    basis = np.eye(n)[:, free.ravel()]
+    constraints = [np.where(np.arange(u.shape[0])[:, None] == m, np.sign(u),
+                            0.0).ravel() for m in np.flatnonzero(active)]
+    if constraints:
+        _, sigma, vt = np.linalg.svd(np.array(constraints) @ basis)
+        basis = basis @ vt[int(np.sum(sigma > 1e-12)):].T
+    reduced = basis.T @ hessian @ basis
+    return np.linalg.eigvalsh(0.5 * (reduced + reduced.T))[0]
+
+
+@pytest.mark.parametrize("n, gamma", [(3, 0.05), (4, 0.05), (4, 0.2),
+                                      (5, 0.1)])
+def test_second_order_bound_below_the_exact_subspace_minimum(n, gamma):
+    spec, report = one_mode_family(n, gamma)
+    assert sc.curvature_weight(spec, report.y, report.phi).min() < 0.0
+    bound = sc.second_order_bound(spec, report)
+    exact = exact_subspace_minimum(spec, report)
+    assert 0.95 * exact <= bound <= exact
+    held = list(report.factors)
+    assert sc.second_order_bound(spec, report) == bound
+    # the report's held factors are not replaced
+    assert all(a is b for a, b in zip(report.factors, held))
+
+
+def test_second_order_bound_is_kappa_where_the_weight_is_nonnegative(
+        active_solve, splu_calls):
+    # the canonical active instance has weight >= 1 everywhere: the closed
+    # form needs no sweep and no factorization
     spec, report = active_solve
-    probe = sc.coercivity_probe(spec, report.u, sample_count=3, tau=0.0,
-                                seed=17)
-    # tau = 0 rejects every sampled direction; reported, not fatal
-    assert probe.min_quotient is None
-    assert probe.accepted == 0
-    assert probe.sampled > 0
+    assert sc.curvature_weight(spec, report.y, report.phi).min() >= 0.0
+    assert sc.second_order_bound(spec, report) == spec.kappa
+    linear = linear_1d_spec(gamma=0.05)
+    solved = sc.solve(linear, sc.OptimizerConfig(tol=1e-10))
+    del splu_calls[:]
+    assert sc.second_order_bound(linear, solved) == linear.kappa
+    assert not splu_calls
+
+
+@pytest.mark.parametrize("kappa, gamma, dimension", [(0.1, 0.05, 0),
+                                                     (1.0, 10.0, 1)])
+def test_second_order_bound_on_one_unknown(kappa, gamma, dimension):
+    # one node and one step, negative weight: ARPACK cannot run on one
+    # unknown, so the bound comes from the dense 1 x 1 operator.  The hull
+    # is empty on the multiplier-active slice and the whole line otherwise
+    grid, tgrid = sc.SpaceGrid(1, 1), sc.TimeGrid(1.0, 1)
+    spec = sc.ProblemSpec(
+        kappa=kappa, gamma=gamma, grid=grid, tgrid=tgrid,
+        diffusion=sc.isotropic(1, 0.1),
+        nonlinearity=sc.NonlinearitySpec("schloegl", (-1.0, 0.0, 1.0)),
+        y0=sc.spatial_preset("constant(2)", grid),
+        yd=sc.target_preset("zero", grid, tgrid))
+    report = sc.solve(spec, sc.OptimizerConfig())
+    assert report.converged
+    assert sc.curvature_weight(spec, report.y, report.phi).min() < 0.0
+    assert report.activity.n_multiplier_active == 1 - dimension
+    bound = sc.second_order_bound(spec, report)
+    if dimension == 0:
+        assert bound == kappa
+    else:
+        v = like(report.u, np.ones((1, 1)))
+        quotient = (sc.curvature_with_state(spec, report.y, report.phi, v)
+                    / sc.l2_inner(v, v))
+        assert np.isfinite(bound) and bound <= quotient * (1.0 + 1e-12)
+        assert bound < kappa
+
+
+@pytest.mark.filterwarnings("ignore::sparsecontrol.pde.TruncationActiveWarning")
+def test_second_order_bound_refuses_an_engaged_clamp():
+    spec = with_clamp(schloegl_spec(), 0.05)
+    report = sc.solve(spec, sc.OptimizerConfig(max_iter=3))
+    assert not report.truncation_inactive
+    with pytest.raises(ValueError, match="clamp level 0.05"):
+        sc.second_order_bound(spec, report)

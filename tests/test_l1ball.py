@@ -8,8 +8,7 @@ import sparsecontrol as sc
 from sparsecontrol.checks import (bisect_threshold,
                                   check_projection_oracle)
 from sparsecontrol.grid import like
-from sparsecontrol.l1ball import (_project_rows, l1_directional_derivative,
-                                  project_field, project_slice,
+from sparsecontrol.l1ball import (_project_rows, project_field, project_slice,
                                   recover_multiplier)
 
 slices = st.lists(st.floats(-100.0, 100.0), min_size=1, max_size=50).map(np.array)
@@ -185,34 +184,6 @@ def test_project_field_slicewise():
     per_slice = project_slice(values[1], grid.cell_weight, 0.5)
     assert np.array_equal(projected.values[1], per_slice.values)
     assert thresholds[1] == per_slice.threshold
-
-
-def test_l1_directional_derivative_cases():
-    w = 1.0
-    # strictly positive control: plain integral of v
-    assert l1_directional_derivative(np.array([1.0, 2.0]),
-                                     np.array([3.0, -1.0]), w) == pytest.approx(2.0)
-    # zero control: l1 norm of v
-    assert l1_directional_derivative(np.zeros(3),
-                                     np.array([1.0, -2.0, 3.0]), w) == pytest.approx(6.0)
-    # mixed hand example
-    assert l1_directional_derivative(np.array([1.0, 0.0, -2.0]),
-                                     np.array([5.0, -3.0, 4.0]),
-                                     w) == pytest.approx(4.0)
-    with pytest.raises(ValueError):
-        l1_directional_derivative(np.zeros(2), np.zeros(3), w)
-
-
-def test_l1_directional_derivative_stacked_equals_per_row():
-    rng = np.random.default_rng(5)
-    u = rng.standard_normal((6, 30))
-    u[rng.random(u.shape) < 0.4] = 0.0
-    u[2] = 0.0
-    v = rng.standard_normal(u.shape)
-    stacked = l1_directional_derivative(u, v, 0.3)
-    assert stacked.shape == (6,)
-    for m in range(u.shape[0]):
-        assert stacked[m] == l1_directional_derivative(u[m], v[m], 0.3)
 
 
 def test_recover_multiplier_values():

@@ -640,6 +640,18 @@ def test_adjoint_identity_with_a_refined_adjoint(splu_calls):
     assert abs(lhs - rhs) <= 1e-10 * max(abs(lhs), abs(rhs))
 
 
+def test_linearized_refined_on_held_factors_matches_factoring(splu_calls):
+    # the forward sweep refines on held factors as the adjoint one does
+    spec, y, factors = refinement_problem(0.0)
+    v = random_control(spec, np.random.default_rng(35))
+    fresh = sc.solve_linearized(spec, y, v)
+    del splu_calls[:]
+    z = sc.solve_linearized(spec, y, v, factors)
+    assert not splu_calls
+    assert (np.linalg.norm(z.values - fresh.values)
+            <= 1e-12 * np.linalg.norm(fresh.values))
+
+
 def test_newton_failure_raises():
     # 1 + dt*a'(0) = 1 - 0.25*30 < 0: under this large control some
     # implicit step has no solution that Newton reaches
@@ -712,6 +724,16 @@ def reference_adjoint(spec, y, factors=None):
     return np.array(p[:-1])
 
 
+def reference_linearized(spec, y, v):
+    """solve_linearized's values as a plain loop that factors every step."""
+    steps, dt = spec.steps, spec.tgrid.dt
+    z = [np.zeros(spec.grid.n_nodes)]
+    for m in range(1, spec.tgrid.n_t + 1):
+        z.append(steps.factor(y.values[m]).solve(z[m - 1]
+                                                 + dt * v.values[m - 1]))
+    return np.array(z)
+
+
 @pytest.mark.parametrize("kind", ["zero", "linear", "schloegl"])
 def test_sweeps_match_a_per_step_loop_bitwise(kind):
     # the sweeps form their sources for all steps at once; every output
@@ -726,6 +748,8 @@ def test_sweeps_match_a_per_step_loop_bitwise(kind):
     assert y.values.tobytes() == reference_state(spec, u).tobytes()
     assert (sc.solve_adjoint(spec, y).values.tobytes()
             == reference_adjoint(spec, y).tobytes())
+    assert (sc.solve_linearized(spec, y, u).values.tobytes()
+            == reference_linearized(spec, y, u).tobytes())
     # held factors at y, then a nearby control: the state chords on them
     # and the adjoint refines on them, and may replace some
     factors = [None] * spec.tgrid.n_t
