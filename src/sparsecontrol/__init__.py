@@ -19,8 +19,7 @@ from .objective import (curvature_weight, curvature_with_state,
 from .optimizer import (KKTResiduals, OptimizerConfig, SolveReport,
                         kkt_residuals, solve)
 from .diagnostics import SliceActivity, classify_slices, second_order_bound
-from .stability import (StabilityReport, fit_rate, gamma_sweep,
-                        rescale_into_ball)
+from .stability import StabilityReport, fit_rate, gamma_sweep
 from .presets import spatial_preset, target_preset
 from .runconfig import ConfigError, RunConfig, build_problem_spec, load_config, \
     parse_config

@@ -168,7 +168,11 @@ def main(argv=None) -> int:
             cfg.seed = args.seed
         gammas = None
         if getattr(args, "gammas", None):
-            gammas = [float(tok) for tok in args.gammas.split(",") if tok.strip()]
+            try:
+                gammas = [float(tok) for tok in args.gammas.split(",")
+                          if tok.strip()]
+            except ValueError as exc:
+                raise ConfigError(f"--gammas: {exc}") from exc
             if not all(0 < g < np.inf for g in gammas):
                 raise ConfigError(f"--gammas must be finite and > 0, "
                                   f"got {args.gammas}")

@@ -39,7 +39,6 @@ _MIN_STEP, _MAX_STEP = 1e-10, 1e10
 class OptimizerConfig:
     tol: float = 1e-8
     max_iter: int = 2000
-    u0: SpaceTimeField | None = None     # defaults to the zero control
 
     def __post_init__(self):
         if not 0 < self.tol < np.inf:
@@ -118,8 +117,10 @@ class SolveReport:
 
 
 def solve(spec: ProblemSpec, cfg: OptimizerConfig = OptimizerConfig(),
+          u0: SpaceTimeField | None = None,
           accepted: tuple | None = None) -> SolveReport:
-    """Run the projected gradient method on spec.
+    """Run the projected gradient method on spec from the control u0 (the
+    zero control when None).
 
     accepted, when given, is a pair (y, factors) as an earlier report's on
     spec's step system: the initial state solve chords from y on the
@@ -130,10 +131,7 @@ def solve(spec: ProblemSpec, cfg: OptimizerConfig = OptimizerConfig(),
     (the report keeps the point before).  A trial whose state solve fails is
     rejected; a failure of the initial state or adjoint solve propagates.
     """
-    if cfg.u0 is not None:
-        u = cfg.u0.copy()
-    else:
-        u = field_per_interval(spec.grid, spec.tgrid)
+    u = field_per_interval(spec.grid, spec.tgrid) if u0 is None else u0.copy()
     step = 1.0 / spec.kappa
 
     # factors of step matrices B(w_m) at accepted states w: every adjoint
@@ -171,7 +169,6 @@ def solve(spec: ProblemSpec, cfg: OptimizerConfig = OptimizerConfig(),
         # once the predicted decrease drops below J's roundoff floor the
         # Armijo comparison is pure noise; accept such steps
         noise_floor = 16.0 * np.finfo(float).eps * max(1.0, abs(j_val))
-        accepted = False
         for _ in range(_MAX_BACKTRACKS):
             candidate, _ = project_field(
                 like(u, u.values - step * gradient.values), spec.gamma)
@@ -184,10 +181,9 @@ def solve(spec: ProblemSpec, cfg: OptimizerConfig = OptimizerConfig(),
             s = like(u, candidate.values - u.values)
             decrement = l2_inner(gradient, s)
             if j_new <= j_val + _ARMIJO_C * decrement + noise_floor:
-                accepted = True
                 break
             step *= _BACKTRACK
-        if not accepted:
+        else:
             message = "line search stalled"
             break
 

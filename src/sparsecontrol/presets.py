@@ -32,9 +32,9 @@ def _bump(coords: np.ndarray) -> np.ndarray:
 
 def spatial_preset(name, grid: SpaceGrid) -> np.ndarray:
     """Evaluate a named shape (or a plain number) on the interior nodes."""
-    if isinstance(name, (int, float)):
+    if isinstance(name, (int, float)) and not isinstance(name, bool):
         return np.full(grid.n_nodes, float(name))
-    match = _CONSTANT_RE.match(name)
+    match = isinstance(name, str) and _CONSTANT_RE.match(name)
     if match:
         return np.full(grid.n_nodes, float(match.group(1)))
     if name == "zero":

@@ -55,9 +55,7 @@ _PROBLEM_DEFAULTS = {
     "truncation": "auto",
     "y0": "zero", "yd": "zero",
 }
-# the initial control is not a config key
-_OPTIMIZER_DEFAULTS = {f.name: f.default for f in fields(OptimizerConfig)
-                       if f.name != "u0"}
+_OPTIMIZER_DEFAULTS = {f.name: f.default for f in fields(OptimizerConfig)}
 _OUTPUT_DEFAULTS = {"directory": ".", "dump_fields": False}
 
 
@@ -104,14 +102,11 @@ class RunConfig:
 def _coerce_diffusion(entry, n_dim: int) -> DiffusionTensor:
     if _is_number(entry):
         return isotropic(n_dim, float(entry))
-    try:
-        matrix = np.asarray(entry, dtype=float)
-    except (TypeError, ValueError):
-        matrix = None
-    if matrix is None or matrix.shape != (n_dim, n_dim):
+    if not (isinstance(entry, list) and len(entry) == n_dim
+            and all(_is_number_list(row, n_dim) for row in entry)):
         raise ConfigError(f"problem.diffusion must be a number or an "
                           f"{n_dim}x{n_dim} matrix, got {entry!r}")
-    return DiffusionTensor(tuple(tuple(row) for row in matrix))
+    return DiffusionTensor(tuple(map(tuple, entry)))
 
 
 def _coerce_nonlinearity(entry, truncation) -> NonlinearitySpec:
@@ -121,16 +116,18 @@ def _coerce_nonlinearity(entry, truncation) -> NonlinearitySpec:
                     "problem.nonlinearity")
     if entry["kind"] not in KINDS:
         raise ConfigError(f"problem.nonlinearity.kind must be one of {KINDS}")
+    params = entry["params"] or []
+    if not _is_number_list(params):
+        raise ConfigError(f"problem.nonlinearity.params must be a list of "
+                          f"numbers, got {params!r}")
     trunc = None
     if truncation not in ("auto", None):
-        try:
-            trunc = TruncationSpec(float(truncation))
-        except (TypeError, ValueError) as exc:
+        if not (_is_number(truncation) and 0 < truncation < np.inf):
             raise ConfigError(f"problem.truncation must be 'auto' or a "
-                              f"positive number: {exc}") from exc
+                              f"finite number > 0, got {truncation!r}")
+        trunc = TruncationSpec(float(truncation))
     try:
-        return NonlinearitySpec(entry["kind"], tuple(entry["params"] or ()),
-                                trunc)
+        return NonlinearitySpec(entry["kind"], tuple(params), trunc)
     except ValueError as exc:
         raise ConfigError(f"problem.nonlinearity: {exc}") from exc
 
@@ -142,6 +139,18 @@ def _is_integer(value) -> bool:
 
 def _is_number(value) -> bool:
     return _is_integer(value) or isinstance(value, float)
+
+
+def _is_number_list(value, length=None) -> bool:
+    return (isinstance(value, list) and all(map(_is_number, value))
+            and length in (None, len(value)))
+
+
+def _preset(preset, problem: dict, key: str, *grids):
+    try:
+        return preset(problem[key], *grids)
+    except ValueError as exc:
+        raise ConfigError(f"problem.{key}: {exc}") from exc
 
 
 def _require_numbers(block: dict, keys, path: str):
@@ -163,8 +172,8 @@ def build_problem_spec(problem: dict) -> ProblemSpec:
         diffusion = _coerce_diffusion(problem["diffusion"], grid.n_dim)
         nonlinearity = _coerce_nonlinearity(problem["nonlinearity"],
                                             problem["truncation"])
-        y0 = spatial_preset(problem["y0"], grid)
-        yd = target_preset(problem["yd"], grid, tgrid)
+        y0 = _preset(spatial_preset, problem, "y0", grid)
+        yd = _preset(target_preset, problem, "yd", grid, tgrid)
         return ProblemSpec(
             kappa=float(problem["kappa"]), gamma=float(problem["gamma"]),
             grid=grid, tgrid=tgrid, diffusion=diffusion,

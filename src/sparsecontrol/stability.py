@@ -3,23 +3,23 @@ the l1 budget gamma changes, and the fitted power of that distance.
 
 Solves the problem over a list of budgets around the base gamma, outward on
 each side, then fits log(distance) against log(|gamma' - gamma|).  Each
-solve starts from the projected secant through the last two solved budgets
-(the base counts as one; the first budget on a side, with only the base
-behind it, rescales the base control into its ball) and takes over its
-neighbor's state and held step factors: every budget shares the base
-problem's step system and clamp level (ProblemSpec.with_budget).  A warning
-names the budgets that reach the clamp.  The report also carries the
+solve starts from the secant through the last two solved budgets, projected
+onto its ball (the base counts as one; with only the base behind, the
+secant is flat and the start is the base control projected), and takes
+over its neighbor's state and held step factors: every budget shares the
+base problem's step system and clamp level (ProblemSpec.with_budget).  A
+warning names the budgets that reach the clamp.  The report also carries the
 certified second-order bound at the base budget.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field
 
 import numpy as np
 
 from .diagnostics import second_order_bound
-from .grid import SpaceTimeField, l2_norm, like
+from .grid import l2_norm, like
 from .l1ball import project_field
 from .optimizer import OptimizerConfig, solve
 from .problem import ProblemSpec
@@ -58,29 +58,20 @@ def fit_rate(pairs) -> tuple[float, float]:
     return float(slope), float(np.exp(intercept))
 
 
-def rescale_into_ball(u: SpaceTimeField, gamma_from: float,
-                      gamma_to: float) -> SpaceTimeField:
-    """Warm-start transfer between budgets: shrink proportionally when the
-    ball shrinks, keep the control otherwise."""
-    if gamma_to < gamma_from:
-        return like(u, (gamma_to / gamma_from) * u.values)
-    return u.copy()
-
-
 def gamma_sweep(spec: ProblemSpec, gammas, cfg: OptimizerConfig) -> StabilityReport:
     """Solve for every budget in gammas and report distances to the base
     solution at spec.gamma.
 
     Budgets are processed outward from the base on each side so every solve
     warm-starts from its nearest already-solved neighbor, with its state and
-    step factors, at the projected secant u_k + (g - g_k)/(g_k - g_{k-1})
-    (u_k - u_{k-1}) (rescale_into_ball for the first budget on a side).  A
-    nonconvergent solve aborts the sweep; the partial report is returned.
+    step factors, at project_field(u_k + (g - g_k) slope, g): slope is the
+    secant (u_k - u_{k-1})/(g_k - g_{k-1}), and 0 while only the base is
+    behind.  A repeated budget is solved once.  A nonconvergent solve
+    aborts the sweep; the partial report is returned.
     """
-    gammas = sorted(float(g) for g in gammas)
+    gammas = sorted({float(g) for g in gammas})
     base = solve(spec, cfg)
-    regime = "active" if (base.activity is not None
-                          and base.activity.n_multiplier_active > 0) else "inactive"
+    regime = "active" if base.activity.n_multiplier_active > 0 else "inactive"
     report = StabilityReport(spec.gamma, [], [], None, None, regime,
                              base.converged)
     if not base.converged:
@@ -94,16 +85,11 @@ def gamma_sweep(spec: ProblemSpec, gammas, cfg: OptimizerConfig) -> StabilityRep
     iterations = {spec.gamma: base.iterations}
     clamped = set() if base.truncation_inactive else {spec.gamma}
     for chain in (above, below[::-1]):
-        warm, warm_gamma, previous = base, spec.gamma, None
+        warm, warm_gamma, slope = base, spec.gamma, np.zeros_like(base.u.values)
         for g in chain:
-            if previous is None:
-                start = rescale_into_ball(warm.u, warm_gamma, g)
-            else:
-                ratio = (g - warm_gamma) / (warm_gamma - previous[0])
-                secant = warm.u.values + ratio * (warm.u.values - previous[1])
-                start, _ = project_field(like(warm.u, secant), g)
-            run = solve(spec.with_budget(g), replace(cfg, u0=start),
-                        (warm.y, warm.factors))
+            start, _ = project_field(
+                like(warm.u, warm.u.values + (g - warm_gamma) * slope), g)
+            run = solve(spec.with_budget(g), cfg, start, (warm.y, warm.factors))
             if not run.truncation_inactive:
                 clamped.add(g)
             if not run.converged:
@@ -113,7 +99,7 @@ def gamma_sweep(spec: ProblemSpec, gammas, cfg: OptimizerConfig) -> StabilityRep
                 break
             results[g] = l2_norm(like(base.u, run.u.values - base.u.values))
             iterations[g] = run.iterations
-            previous = warm_gamma, warm.u.values
+            slope = (run.u.values - warm.u.values) / (g - warm_gamma)
             warm, warm_gamma = run, g
         if not report.converged:
             break

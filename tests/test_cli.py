@@ -2,6 +2,7 @@ import contextlib
 import io
 import json
 import tempfile
+from dataclasses import fields
 from pathlib import Path
 
 import numpy as np
@@ -148,6 +149,17 @@ def test_domain_error_exits_one(tmp_path, capsys):
     (["solve"], "problem: {T: abc}", "problem.T must be a number"),
     (["solve"], "problem: {diffusion: abc}", "problem.diffusion must be a "),
     (["solve"], "problem: {gamma: [1]}", "problem.gamma must be a number"),
+    # a bool or a string where a number is wanted names its key
+    (["solve"], "problem: {truncation: true}", "problem.truncation"),
+    (["solve"], "problem: {truncation: '2.5'}", "problem.truncation"),
+    (["solve"], "problem: {nonlinearity: {kind: linear, params: [true]}}",
+     "problem.nonlinearity.params"),
+    (["solve"], "problem: {nonlinearity: {kind: linear, params: ['2']}}",
+     "problem.nonlinearity.params"),
+    (["solve"], "problem: {y0: true}", "problem.y0"),
+    (["solve"], "problem: {yd: false}", "problem.yd"),
+    (["solve"], "problem: {diffusion: [[true]]}", "problem.diffusion"),
+    (["sweep", "--gammas", "0.05,abc"], "{}", "--gammas"),
 ])
 def test_non_finite_input_is_a_config_error(tmp_path, capsys, command, text,
                                             block):
@@ -480,6 +492,12 @@ def test_parse_config_strictness():
     assert cfg.problem["n_dim"] == 1
     assert cfg.optimizer["tol"] == 1e-8
     assert cfg.seed == 0
+
+
+def test_optimizer_config_fields_are_the_optimizer_block_keys():
+    # every field of OptimizerConfig is a config key, and nothing else is
+    assert ({f.name for f in fields(sc.OptimizerConfig)}
+            == set(parse_config("{}").optimizer))
 
 
 def test_parse_config_matrix_diffusion_and_presets():

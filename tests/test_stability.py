@@ -1,12 +1,10 @@
-from dataclasses import replace
-
 import numpy as np
 import pytest
 
 import sparsecontrol as sc
 from sparsecontrol import pde, stability
 from sparsecontrol.grid import like
-from sparsecontrol.stability import fit_rate, rescale_into_ball
+from sparsecontrol.stability import fit_rate
 
 from conftest import active_schloegl_spec, schloegl_spec
 
@@ -40,16 +38,6 @@ def test_fit_rate_rejects_bad_input():
         fit_rate([(0.1, 0.2), (0.2, 0.0), (0.3, 0.4)])
 
 
-def test_rescale_into_ball():
-    grid = sc.SpaceGrid(1, 3)
-    tgrid = sc.TimeGrid(1.0, 2)
-    u = sc.field_per_interval(grid, tgrid, np.full((2, 3), 2.0))
-    shrunk = rescale_into_ball(u, 1.0, 0.25)
-    assert np.allclose(shrunk.values, 0.5)
-    kept = rescale_into_ball(u, 1.0, 4.0)
-    assert np.array_equal(kept.values, u.values)
-
-
 def test_self_distance_zero(active_solve):
     spec, _ = active_solve
     cfg = sc.OptimizerConfig(tol=1e-11, max_iter=400)
@@ -64,9 +52,8 @@ def test_warm_start_agrees_with_cold_start(active_solve):
     for gamma in (0.045, 0.04):
         target = active_schloegl_spec(gamma=gamma)
         cold = sc.solve(target, cfg)
-        warm_start = rescale_into_ball(base.u, spec.gamma, gamma)
-        warm = sc.solve(target, sc.OptimizerConfig(tol=1e-11, max_iter=400,
-                                                   u0=warm_start))
+        warm_start = like(base.u, (gamma / spec.gamma) * base.u.values)
+        warm = sc.solve(target, cfg, warm_start)
         assert cold.converged and warm.converged
         gap = sc.l2_norm(like(cold.u, cold.u.values - warm.u.values))
         assert gap <= 1e-9
@@ -81,9 +68,9 @@ def test_accepted_start_agrees_with_cold_start(active_solve):
     for gamma in (0.045, 0.04):
         target = spec.with_budget(gamma)
         cold = sc.solve(target, cfg)
-        warm = sc.solve(target, replace(
-            cfg, u0=rescale_into_ball(base.u, spec.gamma, gamma)),
-            accepted=(base.y, base.factors))
+        warm = sc.solve(target, cfg,
+                        like(base.u, (gamma / spec.gamma) * base.u.values),
+                        accepted=(base.y, base.factors))
         assert cold.converged and warm.converged
         gap = sc.l2_norm(like(cold.u, cold.u.values - warm.u.values))
         assert gap <= 1e-9
@@ -105,6 +92,40 @@ def test_sweep_factors_no_more_than_its_base_solve(splu_calls):
     assert len(splu_calls) == base_calls
 
 
+def test_first_budget_on_each_side_starts_from_the_projected_base(
+        monkeypatch):
+    # with only the base behind it, the secant is flat: the start is the
+    # base control projected onto the budget's ball, above and below
+    starts = {}
+    solve = stability.solve
+
+    def recording_solve(spec, cfg, u0=None, accepted=None):
+        run = solve(spec, cfg, u0, accepted)
+        starts[spec.gamma] = (u0, run)
+        return run
+
+    monkeypatch.setattr(stability, "solve", recording_solve)
+    report = sc.gamma_sweep(schloegl_spec(n=6, n_t=6, gamma=0.05),
+                            [0.06, 0.055, 0.05, 0.045, 0.04],
+                            sc.OptimizerConfig(tol=1e-8, max_iter=400))
+    assert report.converged
+    first, base = starts[0.05]
+    assert first is None
+    for g in (0.055, 0.045):
+        projected, _ = sc.project_field(base.u, g)
+        assert np.array_equal(starts[g][0].values, projected.values)
+
+
+def test_repeated_budget_is_solved_once():
+    # a zero-width secant would divide by zero
+    report = sc.gamma_sweep(schloegl_spec(n=6, n_t=6, gamma=0.05),
+                            [0.05, 0.045, 0.045, 0.04],
+                            sc.OptimizerConfig(tol=1e-8, max_iter=400))
+    assert report.converged
+    assert report.gammas == [0.04, 0.045, 0.05]
+    assert len(report.iterations) == len(report.distances) == 3
+
+
 # criterion 7's budgets below the base budget 0.05, which are also those
 # of `sweep` at that budget
 CRITERION_7_GAMMAS = [0.05] + [0.05 - d for d in
@@ -119,8 +140,8 @@ def _iterations_against_rescaled_starts(monkeypatch, spec, cfg):
     runs = []
     solve = stability.solve
 
-    def recording_solve(spec, cfg, *accepted):
-        runs.append((spec.gamma, solve(spec, cfg, *accepted)))
+    def recording_solve(spec, cfg, *starts):
+        runs.append((spec.gamma, solve(spec, cfg, *starts)))
         return runs[-1][1]
 
     monkeypatch.setattr(stability, "solve", recording_solve)
@@ -129,8 +150,8 @@ def _iterations_against_rescaled_starts(monkeypatch, spec, cfg):
     assert [g for g, _ in runs[1:]] == sorted(gammas[1:], reverse=True)
     pairs = []
     for (g_prev, prev), (g, run) in zip(runs[1:], runs[2:]):
-        rescaled = solve(spec.with_budget(g), replace(
-            cfg, u0=rescale_into_ball(prev.u, g_prev, g)))
+        rescaled = solve(spec.with_budget(g), cfg,
+                         like(prev.u, (g / g_prev) * prev.u.values))
         assert rescaled.converged
         pairs.append((run, rescaled))
     return pairs
@@ -211,9 +232,9 @@ def test_sweep_does_not_resolve_the_base_budget(monkeypatch):
     solved = []
     solve = stability.solve
 
-    def counting_solve(spec, cfg, accepted=None):
+    def counting_solve(spec, cfg, *starts):
         solved.append(spec.gamma)
-        return solve(spec, cfg, accepted)
+        return solve(spec, cfg, *starts)
 
     monkeypatch.setattr(stability, "solve", counting_solve)
     spec = schloegl_spec(n=6, n_t=6, gamma=0.05)
