@@ -156,7 +156,7 @@ def clamp_idle(trunc: TruncationSpec, y) -> bool:
     """True when every |y| < M, where f_M is the identity and f_M' is
     exactly 1.0, so the clamped reaction equals the plain one bit for bit.
     False for NaN input."""
-    return bool(np.max(np.abs(y), initial=0.0) < trunc.level)
+    return bool(np.abs(y).max(initial=0.0) < trunc.level)
 
 
 def eval_a_truncated(spec: NonlinearitySpec, y):

@@ -5,13 +5,16 @@ State steps, m = 1..n_t with y_0 the initial datum:
 
     (y_m - y_{m-1})/dt + A_h y_m + a_M(y_m) = u_m,
 
-solved by x <- x - lu^-1 R(x), R the step's residual (one linear solve for
-the zero reaction).  Given factors of B(w_m) at an earlier state w and a
-nearby accepted state y' (the optimizer holds one list of n_t factors for
-a whole solve), step m first runs it as the chord, lu = B(w_m) from
-x = y'_m, past Newton's residual test until the residual stops shrinking
-4x or is exactly zero, which resolves the root to roundoff; else as Newton
-from y_{m-1}, with lu = B(x) at every iterate.
+solved by Newton, x <- x - B(x)^-1 R(x) from y_{m-1}, R the step's residual
+and B(x) = I + dt A_h + dt diag(a_M'(x)) refactored at every iterate (one
+linear solve for the zero reaction).  Given a factor lu of B(w_m) at an
+earlier state w, with its shift s_w = dt a_M'(w_m), and a nearby accepted
+state y' (the optimizer holds one list of n_t factors for a whole solve),
+step m first runs the chord from x = y'_m in splitting form,
+
+    x <- lu^-1 (rhs + s_w x - dt a_M(x)),
+
+the iterates of x <- x - lu^-1 R(x) with no product with A_h.
 The linearization at a state y solves
 
     (z_m - z_{m-1})/dt + A_h z_m + a_M'(y_m) z_m = v_m,   z_0 = 0,
@@ -27,12 +30,24 @@ of the discrete objective to roundoff.  The adjoint field is per-interval,
 p_m sitting at the right node t_m.  Both are one linear sweep, forward or
 backward, each with its own source (dt*v_m, dt*r_m; the Hessian-vector
 product in objective sends a third source backward).  Given held factors,
-each step is the same iteration on the linear residual B_m x - rhs:
-iterative refinement on the stale factor, kept while every correction
-shrinks the residual 1000x down to roundoff, else one factorization of B_m,
-which then replaces the held one.  Every sweep forms its source for all
-steps in one array operation before the loop.
-Every sweep's NewtonError names the sweep and the step.
+each step refines on the held factor, again in splitting form,
+
+    p <- lu^-1 (rhs - (dt a_M'(y_m) - s_w) p)   from p = 0,
+
+the iterates of p <- p - lu^-1 (B_m p - rhs) from p = lu^-1 rhs.
+
+Both splittings stop on their correction norms d_k: converged at d_k or,
+from the second correction on with rate rho = d_k/d_(k-1), at
+rho/(1 - rho) d_k below 4 eps |x|, roundoff in the state; they give up when
+rho is no better than 1/4 (chord) or 1/1000 (refinement), or a correction
+is not finite.  Then each step evaluates its residual once, Newton's test
+|R| <= 1e-12 max(|rhs|, 1), which certifies the result; when it fails, the
+chord falls back to Newton from y_{m-1}, the refinement to one
+factorization of B_m, which then replaces the held one.  A Newton pass
+gives up after 3 growing residual norms in a row.  Each sweep runs under
+np.errstate(over="raise"), entered once, so an overflow ends an iteration.
+Every sweep forms its source for all steps in one array operation before
+the loop, and its NewtonError names the sweep and the step.
 
 A_h is the finite-difference operator on interior nodes: the standard
 3/5-point stencil for the diagonal part plus centered cross differences for
@@ -45,6 +60,7 @@ every budget of a budget sweep (ProblemSpec.with_budget).
 
 from __future__ import annotations
 
+import math
 import warnings
 
 import numpy as np
@@ -60,6 +76,16 @@ from .problem import ProblemSpec
 # Newton stops at a residual norm of _NEWTON_TOL relative to max(|rhs|, 1)
 _NEWTON_TOL = 1e-12
 _NEWTON_MAX_ITER = 30
+# a Newton pass gives up after this many growing residual norms in a row
+_NEWTON_MAX_GROWTH = 3
+# the chord and the refinement stop at corrections of _SPLIT_TOL relative to
+# the iterate: roundoff in the state
+_SPLIT_TOL = 4 * np.finfo(float).eps
+
+
+def _residual_tol(rhs: np.ndarray) -> float:
+    """Newton's residual test for a step with right-hand side rhs."""
+    return _NEWTON_TOL * max(float(np.linalg.norm(rhs)), 1.0)
 
 
 class NewtonError(RuntimeError):
@@ -105,12 +131,15 @@ def elliptic_matrix(grid: SpaceGrid, tensor: DiffusionTensor) -> sp.csr_matrix:
 
 
 class _OrderedFactor:
-    """Solves B x = b with the factor of the reordered B[q][:, q]."""
+    """Solves B x = b with the factor of the reordered B[q][:, q], where
+    B = B(w) and shift = dt*a_M'(w), the only part of B(w) that varies."""
 
-    __slots__ = ("lu", "order", "inverse")
+    __slots__ = ("lu", "order", "inverse", "shift")
 
-    def __init__(self, lu, order: np.ndarray, inverse: np.ndarray):
+    def __init__(self, lu, order: np.ndarray, inverse: np.ndarray,
+                 shift: np.ndarray):
         self.lu, self.order, self.inverse = lu, order, inverse
+        self.shift = shift
 
     def solve(self, b: np.ndarray) -> np.ndarray:
         return self.lu.solve(b[self.order])[self.inverse]
@@ -159,7 +188,7 @@ class StepSystem:
         # all are stored
         columns = np.repeat(np.arange(n), np.diff(base.indptr))
         self._diagonal = np.flatnonzero(base.indices == columns)[self._inverse]
-        # (dt*a_M'(y), factor of B(y)) of the last factor() call that factored
+        # the factor of the last factor() call that factored
         self._held = None
 
     def _write(self, y: np.ndarray,
@@ -174,97 +203,130 @@ class StepSystem:
         return work
 
     def factor(self, y: np.ndarray):
-        """Sparse factorization of B(y), with a solve(b) method; splu
-        keeps its own copy of the work matrix.
+        """Sparse factorization of B(y), with a solve(b) method and its
+        shift dt*a_M'(y); splu keeps its own copy of the work matrix.
 
-        The last factor made is held with its shift dt*a_M'(y), the only
-        part of B(y) that varies, and returned again while the shift is
+        The last factor made is held and returned again while the shift is
         bitwise equal: SuperLU is deterministic, so a fresh factor would
         be bitwise the same.  An exactly singular B(y) raises NewtonError
         and is not held."""
         if self._shared is not None:
             return self._shared
         shift = self.dt * eval_ay_truncated(self.nl, y)
-        if self._held is not None and np.array_equal(shift, self._held[0]):
-            return self._held[1]
+        if self._held is not None and np.array_equal(shift, self._held.shift):
+            return self._held
         try:
             lu = splu(self._write(y, shift), permc_spec="NATURAL")
         except RuntimeError as exc:     # "Factor is exactly singular"
             raise NewtonError("step matrix I + dt*A_h + dt*diag(a_M'(y)) is "
                               "exactly singular") from exc
-        self._held = shift, _OrderedFactor(lu, self._order, self._inverse)
-        return self._held[1]
+        self._held = _OrderedFactor(lu, self._order, self._inverse, shift)
+        return self._held
 
-    def _iterate(self, residual, tol: float, y: np.ndarray, lu=None,
-                 shrink: float = 0.25) -> np.ndarray | None:
-        """y <- y - lu^-1 R(y) from y, R = residual: the chord on lu, run
-        past tol until a correction no longer takes the residual norm below
-        shrink times the last one (4x by default) or it is exactly zero,
-        which resolves a root to roundoff; or Newton without lu, refactored
-        at every iterate and stopped at tol.  An overflow ends it.  Returns
-        the iterate with the smallest residual when that met tol, else
-        None."""
-        best, best_norm, previous = y, np.inf, np.inf
+    @staticmethod
+    def _split(lu, x: np.ndarray, source, shrink: float, residual,
+               tol: float) -> np.ndarray | None:
+        """x <- lu^-1 source(x) from x.  Stops once the correction norm d_k
+        is at most _SPLIT_TOL |x|, or, from the second correction on with
+        the rate rho = d_k / d_(k-1), once rho/(1 - rho) d_k is, or rho is
+        shrink or more; else after _NEWTON_MAX_ITER corrections.  Returns
+        the last iterate when its residual norm meets tol, the one residual
+        evaluated; else None, also once a correction is not finite or
+        overflows."""
+        previous = None
         try:
-            with np.errstate(over="raise"):
-                for _ in range(_NEWTON_MAX_ITER):
-                    residual_y = residual(y)
-                    norm = np.linalg.norm(residual_y)
-                    if norm < best_norm:
-                        best, best_norm = y, norm
-                    if (norm <= tol if lu is None
-                            else norm == 0.0 or not norm < shrink * previous):
+            for _ in range(_NEWTON_MAX_ITER):
+                new = lu.solve(source(x))
+                correction = new - x
+                x = new
+                delta = math.sqrt(correction @ correction)
+                if not delta < np.inf:
+                    return None
+                bound = _SPLIT_TOL * math.sqrt(x @ x)
+                if delta <= bound:
+                    break
+                if previous is not None:
+                    rho = delta / previous
+                    if not rho < shrink or rho * delta <= (1.0 - rho) * bound:
                         break
-                    previous = norm
-                    y = y - (lu or self.factor(y)).solve(residual_y)
+                previous = delta
+            return x if np.linalg.norm(residual(x)) <= tol else None
+        except (OverflowError, FloatingPointError):
+            return None
+
+    def _newton(self, residual, tol: float, y: np.ndarray) -> np.ndarray | None:
+        """y <- y - B(y)^-1 R(y) from y, R = residual, refactored at every
+        iterate; returns the first iterate whose residual norm meets tol,
+        or None after _NEWTON_MAX_ITER iterations, _NEWTON_MAX_GROWTH
+        growing residual norms in a row, or an overflow."""
+        previous, growth = np.inf, 0
+        try:
+            for _ in range(_NEWTON_MAX_ITER):
+                residual_y = residual(y)
+                norm = np.linalg.norm(residual_y)
+                if norm <= tol:
+                    return y
+                growth = growth + 1 if norm > previous else 0
+                if not norm < np.inf or growth == _NEWTON_MAX_GROWTH:
+                    break
+                previous = norm
+                y = y - self.factor(y).solve(residual_y)
         except (OverflowError, FloatingPointError):
             pass
-        return best if best_norm <= tol else None
+        return None
 
     def step(self, rhs: np.ndarray, y_start: np.ndarray,
              chord: tuple | None = None) -> np.ndarray:
         """Solve y + dt*A_h y + dt*a_M(y) = rhs.
 
         chord, when given, is a pair (y_guess, lu): a start near the root
-        and a factor of B at a nearby state.  Chord iterations on lu from
-        y_guess come first; when they do not reach the tolerance, one
-        undamped Newton pass runs from y_start, and then NewtonError.  Zero
-        reaction: one solve."""
+        and a factor of B(w) at a nearby state w.  The chord on lu from
+        y_guess comes first (_split with shrink 1/4, certified by Newton's
+        residual test); when it fails, one undamped Newton pass runs from
+        y_start, and then NewtonError.  Zero reaction: one solve.  Callers
+        enter np.errstate(over="raise"), as solve_state does."""
         if self._shared is not None:
             return self._shared.solve(rhs)
-        tol = _NEWTON_TOL * max(float(np.linalg.norm(rhs)), 1.0)
+        dt, nl = self.dt, self.nl
+        tol = _residual_tol(rhs)
 
         def residual(y):
-            return (y + self.dt * (self.operator_matrix @ y)
-                    + self.dt * eval_a_truncated(self.nl, y) - rhs)
+            return (y + dt * (self.operator_matrix @ y)
+                    + dt * eval_a_truncated(nl, y) - rhs)
 
-        y = None if chord is None else self._iterate(residual, tol, *chord)
-        if y is None:
-            y = self._iterate(residual, tol, y_start)
+        if chord is not None:
+            guess, lu = chord
+            y = self._split(
+                lu, guess,
+                lambda x: rhs + lu.shift * x - dt * eval_a_truncated(nl, x),
+                0.25, residual, tol)
+            if y is not None:
+                return y
+        y = self._newton(residual, tol, y_start)
         if y is None:
             raise NewtonError(
-                f"implicit step did not converge to tol={_NEWTON_TOL} in "
+                f"implicit step did not converge to tol={_NEWTON_TOL} within "
                 f"{_NEWTON_MAX_ITER} iterations")
         return y
 
     def linear_step(self, rhs: np.ndarray, y: np.ndarray, lu=None):
         """Solve B(y) p = rhs; returns p and the factor it used.
 
-        lu, when given, is a factor of B at another state.  Iterative
-        refinement p <- p - lu^-1 (B(y) p - rhs) from p = lu^-1 rhs keeps
-        lu when every correction shrinks the residual 1000x, until it is at
-        roundoff, and the result meets Newton's residual test; else B(y) is
-        factored once and solved directly.  A refinement that contracts
-        slower costs more residual evaluations than one factorization.
-        Zero reaction: one solve on the shared factor."""
+        lu, when given, is a factor of B(w) at another state w.  Iterative
+        refinement on it from p = 0 comes first (_split with shrink 1/1000,
+        certified by Newton's residual test); when it fails, B(y) is
+        factored once and solved directly: a refinement that contracts
+        slower costs more solves than one factorization.  Zero
+        reaction: one solve on the shared factor."""
         if lu is None or self._shared is not None:
             lu = self.factor(y)
             return lu.solve(rhs), lu
-        diagonal = 1.0 + self.dt * eval_ay_truncated(self.nl, y)
-        p = self._iterate(
-            lambda p: diagonal * p + self.dt * (self.operator_matrix @ p) - rhs,
-            _NEWTON_TOL * max(float(np.linalg.norm(rhs)), 1.0),
-            lu.solve(rhs), lu, shrink=1e-3)
+        shift = self.dt * eval_ay_truncated(self.nl, y)
+        gap = shift - lu.shift
+        p = self._split(
+            lu, np.zeros_like(rhs), lambda p: rhs - gap * p, 1e-3,
+            lambda p: (1.0 + shift) * p + self.dt * (self.operator_matrix @ p)
+            - rhs, _residual_tol(rhs))
         if p is None:
             lu = self.factor(y)
             p = lu.solve(rhs)
@@ -298,11 +360,12 @@ def solve_state(spec: ProblemSpec, u: SpaceTimeField,
     y[0] = spec.y0
     forcing = spec.tgrid.dt * u.values
     try:
-        for m in range(1, n_t + 1):
-            chord = None if accepted is None else (
-                accepted[0].values[m], accepted[1][m - 1])
-            y[m] = steps.step(y[m - 1] + forcing[m - 1], y[m - 1], chord)
-    except NewtonError as exc:
+        with np.errstate(over="raise"):
+            for m in range(1, n_t + 1):
+                chord = None if accepted is None else (
+                    accepted[0].values[m], accepted[1][m - 1])
+                y[m] = steps.step(y[m - 1] + forcing[m - 1], y[m - 1], chord)
+    except (NewtonError, FloatingPointError) as exc:
         raise NewtonError(f"state solver failed at step {m}: {exc}") from exc
     state = field_at_nodes(spec.grid, spec.tgrid, y)
     if not clamp_idle_on_states(spec, state):
@@ -332,10 +395,12 @@ def _linear_sweep(spec: ProblemSpec, y: SpaceTimeField, source: np.ndarray,
     x = np.zeros((n_t + 2, spec.grid.n_nodes))
     previous = 1 if backward else -1
     try:
-        for m in range(n_t, 0, -1) if backward else range(1, n_t + 1):
-            x[m], factors[m - 1] = steps.linear_step(
-                x[m + previous] + source[m - 1], y.values[m], factors[m - 1])
-    except NewtonError as exc:
+        with np.errstate(over="raise"):
+            for m in range(n_t, 0, -1) if backward else range(1, n_t + 1):
+                x[m], factors[m - 1] = steps.linear_step(
+                    x[m + previous] + source[m - 1], y.values[m],
+                    factors[m - 1])
+    except (NewtonError, FloatingPointError) as exc:
         sweep = "adjoint" if backward else "linearized"
         raise NewtonError(f"{sweep} solver failed at step {m}: {exc}") from exc
     if backward:

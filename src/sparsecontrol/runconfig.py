@@ -208,6 +208,9 @@ def parse_config(text: str) -> RunConfig:
         raise ConfigError(f"optimizer block: {exc}") from exc
     if not isinstance(cfg.output["dump_fields"], bool):
         raise ConfigError("output.dump_fields must be a boolean")
+    if not isinstance(cfg.output["directory"], str):
+        raise ConfigError(f"output.directory must be a string, got "
+                          f"{cfg.output['directory']!r}")
     return cfg
 
 

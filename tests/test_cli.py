@@ -172,6 +172,20 @@ def test_non_finite_input_is_a_config_error(tmp_path, capsys, command, text,
     assert err.startswith(f"error: {block}") and "Traceback" not in err
 
 
+@pytest.mark.parametrize("value", ["3", "null", "true", "[out]"])
+def test_output_directory_must_be_a_string(tmp_path, capsys, monkeypatch,
+                                           value):
+    # without --out the directory comes from the config; Path(3) would
+    # raise a TypeError with a traceback
+    monkeypatch.chdir(tmp_path)
+    cfg = write_config(tmp_path, f"output: {{directory: {value}}}\n")
+    assert main(["solve", "--config", cfg]) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("error: output.directory must be a string")
+    assert "Traceback" not in err
+    assert [p.name for p in tmp_path.iterdir()] == ["run.yaml"]
+
+
 def test_iteration_cap_exits_two_with_partial_report(tmp_path):
     cfg = write_config(tmp_path, FAST_SOLVE.replace("max_iter: 300",
                                                     "max_iter: 1"))

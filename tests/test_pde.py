@@ -14,8 +14,9 @@ from sparsecontrol.grid import like
 from sparsecontrol.nonlinearity import eval_ay_truncated
 from sparsecontrol.pde import NewtonError, StepSystem, TruncationActiveWarning
 
-from conftest import (Y0_ONLY_CLAMP_LEVEL, linear_1d_spec, random_control,
-                      schloegl_spec, with_clamp)
+from conftest import (Y0_ONLY_CLAMP_LEVEL, active_schloegl_spec,
+                      linear_1d_spec, random_control, schloegl_spec,
+                      with_clamp)
 
 
 def heat_spec(n=16, n_t=32, T=0.05):
@@ -517,10 +518,11 @@ def test_zero_reaction_step_is_one_solve(monkeypatch):
 
 
 class CountingFactor:
-    """A factor whose solves are counted."""
+    """A factor whose solves are counted; shift is the wrapped factor's
+    dt*a_M'(w), which the chord and the refinement read."""
 
     def __init__(self, lu):
-        self.lu, self.solves = lu, 0
+        self.lu, self.shift, self.solves = lu, lu.shift, 0
 
     def solve(self, b):
         self.solves += 1
@@ -568,19 +570,110 @@ def test_chord_on_a_distant_factor_falls_back_to_newton(splu_calls):
     assert y.tobytes() == newton.tobytes()
 
 
-def test_chord_stops_on_an_exactly_zero_residual(splu_calls):
+def test_chord_started_at_the_root_stops_at_once(splu_calls):
     # rhs is the step operator evaluated at y, term by term as the residual
-    # is, so the residual at y is 0.0: the chord must return y at once;
-    # "stop once it no longer shrinks 4x" alone would spin to the iteration
-    # cap, since "0 > 0.25 * 0" is false, and then fall back to Newton
+    # is, so y is a root to the last bit: the chord's first correction is
+    # roundoff, and it must stop there, with no factorization and no spin
+    # to the iteration cap, and return the root to roundoff
     spec, steps, _, y_start, newton = chord_step_problem()
     rhs = step_residual(spec, newton, np.zeros_like(newton))
     assert not np.any(step_residual(spec, newton, rhs))
     lu = CountingFactor(steps.factor(newton))
     del splu_calls[:]
     y = steps.step(rhs, y_start, (newton, lu))
-    assert lu.solves == 0 and not splu_calls
-    assert y is newton
+    assert 1 <= lu.solves <= 2 and not splu_calls
+    assert np.linalg.norm(y - newton) <= 1e-14 * np.linalg.norm(newton)
+
+
+class MisshiftedFactor(CountingFactor):
+    """A factor of B(w) that reports a shift other than dt*a_M'(w)."""
+
+    def __init__(self, lu, shift):
+        super().__init__(lu)
+        self.shift = shift
+
+
+def test_certifying_residual_rejects_a_misshifted_factor(splu_calls):
+    # with the shift off by 0.05, the chord's splitting converges fast, but
+    # to the root of R(x) = 0.05 x, not of R: the one residual it evaluates
+    # must reject it, and the step must return Newton's root
+    spec, steps, rhs, y_start, newton = chord_step_problem()
+    exact = steps.factor(newton)
+    lu = MisshiftedFactor(exact, exact.shift + 0.05)
+    dt, nl = spec.tgrid.dt, spec.nonlinearity
+    # the splitting alone, with a residual test that passes anything
+    fixed = steps._split(
+        lu, newton,
+        lambda x: rhs + lu.shift * x - dt * pde.eval_a_truncated(nl, x), 0.25,
+        lambda x: np.zeros(0), 0.0)
+    assert lu.solves < pde._NEWTON_MAX_ITER
+    tol = pde._NEWTON_TOL * max(np.linalg.norm(rhs), 1.0)
+    assert np.linalg.norm(step_residual(spec, fixed, rhs)) > 1e6 * tol
+    del splu_calls[:]
+    y = steps.step(rhs, y_start, (newton, lu))
+    assert splu_calls
+    assert y.tobytes() == newton.tobytes()
+
+
+def test_certifying_residual_rejects_a_misshifted_refinement():
+    # with the shift off by 1e-5, the refinement contracts about 1e5x per
+    # correction, but to the solution of (B(y) - 1e-5 I) p = rhs: its one
+    # residual must reject that, and the step must solve on B(y)'s factor
+    spec, steps, rhs, _, y = chord_step_problem()
+    exact = steps.factor(y)
+    lu = MisshiftedFactor(exact, exact.shift + 1e-5)
+    p, used = steps.linear_step(rhs, y, lu)
+    assert 2 <= lu.solves < pde._NEWTON_MAX_ITER
+    assert used is exact
+    assert p.tobytes() == exact.solve(rhs).tobytes()
+
+
+def test_chord_and_refinement_make_one_operator_product_per_step(monkeypatch):
+    # the iterations on held factors are matrix-free; each step pays one
+    # product with A_h, for the residual that certifies its result (Newton
+    # passes, which evaluate a residual per iteration, are not counted)
+    spec = active_schloegl_spec()
+    steps = spec.steps
+    products = []
+
+    class CountingOperator:
+        def __init__(self, matrix):
+            self.matrix = matrix
+
+        def __matmul__(self, x):
+            products.append(x)
+            return self.matrix @ x
+
+    newton = steps._newton
+
+    def uncounted_newton(*args):
+        start = len(products)
+        out = newton(*args)
+        del products[start:]
+        return out
+
+    per_step = []
+
+    def counted(method):
+        def call(*args):
+            start = len(products)
+            out = method(*args)
+            per_step.append((len(args) == 3 and args[2] is not None,
+                             len(products) - start))
+            return out
+        return call
+
+    monkeypatch.setattr(steps, "operator_matrix",
+                        CountingOperator(steps.operator_matrix))
+    monkeypatch.setattr(steps, "_newton", uncounted_newton)
+    monkeypatch.setattr(steps, "step", counted(steps.step))
+    monkeypatch.setattr(steps, "linear_step", counted(steps.linear_step))
+    report = sc.solve(spec, sc.OptimizerConfig(tol=1e-10, max_iter=300))
+    assert report.converged
+    held = [count for on_held, count in per_step if on_held]
+    assert len(held) > spec.tgrid.n_t
+    assert max(count for _, count in per_step) <= 1
+    assert all(count == 1 for count in held)
 
 
 def refinement_problem(offset):
@@ -606,6 +699,19 @@ def test_adjoint_refined_on_stale_factors_matches_a_fresh_one(splu_calls):
     assert all(a is b for a, b in zip(factors, stale))
     assert (np.linalg.norm(phi.values - fresh.values)
             <= 1e-13 * np.linalg.norm(fresh.values))
+
+
+def test_refinement_stops_on_the_rate_estimate(splu_calls):
+    # factors 1e-3 off contract about 1e5x per correction, so from p = 0
+    # the third iterate is at roundoff; rho/(1 - rho) d_k says so one solve
+    # before a correction itself is roundoff-sized
+    spec, y, factors = refinement_problem(0.0)
+    counted = [CountingFactor(lu) for lu in factors]
+    del splu_calls[:]
+    sc.solve_adjoint(spec, y, counted)
+    assert not splu_calls
+    solves = [lu.solves for lu in counted]
+    assert max(solves) <= 4 and sum(solves) < 4 * spec.tgrid.n_t
 
 
 @pytest.mark.parametrize("offset", [0.3, 2.0])
