@@ -55,7 +55,9 @@ the off-diagonal tensor entry, Dirichlet values eliminated.  It is exactly
 symmetric, bit for bit (the tests assert it), so B_m^T = B_m and one
 StepSystem serves the state, linearized and adjoint sweeps.  It is built
 once per problem (ProblemSpec.steps) and reused by every sweep on it and by
-every budget of a budget sweep (ProblemSpec.with_budget).
+every budget of a budget sweep (ProblemSpec.with_budget).  In 1D, with at
+least 3 nodes, B_m is tridiagonal and factored by LAPACK's tridiagonal LU;
+otherwise by SuperLU in one minimum-degree ordering.
 """
 
 from __future__ import annotations
@@ -65,6 +67,7 @@ import warnings
 
 import numpy as np
 import scipy.sparse as sp
+from scipy.linalg.lapack import dgttrf, dgttrs
 from scipy.sparse.linalg import splu
 
 from .grid import (PER_INTERVAL, DiffusionTensor, SpaceGrid, SpaceTimeField,
@@ -91,6 +94,9 @@ def _residual_tol(rhs: np.ndarray) -> float:
 class NewtonError(RuntimeError):
     """Newton failed to reach the residual tolerance within its budget, or
     a step matrix it or a linear sweep needed is exactly singular."""
+
+
+_SINGULAR = "step matrix I + dt*A_h + dt*diag(a_M'(y)) is exactly singular"
 
 
 class TruncationActiveWarning(UserWarning):
@@ -145,22 +151,47 @@ class _OrderedFactor:
         return self.lu.solve(b[self.order])[self.inverse]
 
 
+class _TridiagonalFactor:
+    """Solves B x = b with the partial-pivoting LU of a tridiagonal B = B(w)
+    given by its lower, main and upper diagonals (LAPACK dgttrf/dgttrs;
+    Golub & Van Loan, Matrix Computations, 4.3); shift as for
+    _OrderedFactor.  An exactly singular B raises NewtonError."""
+
+    __slots__ = ("lu", "shift")
+
+    def __init__(self, lower: np.ndarray, main: np.ndarray,
+                 upper: np.ndarray, shift: np.ndarray | None):
+        *self.lu, info = dgttrf(lower, main, upper)
+        if info > 0:                    # a zero pivot u_ii
+            raise NewtonError(_SINGULAR)
+        self.shift = shift
+
+    def solve(self, b: np.ndarray) -> np.ndarray:
+        return dgttrs(*self.lu, b)[0]
+
+
 class StepSystem:
     """Implicit Euler step matrices B(y) = I + dt*A_h + dt*diag(a_M'(y)).
 
-    One per problem (ProblemSpec.steps).  I + dt*A_h is assembled once
-    (CSC); factor(y) writes dt*a_M'(y) onto the diagonal entries of one
-    preallocated work matrix instead of a fresh copy.
+    One per problem (ProblemSpec.steps).  I + dt*A_h is assembled once;
+    factor(y) adds dt*a_M'(y) to its diagonal and factors the result.  The
+    last factor made is held and returned again for the same B(y).  The
+    zero reaction's B is the constant I + dt*A_h: one factor made here is
+    shared, one solve per implicit step, with no shift computed.
 
-    A minimum-degree ordering q of the positive definite I + dt*A_h comes
-    once from a no-pivot symmetric-mode LU (X. S. Li, ACM TOMS 31(3),
-    2005).  The stored matrices are kept reordered as B[q][:, q], and each
-    factor(y) is a partial-pivoting LU in that order, which also covers the
-    step matrices a decreasing reaction makes indefinite; its solve()
-    permutes b in and x out.  The last factor made is held and returned
-    again for the same B(y).  The zero reaction's B is the constant
-    I + dt*A_h: the ordering's own factorization is shared, one solve per
-    implicit step, with no shift computed.
+    In 1D, with at least 3 nodes, B(y) is tridiagonal: the three diagonals
+    of I + dt*A_h are stored, and each factor(y) is LAPACK's
+    partial-pivoting tridiagonal LU of them (_TridiagonalFactor).  scipy's
+    dgttrf wrapper rejects 1 or 2 nodes, which take the sparse path.
+
+    Otherwise I + dt*A_h is kept as CSC, and a minimum-degree ordering q
+    of this positive definite matrix comes once from a no-pivot
+    symmetric-mode LU (X. S. Li, ACM TOMS 31(3), 2005).  The stored
+    matrices are kept reordered as B[q][:, q]; factor(y) writes the shift
+    onto the diagonal entries of one preallocated work matrix instead of a
+    fresh copy, and factors it by a SuperLU partial-pivoting LU in that
+    order; its solve() permutes b in and x out.  Both LUs pivot, which
+    covers the step matrices a decreasing reaction makes indefinite.
     """
 
     def __init__(self, spec: ProblemSpec):
@@ -170,6 +201,15 @@ class StepSystem:
         n = self.operator_matrix.shape[0]
         base = (sp.identity(n, format="csr")
                 + self.dt * self.operator_matrix).tocsc()
+        # the factor of the last factor() call that factored
+        self._held = None
+        if spec.grid.n_dim == 1 and n >= 3:
+            # lower, main and upper diagonals of base
+            self._bands = tuple(base.diagonal(k) for k in (-1, 0, 1))
+            self._shared = (_TridiagonalFactor(*self._bands, None)
+                            if self.nl.kind == "zero" else None)
+            return
+        self._bands = None
         # base is SPD, so symmetric mode needs no pivoting
         probe = splu(base, permc_spec="MMD_AT_PLUS_A", diag_pivot_thresh=0.0,
                      options={"SymmetricMode": True})
@@ -188,13 +228,12 @@ class StepSystem:
         # all are stored
         columns = np.repeat(np.arange(n), np.diff(base.indptr))
         self._diagonal = np.flatnonzero(base.indices == columns)[self._inverse]
-        # the factor of the last factor() call that factored
-        self._held = None
 
     def _write(self, y: np.ndarray,
                shift: np.ndarray | None = None) -> sp.csc_matrix:
         """B(y), reordered, written into the work matrix, which the next
-        call overwrites; shift, when given, is dt*a_M'(y)."""
+        call overwrites; shift, when given, is dt*a_M'(y).  Sparse path
+        only."""
         if shift is None:
             shift = self.dt * eval_ay_truncated(self.nl, y)
         work = self._work
@@ -203,11 +242,11 @@ class StepSystem:
         return work
 
     def factor(self, y: np.ndarray):
-        """Sparse factorization of B(y), with a solve(b) method and its
-        shift dt*a_M'(y); splu keeps its own copy of the work matrix.
+        """Factorization of B(y), with a solve(b) method and its shift
+        dt*a_M'(y); it keeps its own copy of the matrix.
 
         The last factor made is held and returned again while the shift is
-        bitwise equal: SuperLU is deterministic, so a fresh factor would
+        bitwise equal: both LUs are deterministic, so a fresh factor would
         be bitwise the same.  An exactly singular B(y) raises NewtonError
         and is not held."""
         if self._shared is not None:
@@ -215,11 +254,14 @@ class StepSystem:
         shift = self.dt * eval_ay_truncated(self.nl, y)
         if self._held is not None and np.array_equal(shift, self._held.shift):
             return self._held
+        if self._bands is not None:
+            lower, main, upper = self._bands
+            self._held = _TridiagonalFactor(lower, main + shift, upper, shift)
+            return self._held
         try:
             lu = splu(self._write(y, shift), permc_spec="NATURAL")
         except RuntimeError as exc:     # "Factor is exactly singular"
-            raise NewtonError("step matrix I + dt*A_h + dt*diag(a_M'(y)) is "
-                              "exactly singular") from exc
+            raise NewtonError(_SINGULAR) from exc
         self._held = _OrderedFactor(lu, self._order, self._inverse, shift)
         return self._held
 

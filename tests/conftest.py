@@ -1,6 +1,7 @@
 from dataclasses import replace
 
 import pytest
+from scipy.linalg.lapack import dgttrf
 from scipy.sparse.linalg import splu
 
 import sparsecontrol as sc
@@ -10,12 +11,12 @@ from sparsecontrol.nonlinearity import with_truncation
 
 
 def schloegl_spec(n=8, n_t=10, T=1.0, kappa=0.1, gamma=1.0, diff=1.0,
-                  roots=(-1.0, 0.0, 1.0), y0="one-mode", yd="bump"):
-    grid = sc.SpaceGrid(2, n)
+                  roots=(-1.0, 0.0, 1.0), y0="one-mode", yd="bump", n_dim=2):
+    grid = sc.SpaceGrid(n_dim, n)
     tgrid = sc.TimeGrid(T, n_t)
     return sc.ProblemSpec(
         kappa=kappa, gamma=gamma, grid=grid, tgrid=tgrid,
-        diffusion=sc.isotropic(2, diff),
+        diffusion=sc.isotropic(n_dim, diff),
         nonlinearity=sc.NonlinearitySpec("schloegl", roots),
         y0=sc.spatial_preset(y0, grid),
         yd=sc.target_preset(yd, grid, tgrid))
@@ -73,12 +74,16 @@ def active_solve():
 
 @pytest.fixture
 def splu_calls(monkeypatch):
-    """One entry per factorization the package makes from here on."""
+    """One entry per factorization the package makes from here on, sparse
+    (splu) or tridiagonal (dgttrf)."""
     calls = []
 
-    def counting(*args, **kwargs):
-        calls.append(None)
-        return splu(*args, **kwargs)
+    def counting(factorize):
+        def factorize_counted(*args, **kwargs):
+            calls.append(None)
+            return factorize(*args, **kwargs)
+        return factorize_counted
 
-    monkeypatch.setattr(pde, "splu", counting)
+    monkeypatch.setattr(pde, "splu", counting(splu))
+    monkeypatch.setattr(pde, "dgttrf", counting(dgttrf))
     return calls

@@ -390,33 +390,39 @@ def test_check_state_failure_is_a_failed_row(tmp_path, capsys):
         "failed on draw 1, 2, 3, 4, 5 of 5: state solver failed at step 2: ")
 
 
-# one interior node, h = 1/2: B = 1 + dt*8 + dt*(-9) = 0 at dt = 1, so
-# every step matrix is exactly singular
-SINGULAR_STEP = """
+# at dt = 1 every step matrix is exactly singular: one interior node,
+# h = 1/2, B = 1 + dt*8 + dt*(-9) = 0 (sparse LU); three, h = 1/4,
+# B = tridiag(-16, 1 + 32 - 33, -16) (tridiagonal LU)
+SINGULAR_STEPS = ["""
 problem: {n_per_axis: 1, n_t: 1, T: 1.0, diffusion: 1.0,
           nonlinearity: {kind: linear, params: [-9.0]}, yd: bump}
-"""
+""", """
+problem: {n_dim: 1, n_per_axis: 3, n_t: 1, T: 1.0, diffusion: 1.0,
+          nonlinearity: {kind: linear, params: [-33.0]}, yd: bump}
+"""]
 
 
 @pytest.mark.parametrize("command, code", [("solve", 2), ("sweep", 2),
                                            ("check", 3)])
 def test_singular_step_matrix_is_a_named_failure(tmp_path, capsys, command,
                                                  code):
-    cfg = write_config(tmp_path, SINGULAR_STEP)
-    out = tmp_path / "out"
-    assert main([command, "--config", cfg, "--out", str(out)]) == code
-    captured = capsys.readouterr()
-    if command == "check":
-        failed = [r for r in captured.out.splitlines() if "FAIL" in r]
-        assert [r.split()[0] for r in failed] == ["adjoint-identity"]
-        assert "exactly singular" in failed[0]
-    else:
-        # the initial state solve factors nothing; the first adjoint sweep
-        # fails, and no point with an adjoint exists to report
-        assert captured.err.startswith(
-            "error: adjoint solver failed at step 1: ")
-        assert "exactly singular" in captured.err
-        assert list(out.iterdir()) == []
+    for i, text in enumerate(SINGULAR_STEPS):
+        cfg = write_config(tmp_path, text)
+        out = tmp_path / f"out{i}"
+        assert main([command, "--config", cfg, "--out", str(out)]) == code
+        captured = capsys.readouterr()
+        assert "Traceback" not in captured.err
+        if command == "check":
+            failed = [r for r in captured.out.splitlines() if "FAIL" in r]
+            assert [r.split()[0] for r in failed] == ["adjoint-identity"]
+            assert "exactly singular" in failed[0]
+        else:
+            # the initial state solve factors nothing; the first adjoint
+            # sweep fails, and no point with an adjoint exists to report
+            assert captured.err.startswith(
+                "error: adjoint solver failed at step 1: ")
+            assert "exactly singular" in captured.err
+            assert list(out.iterdir()) == []
 
 
 def test_adjoint_failure_after_an_accepted_step_exits_two_with_outputs(

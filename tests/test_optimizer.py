@@ -99,6 +99,18 @@ def test_low_kappa_converges():
     assert report.kkt.identity_gap <= 1e-7
 
 
+@pytest.mark.parametrize("n", [2, 3, 4])
+def test_1d_solve_converges_on_either_factor(n):
+    # 1D step matrices with 3 or more nodes take the tridiagonal LU, with
+    # fewer the sparse one; both solves meet criterion 5's KKT bounds
+    spec = schloegl_spec(n=n, n_dim=1, n_t=8, kappa=0.1, gamma=0.05)
+    assert (spec.steps._bands is None) is (n < 3)
+    report = sc.solve(spec, sc.OptimizerConfig(tol=1e-10, max_iter=300))
+    assert report.converged
+    assert report.kkt.max() <= 1e-6
+    assert report.kkt.identity_gap <= 1e-7
+
+
 def test_trials_reuse_the_accepted_state_factors(splu_calls):
     # y_0 = 0 at zero control is an exact root, so the initial state solve
     # factors nothing and every state is 0; the first adjoint sweep's n_t

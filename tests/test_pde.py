@@ -222,14 +222,26 @@ def test_adjoint_identity_across_step_systems(name):
 
 @pytest.mark.parametrize("name", sorted(STEP_SYSTEM_CASES))
 def test_step_system_matrix_matches_fresh_assembly(name):
-    # writing dt*a_M'(y) onto the cached diagonal gives the same CSC matrix,
-    # structure and bits, as assembling I + dt*A + diag(dt*a_M'(y)) anew and
-    # reordering it symmetrically by the step system's one ordering q
+    # the matrix factor(y) factors has the structure and bits of
+    # I + dt*A + diag(dt*a_M'(y)) assembled anew.  In 1D it is the three
+    # stored diagonals, the factor's shift added to the main one; else the
+    # CSC work matrix with the shift written onto its cached diagonal,
+    # against the fresh matrix reordered symmetrically by the step system's
+    # one ordering q
     spec = step_system_spec(name)
     y = 2.0 * np.random.default_rng(3).standard_normal(spec.grid.n_nodes)
     steps = StepSystem(spec)
+    fresh = fresh_step_matrix(spec, y)
+    if spec.grid.n_dim == 1:
+        lower, main, upper = steps._bands
+        assert fresh.nnz == 3 * spec.grid.n_nodes - 2
+        assert fresh.diagonal(-1).tobytes() == lower.tobytes()
+        assert (fresh.diagonal().tobytes()
+                == (main + steps.factor(y).shift).tobytes())
+        assert fresh.diagonal(1).tobytes() == upper.tobytes()
+        return
     q = steps._order
-    fresh = fresh_step_matrix(spec, y)[q][:, q].sorted_indices()
+    fresh = fresh[q][:, q].sorted_indices()
     written = steps._write(y).copy()
     for attr in ("indptr", "indices", "data"):
         assert np.array_equal(getattr(written, attr), getattr(fresh, attr))
@@ -260,66 +272,76 @@ def test_factor_survives_work_matrix_overwrite():
 
 def test_factor_is_held_for_a_bitwise_equal_shift():
     # Schloegl (-1, 0, 1): a'(y) = 3y^2 - 1 is even, bit for bit, so y and
-    # -y give one step matrix and one factor; another shift a new one
-    spec = schloegl_spec()
-    steps = spec.steps
-    y, b = np.random.default_rng(15).standard_normal((2, spec.grid.n_nodes))
-    lu = steps.factor(y)
-    held = steps.factor(-y)
-    assert held is lu
-    # SuperLU is deterministic: the held factor solves bit for bit like a
-    # fresh one
-    fresh = StepSystem(spec).factor(-y)
-    assert held.solve(b).tobytes() == fresh.solve(b).tobytes()
-    assert steps.factor(2.0 * y) is not lu
-    assert steps.factor(y) is not lu
+    # -y give one step matrix and one factor; another shift a new one.
+    # Sparse (2D) and tridiagonal (1D) factors alike
+    for spec in (schloegl_spec(), schloegl_spec(n=12, n_dim=1)):
+        steps = spec.steps
+        y, b = np.random.default_rng(15).standard_normal(
+            (2, spec.grid.n_nodes))
+        lu = steps.factor(y)
+        held = steps.factor(-y)
+        assert held is lu
+        # both LUs are deterministic: the held factor solves bit for bit
+        # like a fresh one
+        fresh = StepSystem(spec).factor(-y)
+        assert held.solve(b).tobytes() == fresh.solve(b).tobytes()
+        assert steps.factor(2.0 * y) is not lu
+        assert steps.factor(y) is not lu
 
 
 def test_linear_reaction_factors_its_step_matrix_once(splu_calls):
     # the linear reaction's B(y) = (1 + dt*c) I + dt*A_h is one matrix for
-    # every state: the ordering probe and one factor serve the state,
-    # adjoint and linearized sweeps (73 when each step factored)
-    grid = sc.SpaceGrid(2, 12)
-    tgrid = sc.TimeGrid(1.0, 24)
-    spec = sc.ProblemSpec(
-        kappa=0.1, gamma=1.0, grid=grid, tgrid=tgrid,
-        diffusion=sc.isotropic(2, 1.0),
-        nonlinearity=sc.NonlinearitySpec("linear", (2.0,)),
-        y0=sc.spatial_preset("one-mode", grid),
-        yd=sc.target_preset("bump", grid, tgrid))
-    rng = np.random.default_rng(17)
-    y = sc.solve_state(spec, random_control(spec, rng))
-    sc.solve_adjoint(spec, y)
-    sc.solve_linearized(spec, y, random_control(spec, rng))
-    assert len(splu_calls) == 2
+    # every state: one factor serves the state, adjoint and linearized
+    # sweeps (73 when each step factored), plus the ordering probe in 2D;
+    # 1D has no probe
+    for n_dim, n, expected in ((2, 12, 2), (1, 40, 1)):
+        grid = sc.SpaceGrid(n_dim, n)
+        tgrid = sc.TimeGrid(1.0, 24)
+        spec = sc.ProblemSpec(
+            kappa=0.1, gamma=1.0, grid=grid, tgrid=tgrid,
+            diffusion=sc.isotropic(n_dim, 1.0),
+            nonlinearity=sc.NonlinearitySpec("linear", (2.0,)),
+            y0=sc.spatial_preset("one-mode", grid),
+            yd=sc.target_preset("bump", grid, tgrid))
+        rng = np.random.default_rng(17)
+        del splu_calls[:]
+        y = sc.solve_state(spec, random_control(spec, rng))
+        sc.solve_adjoint(spec, y)
+        sc.solve_linearized(spec, y, random_control(spec, rng))
+        assert len(splu_calls) == expected
 
 
-def singular_spec():
-    # n = 1, h = 1/2: B = 1 + dt*8 + dt*(-9) = 0 at dt = 1
-    grid = sc.SpaceGrid(1, 1)
+def singular_spec(n=1):
+    # at dt = 1, n = 1, h = 1/2: B = 1 + dt*8 + dt*(-9) = 0; n = 3, h = 1/4:
+    # B = tridiag(-16, 1 + 32 - 33, -16), whose LU meets a zero pivot
+    grid = sc.SpaceGrid(1, n)
     tgrid = sc.TimeGrid(1.0, 1)
     return sc.ProblemSpec(
         kappa=0.1, gamma=1.0, grid=grid, tgrid=tgrid,
         diffusion=sc.isotropic(1, 1.0),
-        nonlinearity=sc.NonlinearitySpec("linear", (-9.0,)),
+        nonlinearity=sc.NonlinearitySpec(
+            "linear", (-2.0 / grid.h**2 - 1.0,)),
         y0=sc.spatial_preset("zero", grid),
         yd=sc.target_preset("bump", grid, tgrid))
 
 
 def test_singular_step_matrix_raises_newton_error():
-    spec = singular_spec()
-    with pytest.raises(NewtonError, match="singular"):
-        spec.steps.factor(spec.y0)
-    assert spec.steps._held is None
-    with pytest.raises(NewtonError,
-                       match="^state solver failed at step 1: .*singular"):
-        sc.solve_state(spec, random_control(spec, np.random.default_rng(18)))
-    # from zero control the state step has an exactly zero residual and
-    # factors nothing; the adjoint's first step factors B and fails
-    y = sc.solve_state(spec, sc.field_per_interval(spec.grid, spec.tgrid))
-    with pytest.raises(NewtonError,
-                       match="^adjoint solver failed at step 1: .*singular"):
-        sc.solve_adjoint(spec, y)
+    # sparse (n = 1) and tridiagonal (n = 3) factors alike
+    for spec in (singular_spec(1), singular_spec(3)):
+        with pytest.raises(NewtonError, match="exactly singular"):
+            spec.steps.factor(spec.y0)
+        assert spec.steps._held is None
+        with pytest.raises(NewtonError,
+                           match="^state solver failed at step 1: .*singular"):
+            sc.solve_state(spec,
+                           random_control(spec, np.random.default_rng(18)))
+        # from zero control the state step has an exactly zero residual and
+        # factors nothing; the adjoint's first step factors B and fails
+        y = sc.solve_state(spec, sc.field_per_interval(spec.grid, spec.tgrid))
+        with pytest.raises(
+                NewtonError,
+                match="^adjoint solver failed at step 1: .*singular"):
+            sc.solve_adjoint(spec, y)
 
 
 def nearly_singular_spec():
@@ -341,6 +363,24 @@ def indefinite_spec():
         yd=sc.target_preset("bump", grid, tgrid))
 
 
+def indefinite_1d_spec():
+    # 1 + 2c + dt*a'(0) = 1 + 2*0.845 - 0.05*54 = -0.01 with
+    # c = dt*D/h^2 = 0.845 the off-diagonal magnitude: B(y) for small y has
+    # pivots far below its off-diagonal, and eigenvalues of both signs
+    grid = sc.SpaceGrid(1, 12)
+    tgrid = sc.TimeGrid(0.1, 2)
+    return sc.ProblemSpec(
+        kappa=0.1, gamma=1.0, grid=grid, tgrid=tgrid,
+        diffusion=sc.isotropic(1, 0.1),
+        nonlinearity=sc.NonlinearitySpec("polynomial", (0.0, -54.0, 0.0, 1.0)),
+        y0=sc.spatial_preset("one-mode", grid),
+        yd=sc.target_preset("bump", grid, tgrid))
+
+
+def schloegl_1d_spec():
+    return schloegl_spec(n=40, n_dim=1)
+
+
 def test_adjoint_identity_on_a_nearly_singular_step():
     result = check_adjoint_identity(nearly_singular_spec(),
                                     np.random.default_rng(6))
@@ -348,11 +388,13 @@ def test_adjoint_identity_on_a_nearly_singular_step():
 
 
 @pytest.mark.parametrize("make_spec", [schloegl_spec, nearly_singular_spec,
-                                       indefinite_spec])
+                                       indefinite_spec, schloegl_1d_spec,
+                                       indefinite_1d_spec])
 def test_factor_solves_like_fresh_splu(make_spec):
     # factor(y).solve agrees with the default pivoting LU of a freshly
-    # assembled B(y) in the original order; with y this small the indefinite
-    # problem's B(y) is negative definite
+    # assembled B(y) in the original order; with y this small the 2D
+    # indefinite problem's B(y) is negative definite, the 1D one's
+    # indefinite
     spec = make_spec()
     steps = spec.steps
     rng = np.random.default_rng(13)
@@ -373,6 +415,18 @@ def test_factor_solves_an_indefinite_step_matrix():
     x = spec.steps.factor(y).solve(b)
     bound = 10.0 * np.finfo(float).eps * np.linalg.cond(dense)
     assert np.linalg.norm(dense @ x - b) <= bound * np.linalg.norm(b)
+
+
+def test_tridiagonal_factor_pivots_on_an_indefinite_step_matrix():
+    # the 1D indefinite B(y) has diagonal entries far below its
+    # off-diagonal ones, so its LU swaps rows (dgttrf's ipiv is not the
+    # identity); test_factor_solves_like_fresh_splu checks the solves
+    spec = indefinite_1d_spec()
+    y = 0.5 * np.random.default_rng(23).standard_normal(spec.grid.n_nodes)
+    eigenvalues = np.linalg.eigvalsh(fresh_step_matrix(spec, y).toarray())
+    assert eigenvalues[0] < 0.0 < eigenvalues[-1]
+    pivots = spec.steps.factor(y).lu[4]
+    assert np.any(pivots != np.arange(1, spec.grid.n_nodes + 1))
 
 
 def test_one_step_system_per_problem():
