@@ -57,7 +57,7 @@ StepSystem serves the state, linearized and adjoint sweeps.  It is built
 once per problem (ProblemSpec.steps) and reused by every sweep on it and by
 every budget of a budget sweep (ProblemSpec.with_budget).  In 1D, with at
 least 3 nodes, B_m is tridiagonal and factored by LAPACK's tridiagonal LU;
-otherwise by SuperLU in one minimum-degree ordering.
+otherwise by one SuperLU call, which orders each B_m by minimum degree.
 """
 
 from __future__ import annotations
@@ -136,26 +136,36 @@ def elliptic_matrix(grid: SpaceGrid, tensor: DiffusionTensor) -> sp.csr_matrix:
             - 2.0 * a[0, 1] * sp.kron(d1, d1)).tocsr()
 
 
-class _OrderedFactor:
-    """Solves B x = b with the factor of the reordered B[q][:, q], where
-    B = B(w) and shift = dt*a_M'(w), the only part of B(w) that varies."""
+class _SparseFactor:
+    """Solves B x = b with SuperLU's partial-pivoting LU of the CSC matrix
+    B = B(w) in SuperLU's own minimum-degree ordering (X. S. Li, ACM TOMS
+    31(3), 2005), where shift = dt*a_M'(w), the only part of B(w) that
+    varies.  An exactly singular B raises NewtonError."""
 
-    __slots__ = ("lu", "order", "inverse", "shift")
+    __slots__ = ("lu", "shift")
 
-    def __init__(self, lu, order: np.ndarray, inverse: np.ndarray,
-                 shift: np.ndarray):
-        self.lu, self.order, self.inverse = lu, order, inverse
+    def __init__(self, matrix: sp.csc_matrix, shift: np.ndarray | None):
+        # symmetric mode prefers the diagonal pivot, as the symmetric
+        # ordering assumes; a pivot below 0.1 of its column's largest entry
+        # is still exchanged, which covers the step matrices a decreasing
+        # reaction makes indefinite
+        try:
+            self.lu = splu(matrix, permc_spec="MMD_AT_PLUS_A",
+                           diag_pivot_thresh=0.1,
+                           options={"SymmetricMode": True})
+        except RuntimeError as exc:     # "Factor is exactly singular"
+            raise NewtonError(_SINGULAR) from exc
         self.shift = shift
 
     def solve(self, b: np.ndarray) -> np.ndarray:
-        return self.lu.solve(b[self.order])[self.inverse]
+        return self.lu.solve(b)
 
 
 class _TridiagonalFactor:
     """Solves B x = b with the partial-pivoting LU of a tridiagonal B = B(w)
     given by its lower, main and upper diagonals (LAPACK dgttrf/dgttrs;
     Golub & Van Loan, Matrix Computations, 4.3); shift as for
-    _OrderedFactor.  An exactly singular B raises NewtonError."""
+    _SparseFactor.  An exactly singular B raises NewtonError."""
 
     __slots__ = ("lu", "shift")
 
@@ -184,14 +194,10 @@ class StepSystem:
     partial-pivoting tridiagonal LU of them (_TridiagonalFactor).  scipy's
     dgttrf wrapper rejects 1 or 2 nodes, which take the sparse path.
 
-    Otherwise I + dt*A_h is kept as CSC, and a minimum-degree ordering q
-    of this positive definite matrix comes once from a no-pivot
-    symmetric-mode LU (X. S. Li, ACM TOMS 31(3), 2005).  The stored
-    matrices are kept reordered as B[q][:, q]; factor(y) writes the shift
-    onto the diagonal entries of one preallocated work matrix instead of a
-    fresh copy, and factors it by a SuperLU partial-pivoting LU in that
-    order; its solve() permutes b in and x out.  Both LUs pivot, which
-    covers the step matrices a decreasing reaction makes indefinite.
+    Otherwise I + dt*A_h is kept as CSC, and factor(y) adds the shift to
+    the diagonal entries of a copy and factors that by one SuperLU call
+    (_SparseFactor).  Both LUs pivot, which covers the step matrices a
+    decreasing reaction makes indefinite.
     """
 
     def __init__(self, spec: ProblemSpec):
@@ -210,36 +216,13 @@ class StepSystem:
                             if self.nl.kind == "zero" else None)
             return
         self._bands = None
-        # base is SPD, so symmetric mode needs no pivoting
-        probe = splu(base, permc_spec="MMD_AT_PLUS_A", diag_pivot_thresh=0.0,
-                     options={"SymmetricMode": True})
-        self._shared = probe if self.nl.kind == "zero" else None
-        # probe factored base[q][:, q] with q = argsort(perm_c); perm_c is a
-        # view that would keep probe's factors alive, so copy it
-        self._inverse = probe.perm_c.astype(np.intp)
-        self._order = np.argsort(self._inverse)
-        base = base[self._order][:, self._order]
-        # splu would sort the work matrix in place, and the next write
-        # would then scramble it
-        base.sort_indices()
         self._base = base
-        self._work = base.copy()
+        self._shared = (_SparseFactor(base, None)
+                        if self.nl.kind == "zero" else None)
         # data index of each diagonal entry, by node; 1 + dt*a_ii > 0, so
         # all are stored
         columns = np.repeat(np.arange(n), np.diff(base.indptr))
-        self._diagonal = np.flatnonzero(base.indices == columns)[self._inverse]
-
-    def _write(self, y: np.ndarray,
-               shift: np.ndarray | None = None) -> sp.csc_matrix:
-        """B(y), reordered, written into the work matrix, which the next
-        call overwrites; shift, when given, is dt*a_M'(y).  Sparse path
-        only."""
-        if shift is None:
-            shift = self.dt * eval_ay_truncated(self.nl, y)
-        work = self._work
-        np.copyto(work.data, self._base.data)
-        work.data[self._diagonal] += shift
-        return work
+        self._diagonal = np.flatnonzero(base.indices == columns)
 
     def factor(self, y: np.ndarray):
         """Factorization of B(y), with a solve(b) method and its shift
@@ -258,11 +241,9 @@ class StepSystem:
             lower, main, upper = self._bands
             self._held = _TridiagonalFactor(lower, main + shift, upper, shift)
             return self._held
-        try:
-            lu = splu(self._write(y, shift), permc_spec="NATURAL")
-        except RuntimeError as exc:     # "Factor is exactly singular"
-            raise NewtonError(_SINGULAR) from exc
-        self._held = _OrderedFactor(lu, self._order, self._inverse, shift)
+        matrix = self._base.copy()
+        matrix.data[self._diagonal] += shift
+        self._held = _SparseFactor(matrix, shift)
         return self._held
 
     @staticmethod

@@ -115,13 +115,13 @@ def test_trials_reuse_the_accepted_state_factors(splu_calls):
     # y_0 = 0 at zero control is an exact root, so the initial state solve
     # factors nothing and every state is 0; the first adjoint sweep's n_t
     # step matrices are one matrix, factored once, and every later adjoint
-    # refinement and trial chord on that factor converges: only the
-    # ordering probe and that one factor
+    # refinement and trial chord on that factor converges: only that one
+    # factor
     spec = active_schloegl_spec()
     report = sc.solve(spec, sc.OptimizerConfig(tol=1e-11, max_iter=400))
     assert report.converged
     assert report.iterations > 1
-    assert len(splu_calls) == 2
+    assert len(splu_calls) == 1
 
 
 def test_ill_conditioned_problem_reuses_factors(splu_calls):

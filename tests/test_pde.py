@@ -47,8 +47,9 @@ def test_elliptic_operator_symmetric_positive():
 @pytest.mark.parametrize("n_dim", [1, 2])
 def test_elliptic_operator_spd_on_random_tensors(n_dim):
     # random anisotropic tensors and small grids, cross term included: the
-    # step system's ordering probe factors I + dt*A_h without pivoting, which
-    # needs A_h symmetric positive definite
+    # zero reaction's step matrix I + dt*A_h, factored once and shared, and
+    # the symmetric minimum-degree ordering of every step matrix rest on
+    # A_h symmetric positive definite
     rng = np.random.default_rng(40 + n_dim)
     for _ in range(25):
         a11, a22 = np.exp(rng.uniform(-3.0, 3.0, 2))
@@ -221,13 +222,12 @@ def test_adjoint_identity_across_step_systems(name):
 
 
 @pytest.mark.parametrize("name", sorted(STEP_SYSTEM_CASES))
-def test_step_system_matrix_matches_fresh_assembly(name):
+def test_step_system_matrix_matches_fresh_assembly(name, monkeypatch):
     # the matrix factor(y) factors has the structure and bits of
     # I + dt*A + diag(dt*a_M'(y)) assembled anew.  In 1D it is the three
     # stored diagonals, the factor's shift added to the main one; else the
-    # CSC work matrix with the shift written onto its cached diagonal,
-    # against the fresh matrix reordered symmetrically by the step system's
-    # one ordering q
+    # CSC matrix handed to splu, against the fresh matrix in the original
+    # order
     spec = step_system_spec(name)
     y = 2.0 * np.random.default_rng(3).standard_normal(spec.grid.n_nodes)
     steps = StepSystem(spec)
@@ -240,11 +240,19 @@ def test_step_system_matrix_matches_fresh_assembly(name):
                 == (main + steps.factor(y).shift).tobytes())
         assert fresh.diagonal(1).tobytes() == upper.tobytes()
         return
-    q = steps._order
-    fresh = fresh[q][:, q].sorted_indices()
-    written = steps._write(y).copy()
+    factored = []
+
+    def recording(matrix, **kwargs):
+        factored.append(matrix.copy())
+        return splu(matrix, **kwargs)
+
+    monkeypatch.setattr(pde, "splu", recording)
+    steps.factor(y)
+    assert len(factored) == 1
+    fresh = fresh.sorted_indices()
     for attr in ("indptr", "indices", "data"):
-        assert np.array_equal(getattr(written, attr), getattr(fresh, attr))
+        assert (getattr(factored[0], attr).tobytes()
+                == getattr(fresh, attr).tobytes())
 
 
 def test_zero_reaction_shares_one_factorization():
@@ -253,21 +261,22 @@ def test_zero_reaction_shares_one_factorization():
     assert steps.factor(spec.y0) is steps.factor(2.0 * spec.y0)
 
 
-def test_factor_survives_work_matrix_overwrite():
-    # factor() writes B(y) into one work matrix; an earlier factor must
-    # not see the next write
+def test_factor_survives_a_later_factor():
+    # factor() adds the shift to a copy of the stored I + dt*A_h; a later
+    # factor(y2) must leave an earlier factor's solve and that stored
+    # matrix bit for bit as they were
     spec = step_system_spec("anisotropic-schloegl")
     steps = spec.steps
     rng = np.random.default_rng(11)
     y1, y2, rhs = rng.standard_normal((3, spec.grid.n_nodes))
-    b1 = steps._write(y1).copy()
+    base = steps._base.data.tobytes()
     lu = steps.factor(y1)
     x = lu.solve(rhs)
-    steps.factor(y2)
+    assert steps._base.data.tobytes() == base
+    assert steps.factor(y2) is not lu
     assert lu.solve(rhs).tobytes() == x.tobytes()
+    assert steps._base.data.tobytes() == base
     assert steps.factor(y1).solve(rhs).tobytes() == x.tobytes()
-    assert b1.data.tobytes() == steps._write(y1).data.tobytes()
-    assert steps._write(y2).data.tobytes() != b1.data.tobytes()
 
 
 def test_factor_is_held_for_a_bitwise_equal_shift():
@@ -292,9 +301,8 @@ def test_factor_is_held_for_a_bitwise_equal_shift():
 def test_linear_reaction_factors_its_step_matrix_once(splu_calls):
     # the linear reaction's B(y) = (1 + dt*c) I + dt*A_h is one matrix for
     # every state: one factor serves the state, adjoint and linearized
-    # sweeps (73 when each step factored), plus the ordering probe in 2D;
-    # 1D has no probe
-    for n_dim, n, expected in ((2, 12, 2), (1, 40, 1)):
+    # sweeps (73 when each step factored), sparse in 2D, tridiagonal in 1D
+    for n_dim, n in ((2, 12), (1, 40)):
         grid = sc.SpaceGrid(n_dim, n)
         tgrid = sc.TimeGrid(1.0, 24)
         spec = sc.ProblemSpec(
@@ -308,7 +316,7 @@ def test_linear_reaction_factors_its_step_matrix_once(splu_calls):
         y = sc.solve_state(spec, random_control(spec, rng))
         sc.solve_adjoint(spec, y)
         sc.solve_linearized(spec, y, random_control(spec, rng))
-        assert len(splu_calls) == expected
+        assert len(splu_calls) == 1
 
 
 def singular_spec(n=1):
@@ -429,6 +437,30 @@ def test_tridiagonal_factor_pivots_on_an_indefinite_step_matrix():
     assert np.any(pivots != np.arange(1, spec.grid.n_nodes + 1))
 
 
+def test_sparse_factor_pivots_on_an_indefinite_step_matrix():
+    # the 2D twin: at dt = 1 the linear reaction -100.5 makes
+    # B = (1 - 100.5) I + A_h on a 4 x 4 grid indefinite, eigenvalues about
+    # -80.4 to 81.4, so symmetric mode's diagonal pivots do not all hold
+    # and SuperLU exchanges rows (perm_r is not perm_c)
+    grid = sc.SpaceGrid(2, 4)
+    tgrid = sc.TimeGrid(1.0, 1)
+    spec = sc.ProblemSpec(
+        kappa=0.1, gamma=1.0, grid=grid, tgrid=tgrid,
+        diffusion=sc.isotropic(2, 1.0),
+        nonlinearity=sc.NonlinearitySpec("linear", (-100.5,)),
+        y0=sc.spatial_preset("one-mode", grid),
+        yd=sc.target_preset("bump", grid, tgrid))
+    y = np.zeros(grid.n_nodes)
+    dense = fresh_step_matrix(spec, y).toarray()
+    eigenvalues = np.linalg.eigvalsh(dense)
+    assert eigenvalues[0] < 0.0 < eigenvalues[-1]
+    lu = spec.steps.factor(y).lu
+    assert np.any(lu.perm_r != lu.perm_c)
+    b = np.random.default_rng(29).standard_normal(grid.n_nodes)
+    x = lu.solve(b)
+    assert np.linalg.norm(dense @ x - b) <= 1e-13 * np.linalg.norm(b)
+
+
 def test_one_step_system_per_problem():
     spec = schloegl_spec()
     steps = spec.steps
@@ -444,8 +476,9 @@ def test_one_step_system_per_problem():
 
 @pytest.mark.parametrize("name", ["anisotropic-schloegl", "linear"])
 def test_solve_repeats_bitwise_on_one_spec(name):
-    # the cached step system (its work matrix) carries no state from one
-    # solve into the next, nor into a solve at another budget sharing it
+    # the cached step system (its held factor and stored I + dt*A_h)
+    # carries no state from one solve into the next, nor into a solve at
+    # another budget sharing it
     spec = step_system_spec(name)
     cfg = sc.OptimizerConfig(tol=1e-10, max_iter=300)
     runs = [sc.solve(spec, cfg), sc.solve(spec, cfg),
