@@ -11,11 +11,10 @@ from .nonlinearity import (NonlinearitySpec, TruncationSpec,
 from .pde import (NewtonError, TruncationActiveWarning, elliptic_matrix,
                   solve_adjoint, solve_linearized, solve_state)
 from .l1ball import (ProjectionResult, project_field, project_slice,
-                     recover_multiplier)
+                     projection_derivative, recover_multiplier)
 from .problem import ProblemSpec
-from .objective import (curvature_weight, curvature_with_state,
-                        eval_curvature, eval_gradient, eval_J, hessian_vector,
-                        objective_value)
+from .objective import (curvature_weight, eval_curvature, eval_gradient,
+                        eval_J, hessian_vector, objective_value)
 from .optimizer import (KKTResiduals, OptimizerConfig, SolveReport,
                         kkt_residuals, solve)
 from .diagnostics import SliceActivity, classify_slices, second_order_bound

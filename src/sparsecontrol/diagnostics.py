@@ -5,10 +5,12 @@ gamma (within tolerance) and *multiplier-active* when additionally the
 multiplier slice is not identically zero.  On a multiplier-active slice
 the linear hull of the critical cone holds the directions supported on
 supp(u) and orthogonal to sign(u); other slices are free (Casas, Herzog &
-Wachsmuth, SIAM J. Optim. 22, 2012).  As <H v, v> >= kappa <v, v> -
+Wachsmuth, SIAM J. Optim. 22, 2012).  The orthogonal projection P onto
+that hull is the budget projection's derivative,
+l1ball.projection_derivative.  As <H v, v> >= kappa <v, v> -
 <W_- S v, S v>, W_- the negative part of the form's weight, a positive
-kappa - lambda_max(P S* W_- S P) on that hull certifies the strong
-second-order condition of the discrete problem.
+kappa - lambda_max(P S* W_- S P) certifies the strong second-order
+condition of the discrete problem.
 """
 
 from __future__ import annotations
@@ -19,6 +21,7 @@ import numpy as np
 from scipy.sparse.linalg import LinearOperator, eigsh
 
 from .grid import SpaceTimeField, like
+from .l1ball import projection_derivative
 from .objective import curvature_weight, weighted_product
 from .problem import ProblemSpec
 
@@ -55,29 +58,22 @@ def second_order_bound(spec: ProblemSpec, report) -> float:
 
     kappa where the weight 1 - a''(y) phi is >= 0 everywhere; otherwise
     kappa - lambda_max(P S* W_- S P), W_- the weight's negative part and P
-    the orthogonal projection onto the hull, by Lanczos with a fixed start
-    (dense below 3 unknowns, where ARPACK does not run).  ValueError where
-    the clamp engages (objective.curvature_weight).
+    the orthogonal projection onto the hull (l1ball.projection_derivative),
+    by Lanczos with a fixed start (dense below 3 unknowns, where ARPACK does
+    not run).  ValueError where the clamp engages
+    (objective.curvature_weight).
     """
     weight = curvature_weight(spec, report.y, report.phi)
     if np.all(weight >= 0.0):
         return float(spec.kappa)
     negative = np.maximum(-weight, 0.0)
-    u = report.u
-    active = report.activity.multiplier_active[:, None]
-    sign = np.sign(u.values) * active
-    keep = ~active | (sign != 0.0)
-    count = np.maximum(np.sum(sign * sign, axis=1, keepdims=True), 1.0)
+    u, active = report.u, report.activity.multiplier_active
     factors = list(report.factors)
 
-    def hull(x):
-        x = x.reshape(u.values.shape) * keep
-        return x - sign * (np.sum(sign * x, axis=1, keepdims=True) / count)
-
     def apply(x):
-        product = weighted_product(spec, report.y, negative,
-                                   like(u, hull(x)), factors)
-        return hull(product).ravel()
+        v = like(u, projection_derivative(u.values, active, x))
+        product = weighted_product(spec, report.y, negative, v, factors)
+        return projection_derivative(u.values, active, product).ravel()
 
     n = u.values.size
     operator = LinearOperator((n, n), matvec=apply, dtype=float)

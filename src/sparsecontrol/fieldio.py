@@ -27,8 +27,10 @@ def write_field(path, f: SpaceTimeField):
 def read_field(path):
     """Read a dump back as (values, n_per_axis, n_dim)."""
     with open(path, "rb") as handle:
-        magic, n_slices, n_per_axis, n_dim = _HEADER.unpack(
-            handle.read(_HEADER.size))
+        header = handle.read(_HEADER.size)
+        if len(header) < _HEADER.size:
+            raise ValueError("field dump is truncated")
+        magic, n_slices, n_per_axis, n_dim = _HEADER.unpack(header)
         if magic != MAGIC:
             raise ValueError(f"not a field dump: bad magic {magic!r}")
         n_nodes = n_per_axis**n_dim

@@ -18,6 +18,7 @@ an independent oracle, not the shipped path.
 The same map characterizes first-order optimality of the control problem:
 at a solution, u(t) is the projection of -phi(t)/kappa, the multiplier is
 mu = -(phi + kappa*u), and kappa*lam equals the slice sup-norm of mu.
+Its derivative at a projected stack is ``projection_derivative``.
 """
 
 from __future__ import annotations
@@ -80,6 +81,29 @@ def _project_rows(values: np.ndarray, w: float, gamma: float):
     projected = values.copy()
     projected[over] = d_over
     return projected, thresholds
+
+
+def projection_derivative(u: np.ndarray, active: np.ndarray,
+                          v: np.ndarray) -> np.ndarray:
+    """P v, P the derivative of the slice-wise projection at the projected
+    stack u with per-slice flags active (multiplier-active, so over budget).
+
+    v is reshaped to u's shape.  P is the identity on a slice that is not
+    active.  On an active slice with support S = {u_i != 0}, differentiating
+    the threshold equation w * sum_S (|z_i| - lam) = gamma in the pre-image z
+    gives
+
+        P v = 1_S (v - sign(u) * sum_S sign(u) v / max(|S|, 1)),
+
+    the orthogonal projection onto the directions supported on S and
+    orthogonal to sign(u).  It is the projection onto the linear hull of the
+    critical cone (Casas, Herzog & Wachsmuth, SIAM J. Optim. 22, 2012), and
+    an element of the generalized Jacobian of the projection at -phi/kappa.
+    """
+    sign = np.sign(u) * active[:, None]
+    v = v.reshape(u.shape) * (~active[:, None] | (sign != 0.0))
+    count = np.maximum(np.sum(sign * sign, axis=1, keepdims=True), 1.0)
+    return v - sign * (np.sum(sign * v, axis=1, keepdims=True) / count)
 
 
 def project_slice(v: np.ndarray, w: float, gamma: float) -> ProjectionResult:

@@ -26,7 +26,7 @@ from .pde import (_linear_sweep, clamp_idle_on_states, solve_adjoint,
 from .problem import ProblemSpec
 
 __all__ = ["eval_J", "objective_value", "eval_gradient", "eval_curvature",
-           "curvature_with_state", "curvature_weight", "hessian_vector"]
+           "curvature_weight", "hessian_vector"]
 
 
 def objective_value(spec: ProblemSpec, u: SpaceTimeField,
@@ -81,16 +81,8 @@ def hessian_vector(spec: ProblemSpec, y: SpaceTimeField, phi: SpaceTimeField,
     return like(v, spec.kappa * v.values + p2)
 
 
-def curvature_with_state(spec: ProblemSpec, y: SpaceTimeField,
-                         phi: SpaceTimeField, v: SpaceTimeField) -> float:
-    """Quadratic form <H v, v> at (y, phi) in direction v; reuses computed
-    fields."""
-    return l2_inner(hessian_vector(spec, y, phi, v), v)
-
-
 def eval_curvature(spec: ProblemSpec, u: SpaceTimeField,
                    v: SpaceTimeField) -> float:
     """Second derivative of J at u along (v, v)."""
     y = solve_state(spec, u)
-    phi = solve_adjoint(spec, y)
-    return curvature_with_state(spec, y, phi, v)
+    return l2_inner(hessian_vector(spec, y, solve_adjoint(spec, y), v), v)

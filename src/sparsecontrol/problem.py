@@ -36,10 +36,22 @@ class ProblemSpec:
     def __post_init__(self):
         if not 0 < self.kappa < np.inf:
             raise ValueError(f"kappa must be finite and > 0, got {self.kappa}")
+        if not 1.0 / float(self.kappa) < np.inf:
+            raise ValueError(f"kappa = {self.kappa} is so small that the "
+                             "gradient step 1/kappa overflows")
         if not 0 < self.gamma < np.inf:
             raise ValueError(f"gamma must be finite and > 0, got {self.gamma}")
         if self.diffusion.n_dim != self.grid.n_dim:
             raise ValueError("diffusion tensor dimension does not match the grid")
+        with np.errstate(over="ignore"):
+            # 4 sum|a_ij| / h^2 bounds every row sum of |A_h|
+            scale = (4.0 * np.abs(self.diffusion.as_array()).sum()
+                     * self.tgrid.dt / self.grid.h**2)
+        if not np.isfinite(scale):
+            raise ValueError(
+                f"the step matrix I + dt*A_h overflows (dt = T / n_t = "
+                f"{self.tgrid.dt:.3g}, h = {self.grid.h:.3g}); lower T, "
+                "diffusion or n_per_axis, or raise n_t")
         self.y0 = np.asarray(self.y0, dtype=float)
         if self.y0.shape != (self.grid.n_nodes,):
             raise ValueError(f"y0 has shape {self.y0.shape}, "
@@ -51,9 +63,16 @@ class ProblemSpec:
         if self.yd.grid != self.grid or self.yd.tgrid != self.tgrid:
             raise ValueError("target yd lives on different grids")
         if self.nonlinearity.truncation is None:
-            level = auto_truncation_level(np.abs(self.y0).max(),
-                                          np.abs(self.yd.values).max(),
-                                          self.gamma, self.kappa)
+            with np.errstate(over="ignore"):
+                level = auto_truncation_level(np.abs(self.y0).max(),
+                                              np.abs(self.yd.values).max(),
+                                              self.gamma, self.kappa)
+            if not np.isfinite(level):
+                raise ValueError(
+                    "the automatic clamp level 10 (|y0| + |yd| + gamma/kappa "
+                    f"+ 1) overflows at gamma = {self.gamma}, kappa = "
+                    f"{self.kappa}; set truncation, or lower y0, yd or "
+                    "gamma/kappa")
             self.nonlinearity = with_truncation(self.nonlinearity, float(level))
 
     @cached_property

@@ -85,6 +85,14 @@ def test_field_dump_round_trip(tmp_path):
     assert np.array_equal(values, f.values)
 
 
+@pytest.mark.parametrize("raw", [b"", b"PFLD"])
+def test_field_dump_with_a_short_header_is_truncated(tmp_path, raw):
+    path = tmp_path / "f.pfld"
+    path.write_bytes(raw)
+    with pytest.raises(ValueError, match="field dump is truncated"):
+        read_field(path)
+
+
 def test_malformed_config_exits_one(tmp_path, capsys):
     cfg = write_config(tmp_path, "problem:\n  n_per_axiss: 4\n")
     assert main(["solve", "--config", cfg, "--out", str(tmp_path)]) == 1
@@ -113,6 +121,9 @@ def test_domain_error_exits_one(tmp_path, capsys):
     cfg = write_config(tmp_path, "problem:\n  kappa: -1.0\n")
     assert main(["solve", "--config", cfg, "--out", str(tmp_path)]) == 1
     assert "kappa" in capsys.readouterr().err
+
+
+_STEP_OVERFLOW = "problem block: the step matrix I + dt*A_h overflows"
 
 
 @pytest.mark.parametrize("command, text, block", [
@@ -160,6 +171,22 @@ def test_domain_error_exits_one(tmp_path, capsys):
     (["solve"], "problem: {yd: false}", "problem.yd"),
     (["solve"], "problem: {diffusion: [[true]]}", "problem.diffusion"),
     (["sweep", "--gammas", "0.05,abc"], "{}", "--gammas"),
+    # finite numbers whose products overflow: the step matrix, the first
+    # gradient step or the automatic clamp level would not be finite
+    (["solve"], "problem: {T: 1.0e308, n_t: 1}", _STEP_OVERFLOW),
+    (["solve"], "problem: {diffusion: 1.0e308, yd: bump}", _STEP_OVERFLOW),
+    (["solve"], "problem: {n_dim: 2, n_per_axis: 3, T: 1.0e308, n_t: 1}",
+     _STEP_OVERFLOW),
+    (["check"], "problem: {n_dim: 2, n_per_axis: 3, T: 1.0e308, n_t: 1}",
+     _STEP_OVERFLOW),
+    (["solve"], "problem: {kappa: 1.0e-320, yd: bump, truncation: 10.0}",
+     "problem block: kappa = 1e-320 is so small that the gradient step "
+     "1/kappa overflows"),
+    (["solve"], "problem: {kappa: 1.0e-320, yd: bump}",
+     "problem block: kappa = 1e-320 is so small"),
+    (["solve"], "problem: {gamma: 1.0e308, yd: bump}",
+     "problem block: the automatic clamp level 10 (|y0| + |yd| + "
+     "gamma/kappa + 1) overflows"),
 ])
 def test_non_finite_input_is_a_config_error(tmp_path, capsys, command, text,
                                             block):

@@ -9,7 +9,7 @@ from sparsecontrol.checks import (bisect_threshold,
                                   check_projection_oracle)
 from sparsecontrol.grid import like
 from sparsecontrol.l1ball import (_project_rows, project_field, project_slice,
-                                  recover_multiplier)
+                                  projection_derivative, recover_multiplier)
 
 slices = st.lists(st.floats(-100.0, 100.0), min_size=1, max_size=50).map(np.array)
 weights = st.floats(0.05, 3.0)
@@ -231,3 +231,59 @@ def test_soft_threshold_identity_chain():
                                                                rel=1e-12)
         else:
             assert np.allclose(mu, 0.0, atol=1e-12)
+
+
+def derivative_stack(rng, n_nodes, n_rows=6):
+    """(pre-images, w, gamma): a random stack whose even rows are over
+    budget and odd rows under it."""
+    w, gamma = 1.0 / (n_nodes + 1), float(rng.uniform(0.1, 2.0))
+    z = rng.standard_normal((n_rows, n_nodes))
+    over = np.arange(n_rows) % 2 == 0
+    factor = np.where(over, rng.uniform(1.5, 4.0, n_rows),
+                      rng.uniform(0.2, 0.7, n_rows))
+    z *= (factor * gamma / (w * np.sum(np.abs(z), axis=1)))[:, None]
+    return z, w, gamma
+
+
+@pytest.mark.parametrize("n_nodes", [1, 50])
+@pytest.mark.parametrize("seed", range(4))
+def test_projection_derivative_matches_difference_quotients(n_nodes, seed):
+    rng = np.random.default_rng(seed)
+    z, w, gamma = derivative_stack(rng, n_nodes)
+    d = rng.standard_normal(z.shape)
+    u, thresholds = _project_rows(z, w, gamma)
+    active = thresholds > 0.0
+    assert list(active) == [True, False] * 3
+    eps = 1e-7
+    up, up_thresholds = _project_rows(z + eps * d, w, gamma)
+    down, down_thresholds = _project_rows(z - eps * d, w, gamma)
+    # off the kinks: the support and the over-budget rows do not move
+    for values, lam in ((up, up_thresholds), (down, down_thresholds)):
+        assert np.array_equal(values != 0.0, u != 0.0)
+        assert np.array_equal(lam > 0.0, active)
+    quotient = (up - down) / (2.0 * eps)
+    pd = projection_derivative(u, active, d)
+    assert np.max(np.abs(quotient - pd)) <= 1e-6 * np.max(np.abs(pd))
+
+
+@pytest.mark.parametrize("n_nodes", [1, 50])
+@pytest.mark.parametrize("seed", range(4))
+def test_projection_derivative_is_an_orthogonal_projection(n_nodes, seed):
+    rng = np.random.default_rng(100 + seed)
+    z, w, gamma = derivative_stack(rng, n_nodes)
+    u, thresholds = _project_rows(z, w, gamma)
+    active = thresholds > 0.0
+    x, y = rng.standard_normal((2,) + z.shape)
+    px, py = (projection_derivative(u, active, v) for v in (x, y))
+    # idempotent and symmetric (the Q inner product of uniform weights)
+    assert (np.max(np.abs(projection_derivative(u, active, px) - px))
+            <= 1e-14 * np.max(np.abs(px)))
+    assert (abs(np.vdot(px, y) - np.vdot(x, py))
+            <= 1e-14 * np.linalg.norm(x) * np.linalg.norm(y))
+    # the identity, bit for bit, on the rows under budget
+    assert px[~active].tobytes() == x[~active].tobytes()
+    # on the active rows: zero off the support, and sign(u) is annihilated
+    assert np.all(px[active][u[active] == 0.0] == 0.0)
+    assert np.all(projection_derivative(u, active, np.sign(u))[active] == 0.0)
+    # accepts the flattened stack, as a Lanczos matvec passes it
+    assert np.array_equal(projection_derivative(u, active, x.ravel()), px)
