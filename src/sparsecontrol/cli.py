@@ -7,8 +7,9 @@ Subcommands:
 * ``check``  run the property suite, print a pass/fail table
 * ``sweep``  solve across a list of budgets, write stability.csv/.json
 
-Exit codes: 0 success, 1 config or command-line error, 2 solver/sweep
-nonconvergence, 3 property-suite failure.
+Exit codes: 0 success, 1 config or command-line error (or too little
+memory for the problem), 2 solver/sweep nonconvergence, 3 property-suite
+failure.
 """
 
 from __future__ import annotations
@@ -167,15 +168,15 @@ def main(argv=None) -> int:
         if args.seed is not None:
             cfg.seed = args.seed
         gammas = None
-        if getattr(args, "gammas", None):
+        if getattr(args, "gammas", None) is not None:
             try:
                 gammas = [float(tok) for tok in args.gammas.split(",")
                           if tok.strip()]
             except ValueError as exc:
                 raise ConfigError(f"--gammas: {exc}") from exc
-            if not all(0 < g < np.inf for g in gammas):
-                raise ConfigError(f"--gammas must be finite and > 0, "
-                                  f"got {args.gammas}")
+            if not gammas or not all(0 < g < np.inf for g in gammas):
+                raise ConfigError(f"--gammas must list budgets, each finite "
+                                  f"and > 0, got {args.gammas!r}")
         out_dir = Path(args.out if args.out is not None
                        else cfg.output["directory"])
         out_dir.mkdir(parents=True, exist_ok=True)
@@ -187,8 +188,8 @@ def main(argv=None) -> int:
     except NewtonError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_NONCONVERGED
-    except (ConfigError, OSError, ValueError) as exc:
-        print(f"error: {exc}", file=sys.stderr)
+    except (ConfigError, OSError, ValueError, MemoryError) as exc:
+        print(f"error: {str(exc) or 'out of memory'}", file=sys.stderr)
         return EXIT_CONFIG
 
 

@@ -54,7 +54,7 @@ def classify_slices(u: SpaceTimeField, mu: SpaceTimeField,
 
 def second_order_bound(spec: ProblemSpec, report) -> float:
     """Lower bound on <H v, v> / <v, v> over the linear hull of the
-    critical cone at a SolveReport's (u, y, phi, mu) and held factors.
+    critical cone at a SolveReport's (u, y, phi, mu).
 
     kappa where the weight 1 - a''(y) phi is >= 0 everywhere; otherwise
     kappa - lambda_max(P S* W_- S P), W_- the weight's negative part and P
@@ -68,11 +68,10 @@ def second_order_bound(spec: ProblemSpec, report) -> float:
         return float(spec.kappa)
     negative = np.maximum(-weight, 0.0)
     u, active = report.u, report.activity.multiplier_active
-    factors = list(report.factors)
 
     def apply(x):
         v = like(u, projection_derivative(u.values, active, x))
-        product = weighted_product(spec, report.y, negative, v, factors)
+        product = weighted_product(spec, report.y, negative, v)
         return projection_derivative(u.values, active, product).ravel()
 
     n = u.values.size

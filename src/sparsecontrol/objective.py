@@ -5,8 +5,8 @@ J(u) = 1/2 ||y_u - yd||^2 + kappa/2 ||u||^2 in the discrete Q norm.  The
 gradient field is phi + kappa*u with phi the exact discrete adjoint, so
 difference-quotient checks of the gradient can demand near machine
 precision.  At (y, phi), H v = kappa v + p2 with p2 the backward sweep
-with source dt (1 - a''(y) phi) z_v, z_v the linearized state; both sweeps
-can refine on one list of held step factors.  By the transpose identity
+with source dt (1 - a''(y) phi) z_v, z_v the linearized state.  By the
+transpose identity
 
     Q(v) = <H v, v> = <(1 - a''(y) phi) z_v, z_v> + kappa <v, v>,
 
@@ -64,20 +64,19 @@ def curvature_weight(spec: ProblemSpec, y: SpaceTimeField,
 
 
 def weighted_product(spec: ProblemSpec, y: SpaceTimeField, weight: np.ndarray,
-                     v: SpaceTimeField, factors: list | None = None) -> np.ndarray:
+                     v: SpaceTimeField) -> np.ndarray:
     """S* W S v as per-interval values: the linearized state z_v, then the
-    backward sweep with source dt * weight * z_v; both refine on factors
-    when given (pde.solve_adjoint)."""
-    z = solve_linearized(spec, y, v, factors)
+    backward sweep with source dt * weight * z_v."""
+    z = solve_linearized(spec, y, v)
     source = spec.tgrid.dt * weight * z.values[1:]
-    return _linear_sweep(spec, y, source, factors, True).values
+    return _linear_sweep(spec, y, source, True).values
 
 
 def hessian_vector(spec: ProblemSpec, y: SpaceTimeField, phi: SpaceTimeField,
-                   v: SpaceTimeField, factors: list | None = None) -> SpaceTimeField:
+                   v: SpaceTimeField) -> SpaceTimeField:
     """H v = kappa*v + p2 at (y, phi), per-interval (see the module
     docstring); ValueError where the clamp engages (curvature_weight)."""
-    p2 = weighted_product(spec, y, curvature_weight(spec, y, phi), v, factors)
+    p2 = weighted_product(spec, y, curvature_weight(spec, y, phi), v)
     return like(v, spec.kappa * v.values + p2)
 
 

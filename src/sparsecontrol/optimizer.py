@@ -109,7 +109,6 @@ class SolveReport:
     kkt: KKTResiduals | None = None
     truncation_inactive: bool = True
     message: str = ""
-    factors: list | None = None       # the n_t held step factors at exit
 
     @property
     def objective(self) -> float:
@@ -118,13 +117,13 @@ class SolveReport:
 
 def solve(spec: ProblemSpec, cfg: OptimizerConfig = OptimizerConfig(),
           u0: SpaceTimeField | None = None,
-          accepted: tuple | None = None) -> SolveReport:
+          near: SpaceTimeField | None = None) -> SolveReport:
     """Run the projected gradient method on spec from the control u0 (the
     zero control when None).
 
-    accepted, when given, is a pair (y, factors) as an earlier report's on
-    spec's step system: the initial state solve chords from y on the
-    factors and the first adjoint sweep refines on a copy of the list.
+    near, when given, is a nearby state, such as an earlier report's y on
+    spec's step system: the initial state solve chords from it
+    (pde.solve_state), as every trial's chords from the accepted state.
 
     Returns a report with converged=False when the iteration cap is reached,
     the line search stalls or the adjoint sweep at an accepted point fails
@@ -134,16 +133,9 @@ def solve(spec: ProblemSpec, cfg: OptimizerConfig = OptimizerConfig(),
     u = field_per_interval(spec.grid, spec.tgrid) if u0 is None else u0.copy()
     step = 1.0 / spec.kappa
 
-    # factors of step matrices B(w_m) at accepted states w: every adjoint
-    # sweep refines on them and every trial's chord iterates on them
-    if accepted is None:
-        factors: list = [None] * spec.tgrid.n_t
-        y = solve_state(spec, u)
-    else:
-        factors = list(accepted[1])
-        y = solve_state(spec, u, (accepted[0], factors))
+    y = solve_state(spec, u, near)
     j_val = objective_value(spec, u, y)
-    phi = solve_adjoint(spec, y, factors)
+    phi = solve_adjoint(spec, y)
     gradient = like(u, phi.values + spec.kappa * u.values)
 
     j_history = [j_val]
@@ -173,7 +165,7 @@ def solve(spec: ProblemSpec, cfg: OptimizerConfig = OptimizerConfig(),
             candidate, _ = project_field(
                 like(u, u.values - step * gradient.values), spec.gamma)
             try:
-                y_new = solve_state(spec, candidate, (y, factors))
+                y_new = solve_state(spec, candidate, y)
             except NewtonError:     # no implicit step solution: reject
                 step *= _BACKTRACK
                 continue
@@ -188,7 +180,7 @@ def solve(spec: ProblemSpec, cfg: OptimizerConfig = OptimizerConfig(),
             break
 
         try:
-            phi = solve_adjoint(spec, y_new, factors)
+            phi = solve_adjoint(spec, y_new)
         except NewtonError as exc:  # the report keeps the last point
             message = str(exc)
             break
@@ -210,5 +202,5 @@ def solve(spec: ProblemSpec, cfg: OptimizerConfig = OptimizerConfig(),
         activity=classify_slices(u, mu, spec.gamma), thresholds=thresholds,
         kkt=kkt_residuals(spec, u, y, phi, mu),
         truncation_inactive=clamp_idle_on_states(spec, y),
-        message=message, factors=factors,
+        message=message,
     )

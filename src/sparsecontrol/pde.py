@@ -7,10 +7,10 @@ State steps, m = 1..n_t with y_0 the initial datum:
 
 solved by Newton, x <- x - B(x)^-1 R(x) from y_{m-1}, R the step's residual
 and B(x) = I + dt A_h + dt diag(a_M'(x)) refactored at every iterate (one
-linear solve for the zero reaction).  Given a factor lu of B(w_m) at an
-earlier state w, with its shift s_w = dt a_M'(w_m), and a nearby accepted
-state y' (the optimizer holds one list of n_t factors for a whole solve),
-step m first runs the chord from x = y'_m in splitting form,
+linear solve for the zero reaction).  The step system holds one factor lu
+of B(w_m) per step m, at an earlier state w, with its shift
+s_w = dt a_M'(w_m).  Given a nearby state y', step m first runs the chord
+on it from x = y'_m in splitting form,
 
     x <- lu^-1 (rhs + s_w x - dt a_M(x)),
 
@@ -29,8 +29,8 @@ which makes sum_m dt <r_m, z_m> = sum_m dt <p_m, v_m> an exact identity
 of the discrete objective to roundoff.  The adjoint field is per-interval,
 p_m sitting at the right node t_m.  Both are one linear sweep, forward or
 backward, each with its own source (dt*v_m, dt*r_m; the Hessian-vector
-product in objective sends a third source backward).  Given held factors,
-each step refines on the held factor, again in splitting form,
+product in objective sends a third source backward).  Step m refines on its
+held factor, again in splitting form,
 
     p <- lu^-1 (rhs - (dt a_M'(y_m) - s_w) p)   from p = 0,
 
@@ -43,7 +43,8 @@ rho is no better than 1/4 (chord) or 1/1000 (refinement), or a correction
 is not finite.  Then each step evaluates its residual once, Newton's test
 |R| <= 1e-12 max(|rhs|, 1), which certifies the result; when it fails, the
 chord falls back to Newton from y_{m-1}, the refinement to one
-factorization of B_m, which then replaces the held one.  A Newton pass
+factorization of B_m, which then replaces the held one; a step with no
+held factor yet makes that factorization at once.  A Newton pass
 gives up after 3 growing residual norms in a row.  Each sweep runs under
 np.errstate(over="raise"), entered once, so an overflow ends an iteration.
 Every sweep forms its source for all steps in one array operation before
@@ -54,8 +55,10 @@ A_h is the finite-difference operator on interior nodes: the standard
 the off-diagonal tensor entry, Dirichlet values eliminated.  It is exactly
 symmetric, bit for bit (the tests assert it), so B_m^T = B_m and one
 StepSystem serves the state, linearized and adjoint sweeps.  It is built
-once per problem (ProblemSpec.steps) and reused by every sweep on it and by
-every budget of a budget sweep (ProblemSpec.with_budget).  In 1D, with at
+once per problem (ProblemSpec.steps) and reused, held factors and all, by
+every sweep on it and by every budget of a budget sweep
+(ProblemSpec.with_budget); a dataclasses.replace copy of the problem starts
+with none held.  In 1D, with at
 least 3 nodes, B_m is tridiagonal and factored by LAPACK's tridiagonal LU;
 otherwise by one SuperLU call, which orders each B_m by minimum degree.
 """
@@ -185,9 +188,11 @@ class StepSystem:
 
     One per problem (ProblemSpec.steps).  I + dt*A_h is assembled once;
     factor(y) adds dt*a_M'(y) to its diagonal and factors the result.  The
-    last factor made is held and returned again for the same B(y).  The
-    zero reaction's B is the constant I + dt*A_h: one factor made here is
-    shared, one solve per implicit step, with no shift computed.
+    last factor made is held and returned again for the same B(y).  Each
+    step m = 1..n_t also holds the factor its last linear_step left, which
+    step's chord and the next linear_step iterate on.  The zero reaction's
+    B is the constant I + dt*A_h: one factor made here is shared, one solve
+    per implicit step, with no shift computed.
 
     In 1D, with at least 3 nodes, B(y) is tridiagonal: the three diagonals
     of I + dt*A_h are stored, and each factor(y) is LAPACK's
@@ -209,6 +214,8 @@ class StepSystem:
                 + self.dt * self.operator_matrix).tocsc()
         # the factor of the last factor() call that factored
         self._held = None
+        # _slots[m - 1]: the factor of B(w_m) that step m holds, or None
+        self._slots = [None] * spec.tgrid.n_t
         if spec.grid.n_dim == 1 and n >= 3:
             # lower, main and upper diagonals of base
             self._bands = tuple(base.diagonal(k) for k in (-1, 0, 1))
@@ -298,16 +305,17 @@ class StepSystem:
             pass
         return None
 
-    def step(self, rhs: np.ndarray, y_start: np.ndarray,
-             chord: tuple | None = None) -> np.ndarray:
-        """Solve y + dt*A_h y + dt*a_M(y) = rhs.
+    def step(self, rhs: np.ndarray, y_start: np.ndarray, m: int,
+             guess: np.ndarray | None = None) -> np.ndarray:
+        """Solve y + dt*A_h y + dt*a_M(y) = rhs, implicit step m.
 
-        chord, when given, is a pair (y_guess, lu): a start near the root
-        and a factor of B(w) at a nearby state w.  The chord on lu from
-        y_guess comes first (_split with shrink 1/4, certified by Newton's
-        residual test); when it fails, one undamped Newton pass runs from
-        y_start, and then NewtonError.  Zero reaction: one solve.  Callers
-        enter np.errstate(over="raise"), as solve_state does."""
+        When guess, a start near the root, is given and step m holds a
+        factor, the chord on it from guess comes first (_split with shrink
+        1/4, certified by Newton's residual test); when it fails, or there
+        is none, one undamped Newton pass runs from y_start, and then
+        NewtonError.  Newton's factors are not held for step m.  Zero
+        reaction: one solve.  Callers enter np.errstate(over="raise"), as
+        solve_state does."""
         if self._shared is not None:
             return self._shared.solve(rhs)
         dt, nl = self.dt, self.nl
@@ -317,8 +325,8 @@ class StepSystem:
             return (y + dt * (self.operator_matrix @ y)
                     + dt * eval_a_truncated(nl, y) - rhs)
 
-        if chord is not None:
-            guess, lu = chord
+        lu = self._slots[m - 1]
+        if guess is not None and lu is not None:
             y = self._split(
                 lu, guess,
                 lambda x: rhs + lu.shift * x - dt * eval_a_truncated(nl, x),
@@ -332,28 +340,31 @@ class StepSystem:
                 f"{_NEWTON_MAX_ITER} iterations")
         return y
 
-    def linear_step(self, rhs: np.ndarray, y: np.ndarray, lu=None):
-        """Solve B(y) p = rhs; returns p and the factor it used.
+    def linear_step(self, rhs: np.ndarray, y: np.ndarray,
+                    m: int) -> np.ndarray:
+        """Solve B(y) p = rhs, implicit step m.
 
-        lu, when given, is a factor of B(w) at another state w.  Iterative
+        When step m holds a factor, of B(w) at another state w, iterative
         refinement on it from p = 0 comes first (_split with shrink 1/1000,
-        certified by Newton's residual test); when it fails, B(y) is
-        factored once and solved directly: a refinement that contracts
-        slower costs more solves than one factorization.  Zero
-        reaction: one solve on the shared factor."""
-        if lu is None or self._shared is not None:
-            lu = self.factor(y)
-            return lu.solve(rhs), lu
-        shift = self.dt * eval_ay_truncated(self.nl, y)
-        gap = shift - lu.shift
-        p = self._split(
-            lu, np.zeros_like(rhs), lambda p: rhs - gap * p, 1e-3,
-            lambda p: (1.0 + shift) * p + self.dt * (self.operator_matrix @ p)
-            - rhs, _residual_tol(rhs))
-        if p is None:
-            lu = self.factor(y)
-            p = lu.solve(rhs)
-        return p, lu
+        certified by Newton's residual test); when it fails, or there is
+        none, B(y) is factored once, solved directly and held for step m: a
+        refinement that contracts slower costs more solves than one
+        factorization.  Zero reaction: one solve on the shared factor."""
+        if self._shared is not None:
+            return self._shared.solve(rhs)
+        lu = self._slots[m - 1]
+        if lu is not None:
+            shift = self.dt * eval_ay_truncated(self.nl, y)
+            gap = shift - lu.shift
+            p = self._split(
+                lu, np.zeros_like(rhs), lambda p: rhs - gap * p, 1e-3,
+                lambda p: (1.0 + shift) * p
+                + self.dt * (self.operator_matrix @ p) - rhs,
+                _residual_tol(rhs))
+            if p is not None:
+                return p
+        self._slots[m - 1] = lu = self.factor(y)
+        return lu.solve(rhs)
 
 
 def clamp_idle_on_states(spec: ProblemSpec, y: SpaceTimeField) -> bool:
@@ -363,14 +374,13 @@ def clamp_idle_on_states(spec: ProblemSpec, y: SpaceTimeField) -> bool:
 
 
 def solve_state(spec: ProblemSpec, u: SpaceTimeField,
-                accepted: tuple | None = None) -> SpaceTimeField:
+                near: SpaceTimeField | None = None) -> SpaceTimeField:
     """March the state equation forward from spec.y0 under the control u.
 
-    u must be per-interval on spec's grids.  accepted, when given, is a
-    pair (y, factors) of a nearby state and factors of step matrices
-    B(w_m), m = 1..n_t, at earlier states w, as solve_adjoint leaves them:
-    step m then starts with chord iterations on factors[m - 1] from y_m.
-    Emits TruncationActiveWarning when a computed state y_m, m >= 1, leaves
+    u must be per-interval on spec's grids.  near, when given, is a nearby
+    state: step m then starts with chord iterations on the step system's
+    held factor from near_m (StepSystem.step).  Emits
+    TruncationActiveWarning when a computed state y_m, m >= 1, leaves
     (-M, M); the solution is still returned.
     """
     if u.slice_semantics != PER_INTERVAL:
@@ -385,9 +395,8 @@ def solve_state(spec: ProblemSpec, u: SpaceTimeField,
     try:
         with np.errstate(over="raise"):
             for m in range(1, n_t + 1):
-                chord = None if accepted is None else (
-                    accepted[0].values[m], accepted[1][m - 1])
-                y[m] = steps.step(y[m - 1] + forcing[m - 1], y[m - 1], chord)
+                y[m] = steps.step(y[m - 1] + forcing[m - 1], y[m - 1], m,
+                                  None if near is None else near.values[m])
     except (NewtonError, FloatingPointError) as exc:
         raise NewtonError(f"state solver failed at step {m}: {exc}") from exc
     state = field_at_nodes(spec.grid, spec.tgrid, y)
@@ -400,29 +409,22 @@ def solve_state(spec: ProblemSpec, u: SpaceTimeField,
 
 
 def _linear_sweep(spec: ProblemSpec, y: SpaceTimeField, source: np.ndarray,
-                  factors: list | None, backward: bool) -> SpaceTimeField:
+                  backward: bool) -> SpaceTimeField:
     """z_m = B(y_m)^-1 (z_{m-1} + source[m - 1]), m = 1..n_t from z_0 = 0,
     at the nodes; or backward p_m = B(y_m)^-1 (p_{m+1} + source[m - 1]),
-    m = n_t..1 from p_{n_t+1} = 0, per interval.
-
-    factors, when given, is a list of n_t factors of step matrices B(w_m)
-    at earlier states w, or None where there is none yet.  Step m refines
-    on factors[m - 1] (StepSystem.linear_step), and where that does not
-    serve it factors B(y_m) and stores that factor there.  Without it every
-    step is factored.
+    m = n_t..1 from p_{n_t+1} = 0, per interval.  Each step refines on the
+    step system's held factor, or factors B(y_m) and holds that
+    (StepSystem.linear_step).
     """
     steps = spec.steps
     n_t = spec.tgrid.n_t
-    if factors is None:
-        factors = [None] * n_t
     x = np.zeros((n_t + 2, spec.grid.n_nodes))
     previous = 1 if backward else -1
     try:
         with np.errstate(over="raise"):
             for m in range(n_t, 0, -1) if backward else range(1, n_t + 1):
-                x[m], factors[m - 1] = steps.linear_step(
-                    x[m + previous] + source[m - 1], y.values[m],
-                    factors[m - 1])
+                x[m] = steps.linear_step(x[m + previous] + source[m - 1],
+                                         y.values[m], m)
     except (NewtonError, FloatingPointError) as exc:
         sweep = "adjoint" if backward else "linearized"
         raise NewtonError(f"{sweep} solver failed at step {m}: {exc}") from exc
@@ -431,22 +433,19 @@ def _linear_sweep(spec: ProblemSpec, y: SpaceTimeField, source: np.ndarray,
     return field_at_nodes(spec.grid, spec.tgrid, x[:-1])
 
 
-def solve_linearized(spec: ProblemSpec, y: SpaceTimeField, v: SpaceTimeField,
-                     factors: list | None = None) -> SpaceTimeField:
-    """Directional state derivative at y in the control direction v; factors
-    as for solve_adjoint."""
+def solve_linearized(spec: ProblemSpec, y: SpaceTimeField,
+                     v: SpaceTimeField) -> SpaceTimeField:
+    """Directional state derivative at y in the control direction v."""
     if v.slice_semantics != PER_INTERVAL:
         raise ValueError("direction must be a per-interval field")
-    return _linear_sweep(spec, y, spec.tgrid.dt * v.values, factors, False)
+    return _linear_sweep(spec, y, spec.tgrid.dt * v.values, False)
 
 
-def solve_adjoint(spec: ProblemSpec, y: SpaceTimeField,
-                  factors: list | None = None) -> SpaceTimeField:
+def solve_adjoint(spec: ProblemSpec, y: SpaceTimeField) -> SpaceTimeField:
     """Backward solve with right-hand side y - yd, the exact transpose of
-    the forward linearization (with B_m = B_m^T).  Per-interval field.
-
-    factors, when given, is the held list of _linear_sweep; it leaves the
-    chord start of a later solve_state(spec, u, (y, factors)).
+    the forward linearization (with B_m = B_m^T).  Per-interval field.  The
+    factors it leaves held serve the chord of a later
+    solve_state(spec, u, y).
     """
     source = spec.tgrid.dt * (y.values[1:] - spec.yd.values[1:])
-    return _linear_sweep(spec, y, source, factors, True)
+    return _linear_sweep(spec, y, source, True)

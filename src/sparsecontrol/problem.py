@@ -62,11 +62,19 @@ class ProblemSpec:
             raise ValueError("target yd must be an at-nodes field")
         if self.yd.grid != self.grid or self.yd.tgrid != self.tgrid:
             raise ValueError("target yd lives on different grids")
+        y0_max, yd_max = np.abs(self.y0).max(), np.abs(self.yd.values).max()
+        # the sum of squares the tracking term 1/2 ||y - yd||^2 forms for a
+        # residual of size |y0| + |yd| at every node and step
+        with np.errstate(over="ignore"):
+            tracking = (y0_max + yd_max)**2 * self.tgrid.n_t * self.grid.n_nodes
+        if not np.isfinite(tracking):
+            raise ValueError(
+                f"the tracking term 1/2 ||y - yd||^2 overflows at max|y0| = "
+                f"{y0_max:.3g}, max|yd| = {yd_max:.3g}; lower y0 or yd")
         if self.nonlinearity.truncation is None:
             with np.errstate(over="ignore"):
-                level = auto_truncation_level(np.abs(self.y0).max(),
-                                              np.abs(self.yd.values).max(),
-                                              self.gamma, self.kappa)
+                level = auto_truncation_level(y0_max, yd_max, self.gamma,
+                                              self.kappa)
             if not np.isfinite(level):
                 raise ValueError(
                     "the automatic clamp level 10 (|y0| + |yd| + gamma/kappa "

@@ -5,11 +5,11 @@ Solves the problem over a list of budgets around the base gamma, outward on
 each side, then fits log(distance) against log(|gamma' - gamma|).  Each
 solve starts from the secant through the last two solved budgets, projected
 onto its ball (the base counts as one; with only the base behind, the
-secant is flat and the start is the base control projected), and takes
-over its neighbor's state and held step factors: every budget shares the
-base problem's step system and clamp level (ProblemSpec.with_budget).  A
-warning names the budgets that reach the clamp.  The report also carries the
-certified second-order bound at the base budget.
+secant is flat and the start is the base control projected), and chords
+from its neighbor's state: every budget shares the base problem's step
+system and clamp level (ProblemSpec.with_budget).  A warning names the
+budgets that reach the clamp.  The report also carries the certified
+second-order bound at the base budget.
 """
 
 from __future__ import annotations
@@ -63,11 +63,13 @@ def gamma_sweep(spec: ProblemSpec, gammas, cfg: OptimizerConfig) -> StabilityRep
     solution at spec.gamma.
 
     Budgets are processed outward from the base on each side so every solve
-    warm-starts from its nearest already-solved neighbor, with its state and
-    step factors, at project_field(u_k + (g - g_k) slope, g): slope is the
-    secant (u_k - u_{k-1})/(g_k - g_{k-1}), and 0 while only the base is
-    behind.  A repeated budget is solved once.  A nonconvergent solve
-    aborts the sweep; the partial report is returned.
+    warm-starts from its nearest already-solved neighbor, with its state,
+    at project_field(u_k + (g - g_k) slope, g): slope is the secant
+    (u_k - u_{k-1})/(g_k - g_{k-1}), and 0 while only the base is behind.
+    The second-order bound is computed right after the base solve, before
+    either chain moves the shared step system away from the base state.  A
+    repeated budget is solved once.  A nonconvergent solve aborts the
+    sweep; the partial report is returned.
     """
     gammas = sorted({float(g) for g in gammas})
     base = solve(spec, cfg)
@@ -77,6 +79,8 @@ def gamma_sweep(spec: ProblemSpec, gammas, cfg: OptimizerConfig) -> StabilityRep
     if not base.converged:
         report.warnings.append("base solve did not converge; sweep aborted")
         return report
+    if base.truncation_inactive:
+        report.second_order_bound = second_order_bound(spec, base)
 
     below = [g for g in gammas if g < spec.gamma]
     above = [g for g in gammas if g > spec.gamma]
@@ -89,7 +93,7 @@ def gamma_sweep(spec: ProblemSpec, gammas, cfg: OptimizerConfig) -> StabilityRep
         for g in chain:
             start, _ = project_field(
                 like(warm.u, warm.u.values + (g - warm_gamma) * slope), g)
-            run = solve(spec.with_budget(g), cfg, start, (warm.y, warm.factors))
+            run = solve(spec.with_budget(g), cfg, start, warm.y)
             if not run.truncation_inactive:
                 clamped.add(g)
             if not run.converged:
@@ -107,8 +111,6 @@ def gamma_sweep(spec: ProblemSpec, gammas, cfg: OptimizerConfig) -> StabilityRep
         report.warnings.append(
             f"reaction clamp engaged at gamma'={sorted(clamped)}; the "
             "distances and the fit describe the clamped equation")
-    if base.truncation_inactive:
-        report.second_order_bound = second_order_bound(spec, base)
     report.gammas = [g for g in gammas if g in results]
     report.distances = [results[g] for g in report.gammas]
     report.iterations = [iterations[g] for g in report.gammas]

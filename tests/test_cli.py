@@ -187,6 +187,20 @@ _STEP_OVERFLOW = "problem block: the step matrix I + dt*A_h overflows"
     (["solve"], "problem: {gamma: 1.0e308, yd: bump}",
      "problem block: the automatic clamp level 10 (|y0| + |yd| + "
      "gamma/kappa + 1) overflows"),
+    # the tracking term 1/2 ||y - yd||^2 would be infinite, which is not
+    # valid JSON, or overflow on the way
+    (["solve"], "problem: {yd: constant(1e307)}",
+     "problem block: the tracking term 1/2 ||y - yd||^2 overflows at "
+     "max|y0| = 0, max|yd| = 1e+307"),
+    (["solve"], "problem: {yd: constant(1e154)}",
+     "problem block: the tracking term 1/2 ||y - yd||^2 overflows at "
+     "max|y0| = 0, max|yd| = 1e+154"),
+    (["sweep"], "problem: {y0: constant(1e200)}",
+     "problem block: the tracking term 1/2 ||y - yd||^2 overflows at "
+     "max|y0| = 1e+200, max|yd| = 0"),
+    # an empty budget list must not fall back to the default budgets
+    (["sweep", "--gammas", ""], "{}", "--gammas must list budgets"),
+    (["sweep", "--gammas", ","], "{}", "--gammas must list budgets"),
 ])
 def test_non_finite_input_is_a_config_error(tmp_path, capsys, command, text,
                                             block):
@@ -197,6 +211,26 @@ def test_non_finite_input_is_a_config_error(tmp_path, capsys, command, text,
     assert not out.exists()
     err = capsys.readouterr().err
     assert err.startswith(f"error: {block}") and "Traceback" not in err
+
+
+@pytest.mark.parametrize("error, message", [
+    (MemoryError("Unable to allocate 3.0 GiB for an array"),
+     "Unable to allocate 3.0 GiB for an array"),
+    (MemoryError(), "out of memory")])
+def test_out_of_memory_is_a_config_error(tmp_path, capsys, monkeypatch,
+                                         error, message):
+    # a grid too large for memory, such as n_t: 100000000, ends in numpy's
+    # MemoryError while the target is built, or in Python's own without a
+    # message; stand either in without allocating anything
+    def too_large(*args):
+        raise error
+
+    monkeypatch.setattr(runconfig, "target_preset", too_large)
+    cfg = write_config(tmp_path, "problem: {yd: bump}\n")
+    out = tmp_path / "out"
+    assert main(["solve", "--config", cfg, "--out", str(out)]) == 1
+    assert capsys.readouterr().err == f"error: {message}\n"
+    assert not out.exists()
 
 
 @pytest.mark.parametrize("value", ["3", "null", "true", "[out]"])
@@ -456,11 +490,11 @@ def test_adjoint_failure_after_an_accepted_step_exits_two_with_outputs(
         tmp_path, capsys, monkeypatch):
     exact, calls = optimizer.solve_adjoint, []
 
-    def failing_second(spec, y, factors=None):
+    def failing_second(spec, y):
         calls.append(None)
         if len(calls) == 2:
             raise NewtonError("adjoint solver failed at step 3: singular")
-        return exact(spec, y, factors)
+        return exact(spec, y)
 
     monkeypatch.setattr(optimizer, "solve_adjoint", failing_second)
     cfg = write_config(tmp_path, FAST_SOLVE)

@@ -1,3 +1,5 @@
+from dataclasses import replace
+
 import numpy as np
 import pytest
 
@@ -126,26 +128,27 @@ def test_curvature_coercivity_witness():
 
 def test_hessian_vector_matches_the_weighted_form(splu_calls):
     # <H v, v> equals the weighted tracking sum plus kappa <v, v>, H is
-    # symmetric, and the product on held factors matches the factoring one
+    # symmetric, and the product on the factors the adjoint sweep held
+    # matches the factoring one, on a copy of the problem that holds none,
     # without a factorization
     spec = schloegl_spec()
+    factoring = replace(spec)
     rng = np.random.default_rng(35)
     u, v, w = (random_control(spec, rng) for _ in range(3))
     y = sc.solve_state(spec, u)
-    factors = [None] * spec.tgrid.n_t
-    phi = sc.solve_adjoint(spec, y, factors)
-    z = sc.solve_linearized(spec, y, v)
+    phi = sc.solve_adjoint(spec, y)
+    z = sc.solve_linearized(factoring, y, v)
     weight = 1.0 - sc.eval_ayy(spec.nonlinearity, y.values[1:]) * phi.values
     assert np.array_equal(sc.curvature_weight(spec, y, phi), weight)
     formula = (spec.tgrid.dt * spec.grid.cell_weight
                * float(np.sum(weight * z.values[1:] ** 2))
                + spec.kappa * sc.l2_inner(v, v))
-    hv = sc.hessian_vector(spec, y, phi, v)
+    hv = sc.hessian_vector(factoring, y, phi, v)
     assert sc.l2_inner(hv, v) == pytest.approx(formula, rel=1e-12)
-    hw = sc.hessian_vector(spec, y, phi, w)
+    hw = sc.hessian_vector(factoring, y, phi, w)
     assert sc.l2_inner(hv, w) == pytest.approx(sc.l2_inner(v, hw), rel=1e-12)
     del splu_calls[:]
-    held = sc.hessian_vector(spec, y, phi, v, factors)
+    held = sc.hessian_vector(spec, y, phi, v)
     assert not splu_calls
     assert (np.linalg.norm(held.values - hv.values)
             <= 1e-12 * np.linalg.norm(hv.values))

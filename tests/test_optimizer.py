@@ -1,4 +1,5 @@
 import warnings
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -23,7 +24,7 @@ def test_config_validation():
 
 def test_initial_state_failure_propagates(monkeypatch):
     # only line-search trials are rejected on a Newton failure
-    def failing_state(spec, u):
+    def failing_state(spec, u, near=None):
         raise NewtonError("no implicit step solution")
 
     monkeypatch.setattr(optimizer, "solve_state", failing_state)
@@ -34,15 +35,16 @@ def test_initial_state_failure_propagates(monkeypatch):
 def test_adjoint_failure_after_an_accept_keeps_the_last_point(monkeypatch):
     # the third adjoint sweep, at the second accepted point, fails: the
     # report is the first accepted point's, as the iteration cap 1 leaves it
+    # on a copy of the problem with a step system of its own
     spec = active_schloegl_spec()
-    capped = sc.solve(spec, sc.OptimizerConfig(max_iter=1))
+    capped = sc.solve(replace(spec), sc.OptimizerConfig(max_iter=1))
     exact, calls = optimizer.solve_adjoint, []
 
-    def failing_third(spec, y, factors=None):
+    def failing_third(spec, y):
         calls.append(None)
         if len(calls) == 3:
             raise NewtonError("adjoint solver failed at step 2: singular")
-        return exact(spec, y, factors)
+        return exact(spec, y)
 
     monkeypatch.setattr(optimizer, "solve_adjoint", failing_third)
     report = sc.solve(spec, sc.OptimizerConfig(max_iter=5))

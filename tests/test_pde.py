@@ -600,7 +600,7 @@ def test_zero_reaction_step_is_one_solve(monkeypatch):
     rng = np.random.default_rng(2)
     rhs, y_start = rng.standard_normal((2, spec.grid.n_nodes))
     steps = StepSystem(spec)
-    y = steps.step(rhs, y_start)
+    y = steps.step(rhs, y_start, 1)
     assert y.tobytes() == steps.factor(y_start).solve(rhs).tobytes()
 
 
@@ -619,11 +619,12 @@ class CountingFactor:
 def chord_step_problem():
     """A step system, a zero-control step's (rhs, y_start), equal, and its
     Newton root, whose peak 0.76 is large enough for the reaction to
-    matter: at 10x the root, dt*a' reaches 17, against dt*a' = -0.1 at 0."""
+    matter: at 10x the root, dt*a' reaches 17, against dt*a' = -0.1 at 0.
+    The step is step 1; it holds no factor yet."""
     spec = step_system_spec("anisotropic-schloegl")
     steps = spec.steps
     y_start = 3.0 * spec.y0
-    return spec, steps, y_start, y_start, steps.step(y_start, y_start)
+    return spec, steps, y_start, y_start, steps.step(y_start, y_start, 1)
 
 
 def step_residual(spec, y, rhs):
@@ -638,9 +639,9 @@ def test_chord_on_a_stale_factor_matches_newton(splu_calls):
     spec, steps, rhs, y_start, newton = chord_step_problem()
     noise = np.random.default_rng(32).standard_normal(newton.size)
     stale = newton + 0.05 * noise
-    lu = steps.factor(stale)
+    steps._slots[0] = steps.factor(stale)
     del splu_calls[:]
-    y = steps.step(rhs, y_start, (stale, lu))
+    y = steps.step(rhs, y_start, 1, stale)
     assert not splu_calls
     tol = pde._NEWTON_TOL * max(np.linalg.norm(rhs), 1.0)
     assert np.linalg.norm(step_residual(spec, y, rhs)) <= tol
@@ -649,11 +650,13 @@ def test_chord_on_a_stale_factor_matches_newton(splu_calls):
 
 def test_chord_on_a_distant_factor_falls_back_to_newton(splu_calls):
     spec, steps, rhs, y_start, newton = chord_step_problem()
-    lu = CountingFactor(steps.factor(10.0 * newton))
+    steps._slots[0] = lu = CountingFactor(steps.factor(10.0 * newton))
     del splu_calls[:]
-    y = steps.step(rhs, y_start, (10.0 * newton, lu))
+    y = steps.step(rhs, y_start, 1, 10.0 * newton)
     assert 0 < lu.solves < pde._NEWTON_MAX_ITER
     assert splu_calls
+    # Newton's factors are not held for the step
+    assert steps._slots[0] is lu
     assert y.tobytes() == newton.tobytes()
 
 
@@ -665,9 +668,9 @@ def test_chord_started_at_the_root_stops_at_once(splu_calls):
     spec, steps, _, y_start, newton = chord_step_problem()
     rhs = step_residual(spec, newton, np.zeros_like(newton))
     assert not np.any(step_residual(spec, newton, rhs))
-    lu = CountingFactor(steps.factor(newton))
+    steps._slots[0] = lu = CountingFactor(steps.factor(newton))
     del splu_calls[:]
-    y = steps.step(rhs, y_start, (newton, lu))
+    y = steps.step(rhs, y_start, 1, newton)
     assert 1 <= lu.solves <= 2 and not splu_calls
     assert np.linalg.norm(y - newton) <= 1e-14 * np.linalg.norm(newton)
 
@@ -696,8 +699,9 @@ def test_certifying_residual_rejects_a_misshifted_factor(splu_calls):
     assert lu.solves < pde._NEWTON_MAX_ITER
     tol = pde._NEWTON_TOL * max(np.linalg.norm(rhs), 1.0)
     assert np.linalg.norm(step_residual(spec, fixed, rhs)) > 1e6 * tol
+    steps._slots[0] = lu
     del splu_calls[:]
-    y = steps.step(rhs, y_start, (newton, lu))
+    y = steps.step(rhs, y_start, 1, newton)
     assert splu_calls
     assert y.tobytes() == newton.tobytes()
 
@@ -705,14 +709,30 @@ def test_certifying_residual_rejects_a_misshifted_factor(splu_calls):
 def test_certifying_residual_rejects_a_misshifted_refinement():
     # with the shift off by 1e-5, the refinement contracts about 1e5x per
     # correction, but to the solution of (B(y) - 1e-5 I) p = rhs: its one
-    # residual must reject that, and the step must solve on B(y)'s factor
+    # residual must reject that, and the step must solve on B(y)'s factor,
+    # which it then holds
     spec, steps, rhs, _, y = chord_step_problem()
     exact = steps.factor(y)
-    lu = MisshiftedFactor(exact, exact.shift + 1e-5)
-    p, used = steps.linear_step(rhs, y, lu)
+    steps._slots[0] = lu = MisshiftedFactor(exact, exact.shift + 1e-5)
+    p = steps.linear_step(rhs, y, 1)
     assert 2 <= lu.solves < pde._NEWTON_MAX_ITER
-    assert used is exact
+    assert steps._slots[0] is exact
     assert p.tobytes() == exact.solve(rhs).tobytes()
+
+
+def test_linear_step_without_a_held_factor_factors_and_holds_it(
+        splu_calls):
+    spec, steps, rhs, _, y = chord_step_problem()
+    assert steps._slots == [None] * spec.tgrid.n_t
+    del splu_calls[:]
+    p = steps.linear_step(rhs, y, 2)
+    assert len(splu_calls) == 1
+    held = steps._slots[1]
+    assert steps._slots[0] is None and held is not None
+    assert p.tobytes() == held.solve(rhs).tobytes()
+    # the next call refines on the held factor: no factorization
+    steps.linear_step(rhs, y, 2)
+    assert len(splu_calls) == 1 and steps._slots[1] is held
 
 
 def test_chord_and_refinement_make_one_operator_product_per_step(monkeypatch):
@@ -741,20 +761,24 @@ def test_chord_and_refinement_make_one_operator_product_per_step(monkeypatch):
 
     per_step = []
 
-    def counted(method):
+    def counted(method, on_held):
         def call(*args):
+            held = on_held(*args)
             start = len(products)
             out = method(*args)
-            per_step.append((len(args) == 3 and args[2] is not None,
-                             len(products) - start))
+            per_step.append((held, len(products) - start))
             return out
         return call
 
     monkeypatch.setattr(steps, "operator_matrix",
                         CountingOperator(steps.operator_matrix))
     monkeypatch.setattr(steps, "_newton", uncounted_newton)
-    monkeypatch.setattr(steps, "step", counted(steps.step))
-    monkeypatch.setattr(steps, "linear_step", counted(steps.linear_step))
+    monkeypatch.setattr(steps, "step", counted(
+        steps.step, lambda rhs, y, m, guess=None:
+        guess is not None and steps._slots[m - 1] is not None))
+    monkeypatch.setattr(steps, "linear_step", counted(
+        steps.linear_step,
+        lambda rhs, y, m: steps._slots[m - 1] is not None))
     report = sc.solve(spec, sc.OptimizerConfig(tol=1e-10, max_iter=300))
     assert report.converged
     held = [count for on_held, count in per_step if on_held]
@@ -765,25 +789,26 @@ def test_chord_and_refinement_make_one_operator_product_per_step(monkeypatch):
 
 def refinement_problem(offset):
     """schloegl_spec, a state y under a random control, and factors of the
-    step matrices at y + offset + 1e-3 noise, as an earlier accepted state
-    would leave them."""
+    step matrices at y + offset + 1e-3 noise, held by the spec's step
+    system as an earlier accepted state would leave them.  A
+    dataclasses.replace copy of the spec holds none: its sweeps factor
+    every step."""
     spec = schloegl_spec()
     rng = np.random.default_rng(33)
     y = sc.solve_state(spec, random_control(spec, rng))
     noise = 1e-3 * rng.standard_normal(y.values.shape)
-    factors = [spec.steps.factor(w)
-               for w in (y.values + offset + noise)[1:]]
-    return spec, y, factors
+    stale = [spec.steps.factor(w) for w in (y.values + offset + noise)[1:]]
+    spec.steps._slots[:] = stale
+    return spec, y, stale
 
 
 def test_adjoint_refined_on_stale_factors_matches_a_fresh_one(splu_calls):
-    spec, y, factors = refinement_problem(0.0)
-    stale = list(factors)
-    fresh = sc.solve_adjoint(spec, y)
+    spec, y, stale = refinement_problem(0.0)
+    fresh = sc.solve_adjoint(replace(spec), y)
     del splu_calls[:]
-    phi = sc.solve_adjoint(spec, y, factors)
+    phi = sc.solve_adjoint(spec, y)
     assert not splu_calls
-    assert all(a is b for a, b in zip(factors, stale))
+    assert all(a is b for a, b in zip(spec.steps._slots, stale))
     assert (np.linalg.norm(phi.values - fresh.values)
             <= 1e-13 * np.linalg.norm(fresh.values))
 
@@ -792,10 +817,11 @@ def test_refinement_stops_on_the_rate_estimate(splu_calls):
     # factors 1e-3 off contract about 1e5x per correction, so from p = 0
     # the third iterate is at roundoff; rho/(1 - rho) d_k says so one solve
     # before a correction itself is roundoff-sized
-    spec, y, factors = refinement_problem(0.0)
-    counted = [CountingFactor(lu) for lu in factors]
+    spec, y, stale = refinement_problem(0.0)
+    counted = [CountingFactor(lu) for lu in stale]
+    spec.steps._slots[:] = counted
     del splu_calls[:]
-    sc.solve_adjoint(spec, y, counted)
+    sc.solve_adjoint(spec, y)
     assert not splu_calls
     solves = [lu.solves for lu in counted]
     assert max(solves) <= 4 and sum(solves) < 4 * spec.tgrid.n_t
@@ -809,24 +835,23 @@ def test_adjoint_on_distant_factors_refactors_each_step_once(splu_calls,
     # step factors B(y_m) once and solves directly, as a fresh sweep does.
     # A 4x rule would keep the factor at y + 0.3 for about eight
     # corrections, which cost more than the one factorization
-    spec, y, factors = refinement_problem(offset)
-    stale = list(factors)
-    fresh = sc.solve_adjoint(spec, y)
+    spec, y, stale = refinement_problem(offset)
+    fresh = sc.solve_adjoint(replace(spec), y)
     del splu_calls[:]
-    phi = sc.solve_adjoint(spec, y, factors)
-    assert len(splu_calls) == spec.tgrid.n_t == len(factors)
-    assert not any(a is b for a, b in zip(factors, stale))
+    phi = sc.solve_adjoint(spec, y)
+    assert len(splu_calls) == spec.tgrid.n_t == len(stale)
+    assert not any(a is b for a, b in zip(spec.steps._slots, stale))
     assert phi.values.tobytes() == fresh.values.tobytes()
 
 
 def test_adjoint_identity_with_a_refined_adjoint(splu_calls):
     # the transpose identity of check_adjoint_identity, at its tolerance,
     # with phi from refinement on stale factors
-    spec, y, factors = refinement_problem(0.0)
+    spec, y, _ = refinement_problem(0.0)
     v = random_control(spec, np.random.default_rng(34))
-    z = sc.solve_linearized(spec, y, v)
+    z = sc.solve_linearized(replace(spec), y, v)
     del splu_calls[:]
-    phi = sc.solve_adjoint(spec, y, factors)
+    phi = sc.solve_adjoint(spec, y)
     assert not splu_calls
     lhs = sc.l2_inner(like(y, y.values - spec.yd.values), z)
     rhs = sc.l2_inner(phi, v)
@@ -835,11 +860,11 @@ def test_adjoint_identity_with_a_refined_adjoint(splu_calls):
 
 def test_linearized_refined_on_held_factors_matches_factoring(splu_calls):
     # the forward sweep refines on held factors as the adjoint one does
-    spec, y, factors = refinement_problem(0.0)
+    spec, y, _ = refinement_problem(0.0)
     v = random_control(spec, np.random.default_rng(35))
-    fresh = sc.solve_linearized(spec, y, v)
+    fresh = sc.solve_linearized(replace(spec), y, v)
     del splu_calls[:]
-    z = sc.solve_linearized(spec, y, v, factors)
+    z = sc.solve_linearized(spec, y, v)
     assert not splu_calls
     assert (np.linalg.norm(z.values - fresh.values)
             <= 1e-12 * np.linalg.norm(fresh.values))
@@ -878,7 +903,7 @@ def test_a_failing_step_pays_for_one_newton_pass(splu_calls):
     for m in range(tgrid.n_t):
         del splu_calls[:]
         try:
-            y = steps.step(y + dt * u.values[m], y)
+            y = steps.step(y + dt * u.values[m], y, m + 1)
         except NewtonError:
             break
     else:
@@ -893,27 +918,24 @@ def test_control_shape_rejected():
         sc.solve_state(spec, bad)
 
 
-def reference_state(spec, u, accepted=None):
+def reference_state(spec, u, near=None):
     """solve_state's values as a plain loop of StepSystem.step calls."""
     steps, dt = spec.steps, spec.tgrid.dt
     y = [spec.y0]
     for m in range(1, spec.tgrid.n_t + 1):
-        chord = None if accepted is None else (
-            accepted[0].values[m], accepted[1][m - 1])
-        y.append(steps.step(y[m - 1] + dt * u.values[m - 1], y[m - 1], chord))
+        y.append(steps.step(y[m - 1] + dt * u.values[m - 1], y[m - 1], m,
+                            None if near is None else near.values[m]))
     return np.array(y)
 
 
-def reference_adjoint(spec, y, factors=None):
+def reference_adjoint(spec, y):
     """solve_adjoint's values as a plain loop of StepSystem.linear_step
     calls."""
     steps, dt, n_t = spec.steps, spec.tgrid.dt, spec.tgrid.n_t
-    factors = [None] * n_t if factors is None else factors
     p = [np.zeros(spec.grid.n_nodes)] * (n_t + 1)
     for m in range(n_t, 0, -1):
-        p[m - 1], factors[m - 1] = steps.linear_step(
-            p[m] + dt * (y.values[m] - spec.yd.values[m]), y.values[m],
-            factors[m - 1])
+        p[m - 1] = steps.linear_step(
+            p[m] + dt * (y.values[m] - spec.yd.values[m]), y.values[m], m)
     return np.array(p[:-1])
 
 
@@ -931,6 +953,7 @@ def reference_linearized(spec, y, v):
 def test_sweeps_match_a_per_step_loop_bitwise(kind):
     # the sweeps form their sources for all steps at once; every output
     # byte must equal the per-step loop's, with and without held factors
+    # (a dataclasses.replace copy of the spec holds none)
     spec = schloegl_spec(n=6, n_t=8)
     if kind != "schloegl":
         spec = replace(spec, nonlinearity=sc.NonlinearitySpec(
@@ -939,19 +962,20 @@ def test_sweeps_match_a_per_step_loop_bitwise(kind):
     u = random_control(spec, rng, scale=0.5)
     y = sc.solve_state(spec, u)
     assert y.values.tobytes() == reference_state(spec, u).tobytes()
-    assert (sc.solve_adjoint(spec, y).values.tobytes()
-            == reference_adjoint(spec, y).tobytes())
-    assert (sc.solve_linearized(spec, y, u).values.tobytes()
+    assert (sc.solve_adjoint(replace(spec), y).values.tobytes()
+            == reference_adjoint(replace(spec), y).tobytes())
+    assert (sc.solve_linearized(replace(spec), y, u).values.tobytes()
             == reference_linearized(spec, y, u).tobytes())
     # held factors at y, then a nearby control: the state chords on them
-    # and the adjoint refines on them, and may replace some
-    factors = [None] * spec.tgrid.n_t
-    sc.solve_adjoint(spec, y, factors)
+    # and the adjoint refines on them, and may replace some; the twin
+    # holds the same factors in a list of its own
+    sc.solve_adjoint(spec, y)
+    twin = replace(spec)
+    twin.steps._slots = list(spec.steps._slots)
     near = like(u, u.values + 1e-3 * rng.standard_normal(u.values.shape))
-    held = list(factors)
-    y_near = sc.solve_state(spec, near, (y, factors))
+    y_near = sc.solve_state(spec, near, y)
     assert (y_near.values.tobytes()
-            == reference_state(spec, near, (y, held)).tobytes())
-    phi_near = sc.solve_adjoint(spec, y_near, factors)
+            == reference_state(twin, near, y).tobytes())
+    phi_near = sc.solve_adjoint(spec, y_near)
     assert (phi_near.values.tobytes()
-            == reference_adjoint(spec, y_near, held).tobytes())
+            == reference_adjoint(twin, y_near).tobytes())

@@ -1,3 +1,5 @@
+from dataclasses import replace
+
 import numpy as np
 import pytest
 
@@ -60,22 +62,26 @@ def test_warm_start_agrees_with_cold_start(active_solve):
 
 
 def test_accepted_start_agrees_with_cold_start(active_solve):
-    # a solve handed the base budget's state and step factors reaches the
-    # cold solve's control, and leaves the base report's factors alone
+    # a solve handed the base budget's state, on a step system that holds
+    # the base solve's factors, reaches the control of a cold solve, on a
+    # copy of the problem that holds none.  The twin holds the shared
+    # fixture's factors in a list of its own and leaves them alone
     spec, base = active_solve
     cfg = sc.OptimizerConfig(tol=1e-11, max_iter=400)
-    held = list(base.factors)
+    held = list(spec.steps._slots)
+    twin = replace(spec)
+    twin.steps._slots = list(held)
     for gamma in (0.045, 0.04):
-        target = spec.with_budget(gamma)
-        cold = sc.solve(target, cfg)
+        cold = sc.solve(replace(spec, gamma=gamma), cfg)
+        target = twin.with_budget(gamma)
+        assert target.steps is twin.steps
         warm = sc.solve(target, cfg,
                         like(base.u, (gamma / spec.gamma) * base.u.values),
-                        accepted=(base.y, base.factors))
+                        base.y)
         assert cold.converged and warm.converged
         gap = sc.l2_norm(like(cold.u, cold.u.values - warm.u.values))
         assert gap <= 1e-9
-        assert len(warm.factors) == spec.tgrid.n_t
-    assert all(a is b for a, b in zip(held, base.factors))
+    assert all(a is b for a, b in zip(held, spec.steps._slots))
 
 
 def test_sweep_factors_no_more_than_its_base_solve(splu_calls):
@@ -92,6 +98,41 @@ def test_sweep_factors_no_more_than_its_base_solve(splu_calls):
     assert len(splu_calls) == base_calls
 
 
+# a sweep over budgets on both sides of the base whose curvature weight is
+# negative, so the second-order bound runs Lanczos
+TWO_SIDED_GAMMAS = [0.08, 0.065, 0.055, 0.05, 0.045, 0.04, 0.03]
+
+
+def two_sided_spec():
+    return schloegl_spec(n=8, n_t=6, kappa=0.01, gamma=0.05, diff=0.1,
+                         y0="constant(1.5)", yd="bump")
+
+
+def test_two_sided_sweep_factors_at_most_its_count(splu_calls):
+    # both chains start from the factors the base solve and the bound's
+    # Lanczos products leave in the shared step system: 72 factorizations
+    # (a bound computed after the chains refactors up to n_t more steps)
+    report = sc.gamma_sweep(two_sided_spec(), TWO_SIDED_GAMMAS,
+                            sc.OptimizerConfig(tol=1e-8, max_iter=400))
+    assert report.converged
+    assert report.gammas == sorted(TWO_SIDED_GAMMAS)
+    assert report.iterations == [6, 6, 6, 9, 8, 7, 8]
+    assert 0.0 < report.second_order_bound < 0.01
+    assert len(splu_calls) <= 72
+
+
+def test_sweep_bound_is_the_base_solves_bound_bitwise():
+    # the bound is computed right after the base solve, before either chain
+    # moves the shared step system away from the base state
+    cfg = sc.OptimizerConfig(tol=1e-8, max_iter=400)
+    spec = two_sided_spec()
+    base = sc.solve(spec, cfg)
+    bound = sc.second_order_bound(spec, base)
+    assert bound < spec.kappa
+    report = sc.gamma_sweep(two_sided_spec(), TWO_SIDED_GAMMAS, cfg)
+    assert report.second_order_bound == bound
+
+
 def test_first_budget_on_each_side_starts_from_the_projected_base(
         monkeypatch):
     # with only the base behind it, the secant is flat: the start is the
@@ -99,8 +140,8 @@ def test_first_budget_on_each_side_starts_from_the_projected_base(
     starts = {}
     solve = stability.solve
 
-    def recording_solve(spec, cfg, u0=None, accepted=None):
-        run = solve(spec, cfg, u0, accepted)
+    def recording_solve(spec, cfg, u0=None, near=None):
+        run = solve(spec, cfg, u0, near)
         starts[spec.gamma] = (u0, run)
         return run
 
