@@ -4,10 +4,9 @@ pointwise-in-time l1 budget, with a first-order verification harness."""
 from .grid import (AT_NODES, PER_INTERVAL, DiffusionTensor, SpaceGrid,
                    SpaceTimeField, TimeGrid, field_at_nodes,
                    field_per_interval, isotropic, l2_inner, l2_norm, like)
-from .nonlinearity import (NonlinearitySpec, TruncationSpec,
-                           auto_truncation_level, eval_a, eval_a_truncated,
-                           eval_ay, eval_ay_truncated, eval_ayy, f_M,
-                           f_M_prime, with_truncation)
+from .nonlinearity import (NonlinearitySpec, auto_truncation_level, eval_a,
+                           eval_a_truncated, eval_ay, eval_ay_truncated,
+                           eval_ayy, f_M, f_M_prime)
 from .pde import (NewtonError, TruncationActiveWarning, elliptic_matrix,
                   solve_adjoint, solve_linearized, solve_state)
 from .l1ball import (ProjectionResult, project_field, project_slice,

@@ -60,8 +60,8 @@ def second_order_bound(spec: ProblemSpec, report) -> float:
     kappa - lambda_max(P S* W_- S P), W_- the weight's negative part and P
     the orthogonal projection onto the hull (l1ball.projection_derivative),
     by Lanczos with a fixed start (dense below 3 unknowns, where ARPACK does
-    not run).  ValueError where the clamp engages
-    (objective.curvature_weight).
+    not run); kappa again when the operator maps that start to 0.
+    ValueError where the clamp engages (objective.curvature_weight).
     """
     weight = curvature_weight(spec, report.y, report.phi)
     if np.all(weight >= 0.0):
@@ -76,9 +76,14 @@ def second_order_bound(spec: ProblemSpec, report) -> float:
 
     n = u.values.size
     operator = LinearOperator((n, n), matvec=apply, dtype=float)
+    start = np.random.default_rng(0).standard_normal(n)
     if n < 3:
         top = np.linalg.eigvalsh(operator.matmat(np.eye(n)))[-1]
+    elif not np.any(apply(start)):
+        # a positive semidefinite operator that maps a random vector to 0
+        # is 0, and ARPACK fails on it
+        top = 0.0
     else:
         top = eigsh(operator, k=1, which="LA", return_eigenvectors=False,
-                    v0=np.random.default_rng(0).standard_normal(n))[0]
+                    v0=start)[0]
     return float(spec.kappa - max(top, 0.0))

@@ -24,7 +24,9 @@ the identity on (-M, M), bit for bit, a cubic blend on [M, M+1] (mirrored
 for s < 0), constant beyond; C^1 with 0 <= f_M' <= 4/3, the maximum at
 e = 1/3.  The clamped reaction is a_M(y) = a(f_M(y)) with derivative
 a'(f_M(y)) * f_M'(y); when every |y| < M (clamp_idle) the clamp is not
-evaluated at all.
+evaluated at all.  The level M depends on the problem's data, not on the
+reaction: it is ProblemSpec.truncation (auto_truncation_level by default),
+and every clamp function here takes it as an argument.
 """
 
 from __future__ import annotations
@@ -40,22 +42,9 @@ _EXP_MAX_ARG = 700.0
 
 
 @dataclass(frozen=True)
-class TruncationSpec:
-    """Clamp level M > 0 for the reaction term."""
-
-    level: float
-
-    def __post_init__(self):
-        if not 0 < self.level < np.inf:
-            raise ValueError(f"truncation level must be finite and > 0, "
-                             f"got {self.level}")
-
-
-@dataclass(frozen=True)
 class NonlinearitySpec:
     kind: str
     params: tuple = ()
-    truncation: TruncationSpec | None = None
     _coefficients: tuple | None = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
@@ -132,51 +121,38 @@ def eval_ayy(spec: NonlinearitySpec, y):
     return _evaluate(spec, y, 2)
 
 
-def f_M(trunc: TruncationSpec, s):
-    """C^1 clamp of the real line onto [-M-1, M+1]."""
+def f_M(level: float, s):
+    """C^1 clamp of the real line onto [-M-1, M+1], M = level."""
     s = np.asarray(s, dtype=float)
-    e = np.clip(np.abs(s) - trunc.level, 0.0, 1.0)      # the overshoot
-    return np.copysign(np.minimum(np.abs(s), trunc.level) + e + e * e
-                       - e * e * e, s)
+    e = np.clip(np.abs(s) - level, 0.0, 1.0)      # the overshoot
+    return np.copysign(np.minimum(np.abs(s), level) + e + e * e - e * e * e, s)
 
 
-def f_M_prime(trunc: TruncationSpec, s):
+def f_M_prime(level: float, s):
     """Derivative of the clamp; values in [0, 4/3]."""
-    e = np.clip(np.abs(np.asarray(s, dtype=float)) - trunc.level, 0.0, 1.0)
+    e = np.clip(np.abs(np.asarray(s, dtype=float)) - level, 0.0, 1.0)
     return 1.0 + 2.0 * e - 3.0 * e * e
 
 
-def _require_truncation(spec: NonlinearitySpec) -> TruncationSpec:
-    if spec.truncation is None:
-        raise ValueError("nonlinearity spec carries no truncation level")
-    return spec.truncation
-
-
-def clamp_idle(trunc: TruncationSpec, y) -> bool:
+def clamp_idle(level: float, y) -> bool:
     """True when every |y| < M, where f_M is the identity and f_M' is
     exactly 1.0, so the clamped reaction equals the plain one bit for bit.
     False for NaN input."""
-    return bool(np.abs(y).max(initial=0.0) < trunc.level)
+    return bool(np.abs(y).max(initial=0.0) < level)
 
 
-def eval_a_truncated(spec: NonlinearitySpec, y):
+def eval_a_truncated(spec: NonlinearitySpec, level: float, y):
     """Clamped reaction a(f_M(y))."""
-    trunc = _require_truncation(spec)
-    if clamp_idle(trunc, y):
+    if clamp_idle(level, y):
         return eval_a(spec, y)
-    return eval_a(spec, f_M(trunc, y))
+    return eval_a(spec, f_M(level, y))
 
 
-def eval_ay_truncated(spec: NonlinearitySpec, y):
+def eval_ay_truncated(spec: NonlinearitySpec, level: float, y):
     """Derivative of the clamped reaction: a'(f_M(y)) * f_M'(y)."""
-    trunc = _require_truncation(spec)
-    if clamp_idle(trunc, y):
+    if clamp_idle(level, y):
         return eval_ay(spec, y)
-    return eval_ay(spec, f_M(trunc, y)) * f_M_prime(trunc, y)
-
-
-def with_truncation(spec: NonlinearitySpec, level: float) -> NonlinearitySpec:
-    return NonlinearitySpec(spec.kind, spec.params, TruncationSpec(level))
+    return eval_ay(spec, f_M(level, y)) * f_M_prime(level, y)
 
 
 def auto_truncation_level(y0_max: float, yd_max: float, gamma: float,

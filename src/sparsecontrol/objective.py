@@ -58,8 +58,8 @@ def curvature_weight(spec: ProblemSpec, y: SpaceTimeField,
     if not clamp_idle_on_states(spec, y):
         raise ValueError(
             f"state magnitude {np.max(np.abs(states)):.3g} reached the clamp "
-            f"level {spec.nonlinearity.truncation.level:.3g}; the "
-            "second-order form uses the unclamped a'' and is not defined there")
+            f"level {spec.truncation:.3g}; the second-order form uses the "
+            "unclamped a'' and is not defined there")
     return 1.0 - eval_ayy(spec.nonlinearity, states) * phi.values
 
 

@@ -72,8 +72,8 @@ class KKTResiduals:
         return max(self.as_dict().values())
 
 
-def kkt_residuals(spec: ProblemSpec, u: SpaceTimeField, y: SpaceTimeField,
-                  phi: SpaceTimeField, mu: SpaceTimeField) -> KKTResiduals:
+def kkt_residuals(spec: ProblemSpec, u: SpaceTimeField, phi: SpaceTimeField,
+                  mu: SpaceTimeField) -> KKTResiduals:
     """Evaluate the five first-order residuals; all vanish exactly at a
     point satisfying the projection form of the optimality system."""
     projected, _ = project_field(like(u, -phi.values / spec.kappa), spec.gamma)
@@ -200,7 +200,7 @@ def solve(spec: ProblemSpec, cfg: OptimizerConfig = OptimizerConfig(),
         j_history=j_history, residual_history=residual_history,
         step_history=step_history,
         activity=classify_slices(u, mu, spec.gamma), thresholds=thresholds,
-        kkt=kkt_residuals(spec, u, y, phi, mu),
+        kkt=kkt_residuals(spec, u, phi, mu),
         truncation_inactive=clamp_idle_on_states(spec, y),
         message=message,
     )

@@ -5,6 +5,8 @@ State steps, m = 1..n_t with y_0 the initial datum:
 
     (y_m - y_{m-1})/dt + A_h y_m + a_M(y_m) = u_m,
 
+a_M the reaction under the clamp f_M (nonlinearity) at the problem's level
+M = ProblemSpec.truncation, which the step system reads once.  Each step is
 solved by Newton, x <- x - B(x)^-1 R(x) from y_{m-1}, R the step's residual
 and B(x) = I + dt A_h + dt diag(a_M'(x)) refactored at every iterate (one
 linear solve for the zero reaction).  The step system holds one factor lu
@@ -207,6 +209,7 @@ class StepSystem:
 
     def __init__(self, spec: ProblemSpec):
         self.nl = spec.nonlinearity
+        self.level = spec.truncation
         self.dt = spec.tgrid.dt
         self.operator_matrix = elliptic_matrix(spec.grid, spec.diffusion)
         n = self.operator_matrix.shape[0]
@@ -241,7 +244,7 @@ class StepSystem:
         and is not held."""
         if self._shared is not None:
             return self._shared
-        shift = self.dt * eval_ay_truncated(self.nl, y)
+        shift = self.dt * eval_ay_truncated(self.nl, self.level, y)
         if self._held is not None and np.array_equal(shift, self._held.shift):
             return self._held
         if self._bands is not None:
@@ -318,18 +321,19 @@ class StepSystem:
         solve_state does."""
         if self._shared is not None:
             return self._shared.solve(rhs)
-        dt, nl = self.dt, self.nl
+        dt, nl, level = self.dt, self.nl, self.level
         tol = _residual_tol(rhs)
 
         def residual(y):
             return (y + dt * (self.operator_matrix @ y)
-                    + dt * eval_a_truncated(nl, y) - rhs)
+                    + dt * eval_a_truncated(nl, level, y) - rhs)
 
         lu = self._slots[m - 1]
         if guess is not None and lu is not None:
             y = self._split(
                 lu, guess,
-                lambda x: rhs + lu.shift * x - dt * eval_a_truncated(nl, x),
+                lambda x: rhs + lu.shift * x
+                - dt * eval_a_truncated(nl, level, x),
                 0.25, residual, tol)
             if y is not None:
                 return y
@@ -354,7 +358,7 @@ class StepSystem:
             return self._shared.solve(rhs)
         lu = self._slots[m - 1]
         if lu is not None:
-            shift = self.dt * eval_ay_truncated(self.nl, y)
+            shift = self.dt * eval_ay_truncated(self.nl, self.level, y)
             gap = shift - lu.shift
             p = self._split(
                 lu, np.zeros_like(rhs), lambda p: rhs - gap * p, 1e-3,
@@ -370,7 +374,7 @@ class StepSystem:
 def clamp_idle_on_states(spec: ProblemSpec, y: SpaceTimeField) -> bool:
     """True when no state y_m, m >= 1, reaches the reaction clamp.  y_0 is
     not checked: the reaction, and so the clamp, enters only at m >= 1."""
-    return clamp_idle(spec.nonlinearity.truncation, y.values[1:])
+    return clamp_idle(spec.truncation, y.values[1:])
 
 
 def solve_state(spec: ProblemSpec, u: SpaceTimeField,
@@ -403,8 +407,8 @@ def solve_state(spec: ProblemSpec, u: SpaceTimeField,
     if not clamp_idle_on_states(spec, state):
         warnings.warn(
             f"state magnitude {np.max(np.abs(y[1:])):.3g} reached the clamp "
-            f"level {spec.nonlinearity.truncation.level:.3g}; the clamped "
-            "equation was solved", TruncationActiveWarning, stacklevel=2)
+            f"level {spec.truncation:.3g}; the clamped equation was solved",
+            TruncationActiveWarning, stacklevel=2)
     return state
 
 

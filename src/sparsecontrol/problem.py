@@ -1,5 +1,5 @@
 """Problem definition: tracking objective weights, control budget, grids,
-diffusion, reaction term, initial datum and target."""
+diffusion, reaction term, reaction clamp level, initial datum and target."""
 
 from __future__ import annotations
 
@@ -10,8 +10,7 @@ import numpy as np
 
 from .grid import (AT_NODES, DiffusionTensor, SpaceGrid, SpaceTimeField,
                    TimeGrid)
-from .nonlinearity import (NonlinearitySpec, auto_truncation_level,
-                           with_truncation)
+from .nonlinearity import NonlinearitySpec, auto_truncation_level
 
 
 @dataclass(eq=False)
@@ -19,9 +18,12 @@ class ProblemSpec:
     """Everything defining one control problem instance.
 
     kappa is the quadratic control-cost weight (strictly positive), gamma the
-    per-time-slice l1 budget.  The reaction clamp level is resolved at
-    construction.  Treat instances as immutable; the cached step system is
-    rebuilt by a dataclasses.replace copy and shared by with_budget.
+    per-time-slice l1 budget.  truncation is the level M of the reaction
+    clamp f_M (see nonlinearity): None resolves at construction to
+    auto_truncation_level of y0, yd, gamma and kappa, and after construction
+    it is a finite float > 0.  Treat instances as immutable; the cached step
+    system is rebuilt by a dataclasses.replace copy and shared by
+    with_budget.
     """
 
     kappa: float
@@ -32,6 +34,7 @@ class ProblemSpec:
     nonlinearity: NonlinearitySpec
     y0: np.ndarray
     yd: SpaceTimeField
+    truncation: float | None = None
 
     def __post_init__(self):
         if not 0 < self.kappa < np.inf:
@@ -71,7 +74,7 @@ class ProblemSpec:
             raise ValueError(
                 f"the tracking term 1/2 ||y - yd||^2 overflows at max|y0| = "
                 f"{y0_max:.3g}, max|yd| = {yd_max:.3g}; lower y0 or yd")
-        if self.nonlinearity.truncation is None:
+        if self.truncation is None:
             with np.errstate(over="ignore"):
                 level = auto_truncation_level(y0_max, yd_max, self.gamma,
                                               self.kappa)
@@ -81,7 +84,11 @@ class ProblemSpec:
                     f"+ 1) overflows at gamma = {self.gamma}, kappa = "
                     f"{self.kappa}; set truncation, or lower y0, yd or "
                     "gamma/kappa")
-            self.nonlinearity = with_truncation(self.nonlinearity, float(level))
+            self.truncation = level
+        elif not 0 < self.truncation < np.inf:
+            raise ValueError(f"truncation level must be finite and > 0, "
+                             f"got {self.truncation}")
+        self.truncation = float(self.truncation)
 
     @cached_property
     def steps(self):

@@ -15,7 +15,7 @@ import numpy as np
 import yaml
 
 from .grid import DiffusionTensor, SpaceGrid, TimeGrid, isotropic
-from .nonlinearity import KINDS, NonlinearitySpec, TruncationSpec
+from .nonlinearity import KINDS, NonlinearitySpec
 from .optimizer import OptimizerConfig
 from .presets import spatial_preset, target_preset
 from .problem import ProblemSpec
@@ -109,7 +109,7 @@ def _coerce_diffusion(entry, n_dim: int) -> DiffusionTensor:
     return DiffusionTensor(tuple(map(tuple, entry)))
 
 
-def _coerce_nonlinearity(entry, truncation) -> NonlinearitySpec:
+def _coerce_nonlinearity(entry) -> NonlinearitySpec:
     if isinstance(entry, str):
         entry = {"kind": entry, "params": []}
     entry = _merged(entry, _PROBLEM_DEFAULTS["nonlinearity"],
@@ -120,14 +120,8 @@ def _coerce_nonlinearity(entry, truncation) -> NonlinearitySpec:
     if not _is_number_list(params):
         raise ConfigError(f"problem.nonlinearity.params must be a list of "
                           f"numbers, got {params!r}")
-    trunc = None
-    if truncation not in ("auto", None):
-        if not (_is_number(truncation) and 0 < truncation < np.inf):
-            raise ConfigError(f"problem.truncation must be 'auto' or a "
-                              f"finite number > 0, got {truncation!r}")
-        trunc = TruncationSpec(float(truncation))
     try:
-        return NonlinearitySpec(entry["kind"], tuple(params), trunc)
+        return NonlinearitySpec(entry["kind"], tuple(params))
     except ValueError as exc:
         raise ConfigError(f"problem.nonlinearity: {exc}") from exc
 
@@ -170,14 +164,19 @@ def build_problem_spec(problem: dict) -> ProblemSpec:
         grid = SpaceGrid(problem["n_dim"], problem["n_per_axis"])
         tgrid = TimeGrid(float(problem["T"]), problem["n_t"])
         diffusion = _coerce_diffusion(problem["diffusion"], grid.n_dim)
-        nonlinearity = _coerce_nonlinearity(problem["nonlinearity"],
-                                            problem["truncation"])
+        nonlinearity = _coerce_nonlinearity(problem["nonlinearity"])
+        truncation = problem["truncation"]
+        if truncation in ("auto", None):     # ProblemSpec resolves None
+            truncation = None
+        elif not (_is_number(truncation) and 0 < truncation < np.inf):
+            raise ConfigError(f"problem.truncation must be 'auto' or a "
+                              f"finite number > 0, got {truncation!r}")
         y0 = _preset(spatial_preset, problem, "y0", grid)
         yd = _preset(target_preset, problem, "yd", grid, tgrid)
         return ProblemSpec(
             kappa=float(problem["kappa"]), gamma=float(problem["gamma"]),
             grid=grid, tgrid=tgrid, diffusion=diffusion,
-            nonlinearity=nonlinearity, y0=y0, yd=yd)
+            nonlinearity=nonlinearity, y0=y0, yd=yd, truncation=truncation)
     except ConfigError:
         raise
     except (ValueError, TypeError, OverflowError) as exc:

@@ -7,7 +7,6 @@ from scipy.sparse.linalg import splu
 import sparsecontrol as sc
 from sparsecontrol import pde
 from sparsecontrol.grid import like
-from sparsecontrol.nonlinearity import with_truncation
 
 
 def schloegl_spec(n=8, n_t=10, T=1.0, kappa=0.1, gamma=1.0, diff=1.0,
@@ -54,7 +53,7 @@ Y0_ONLY_CLAMP_LEVEL = 0.654
 
 def with_clamp(spec, level):
     """spec with the reaction clamp at an explicit level."""
-    return replace(spec, nonlinearity=with_truncation(spec.nonlinearity, level))
+    return replace(spec, truncation=level)
 
 
 def random_control(spec, rng, scale=1.0):

@@ -12,7 +12,7 @@ from sparsecontrol.checks import (check_adjoint_identity, check_curvature_fd,
                                   check_nonexpansive, check_projection_oracle)
 from sparsecontrol.cli import main
 from sparsecontrol.grid import like
-from sparsecontrol.nonlinearity import TruncationSpec, f_M, f_M_prime
+from sparsecontrol.nonlinearity import f_M, f_M_prime
 
 from conftest import active_schloegl_spec, linear_1d_spec, schloegl_spec
 
@@ -142,17 +142,16 @@ def test_criterion_7_stability_sweep(active_solve):
 
 
 def test_criterion_8_clamp_properties(active_solve):
-    trunc = TruncationSpec(1.7)
-    M = trunc.level
+    M = 1.7
     h = 5e-7
-    c1_gap = max(abs(float(f_M(trunc, s + h) - f_M(trunc, s - h)) / (2 * h)
-                     - float(f_M_prime(trunc, s)))
+    c1_gap = max(abs(float(f_M(M, s + h) - f_M(M, s - h)) / (2 * h)
+                     - float(f_M_prime(M, s)))
                  for s in (M, M + 1.0, -M, -(M + 1.0)))
     s = np.linspace(-25.0, 25.0, 200001)
-    d = f_M_prime(trunc, s)
+    d = f_M_prime(M, s)
     monotone = bool(np.all(d >= 0.0))
     bounded = bool(np.all(d <= 4.0 / 3.0 + 1e-12))
-    values = f_M(trunc, s)
+    values = f_M(M, s)
     nondecreasing = bool(np.all(np.diff(values) >= -1e-15))
     _, report = active_solve
     criterion(8, c1_gap <= 1e-6 and monotone and bounded and nondecreasing

@@ -405,6 +405,39 @@ def test_sweep_on_one_unknown_writes_a_finite_bound(tmp_path, kappa, gamma):
     assert np.isfinite(bound) and 0.0 < bound <= kappa
 
 
+def test_sweep_bound_is_kappa_where_the_lanczos_operator_is_zero(tmp_path):
+    # every slice is multiplier-active and the hull lives on the last one,
+    # whose response reaches only the last step, where W_- vanishes: the
+    # operator P S* W_- S P is 0, and ARPACK fails on it
+    cfg = write_config(tmp_path, (
+        "problem: {n_dim: 2, n_per_axis: 5, n_t: 7, kappa: 0.01, gamma: 0.02, "
+        "diffusion: 0.1, nonlinearity: {kind: schloegl, params: [-1.0, 0.0, "
+        "1.0]}, y0: constant(2), yd: zero}\noptimizer: {max_iter: 8}\n"))
+    out = tmp_path / "sw"
+    assert main(["sweep", "--config", cfg, "--out", str(out)]) == 0
+    payload = json.loads((out / "stability.json").read_text())
+    assert payload["converged"] and payload["second_order_bound"] == 0.01
+
+
+def test_sweep_aborts_at_a_budget_that_does_not_converge(tmp_path):
+    # the base solve converges in 6 iterations; at gamma' = 0.2 the
+    # iteration cap of 8 is reached, and the sweep stops with what it has
+    cfg = write_config(tmp_path, (
+        "problem: {n_dim: 2, n_per_axis: 10, n_t: 4, kappa: 0.002, "
+        "gamma: 0.05, diffusion: 0.3, nonlinearity: {kind: schloegl, "
+        "params: [-1.0, 0.0, 1.0]}, yd: bump}\noptimizer: {max_iter: 8}\n"))
+    out = tmp_path / "sw"
+    assert main(["sweep", "--config", cfg, "--out", str(out),
+                 "--gammas", "0.05,0.2,1.0"]) == 2
+    payload = json.loads((out / "stability.json").read_text())
+    assert payload["converged"] is False
+    assert payload["gammas"] == [0.05] and payload["iterations"] == [6]
+    assert payload["warnings"][0] == ("solve at gamma'=0.2 did not converge; "
+                                      "sweep aborted")
+    assert (out / "stability.csv").read_text(
+        encoding="utf-8").splitlines()[1:] == ["0.05,0.0"]
+
+
 def test_check_passes_and_corrupt_adjoint_fails(tmp_path, capsys,
                                                 monkeypatch):
     cfg = write_config(tmp_path, FAST_SOLVE)
@@ -606,7 +639,7 @@ problem:
 """)
     spec = cfg.problem_spec()
     assert spec.nonlinearity.kind == "exponential"
-    assert spec.nonlinearity.truncation.level == 2.5
+    assert spec.truncation == 2.5
     assert np.all(spec.y0 == 0.5)
     with pytest.raises(ConfigError):
         parse_config("problem:\n  truncation: never\n")

@@ -3,10 +3,10 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 import sparsecontrol as sc
-from sparsecontrol.nonlinearity import (NonlinearitySpec, TruncationSpec,
-                                        clamp_idle, eval_a, eval_a_truncated,
-                                        eval_ay, eval_ay_truncated, eval_ayy,
-                                        f_M, f_M_prime, with_truncation)
+from sparsecontrol.nonlinearity import (NonlinearitySpec, clamp_idle, eval_a,
+                                        eval_a_truncated, eval_ay,
+                                        eval_ay_truncated, eval_ayy, f_M,
+                                        f_M_prime)
 
 CUBIC = NonlinearitySpec("schloegl", (0.0, 0.0, 0.0))          # a(y) = y^3
 BISTABLE = NonlinearitySpec("schloegl", (-1.0, 0.0, 1.0))      # a(y) = y^3 - y
@@ -40,9 +40,8 @@ def reference_derivative(spec, y, order):
     return np.polynomial.polynomial.polyval(y, c)
 
 
-def reference_clamp(trunc, s):
-    """The five-branch np.select clamp and its derivative."""
-    M = trunc.level
+def reference_clamp(M, s):
+    """The five-branch np.select clamp at level M and its derivative."""
     s = np.asarray(s, dtype=float)
     up, dn = M - s, M + s
     conditions = [s > M + 1.0, s >= M, s > -M, s >= -M - 1.0]
@@ -106,15 +105,13 @@ def test_schloegl_slope_bound_closed_form(roots):
 
 @pytest.mark.parametrize("level", [0.05, 1.7, 3.0])
 def test_clamp_matches_five_branch_form(level):
-    trunc = TruncationSpec(level)
     M = level
     s = np.concatenate([np.linspace(-M - 3.0, M + 3.0, 20001),
                         [-M - 1.0, -M, M, M + 1.0, M + 1.0 / 3.0]])
     inside = np.abs(s) < M
-    ref_value, ref_slope = reference_clamp(trunc, s)
+    ref_value, ref_slope = reference_clamp(M, s)
     tol = 4.0 * np.finfo(float).eps * (M + 1.0)
-    for new, ref in ((f_M(trunc, s), ref_value),
-                     (f_M_prime(trunc, s), ref_slope)):
+    for new, ref in ((f_M(M, s), ref_value), (f_M_prime(M, s), ref_slope)):
         assert new[inside].tobytes() == ref[inside].tobytes()
         assert np.max(np.abs(new[~inside] - ref[~inside])) <= tol
 
@@ -171,51 +168,45 @@ def test_spec_validation():
         NonlinearitySpec("schloegl", (1.0,))
     with pytest.raises(ValueError):
         NonlinearitySpec("polynomial", (1.0, 2.0, -3.0))  # even degree
-    with pytest.raises(ValueError):
-        TruncationSpec(0.0)
 
 
 def test_clamp_branches():
-    trunc = TruncationSpec(2.0)
     s = np.array([-5.0, -3.0, -2.5, -2.0, -1.0, 0.0, 1.9, 2.0, 2.5, 3.0, 9.0])
-    out = f_M(trunc, s)
+    out = f_M(2.0, s)
     assert np.all(out[np.abs(s) < 2.0] == s[np.abs(s) < 2.0])
     assert out[0] == -3.0 and out[-1] == 3.0
-    assert f_M(trunc, 2.0) == pytest.approx(2.0)
-    assert f_M_prime(trunc, 2.0) == pytest.approx(1.0)
-    assert f_M_prime(trunc, 3.0) == pytest.approx(0.0)
-    assert f_M(trunc, 3.0) == pytest.approx(3.0)
+    assert f_M(2.0, 2.0) == pytest.approx(2.0)
+    assert f_M_prime(2.0, 2.0) == pytest.approx(1.0)
+    assert f_M_prime(2.0, 3.0) == pytest.approx(0.0)
+    assert f_M(2.0, 3.0) == pytest.approx(3.0)
 
 
 def test_clamp_c1_at_breakpoints():
-    trunc = TruncationSpec(1.7)
-    M = trunc.level
+    M = 1.7
     h = 5e-7
     for s in (M, M + 1.0, -M, -(M + 1.0)):
-        fd = (f_M(trunc, s + h) - f_M(trunc, s - h)) / (2 * h)
-        assert abs(fd - f_M_prime(trunc, s)) <= 1e-6
+        fd = (f_M(M, s + h) - f_M(M, s - h)) / (2 * h)
+        assert abs(fd - f_M_prime(M, s)) <= 1e-6
 
 
 @settings(max_examples=300, derandomize=True)
 @given(st.floats(0.05, 20.0), st.floats(-40.0, 40.0))
 def test_clamp_derivative_bounds(level, s):
-    d = float(f_M_prime(TruncationSpec(level), s))
+    d = float(f_M_prime(level, s))
     assert 0.0 <= d <= 4.0 / 3.0 + 1e-12
 
 
 @settings(max_examples=300, derandomize=True)
 @given(st.floats(0.05, 20.0), st.floats(-40.0, 40.0), st.floats(0.0, 5.0))
 def test_clamp_nondecreasing(level, s, gap):
-    trunc = TruncationSpec(level)
-    assert f_M(trunc, s + gap) >= f_M(trunc, s) - 1e-12
+    assert f_M(level, s + gap) >= f_M(level, s) - 1e-12
 
 
 def test_clamp_derivative_peak_is_four_thirds():
     # the blend derivative 1 - 2(M-s) - 3(M-s)^2 peaks at s = M + 1/3
-    trunc = TruncationSpec(3.0)
-    assert f_M_prime(trunc, 3.0 + 1.0 / 3.0) == pytest.approx(4.0 / 3.0)
+    assert f_M_prime(3.0, 3.0 + 1.0 / 3.0) == pytest.approx(4.0 / 3.0)
     s = np.linspace(-10, 10, 100001)
-    assert float(np.max(f_M_prime(trunc, s))) <= 4.0 / 3.0 + 1e-12
+    assert float(np.max(f_M_prime(3.0, s))) <= 4.0 / 3.0 + 1e-12
 
 
 @pytest.mark.parametrize("level", [0.1, 0.5, 2.0])
@@ -223,30 +214,30 @@ def test_clamp_derivative_peak_is_four_thirds():
 def test_clamped_derivative_lower_bound(spec, level):
     # a_M' = a'(f_M) * f_M' >= (4/3)*min(inf a', 0), since 0 <= f_M' <= 4/3
     y = np.linspace(-level - 3.0, level + 3.0, 20001)
-    slope = eval_ay_truncated(with_truncation(spec, level), y)
+    slope = eval_ay_truncated(spec, level, y)
     low = reference_slope_min(spec)
     bound = (4.0 / 3.0) * min(low, 0.0)
     assert np.min(slope) >= bound - 1e-12 * max(1.0, abs(low))
 
 
 def test_truncated_reaction():
-    spec = NonlinearitySpec("schloegl", (0.0, 0.0, 0.0),
-                            truncation=TruncationSpec(2.0))
+    spec = CUBIC
     y = np.linspace(-1.9, 1.9, 17)
-    assert np.allclose(eval_a_truncated(spec, y), eval_a(spec, y), rtol=0, atol=0)
-    assert eval_a_truncated(spec, 5.0) == pytest.approx(27.0)   # (M+1)^3
-    assert eval_ay_truncated(spec, 5.0) == 0.0
+    assert np.allclose(eval_a_truncated(spec, 2.0, y), eval_a(spec, y),
+                       rtol=0, atol=0)
+    assert eval_a_truncated(spec, 2.0, 5.0) == pytest.approx(27.0)  # (M+1)^3
+    assert eval_ay_truncated(spec, 2.0, 5.0) == 0.0
     # globally bounded by the max of |a| on [-M-1, M+1]
     wide = np.linspace(-100, 100, 5001)
-    assert np.max(np.abs(eval_a_truncated(spec, wide))) <= 27.0 + 1e-12
+    assert np.max(np.abs(eval_a_truncated(spec, 2.0, wide))) <= 27.0 + 1e-12
 
 
 def test_truncated_zero_reaction():
-    spec = NonlinearitySpec("zero", truncation=TruncationSpec(2.0))
+    spec = NonlinearitySpec("zero")
     y = np.linspace(-100.0, 100.0, 7)
-    out = eval_a_truncated(spec, y)
+    out = eval_a_truncated(spec, 2.0, y)
     assert out.dtype == float
-    assert np.array_equal(out, eval_a(spec, f_M(spec.truncation, y)))
+    assert np.array_equal(out, eval_a(spec, f_M(2.0, y)))
 
 
 # at level M = 2: strictly inside (-M, M), exactly at +-M, beyond M + 1, NaN
@@ -262,32 +253,21 @@ CLAMP_PROBES = {
 @pytest.mark.parametrize("spec", ALL_KINDS, ids=lambda s: s.kind + str(s.params))
 def test_truncated_equals_clamp_formula_bitwise(spec, probe):
     # the idle-clamp shortcut must not change a single bit
-    trunc = TruncationSpec(2.0)
-    clamped = with_truncation(spec, trunc.level)
     y = CLAMP_PROBES[probe]
-    assert clamp_idle(trunc, y) == (probe == "inside")
-    value = eval_a(spec, f_M(trunc, y))
-    slope = eval_ay(spec, f_M(trunc, y)) * f_M_prime(trunc, y)
-    assert eval_a_truncated(clamped, y).tobytes() == value.tobytes()
-    assert eval_ay_truncated(clamped, y).tobytes() == slope.tobytes()
-
-
-def test_truncated_requires_level():
-    with pytest.raises(ValueError):
-        eval_a_truncated(CUBIC, 1.0)
-    with pytest.raises(ValueError):
-        eval_a_truncated(NonlinearitySpec("zero"), 1.0)
-    with pytest.raises(ValueError):
-        eval_ay_truncated(CUBIC, 1.0)
+    assert clamp_idle(2.0, y) == (probe == "inside")
+    value = eval_a(spec, f_M(2.0, y))
+    slope = eval_ay(spec, f_M(2.0, y)) * f_M_prime(2.0, y)
+    assert eval_a_truncated(spec, 2.0, y).tobytes() == value.tobytes()
+    assert eval_ay_truncated(spec, 2.0, y).tobytes() == slope.tobytes()
 
 
 def test_truncated_derivative_fd():
-    spec = NonlinearitySpec("schloegl", (-1.0, 0.0, 1.0),
-                            truncation=TruncationSpec(1.3))
+    spec = BISTABLE
     y = np.linspace(-3.0, 3.0, 201)   # crosses all clamp branches
     h = 1e-6
-    fd = (eval_a_truncated(spec, y + h) - eval_a_truncated(spec, y - h)) / (2 * h)
-    assert np.max(np.abs(fd - eval_ay_truncated(spec, y))) <= 1e-5
+    fd = (eval_a_truncated(spec, 1.3, y + h)
+          - eval_a_truncated(spec, 1.3, y - h)) / (2 * h)
+    assert np.max(np.abs(fd - eval_ay_truncated(spec, 1.3, y))) <= 1e-5
 
 
 def test_auto_truncation_level():

@@ -179,26 +179,27 @@ def test_adjoint_identity_random_directions():
 SCHLOEGL = sc.NonlinearitySpec("schloegl", (-1.0, 0.0, 1.0))
 
 # one problem per kind of step matrix: cross-derivative stencil, constant
-# a', clamp engaged (a_M' != a'), and 1D
+# a', clamp engaged (a_M' != a'), and 1D; the last column is the clamp
+# level, None for the automatic one
 STEP_SYSTEM_CASES = {
     "anisotropic-schloegl": (2, sc.DiffusionTensor(((1.0, 0.3), (0.3, 2.0))),
-                             SCHLOEGL),
-    "linear": (2, sc.isotropic(2, 1.0), sc.NonlinearitySpec("linear", (2.0,))),
-    "clamped-schloegl": (2, sc.isotropic(2, 1.0), sc.NonlinearitySpec(
-        "schloegl", (-1.0, 0.0, 1.0), truncation=sc.TruncationSpec(0.05))),
+                             SCHLOEGL, None),
+    "linear": (2, sc.isotropic(2, 1.0), sc.NonlinearitySpec("linear", (2.0,)),
+               None),
+    "clamped-schloegl": (2, sc.isotropic(2, 1.0), SCHLOEGL, 0.05),
     "exponential-1d": (1, sc.isotropic(1, 1.0),
-                       sc.NonlinearitySpec("exponential")),
+                       sc.NonlinearitySpec("exponential"), None),
 }
 
 
 def step_system_spec(name):
-    n_dim, tensor, nonlinearity = STEP_SYSTEM_CASES[name]
+    n_dim, tensor, nonlinearity, level = STEP_SYSTEM_CASES[name]
     grid = sc.SpaceGrid(n_dim, 8 if n_dim == 2 else 12)
     tgrid = sc.TimeGrid(1.0, 10)
     return sc.ProblemSpec(
         kappa=0.1, gamma=1.0, grid=grid, tgrid=tgrid, diffusion=tensor,
         nonlinearity=nonlinearity, y0=sc.spatial_preset("one-mode", grid),
-        yd=sc.target_preset("bump", grid, tgrid))
+        yd=sc.target_preset("bump", grid, tgrid), truncation=level)
 
 
 def fresh_step_matrix(spec, y):
@@ -206,7 +207,8 @@ def fresh_step_matrix(spec, y):
     return (sp.identity(spec.grid.n_nodes, format="csc")
             + spec.tgrid.dt * sc.elliptic_matrix(spec.grid, spec.diffusion)
             + sp.diags(spec.tgrid.dt
-                       * eval_ay_truncated(spec.nonlinearity, y))).tocsc()
+                       * eval_ay_truncated(spec.nonlinearity, spec.truncation,
+                                           y))).tocsc()
 
 
 @pytest.mark.filterwarnings("ignore::sparsecontrol.pde.TruncationActiveWarning")
@@ -215,10 +217,10 @@ def test_adjoint_identity_across_step_systems(name):
     spec = step_system_spec(name)
     result = check_adjoint_identity(spec, np.random.default_rng(6))
     assert result.passed, result.detail
-    if STEP_SYSTEM_CASES[name][2].truncation is not None:
+    if STEP_SYSTEM_CASES[name][3] is not None:
         # the check's first state, from the first draw of the same seed
         y = sc.solve_state(spec, random_control(spec, np.random.default_rng(6)))
-        assert np.max(np.abs(y.values)) > spec.nonlinearity.truncation.level
+        assert np.max(np.abs(y.values)) > spec.truncation
 
 
 @pytest.mark.parametrize("name", sorted(STEP_SYSTEM_CASES))
@@ -554,7 +556,7 @@ def test_state_magnitude_reported():
     rng = np.random.default_rng(12)
     u = random_control(spec, rng, scale=2.0)
     y = sc.solve_state(spec, u)
-    assert np.max(np.abs(y.values)) < spec.nonlinearity.truncation.level
+    assert np.max(np.abs(y.values)) < spec.truncation
 
 
 def test_clamp_level_resolved_at_construction():
@@ -564,12 +566,18 @@ def test_clamp_level_resolved_at_construction():
     level = sc.auto_truncation_level(np.max(np.abs(spec.y0)),
                                      np.max(np.abs(spec.yd.values)),
                                      spec.gamma, spec.kappa)
-    assert spec.nonlinearity.truncation == sc.TruncationSpec(level)
+    assert spec.truncation == level and type(spec.truncation) is float
     for changed in (replace(spec, gamma=2.0 * spec.gamma),
                     spec.with_budget(2.0 * spec.gamma)):
-        assert changed.nonlinearity.truncation.level == level
+        assert changed.truncation == level
     explicit = step_system_spec("clamped-schloegl")
-    assert explicit.nonlinearity.truncation.level == 0.05
+    assert explicit.truncation == 0.05
+
+
+@pytest.mark.parametrize("level", [0.0, -1.0, np.inf, np.nan])
+def test_clamp_level_must_be_finite_and_positive(level):
+    with pytest.raises(ValueError, match="truncation level"):
+        replace(schloegl_spec(), truncation=level)
 
 
 def test_truncation_active_warning():
@@ -629,7 +637,8 @@ def chord_step_problem():
 
 def step_residual(spec, y, rhs):
     return (y + spec.tgrid.dt * (spec.steps.operator_matrix @ y)
-            + spec.tgrid.dt * pde.eval_a_truncated(spec.nonlinearity, y) - rhs)
+            + spec.tgrid.dt
+            * pde.eval_a_truncated(spec.nonlinearity, spec.truncation, y) - rhs)
 
 
 def test_chord_on_a_stale_factor_matches_newton(splu_calls):
@@ -690,12 +699,12 @@ def test_certifying_residual_rejects_a_misshifted_factor(splu_calls):
     spec, steps, rhs, y_start, newton = chord_step_problem()
     exact = steps.factor(newton)
     lu = MisshiftedFactor(exact, exact.shift + 0.05)
-    dt, nl = spec.tgrid.dt, spec.nonlinearity
+    dt, nl, level = spec.tgrid.dt, spec.nonlinearity, spec.truncation
     # the splitting alone, with a residual test that passes anything
     fixed = steps._split(
         lu, newton,
-        lambda x: rhs + lu.shift * x - dt * pde.eval_a_truncated(nl, x), 0.25,
-        lambda x: np.zeros(0), 0.0)
+        lambda x: rhs + lu.shift * x - dt * pde.eval_a_truncated(nl, level, x),
+        0.25, lambda x: np.zeros(0), 0.0)
     assert lu.solves < pde._NEWTON_MAX_ITER
     tol = pde._NEWTON_TOL * max(np.linalg.norm(rhs), 1.0)
     assert np.linalg.norm(step_residual(spec, fixed, rhs)) > 1e6 * tol
