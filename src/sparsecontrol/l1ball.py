@@ -12,8 +12,13 @@ one sort and a scan (Duchi et al. 2008; Condat 2016).  One kernel does this
 for all slices of a field together: a row-wise sort, cumulative sum and
 argmax over the slices that are over budget, worked in place on |v|, the
 sorted rows and their cumulative sums: every fresh full-size temporary is
-page-faulted in again on each call.  A bisection solver in ``checks`` is
-an independent oracle, not the shipped path.
+page-faulted in again on each call.  lam is the largest candidate
+lam_k = (sum of the k largest |v_i| - gamma/w)/k, so lam >= max(lam_1, lam_n)
+and only entries above that bound can be in the support: on a stack of at
+least 1024 entries the scan stops one column past the most such entries in
+a row.  The sign is restored by np.copysign, so a -0.0 entry stays -0.0.  A
+bisection solver in ``checks`` is an independent oracle, not the shipped
+path.
 
 The same map characterizes first-order optimality of the control problem:
 at a solution, u(t) is the projection of -phi(t)/kappa, the multiplier is
@@ -33,6 +38,10 @@ from .grid import SpaceTimeField, like
 # re-projecting a projected slice is an exact no-op: soft-thresholding leaves
 # roundoff of order eps times the pre-image mass in the output total
 _FEASIBLE_RTOL = 1e-13
+# stacks over budget with fewer entries scan every column: the bound's half
+# dozen numpy calls cost more than the whole scan there (about 3 us for
+# 4 x 100), so no bound could pay for itself
+_BOUNDED_SCAN_MIN_SIZE = 1024
 
 
 @dataclass
@@ -63,24 +72,50 @@ def _project_rows(values: np.ndarray, w: float, gamma: float):
     # every row over budget: work on d itself, no boolean-index copies
     every = bool(np.all(over))
     d_over = d if every else d[over]
-    d_sorted = np.sort(d_over, axis=1)[:, ::-1]
-    # candidate threshold if exactly the k largest entries stay nonzero
-    lam_k = np.cumsum(d_sorted, axis=1)
-    lam_k -= gamma / w
-    lam_k /= np.arange(1, lam_k.shape[1] + 1)
-    # the true count is the first k clearing the next breakpoint, 0 at the end
-    clears = lam_k >= 0.0
-    np.greater_equal(lam_k[:, :-1], d_sorted[:, 1:], out=clears[:, :-1])
-    lam = lam_k[np.arange(lam_k.shape[0]), np.argmax(clears, axis=1)]
+    ascending = np.sort(d_over, axis=1)
+    d_sorted = ascending[:, ::-1]
+    n = d_sorted.shape[1]
+    radius = gamma / w
+    k = n
+    if d_sorted.size >= _BOUNDED_SCAN_MIN_SIZE:
+        # lam = max_k lam_k is at least max(lam_1, lam_n), so only the
+        # entries above that bound can be in the support, and the scan can
+        # stop one column past the most such entries in a row
+        bound = ((total if every else total[over]) - gamma) / (w * n)
+        np.maximum(bound, d_sorted[:, 0] - radius, out=bound)
+        below = int((ascending > bound[:, None]).argmax(axis=1).min())
+        k = min(n - below + 1, n)
+    lam = _scan(d_sorted, radius, k)
     d_over -= lam[:, None]
     np.maximum(d_over, 0.0, out=d_over)
-    d_over *= np.sign(values if every else values[over])
+    np.copysign(d_over, values if every else values[over], out=d_over)
     thresholds[over] = lam
     if every:
         return d_over, thresholds
     projected = values.copy()
     projected[over] = d_over
     return projected, thresholds
+
+
+def _scan(d_sorted: np.ndarray, radius: float, k: int) -> np.ndarray:
+    """Per-row threshold of the descending rows d_sorted over the budget
+    radius gamma/w, scanning their first k columns; all n columns when a
+    row does not clear its breakpoint within k, which only roundoff at a
+    tie can cause.  Prefix sums of the first k columns are the full rows'
+    sums, so any k gives the full scan's thresholds bit for bit."""
+    n = d_sorted.shape[1]
+    # candidate threshold if exactly the k largest entries stay nonzero
+    lam_k = np.add.accumulate(d_sorted[:, :k], axis=1)
+    lam_k -= radius
+    lam_k /= np.arange(1, k + 1)
+    # the true count is the first k clearing the next breakpoint, 0 past
+    # the last one
+    clears = lam_k >= 0.0
+    j = min(k, n - 1)
+    np.greater_equal(lam_k[:, :j], d_sorted[:, 1:j + 1], out=clears[:, :j])
+    if k < n and not clears[:, -1].all():
+        return _scan(d_sorted, radius, n)
+    return lam_k[np.arange(lam_k.shape[0]), np.argmax(clears, axis=1)]
 
 
 def projection_derivative(u: np.ndarray, active: np.ndarray,

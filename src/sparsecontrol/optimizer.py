@@ -73,10 +73,15 @@ class KKTResiduals:
 
 
 def kkt_residuals(spec: ProblemSpec, u: SpaceTimeField, phi: SpaceTimeField,
-                  mu: SpaceTimeField) -> KKTResiduals:
+                  mu: SpaceTimeField,
+                  projected: SpaceTimeField | None = None) -> KKTResiduals:
     """Evaluate the five first-order residuals; all vanish exactly at a
-    point satisfying the projection form of the optimality system."""
-    projected, _ = project_field(like(u, -phi.values / spec.kappa), spec.gamma)
+    point satisfying the projection form of the optimality system.
+    projected, when given, is proj(-phi/kappa), which is then not computed
+    again."""
+    if projected is None:
+        projected, _ = project_field(like(u, -phi.values / spec.kappa),
+                                     spec.gamma)
     stationarity = l2_norm(like(u, u.values - projected.values))
     w = u.grid.cell_weight
     u_l1 = w * np.sum(np.abs(u.values), axis=1)
@@ -192,7 +197,8 @@ def solve(spec: ProblemSpec, cfg: OptimizerConfig = OptimizerConfig(),
         step = 1.0 / spec.kappa if curvature <= 0.0 else min(
             max(l2_inner(s, s) / curvature, _MIN_STEP), _MAX_STEP)
 
-    # every exit from the loop leaves thresholds at the final (u, phi)
+    # every exit from the loop leaves fixed_point and thresholds at the
+    # final (u, phi)
     mu = recover_multiplier(u, phi, spec.kappa)
     return SolveReport(
         u=u, y=y, phi=phi, mu=mu,
@@ -200,7 +206,7 @@ def solve(spec: ProblemSpec, cfg: OptimizerConfig = OptimizerConfig(),
         j_history=j_history, residual_history=residual_history,
         step_history=step_history,
         activity=classify_slices(u, mu, spec.gamma), thresholds=thresholds,
-        kkt=kkt_residuals(spec, u, phi, mu),
+        kkt=kkt_residuals(spec, u, phi, mu, fixed_point),
         truncation_inactive=clamp_idle_on_states(spec, y),
         message=message,
     )

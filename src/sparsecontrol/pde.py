@@ -8,9 +8,10 @@ State steps, m = 1..n_t with y_0 the initial datum:
 a_M the reaction under the clamp f_M (nonlinearity) at the problem's level
 M = ProblemSpec.truncation, which the step system reads once.  Each step is
 solved by Newton, x <- x - B(x)^-1 R(x) from y_{m-1}, R the step's residual
-and B(x) = I + dt A_h + dt diag(a_M'(x)) refactored at every iterate (one
-linear solve for the zero reaction).  The step system holds one factor lu
-of B(w_m) per step m, at an earlier state w, with its shift
+and B(x) = I + dt A_h + dt diag(a_M'(x)) refactored at every iterate.  The
+zero reaction's B is the constant I + dt A_h, factored once: every sweep
+marches on it in place, one solve per step.  The step system holds one
+factor lu of B(w_m) per step m, at an earlier state w, with its shift
 s_w = dt a_M'(w_m).  Given a nearby state y', step m first runs the chord
 on it from x = y'_m in splitting form,
 
@@ -60,9 +61,12 @@ StepSystem serves the state, linearized and adjoint sweeps.  It is built
 once per problem (ProblemSpec.steps) and reused, held factors and all, by
 every sweep on it and by every budget of a budget sweep
 (ProblemSpec.with_budget); a dataclasses.replace copy of the problem starts
-with none held.  In 1D, with at
-least 3 nodes, B_m is tridiagonal and factored by LAPACK's tridiagonal LU;
-otherwise by one SuperLU call, which orders each B_m by minimum degree.
+with none held.  In 1D, with at least 3 nodes, B_m is tridiagonal: the
+zero reaction's symmetric positive definite constant is factored by
+LAPACK's L D L^T (dpttrf), every state-dependent B(y), which a decreasing
+reaction can make indefinite, by LAPACK's pivoting tridiagonal LU
+(dgttrf).  Otherwise each is one SuperLU call, which orders B_m by minimum
+degree.
 """
 
 from __future__ import annotations
@@ -72,7 +76,7 @@ import warnings
 
 import numpy as np
 import scipy.sparse as sp
-from scipy.linalg.lapack import dgttrf, dgttrs
+from scipy.linalg.lapack import dgttrf, dgttrs, dpttrf, dpttrs
 from scipy.sparse.linalg import splu
 
 from .grid import (PER_INTERVAL, DiffusionTensor, SpaceGrid, SpaceTimeField,
@@ -149,7 +153,7 @@ class _SparseFactor:
 
     __slots__ = ("lu", "shift")
 
-    def __init__(self, matrix: sp.csc_matrix, shift: np.ndarray | None):
+    def __init__(self, matrix: sp.csc_matrix, shift: np.ndarray):
         # symmetric mode prefers the diagonal pivot, as the symmetric
         # ordering assumes; a pivot below 0.1 of its column's largest entry
         # is still exchanged, which covers the step matrices a decreasing
@@ -165,6 +169,9 @@ class _SparseFactor:
     def solve(self, b: np.ndarray) -> np.ndarray:
         return self.lu.solve(b)
 
+    def solve_in_place(self, b: np.ndarray) -> None:
+        b[:] = self.lu.solve(b)
+
 
 class _TridiagonalFactor:
     """Solves B x = b with the partial-pivoting LU of a tridiagonal B = B(w)
@@ -175,7 +182,7 @@ class _TridiagonalFactor:
     __slots__ = ("lu", "shift")
 
     def __init__(self, lower: np.ndarray, main: np.ndarray,
-                 upper: np.ndarray, shift: np.ndarray | None):
+                 upper: np.ndarray, shift: np.ndarray):
         *self.lu, info = dgttrf(lower, main, upper)
         if info > 0:                    # a zero pivot u_ii
             raise NewtonError(_SINGULAR)
@@ -185,6 +192,29 @@ class _TridiagonalFactor:
         return dgttrs(*self.lu, b)[0]
 
 
+class _ConstantTridiagonalFactor:
+    """Solves B x = b with the L D L^T factorization of the symmetric
+    positive definite tridiagonal B = I + dt*A_h, the zero reaction's
+    constant step matrix, given by its main and off diagonals (LAPACK
+    dpttrf/dpttrs; Golub & Van Loan, Matrix Computations, 4.3.6): no
+    pivots.  Its shift is zero.  An info != 0, a pivot d_ii <= 0, raises
+    NewtonError."""
+
+    __slots__ = ("d", "e", "shift")
+
+    def __init__(self, main: np.ndarray, off: np.ndarray):
+        self.d, self.e, info = dpttrf(main, off)
+        if info != 0:
+            raise NewtonError(_SINGULAR)
+        self.shift = np.zeros_like(main)
+
+    def solve(self, b: np.ndarray) -> np.ndarray:
+        return dpttrs(self.d, self.e, b)[0]
+
+    def solve_in_place(self, b: np.ndarray) -> None:
+        dpttrs(self.d, self.e, b, overwrite_b=1)
+
+
 class StepSystem:
     """Implicit Euler step matrices B(y) = I + dt*A_h + dt*diag(a_M'(y)).
 
@@ -192,19 +222,27 @@ class StepSystem:
     factor(y) adds dt*a_M'(y) to its diagonal and factors the result.  The
     last factor made is held and returned again for the same B(y).  Each
     step m = 1..n_t also holds the factor its last linear_step left, which
-    step's chord and the next linear_step iterate on.  The zero reaction's
-    B is the constant I + dt*A_h: one factor made here is shared, one solve
-    per implicit step, with no shift computed.
+    step's chord and the next linear_step iterate on.
+
+    The zero reaction's B is the constant, symmetric positive definite
+    I + dt*A_h.  It is factored once, here, and is `constant`, None for
+    every other reaction: the sweeps march on it in place, one solve per
+    implicit step, with no step, linear_step or reaction evaluated.  In
+    1D, with at least 3 nodes, that factor is LAPACK's L D L^T of the
+    tridiagonal matrix (_ConstantTridiagonalFactor); otherwise one
+    SuperLU call.
 
     In 1D, with at least 3 nodes, B(y) is tridiagonal: the three diagonals
-    of I + dt*A_h are stored, and each factor(y) is LAPACK's
-    partial-pivoting tridiagonal LU of them (_TridiagonalFactor).  scipy's
-    dgttrf wrapper rejects 1 or 2 nodes, which take the sparse path.
+    of I + dt*A_h are stored, and each factor(y) of a state-dependent B(y)
+    is LAPACK's partial-pivoting tridiagonal LU of them
+    (_TridiagonalFactor).  scipy's dgttrf wrapper rejects 1 or 2 nodes,
+    which take the sparse path.
 
-    Otherwise I + dt*A_h is kept as CSC, and factor(y) adds the shift to
-    the diagonal entries of a copy and factors that by one SuperLU call
-    (_SparseFactor).  Both LUs pivot, which covers the step matrices a
-    decreasing reaction makes indefinite.
+    Otherwise I + dt*A_h is kept as CSC, and factor(y) writes it into one
+    CSC work matrix, adds the shift to the diagonal entries and factors
+    that by one SuperLU call (_SparseFactor), which keeps no reference to
+    it.  Both LUs pivot, which covers the step matrices a decreasing
+    reaction makes indefinite.
     """
 
     def __init__(self, spec: ProblemSpec):
@@ -215,24 +253,27 @@ class StepSystem:
         n = self.operator_matrix.shape[0]
         base = (sp.identity(n, format="csr")
                 + self.dt * self.operator_matrix).tocsc()
-        # the factor of the last factor() call that factored
-        self._held = None
+        zero = self.nl.kind == "zero"
         # _slots[m - 1]: the factor of B(w_m) that step m holds, or None
         self._slots = [None] * spec.tgrid.n_t
         if spec.grid.n_dim == 1 and n >= 3:
             # lower, main and upper diagonals of base
             self._bands = tuple(base.diagonal(k) for k in (-1, 0, 1))
-            self._shared = (_TridiagonalFactor(*self._bands, None)
-                            if self.nl.kind == "zero" else None)
-            return
-        self._bands = None
-        self._base = base
-        self._shared = (_SparseFactor(base, None)
-                        if self.nl.kind == "zero" else None)
-        # data index of each diagonal entry, by node; 1 + dt*a_ii > 0, so
-        # all are stored
-        columns = np.repeat(np.arange(n), np.diff(base.indptr))
-        self._diagonal = np.flatnonzero(base.indices == columns)
+            self.constant = (_ConstantTridiagonalFactor(*self._bands[1:])
+                             if zero else None)
+        else:
+            self._bands = None
+            self._base = base
+            self._work = base.copy()
+            self.constant = (_SparseFactor(base, np.zeros(n))
+                             if zero else None)
+            # data index of each diagonal entry, by node; 1 + dt*a_ii > 0,
+            # so all are stored
+            columns = np.repeat(np.arange(n), np.diff(base.indptr))
+            self._diagonal = np.flatnonzero(base.indices == columns)
+        # the factor of the last factor() call that factored; the constant
+        # factor's shift is zero, as every zero reaction's shift is
+        self._held = self.constant
 
     def factor(self, y: np.ndarray):
         """Factorization of B(y), with a solve(b) method and its shift
@@ -242,8 +283,6 @@ class StepSystem:
         bitwise equal: both LUs are deterministic, so a fresh factor would
         be bitwise the same.  An exactly singular B(y) raises NewtonError
         and is not held."""
-        if self._shared is not None:
-            return self._shared
         shift = self.dt * eval_ay_truncated(self.nl, self.level, y)
         if self._held is not None and np.array_equal(shift, self._held.shift):
             return self._held
@@ -251,9 +290,9 @@ class StepSystem:
             lower, main, upper = self._bands
             self._held = _TridiagonalFactor(lower, main + shift, upper, shift)
             return self._held
-        matrix = self._base.copy()
-        matrix.data[self._diagonal] += shift
-        self._held = _SparseFactor(matrix, shift)
+        np.copyto(self._work.data, self._base.data)
+        self._work.data[self._diagonal] += shift
+        self._held = _SparseFactor(self._work, shift)
         return self._held
 
     @staticmethod
@@ -316,11 +355,8 @@ class StepSystem:
         factor, the chord on it from guess comes first (_split with shrink
         1/4, certified by Newton's residual test); when it fails, or there
         is none, one undamped Newton pass runs from y_start, and then
-        NewtonError.  Newton's factors are not held for step m.  Zero
-        reaction: one solve.  Callers enter np.errstate(over="raise"), as
-        solve_state does."""
-        if self._shared is not None:
-            return self._shared.solve(rhs)
+        NewtonError.  Newton's factors are not held for step m.  Callers
+        enter np.errstate(over="raise"), as solve_state does."""
         dt, nl, level = self.dt, self.nl, self.level
         tol = _residual_tol(rhs)
 
@@ -353,9 +389,7 @@ class StepSystem:
         certified by Newton's residual test); when it fails, or there is
         none, B(y) is factored once, solved directly and held for step m: a
         refinement that contracts slower costs more solves than one
-        factorization.  Zero reaction: one solve on the shared factor."""
-        if self._shared is not None:
-            return self._shared.solve(rhs)
+        factorization."""
         lu = self._slots[m - 1]
         if lu is not None:
             shift = self.dt * eval_ay_truncated(self.nl, self.level, y)
@@ -392,17 +426,11 @@ def solve_state(spec: ProblemSpec, u: SpaceTimeField,
     if u.grid != spec.grid or u.tgrid != spec.tgrid:
         raise ValueError("control lives on different grids")
     steps = spec.steps
-    n_t = spec.tgrid.n_t
-    y = np.empty((n_t + 1, spec.grid.n_nodes))
+    y = np.empty((spec.tgrid.n_t + 1, spec.grid.n_nodes))
     y[0] = spec.y0
-    forcing = spec.tgrid.dt * u.values
-    try:
-        with np.errstate(over="raise"):
-            for m in range(1, n_t + 1):
-                y[m] = steps.step(y[m - 1] + forcing[m - 1], y[m - 1], m,
-                                  None if near is None else near.values[m])
-    except (NewtonError, FloatingPointError) as exc:
-        raise NewtonError(f"state solver failed at step {m}: {exc}") from exc
+    _march(spec, y, spec.tgrid.dt * u.values, False, "state",
+           lambda rhs, m: steps.step(rhs, y[m - 1], m,
+                                     None if near is None else near.values[m]))
     state = field_at_nodes(spec.grid, spec.tgrid, y)
     if not clamp_idle_on_states(spec, state):
         warnings.warn(
@@ -412,26 +440,41 @@ def solve_state(spec: ProblemSpec, u: SpaceTimeField,
     return state
 
 
+def _march(spec: ProblemSpec, x: np.ndarray, source: np.ndarray,
+           backward: bool, sweep: str, step) -> None:
+    """x[m] = S_m(x[m - 1] + source[m - 1]), m = 1..n_t, or backward
+    x[m] = S_m(x[m + 1] + source[m - 1]), m = n_t..1, in place: each step
+    adds into row m, and S_m, the solve of implicit step m, is step(rhs, m),
+    or on the step system's constant factor one solve in place.  A failure
+    raises NewtonError naming the sweep and the step."""
+    constant = spec.steps.constant
+    solve = None if constant is None else constant.solve_in_place
+    n_t = spec.tgrid.n_t
+    previous = 1 if backward else -1
+    try:
+        with np.errstate(over="raise"):
+            for m in range(n_t, 0, -1) if backward else range(1, n_t + 1):
+                rhs = np.add(x[m + previous], source[m - 1], out=x[m])
+                if solve is None:
+                    x[m] = step(rhs, m)
+                else:
+                    solve(rhs)
+    except (NewtonError, FloatingPointError) as exc:
+        raise NewtonError(f"{sweep} solver failed at step {m}: {exc}") from exc
+
+
 def _linear_sweep(spec: ProblemSpec, y: SpaceTimeField, source: np.ndarray,
                   backward: bool) -> SpaceTimeField:
     """z_m = B(y_m)^-1 (z_{m-1} + source[m - 1]), m = 1..n_t from z_0 = 0,
     at the nodes; or backward p_m = B(y_m)^-1 (p_{m+1} + source[m - 1]),
     m = n_t..1 from p_{n_t+1} = 0, per interval.  Each step refines on the
     step system's held factor, or factors B(y_m) and holds that
-    (StepSystem.linear_step).
+    (StepSystem.linear_step); a constant B is marched on its one factor.
     """
     steps = spec.steps
-    n_t = spec.tgrid.n_t
-    x = np.zeros((n_t + 2, spec.grid.n_nodes))
-    previous = 1 if backward else -1
-    try:
-        with np.errstate(over="raise"):
-            for m in range(n_t, 0, -1) if backward else range(1, n_t + 1):
-                x[m] = steps.linear_step(x[m + previous] + source[m - 1],
-                                         y.values[m], m)
-    except (NewtonError, FloatingPointError) as exc:
-        sweep = "adjoint" if backward else "linearized"
-        raise NewtonError(f"{sweep} solver failed at step {m}: {exc}") from exc
+    x = np.zeros((spec.tgrid.n_t + 2, spec.grid.n_nodes))
+    _march(spec, x, source, backward, "adjoint" if backward else "linearized",
+           lambda rhs, m: steps.linear_step(rhs, y.values[m], m))
     if backward:
         return field_per_interval(spec.grid, spec.tgrid, x[1:-1])
     return field_at_nodes(spec.grid, spec.tgrid, x[:-1])

@@ -1,7 +1,7 @@
 from dataclasses import replace
 
 import pytest
-from scipy.linalg.lapack import dgttrf
+from scipy.linalg.lapack import dgttrf, dpttrf
 from scipy.sparse.linalg import splu
 
 import sparsecontrol as sc
@@ -73,16 +73,18 @@ def active_solve():
 
 @pytest.fixture
 def splu_calls(monkeypatch):
-    """One entry per factorization the package makes from here on, sparse
-    (splu) or tridiagonal (dgttrf)."""
+    """One entry per factorization the package makes from here on, the name
+    of the routine: "splu" (sparse), "dgttrf" (tridiagonal) or "dpttrf"
+    (the zero reaction's constant tridiagonal matrix)."""
     calls = []
 
-    def counting(factorize):
+    def counting(name, factorize):
         def factorize_counted(*args, **kwargs):
-            calls.append(None)
+            calls.append(name)
             return factorize(*args, **kwargs)
         return factorize_counted
 
-    monkeypatch.setattr(pde, "splu", counting(splu))
-    monkeypatch.setattr(pde, "dgttrf", counting(dgttrf))
+    for name, factorize in (("splu", splu), ("dgttrf", dgttrf),
+                            ("dpttrf", dpttrf)):
+        monkeypatch.setattr(pde, name, counting(name, factorize))
     return calls

@@ -8,7 +8,9 @@ import sparsecontrol as sc
 from sparsecontrol.checks import (bisect_threshold,
                                   check_projection_oracle)
 from sparsecontrol.grid import like
-from sparsecontrol.l1ball import (_project_rows, project_field, project_slice,
+from sparsecontrol import l1ball
+from sparsecontrol.l1ball import (_FEASIBLE_RTOL, _project_rows, _scan,
+                                  project_field, project_slice,
                                   projection_derivative, recover_multiplier)
 
 slices = st.lists(st.floats(-100.0, 100.0), min_size=1, max_size=50).map(np.array)
@@ -148,6 +150,101 @@ def test_project_rows_equals_project_slice_bitwise():
                 assert thresholds[m] == 0.0
                 assert projected[m].tobytes() == row.tobytes()
     assert branches == {True, False}
+
+
+def full_scan_rows(values, w, gamma):
+    """The projection kernel that scans every sorted column and restores
+    signs by a product with np.sign: the reference for the bounded scan."""
+    d = np.abs(values)
+    total = w * np.sum(d, axis=1)
+    over = ~(total <= gamma + _FEASIBLE_RTOL * np.maximum(1.0, total))
+    thresholds = np.zeros(values.shape[0])
+    if not np.any(over):
+        return values.copy(), thresholds
+    every = bool(np.all(over))
+    d_over = d if every else d[over]
+    d_sorted = np.sort(d_over, axis=1)[:, ::-1]
+    lam_k = np.cumsum(d_sorted, axis=1)
+    lam_k -= gamma / w
+    lam_k /= np.arange(1, lam_k.shape[1] + 1)
+    clears = lam_k >= 0.0
+    np.greater_equal(lam_k[:, :-1], d_sorted[:, 1:], out=clears[:, :-1])
+    lam = lam_k[np.arange(lam_k.shape[0]), np.argmax(clears, axis=1)]
+    d_over -= lam[:, None]
+    np.maximum(d_over, 0.0, out=d_over)
+    d_over *= np.sign(values if every else values[over])
+    thresholds[over] = lam
+    if every:
+        return d_over, thresholds
+    projected = values.copy()
+    projected[over] = d_over
+    return projected, thresholds
+
+
+def assert_matches_full_scan(values, w, gamma):
+    projected, thresholds = _project_rows(values, w, gamma)
+    reference, reference_thresholds = full_scan_rows(values, w, gamma)
+    assert thresholds.tobytes() == reference_thresholds.tobytes()
+    # np.copysign keeps the sign of a -0.0 entry of a row over budget,
+    # which the product with np.sign(-0.0) = +0.0 drops; every other bit
+    # is the reference's
+    negative_zero = ((values == 0.0) & np.signbit(values)
+                     & (thresholds > 0.0)[:, None])
+    assert np.array_equal(np.signbit(projected),
+                          np.signbit(reference) | negative_zero)
+    assert np.abs(projected).tobytes() == np.abs(reference).tobytes()
+    return thresholds
+
+
+@pytest.mark.parametrize("min_size", [0, l1ball._BOUNDED_SCAN_MIN_SIZE])
+def test_bounded_scan_equals_the_full_scan_bitwise(min_size, monkeypatch):
+    # the scan stops one column past the most entries above
+    # max(lam_1, lam_n) in a row; the output is the full scan's, byte for
+    # byte but for the sign of a -0.0 entry: mixed random stacks with
+    # signed zeros, 200 x 200 stacks with small supports (a few large
+    # entries over a low floor), and stacks whose support is every node.
+    # With min_size 0 the small stacks are bounded too
+    monkeypatch.setattr(l1ball, "_BOUNDED_SCAN_MIN_SIZE", min_size)
+    scanned = []
+
+    def recording(d_sorted, radius, k):
+        scanned.append(k)
+        return _scan(d_sorted, radius, k)
+
+    monkeypatch.setattr(l1ball, "_scan", recording)
+    rng = np.random.default_rng(2026)
+    for trial in range(300):
+        values, _, w, gamma = random_stack(rng, all_over=trial % 3 == 0)
+        assert_matches_full_scan(values, w, gamma)
+    for support in (1, 5, 21, 70):
+        values = 1e-3 * rng.standard_normal((200, 200))
+        for row in values:
+            spikes = rng.choice(200, support, replace=False)
+            row[spikes] = rng.choice([-1.0, 1.0], support) * rng.uniform(
+                1.0, 2.0, support)
+        w = 1.0 / 201.0
+        del scanned[:]
+        thresholds = assert_matches_full_scan(values, w, 0.5 * support * w)
+        assert scanned == [support + 1]
+        assert np.all(thresholds > 0.0)
+        assert np.max(np.sum(np.abs(values) > thresholds[:, None],
+                             axis=1)) <= support
+    for n in (1, 2, 7, 200):
+        values = rng.choice([-1.0, 1.0], (6, n)) * rng.uniform(1.0, 1.1, (6, n))
+        w = 1.0 / (n + 1)
+        gamma = 0.5 * w * float(np.min(np.sum(np.abs(values), axis=1)))
+        thresholds = assert_matches_full_scan(values, w, gamma)
+        assert np.all(np.abs(values) > thresholds[:, None])
+
+
+def test_scan_too_short_falls_back_to_every_column():
+    # a row whose breakpoint lies past the columns scanned, which only
+    # roundoff at a tie makes the bound cause, is scanned in full
+    d_sorted = np.array([[3.0, 2.5, 2.0, 1.5, 1.0, 0.5]])
+    lam = _scan(d_sorted, 8.0, 6)
+    assert lam[0] == (10.5 - 8.0) / 6.0
+    for k in (1, 3, 5):
+        assert _scan(d_sorted, 8.0, k).tobytes() == lam.tobytes()
 
 
 @pytest.mark.parametrize("over_share", [1.0, 0.5])

@@ -185,6 +185,37 @@ def test_multiplier_active_slices_have_thresholds(active_solve):
     assert np.all(report.thresholds[active] > 0.0)
 
 
+@pytest.mark.parametrize("max_iter", [400, 3])
+def test_report_kkt_reuses_the_last_fixed_point(max_iter, monkeypatch):
+    # every exit from the loop, converged or at the cap, leaves the fixed
+    # point proj(-phi/kappa) at the final (u, phi): solve hands it to
+    # kkt_residuals, which projects nothing, and the bundle is the
+    # 4-argument one bit for bit
+    spec = active_schloegl_spec()
+    calls, inside = [], []
+    kkt_residuals = optimizer.kkt_residuals
+
+    def counted(v, gamma):
+        calls.append(None)
+        return project_field(v, gamma)
+
+    def kkt_counted(*args):
+        before = len(calls)
+        bundle = kkt_residuals(*args)
+        inside.append(len(calls) - before)
+        return bundle
+
+    monkeypatch.setattr(optimizer, "project_field", counted)
+    monkeypatch.setattr(optimizer, "kkt_residuals", kkt_counted)
+    report = sc.solve(spec, sc.OptimizerConfig(tol=1e-10, max_iter=max_iter))
+    assert report.converged == (max_iter == 400)
+    assert inside == [0]
+    del calls[:]
+    fresh = kkt_residuals(spec, report.u, report.phi, report.mu)
+    assert len(calls) == 1
+    assert report.kkt.as_dict() == fresh.as_dict()
+
+
 def test_kkt_residuals_on_constructed_fixed_point():
     spec = active_schloegl_spec()
     rng = np.random.default_rng(41)

@@ -354,6 +354,13 @@ def test_singular_step_matrix_raises_newton_error():
             sc.solve_adjoint(spec, y)
 
 
+def test_constant_tridiagonal_factor_rejects_a_matrix_not_positive_definite():
+    # I + dt*A_h is symmetric positive definite, so dpttrf always succeeds
+    # on it; a second pivot of 1 - 2^2 = -3 is reported as for the LUs
+    with pytest.raises(NewtonError, match="exactly singular"):
+        pde._ConstantTridiagonalFactor(np.ones(3), np.array([2.0, 0.0]))
+
+
 def nearly_singular_spec():
     # Schloegl (-1, 0, 1) at dt 1: 1 + dt*a'(0) = 1 - 1 = 0, so B(0) = A_h,
     # whose smallest eigenvalue is about 2*pi^2*1e-3 = 0.02
@@ -598,18 +605,62 @@ def test_initial_state_above_clamp_does_not_warn():
         <= np.max(np.abs(y.values[0]))
 
 
+def constant_loop(spec, x0, source, backward):
+    """A sweep's values as a plain loop of solves on the step system's
+    constant factor: x_m = lu^-1 (x_{m-/+1} + source[m - 1])."""
+    lu, n_t = spec.steps.constant, spec.tgrid.n_t
+    x = [x0]
+    for m in range(n_t, 0, -1) if backward else range(1, n_t + 1):
+        x.append(lu.solve(x[-1] + source[m - 1]))
+    return np.array(x[:0:-1] if backward else x)
+
+
 def test_zero_reaction_step_is_one_solve(monkeypatch):
-    # the step matrix is the constant I + dt*A_h: no Newton, no reaction
+    # the step matrix is the constant I + dt*A_h: the state, linearized and
+    # adjoint sweeps march on its one factor, one solve per step, with no
+    # Newton and no reaction, bit for bit as a loop of its solves.  SuperLU
+    # in 2D and on 2 nodes, LAPACK's L D L^T on 3 or more in 1D
     def no_reaction(*args):
-        raise AssertionError("the zero reaction's step evaluated a reaction")
+        raise AssertionError("the zero reaction's march evaluated a reaction")
     monkeypatch.setattr(pde, "eval_a_truncated", no_reaction)
     monkeypatch.setattr(pde, "eval_ay_truncated", no_reaction)
-    spec = heat_spec(n=8, n_t=4)
     rng = np.random.default_rng(2)
-    rhs, y_start = rng.standard_normal((2, spec.grid.n_nodes))
-    steps = StepSystem(spec)
-    y = steps.step(rhs, y_start, 1)
-    assert y.tobytes() == steps.factor(y_start).solve(rhs).tobytes()
+    for spec, kind in ((heat_spec(n=8, n_t=4), "_SparseFactor"),
+                       (linear_1d_spec(n=12), "_ConstantTridiagonalFactor"),
+                       (linear_1d_spec(n=2), "_SparseFactor")):
+        assert type(spec.steps.constant).__name__ == kind
+        dt, zero = spec.tgrid.dt, np.zeros(spec.grid.n_nodes)
+        u, v = random_control(spec, rng), random_control(spec, rng)
+        y = sc.solve_state(spec, u)
+        assert (y.values.tobytes()
+                == constant_loop(spec, spec.y0, dt * u.values, False).tobytes())
+        z = sc.solve_linearized(spec, y, v)
+        assert (z.values.tobytes()
+                == constant_loop(spec, zero, dt * v.values, False).tobytes())
+        phi = sc.solve_adjoint(spec, y)
+        source = dt * (y.values[1:] - spec.yd.values[1:])
+        assert (phi.values.tobytes()
+                == constant_loop(spec, zero, source, True).tobytes())
+
+
+@pytest.mark.parametrize("n_dim, n, routine", [(1, 40, "dpttrf"),
+                                               (1, 2, "splu"),
+                                               (2, 6, "splu")])
+def test_zero_reaction_solve_factors_once(n_dim, n, routine, splu_calls):
+    # a whole solve, with an active budget, makes one factorization: the
+    # constant step matrix's, by dpttrf in 1D on 3 or more nodes, else by
+    # SuperLU; dgttrf factors only a state-dependent B(y)
+    grid = sc.SpaceGrid(n_dim, n)
+    tgrid = sc.TimeGrid(0.5, 12)
+    spec = sc.ProblemSpec(
+        kappa=0.01, gamma=0.05, grid=grid, tgrid=tgrid,
+        diffusion=sc.isotropic(n_dim, 0.1),
+        nonlinearity=sc.NonlinearitySpec("zero"),
+        y0=sc.spatial_preset("zero", grid),
+        yd=sc.target_preset("bump", grid, tgrid))
+    report = sc.solve(spec, sc.OptimizerConfig(tol=1e-10, max_iter=400))
+    assert report.converged and np.any(report.thresholds > 0.0)
+    assert splu_calls == [routine]
 
 
 class CountingFactor:
@@ -928,8 +979,11 @@ def test_control_shape_rejected():
 
 
 def reference_state(spec, u, near=None):
-    """solve_state's values as a plain loop of StepSystem.step calls."""
+    """solve_state's values as a plain loop of StepSystem.step calls, or of
+    solves on the constant factor, which solve_state marches on."""
     steps, dt = spec.steps, spec.tgrid.dt
+    if steps.constant is not None:
+        return constant_loop(spec, spec.y0, dt * u.values, False)
     y = [spec.y0]
     for m in range(1, spec.tgrid.n_t + 1):
         y.append(steps.step(y[m - 1] + dt * u.values[m - 1], y[m - 1], m,
@@ -939,8 +993,12 @@ def reference_state(spec, u, near=None):
 
 def reference_adjoint(spec, y):
     """solve_adjoint's values as a plain loop of StepSystem.linear_step
-    calls."""
+    calls, or of solves on the constant factor, which solve_adjoint
+    marches on."""
     steps, dt, n_t = spec.steps, spec.tgrid.dt, spec.tgrid.n_t
+    if steps.constant is not None:
+        return constant_loop(spec, np.zeros(spec.grid.n_nodes),
+                             dt * (y.values[1:] - spec.yd.values[1:]), True)
     p = [np.zeros(spec.grid.n_nodes)] * (n_t + 1)
     for m in range(n_t, 0, -1):
         p[m - 1] = steps.linear_step(
