@@ -15,7 +15,7 @@ sorted rows and their cumulative sums: every fresh full-size temporary is
 page-faulted in again on each call.  lam is the largest candidate
 lam_k = (sum of the k largest |v_i| - gamma/w)/k, so lam >= max(lam_1, lam_n)
 and only entries above that bound can be in the support: on a stack of at
-least 1024 entries the scan stops one column past the most such entries in
+least 8192 entries the scan stops one column past the most such entries in
 a row.  The sign is restored by np.copysign, so a -0.0 entry stays -0.0.  A
 bisection solver in ``checks`` is an independent oracle, not the shipped
 path.
@@ -38,10 +38,14 @@ from .grid import SpaceTimeField, like
 # re-projecting a projected slice is an exact no-op: soft-thresholding leaves
 # roundoff of order eps times the pre-image mass in the output total
 _FEASIBLE_RTOL = 1e-13
-# stacks over budget with fewer entries scan every column: the bound's half
-# dozen numpy calls cost more than the whole scan there (about 3 us for
-# 4 x 100), so no bound could pay for itself
-_BOUNDED_SCAN_MIN_SIZE = 1024
+# stacks over budget with fewer entries scan every column: the bound costs
+# a pass over the sorted stack and half a dozen numpy calls, which the
+# shorter scan repays only on large stacks.  Per call, bounded against full
+# (timeit, 2 shared vCPUs): 35 against 30 us on sweep-2d-lowkappa's 4 x 100
+# stacks, 83 against 79 us on solve-2d-schloegl's 4 x 1024 (3 rows over),
+# 436 against 811 us on solve-1d-long's 200 x 200; on random 200-node rows
+# with supports near 70 the two break even between 4,000 and 8,000 entries
+_BOUNDED_SCAN_MIN_SIZE = 8192
 
 
 @dataclass

@@ -212,7 +212,11 @@ class _ConstantTridiagonalFactor:
         return dpttrs(self.d, self.e, b)[0]
 
     def solve_in_place(self, b: np.ndarray) -> None:
-        dpttrs(self.d, self.e, b, overwrite_b=1)
+        # overwrite_b only permits the solve in b: f2py copies a b that is
+        # not a contiguous float64 vector and returns the copy
+        x = dpttrs(self.d, self.e, b, overwrite_b=1)[0]
+        if x is not b:
+            b[:] = x
 
 
 class StepSystem:

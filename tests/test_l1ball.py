@@ -196,7 +196,8 @@ def assert_matches_full_scan(values, w, gamma):
     return thresholds
 
 
-@pytest.mark.parametrize("min_size", [0, l1ball._BOUNDED_SCAN_MIN_SIZE])
+@pytest.mark.parametrize("min_size", [0, l1ball._BOUNDED_SCAN_MIN_SIZE],
+                         ids=["every-stack", "default-floor"])
 def test_bounded_scan_equals_the_full_scan_bitwise(min_size, monkeypatch):
     # the scan stops one column past the most entries above
     # max(lam_1, lam_n) in a row; the output is the full scan's, byte for

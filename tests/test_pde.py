@@ -361,6 +361,20 @@ def test_constant_tridiagonal_factor_rejects_a_matrix_not_positive_definite():
         pde._ConstantTridiagonalFactor(np.ones(3), np.array([2.0, 0.0]))
 
 
+def test_constant_tridiagonal_solve_in_place_writes_a_strided_row():
+    # dpttrs solves in a contiguous float64 b; for any other b f2py returns
+    # a copy, which solve_in_place must write back
+    main, off = np.full(5, 3.0), np.full(4, -1.0)
+    factor = pde._ConstantTridiagonalFactor(main, off)
+    matrix = np.diag(main) + np.diag(off, 1) + np.diag(off, -1)
+    stack = np.arange(25.0).reshape(5, 5)
+    for b in (stack[:, 1], stack[2]):
+        rhs = b.copy()
+        factor.solve_in_place(b)
+        assert b.tobytes() == factor.solve(rhs).tobytes()
+        assert np.allclose(matrix @ b, rhs)
+
+
 def nearly_singular_spec():
     # Schloegl (-1, 0, 1) at dt 1: 1 + dt*a'(0) = 1 - 1 = 0, so B(0) = A_h,
     # whose smallest eigenvalue is about 2*pi^2*1e-3 = 0.02
