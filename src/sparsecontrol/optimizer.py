@@ -122,13 +122,17 @@ class SolveReport:
 
 def solve(spec: ProblemSpec, cfg: OptimizerConfig = OptimizerConfig(),
           u0: SpaceTimeField | None = None,
-          near: SpaceTimeField | None = None) -> SolveReport:
+          near: tuple[SpaceTimeField, SpaceTimeField] | None = None
+          ) -> SolveReport:
     """Run the projected gradient method on spec from the control u0 (the
     zero control when None).
 
-    near, when given, is a nearby state, such as an earlier report's y on
-    spec's step system: the initial state solve chords from it
-    (pde.solve_state), as every trial's chords from the accepted state.
+    near, when given, is a nearby point (y, phi), such as an earlier
+    report's state and adjoint on spec's step system: the initial state
+    solve chords from y (pde.solve_state) and the initial adjoint sweep
+    refines from phi (pde.solve_adjoint), as every trial's state solve
+    chords from the accepted state and every accepted point's adjoint sweep
+    refines from the last accepted adjoint.
 
     Returns a report with converged=False when the iteration cap is reached,
     the line search stalls or the adjoint sweep at an accepted point fails
@@ -138,9 +142,10 @@ def solve(spec: ProblemSpec, cfg: OptimizerConfig = OptimizerConfig(),
     u = field_per_interval(spec.grid, spec.tgrid) if u0 is None else u0.copy()
     step = 1.0 / spec.kappa
 
-    y = solve_state(spec, u, near)
+    near_y, near_phi = (None, None) if near is None else near
+    y = solve_state(spec, u, near_y)
     j_val = objective_value(spec, u, y)
-    phi = solve_adjoint(spec, y)
+    phi = solve_adjoint(spec, y, near_phi)
     gradient = like(u, phi.values + spec.kappa * u.values)
 
     j_history = [j_val]
@@ -185,7 +190,7 @@ def solve(spec: ProblemSpec, cfg: OptimizerConfig = OptimizerConfig(),
             break
 
         try:
-            phi = solve_adjoint(spec, y_new)
+            phi = solve_adjoint(spec, y_new, phi)
         except NewtonError as exc:  # the report keeps the last point
             message = str(exc)
             break

@@ -35,27 +35,40 @@ backward, each with its own source (dt*v_m, dt*r_m; the Hessian-vector
 product in objective sends a third source backward).  Step m refines on its
 held factor, again in splitting form,
 
-    p <- lu^-1 (rhs - (dt a_M'(y_m) - s_w) p)   from p = 0,
+    p <- lu^-1 (rhs - (dt a_M'(y_m) - s_w) p)   from p = p'_m, or from 0,
 
-the iterates of p <- p - lu^-1 (B_m p - rhs) from p = lu^-1 rhs.
+p' a nearby adjoint when the caller has one (an optimizer passes the last
+accepted one): from 0, these are the iterates of p <- p - lu^-1 (B_m p -
+rhs) from p = lu^-1 rhs.  The shifts dt a_M'(y_m) are evaluated once per
+sweep, for all steps.
 
-Both splittings stop on their correction norms d_k: converged at d_k or,
+Both splittings stop on their correction norms d_k: settled at d_k or,
 from the second correction on with rate rho = d_k/d_(k-1), at
 rho/(1 - rho) d_k below 4 eps |x|, roundoff in the state; they give up when
 rho is no better than 1/4 (chord) or 1/1000 (refinement), or a correction
-is not finite.  Then each step evaluates its residual once, Newton's test
-|R| <= 1e-12 max(|rhs|, 1), which certifies the result; when it fails, the
-chord falls back to Newton from y_{m-1}, the refinement to one
-factorization of B_m, which then replaces the held one; a step with no
-held factor yet makes that factorization at once.  A Newton pass
-gives up after 3 growing residual norms in a row.  Each sweep runs under
-np.errstate(over="raise"), entered once, so an overflow ends an iteration.
-Every sweep forms its source for all steps in one array operation before
-the loop, and its NewtonError names the sweep and the step.
+is not finite.  A refinement that gave up, even with an iterate that would
+pass the residual test (a start near the solution makes that likely),
+factors B_m, which then replaces the held one, and solves directly; so does
+a step with no held factor yet.  A chord that gave up keeps its iterate
+for the test; one with no finite iterate falls back to Newton from
+y_{m-1}.  The sweep then certifies all its iterates on held factors at
+once, after the march: Newton's test |R_m| <= 1e-12 max(|rhs_m|, 1) on the
+stack of steps, one product of A_h with it and one reaction evaluation.
+From the first step that fails the test the sweep resumes one step at a
+time, each step certified on its own: there, Newton from y_{m-1} or one
+factorization of B_m, and after it the chord or refinement again, with
+those fallbacks.  Every step returned meets the test, and when every step
+passes, the result is bitwise that of certifying each step on its own.  A
+Newton pass gives up after 3 growing residual norms in a row.  Each sweep
+runs under np.errstate(over="raise"), entered once, so an overflow ends an
+iteration.  Every sweep forms its source for all steps in one array
+operation before the loop, and its NewtonError names the sweep and the
+step.
 
 A_h is the finite-difference operator on interior nodes: the standard
 3/5-point stencil for the diagonal part plus centered cross differences for
-the off-diagonal tensor entry, Dirichlet values eliminated.  It is exactly
+the off-diagonal tensor entry, Dirichlet values eliminated, written in 2D
+straight into CSR from the 9-point stencil.  It is exactly
 symmetric, bit for bit (the tests assert it), so B_m^T = B_m and one
 StepSystem serves the state, linearized and adjoint sweeps.  It is built
 once per problem (ProblemSpec.steps) and reused, held factors and all, by
@@ -120,15 +133,13 @@ def _second_difference(n: int, h: float) -> sp.csr_matrix:
     return sp.diags([off, main, off], offsets=[-1, 0, 1], format="csr")
 
 
-def _first_difference(n: int, h: float) -> sp.csr_matrix:
-    """Dirichlet-eliminated centered d/dx on n interior nodes."""
-    off = np.full(n - 1, 1.0 / (2.0 * h))
-    return sp.diags([-off, off], offsets=[-1, 1], format="csr")
-
-
 def elliptic_matrix(grid: SpaceGrid, tensor: DiffusionTensor) -> sp.csr_matrix:
     """Assembled sparse matrix A_h of -div(a_ij grad) on interior nodes.
 
+    In 2D, node (i, j) is row i*n + j, and its row is the 9-point stencil
+    a_00 D2 x I + a_11 I x D2 - 2 a_01 D1 x D1 of the second and centered
+    first differences D2 and D1, written straight into CSR: entries off the
+    grid, and zero ones (every corner of a diagonal tensor), are left out.
     Exactly symmetric, cross term included (the adjoint relies on this), and
     positive definite; tests assert both on tiny grids, symmetry bitwise.
     """
@@ -136,13 +147,26 @@ def elliptic_matrix(grid: SpaceGrid, tensor: DiffusionTensor) -> sp.csr_matrix:
         raise ValueError("tensor dimension does not match the grid")
     n, h = grid.n_per_axis, grid.h
     a = tensor.as_array()
-    d2 = _second_difference(n, h)
     if grid.n_dim == 1:
-        return (a[0, 0] * d2).tocsr()
-    eye = sp.identity(n, format="csr")
-    d1 = _first_difference(n, h)
-    return (a[0, 0] * sp.kron(d2, eye) + a[1, 1] * sp.kron(eye, d2)
-            - 2.0 * a[0, 1] * sp.kron(d1, d1)).tocsr()
+        return (a[0, 0] * _second_difference(n, h)).tocsr()
+    main, off, first = 2.0 / h**2, -1.0 / h**2, 1.0 / (2.0 * h)
+    corner = 2.0 * a[0, 1] * (first * first)
+    # row and column offsets of the stencil, in ascending column order, and
+    # its values
+    di = np.array([-1, -1, -1, 0, 0, 0, 1, 1, 1], dtype=np.int32)
+    dj = np.array([-1, 0, 1, -1, 0, 1, -1, 0, 1], dtype=np.int32)
+    values = np.array([-corner, a[0, 0] * off, corner, a[1, 1] * off,
+                       a[0, 0] * main + a[1, 1] * main, a[1, 1] * off,
+                       corner, a[0, 0] * off, -corner])
+    i, j = np.divmod(np.arange(n * n, dtype=np.int32), n)
+    rows, cols = i[:, None] + di, j[:, None] + dj
+    keep = ((rows >= 0) & (rows < n) & (cols >= 0) & (cols < n)
+            & (values != 0.0))
+    indptr = np.zeros(n * n + 1, dtype=np.int32)
+    np.cumsum(np.sum(keep, axis=1), out=indptr[1:])
+    return sp.csr_matrix(
+        (np.broadcast_to(values, keep.shape)[keep], (rows * n + cols)[keep],
+         indptr), shape=(n * n, n * n))
 
 
 class _SparseFactor:
@@ -225,8 +249,10 @@ class StepSystem:
     One per problem (ProblemSpec.steps).  I + dt*A_h is assembled once;
     factor(y) adds dt*a_M'(y) to its diagonal and factors the result.  The
     last factor made is held and returned again for the same B(y).  Each
-    step m = 1..n_t also holds the factor its last linear_step left, which
-    step's chord and the next linear_step iterate on.
+    step m = 1..n_t also holds the factor its last refactor left, which the
+    chord and the refinement of step m iterate on.  chord, newton, refine
+    and refactor leave certification to the caller, a sweep (_march);
+    step and linear_step certify each step on their own.
 
     The zero reaction's B is the constant, symmetric positive definite
     I + dt*A_h.  It is factored once, here, and is `constant`, None for
@@ -279,6 +305,11 @@ class StepSystem:
         # factor's shift is zero, as every zero reaction's shift is
         self._held = self.constant
 
+    def shift(self, y: np.ndarray) -> np.ndarray:
+        """dt*a_M'(y), the part of B(y) that varies, for a state y or for
+        each row of a stack of states."""
+        return self.dt * eval_ay_truncated(self.nl, self.level, y)
+
     def factor(self, y: np.ndarray):
         """Factorization of B(y), with a solve(b) method and its shift
         dt*a_M'(y); it keeps its own copy of the matrix.
@@ -287,7 +318,10 @@ class StepSystem:
         bitwise equal: both LUs are deterministic, so a fresh factor would
         be bitwise the same.  An exactly singular B(y) raises NewtonError
         and is not held."""
-        shift = self.dt * eval_ay_truncated(self.nl, self.level, y)
+        return self._factor(self.shift(y))
+
+    def _factor(self, shift: np.ndarray):
+        """factor(y), given its shift dt*a_M'(y)."""
         if self._held is not None and np.array_equal(shift, self._held.shift):
             return self._held
         if self._bands is not None:
@@ -299,16 +333,35 @@ class StepSystem:
         self._held = _SparseFactor(self._work, shift)
         return self._held
 
+    def _product(self, x: np.ndarray) -> np.ndarray:
+        """A_h x for a vector x, or for each row of a stack x."""
+        if x.ndim == 1:
+            return self.operator_matrix @ x
+        return (self.operator_matrix @ x.T).T
+
+    def residual(self, y: np.ndarray, rhs: np.ndarray) -> np.ndarray:
+        """The step residual y + dt*A_h y + dt*a_M(y) - rhs, for a state or
+        for each row of a stack of states and right-hand sides."""
+        dt = self.dt
+        return (y + dt * self._product(y)
+                + dt * eval_a_truncated(self.nl, self.level, y) - rhs)
+
+    def linear_residual(self, p: np.ndarray, shift: np.ndarray,
+                        rhs: np.ndarray) -> np.ndarray:
+        """B(y) p - rhs = (1 + shift) p + dt*A_h p - rhs, shift = dt*a_M'(y),
+        for a vector or for each row of stacks."""
+        return (1.0 + shift) * p + self.dt * self._product(p) - rhs
+
     @staticmethod
-    def _split(lu, x: np.ndarray, source, shrink: float, residual,
-               tol: float) -> np.ndarray | None:
+    def _split(lu, x: np.ndarray, source,
+               shrink: float) -> tuple[np.ndarray | None, bool]:
         """x <- lu^-1 source(x) from x.  Stops once the correction norm d_k
         is at most _SPLIT_TOL |x|, or, from the second correction on with
-        the rate rho = d_k / d_(k-1), once rho/(1 - rho) d_k is, or rho is
-        shrink or more; else after _NEWTON_MAX_ITER corrections.  Returns
-        the last iterate when its residual norm meets tol, the one residual
-        evaluated; else None, also once a correction is not finite or
-        overflows."""
+        the rate rho = d_k / d_(k-1), once rho/(1 - rho) d_k is: settled;
+        gives up once rho is shrink or more, and it has not settled; else
+        stops after _NEWTON_MAX_ITER corrections.  Returns the last iterate,
+        None once a correction is not finite or overflows, and whether it
+        gave up.  Evaluates no residual."""
         previous = None
         try:
             for _ in range(_NEWTON_MAX_ITER):
@@ -317,18 +370,20 @@ class StepSystem:
                 x = new
                 delta = math.sqrt(correction @ correction)
                 if not delta < np.inf:
-                    return None
+                    return None, False
                 bound = _SPLIT_TOL * math.sqrt(x @ x)
                 if delta <= bound:
                     break
                 if previous is not None:
                     rho = delta / previous
-                    if not rho < shrink or rho * delta <= (1.0 - rho) * bound:
+                    if rho * delta <= (1.0 - rho) * bound:
                         break
+                    if not rho < shrink:
+                        return x, True
                 previous = delta
-            return x if np.linalg.norm(residual(x)) <= tol else None
+            return x, False
         except (OverflowError, FloatingPointError):
-            return None
+            return None, False
 
     def _newton(self, residual, tol: float, y: np.ndarray) -> np.ndarray | None:
         """y <- y - B(y)^-1 R(y) from y, R = residual, refactored at every
@@ -351,62 +406,98 @@ class StepSystem:
             pass
         return None
 
-    def step(self, rhs: np.ndarray, y_start: np.ndarray, m: int,
-             guess: np.ndarray | None = None) -> np.ndarray:
-        """Solve y + dt*A_h y + dt*a_M(y) = rhs, implicit step m.
-
-        When guess, a start near the root, is given and step m holds a
-        factor, the chord on it from guess comes first (_split with shrink
-        1/4, certified by Newton's residual test); when it fails, or there
-        is none, one undamped Newton pass runs from y_start, and then
-        NewtonError.  Newton's factors are not held for step m.  Callers
-        enter np.errstate(over="raise"), as solve_state does."""
-        dt, nl, level = self.dt, self.nl, self.level
-        tol = _residual_tol(rhs)
-
-        def residual(y):
-            return (y + dt * (self.operator_matrix @ y)
-                    + dt * eval_a_truncated(nl, level, y) - rhs)
-
+    def chord(self, rhs: np.ndarray, m: int,
+              guess: np.ndarray | None) -> np.ndarray | None:
+        """Chord iterate for implicit step m, y + dt*A_h y + dt*a_M(y) =
+        rhs, from guess, a start near the root, on step m's held factor
+        (_split with shrink 1/4).  Not certified: a give-up's iterate is
+        returned too, for Newton's residual test to judge.  None when guess
+        is None, step m holds no factor, or a correction is not finite."""
         lu = self._slots[m - 1]
-        if guess is not None and lu is not None:
-            y = self._split(
-                lu, guess,
-                lambda x: rhs + lu.shift * x
-                - dt * eval_a_truncated(nl, level, x),
-                0.25, residual, tol)
-            if y is not None:
-                return y
-        y = self._newton(residual, tol, y_start)
+        if guess is None or lu is None:
+            return None
+        dt, nl, level = self.dt, self.nl, self.level
+        y, _ = self._split(
+            lu, guess,
+            lambda x: rhs + lu.shift * x - dt * eval_a_truncated(nl, level, x),
+            0.25)
+        return y
+
+    def newton(self, rhs: np.ndarray, y_start: np.ndarray) -> np.ndarray:
+        """The root of implicit step y + dt*A_h y + dt*a_M(y) = rhs by one
+        undamped Newton pass from y_start, which meets Newton's residual
+        test; NewtonError when the pass fails.  Its factors are not held
+        for any step."""
+        y = self._newton(lambda y: self.residual(y, rhs), _residual_tol(rhs),
+                         y_start)
         if y is None:
             raise NewtonError(
                 f"implicit step did not converge to tol={_NEWTON_TOL} within "
                 f"{_NEWTON_MAX_ITER} iterations")
         return y
 
-    def linear_step(self, rhs: np.ndarray, y: np.ndarray,
-                    m: int) -> np.ndarray:
-        """Solve B(y) p = rhs, implicit step m.
+    def step(self, rhs: np.ndarray, y_start: np.ndarray, m: int,
+             guess: np.ndarray | None = None) -> np.ndarray:
+        """Solve y + dt*A_h y + dt*a_M(y) = rhs, implicit step m, certified
+        on its own.
 
-        When step m holds a factor, of B(w) at another state w, iterative
-        refinement on it from p = 0 comes first (_split with shrink 1/1000,
-        certified by Newton's residual test); when it fails, or there is
-        none, B(y) is factored once, solved directly and held for step m: a
-        refinement that contracts slower costs more solves than one
-        factorization."""
+        The chord from guess comes first, kept when its residual meets
+        Newton's test; else newton from y_start.  Callers enter
+        np.errstate(over="raise"), as solve_state does."""
+        y = self.chord(rhs, m, guess)
+        if y is not None and _certified(lambda: self.residual(y, rhs), rhs):
+            return y
+        return self.newton(rhs, y_start)
+
+    def refine(self, rhs: np.ndarray, m: int, shift: np.ndarray,
+               guess: np.ndarray | None = None) -> np.ndarray | None:
+        """Iterative refinement for B(y) p = rhs, shift = dt*a_M'(y), on
+        step m's held factor, of B(w) at another state w, from guess, or
+        from p = 0 (_split with shrink 1/1000).  Not certified.  None when
+        step m holds no factor, a correction is not finite, or it gives up:
+        a refinement that contracts slower costs more solves than one
+        factorization, and from a start near the solution its iterate can
+        pass the residual test on a factor too stale to keep."""
         lu = self._slots[m - 1]
-        if lu is not None:
-            shift = self.dt * eval_ay_truncated(self.nl, self.level, y)
-            gap = shift - lu.shift
-            p = self._split(
-                lu, np.zeros_like(rhs), lambda p: rhs - gap * p, 1e-3,
-                lambda p: (1.0 + shift) * p
-                + self.dt * (self.operator_matrix @ p) - rhs,
-                _residual_tol(rhs))
-            if p is not None:
-                return p
-        self._slots[m - 1] = lu = self.factor(y)
+        if lu is None:
+            return None
+        gap = shift - lu.shift
+        p, gave_up = self._split(
+            lu, np.zeros_like(rhs) if guess is None else guess,
+            lambda p: rhs - gap * p, 1e-3)
+        return None if gave_up else p
+
+    def refactor(self, rhs: np.ndarray, m: int,
+                 shift: np.ndarray) -> np.ndarray:
+        """Solve B(y) p = rhs, shift = dt*a_M'(y), directly on a
+        factorization of B(y), which step m then holds."""
+        self._slots[m - 1] = lu = self._factor(shift)
         return lu.solve(rhs)
+
+    def linear_step(self, rhs: np.ndarray, y: np.ndarray, m: int,
+                    guess: np.ndarray | None = None) -> np.ndarray:
+        """Solve B(y) p = rhs, implicit step m, certified on its own: the
+        refinement from guess, or from p = 0, comes first, kept when its
+        residual meets Newton's test; else, or when it gives up or step m
+        holds no factor, refactor."""
+        shift = self.shift(y)
+        p = self.refine(rhs, m, shift, guess)
+        if p is not None and _certified(
+                lambda: self.linear_residual(p, shift, rhs), rhs):
+            return p
+        return self.refactor(rhs, m, shift)
+
+
+def _certified(residual, rhs: np.ndarray) -> np.ndarray:
+    """Newton's test |R| <= 1e-12 max(|rhs|, 1) on a step, or on each row of
+    a stack of steps, R = residual() the step residuals.  A residual that
+    is not finite fails, and all fail when its evaluation overflows."""
+    try:
+        with np.errstate(over="ignore", invalid="ignore"):
+            norm = np.linalg.norm(residual(), axis=-1)
+    except OverflowError:
+        return np.zeros(rhs.shape[:-1], dtype=bool)
+    return norm <= _NEWTON_TOL * np.maximum(np.linalg.norm(rhs, axis=-1), 1.0)
 
 
 def clamp_idle_on_states(spec: ProblemSpec, y: SpaceTimeField) -> bool:
@@ -421,9 +512,11 @@ def solve_state(spec: ProblemSpec, u: SpaceTimeField,
 
     u must be per-interval on spec's grids.  near, when given, is a nearby
     state: step m then starts with chord iterations on the step system's
-    held factor from near_m (StepSystem.step).  Emits
-    TruncationActiveWarning when a computed state y_m, m >= 1, leaves
-    (-M, M); the solution is still returned.
+    held factor from near_m (StepSystem.chord), certified with the other
+    steps once the march is done (_march); else, or when step m holds no
+    factor or the chord fails, one Newton pass from y_{m-1}
+    (StepSystem.newton).  Emits TruncationActiveWarning when a computed
+    state y_m, m >= 1, leaves (-M, M); the solution is still returned.
     """
     if u.slice_semantics != PER_INTERVAL:
         raise ValueError("control must be a per-interval field")
@@ -432,9 +525,15 @@ def solve_state(spec: ProblemSpec, u: SpaceTimeField,
     steps = spec.steps
     y = np.empty((spec.tgrid.n_t + 1, spec.grid.n_nodes))
     y[0] = spec.y0
+
+    def guess(m):
+        return None if near is None else near.values[m]
+
     _march(spec, y, spec.tgrid.dt * u.values, False, "state",
-           lambda rhs, m: steps.step(rhs, y[m - 1], m,
-                                     None if near is None else near.values[m]))
+           lambda rhs, m: steps.chord(rhs, m, guess(m)),
+           lambda rhs, m: steps.newton(rhs, y[m - 1]),
+           lambda rows, x, rhs: steps.residual(x, rhs),
+           lambda rhs, m: steps.step(rhs, y[m - 1], m, guess(m)))
     state = field_at_nodes(spec.grid, spec.tgrid, y)
     if not clamp_idle_on_states(spec, state):
         warnings.warn(
@@ -445,40 +544,91 @@ def solve_state(spec: ProblemSpec, u: SpaceTimeField,
 
 
 def _march(spec: ProblemSpec, x: np.ndarray, source: np.ndarray,
-           backward: bool, sweep: str, step) -> None:
+           backward: bool, sweep: str, attempt, fallback, residual,
+           step) -> None:
     """x[m] = S_m(x[m - 1] + source[m - 1]), m = 1..n_t, or backward
     x[m] = S_m(x[m + 1] + source[m - 1]), m = n_t..1, in place: each step
-    adds into row m, and S_m, the solve of implicit step m, is step(rhs, m),
-    or on the step system's constant factor one solve in place.  A failure
-    raises NewtonError naming the sweep and the step."""
+    adds into row m and solves there.  On the step system's constant
+    factor, S_m is one solve in place.
+
+    Otherwise S_m is attempt(rhs, m), an iterate on step m's held factor,
+    not yet certified, or, where that is None, fallback(rhs, m), which is
+    certified (a Newton root or a direct solve).  The iterates on held
+    factors are certified together once the march is done:
+    residual(rows, x[rows], rhs) are their step residuals, and each must
+    meet Newton's test.  From the first step, in march order, that fails
+    it, the sweep runs fallback there and resumes on the per-step path
+    step(rhs, m), which certifies each step on its own; so every step
+    returned meets the test.  When a step fails after an uncertified one,
+    the steps before it are certified first, as they may be the cause.  A
+    failure raises NewtonError naming the sweep and the step."""
     constant = spec.steps.constant
-    solve = None if constant is None else constant.solve_in_place
     n_t = spec.tgrid.n_t
     previous = 1 if backward else -1
+    order = range(n_t, 0, -1) if backward else range(1, n_t + 1)
     try:
         with np.errstate(over="raise"):
-            for m in range(n_t, 0, -1) if backward else range(1, n_t + 1):
-                rhs = np.add(x[m + previous], source[m - 1], out=x[m])
-                if solve is None:
-                    x[m] = step(rhs, m)
-                else:
-                    solve(rhs)
+            if constant is not None:
+                for m in order:
+                    constant.solve_in_place(
+                        np.add(x[m + previous], source[m - 1], out=x[m]))
+                return
+            pending, failure = [], None
+            for m in order:
+                try:
+                    rhs = np.add(x[m + previous], source[m - 1], out=x[m])
+                    iterate = attempt(rhs, m)
+                    if iterate is None:
+                        x[m] = fallback(rhs, m)
+                    else:
+                        x[m] = iterate
+                        pending.append(m)
+                except (NewtonError, FloatingPointError) as exc:
+                    if not pending:
+                        raise
+                    failure = exc
+                    break
+            if pending:
+                rows = np.array(pending)
+                rhs = x[rows + previous] + source[rows - 1]
+                passed = _certified(lambda: residual(rows, x[rows], rhs), rhs)
+                if not passed.all():
+                    first = pending[np.argmin(passed)]
+                    for m in order[order.index(first):]:
+                        rhs = np.add(x[m + previous], source[m - 1], out=x[m])
+                        x[m] = fallback(rhs, m) if m == first else step(rhs, m)
+                    return
+            if failure is not None:
+                raise failure
     except (NewtonError, FloatingPointError) as exc:
         raise NewtonError(f"{sweep} solver failed at step {m}: {exc}") from exc
 
 
 def _linear_sweep(spec: ProblemSpec, y: SpaceTimeField, source: np.ndarray,
-                  backward: bool) -> SpaceTimeField:
+                  backward: bool,
+                  near: np.ndarray | None = None) -> SpaceTimeField:
     """z_m = B(y_m)^-1 (z_{m-1} + source[m - 1]), m = 1..n_t from z_0 = 0,
     at the nodes; or backward p_m = B(y_m)^-1 (p_{m+1} + source[m - 1]),
     m = n_t..1 from p_{n_t+1} = 0, per interval.  Each step refines on the
-    step system's held factor, or factors B(y_m) and holds that
-    (StepSystem.linear_step); a constant B is marched on its one factor.
+    step system's held factor, from near[m - 1] when near is given, else
+    from 0, and is certified with the others once the march is done; or,
+    when the refinement gives up or step m holds no factor, it factors
+    B(y_m) and holds that (StepSystem.refine, refactor).  The shifts
+    dt*a_M'(y_m) are evaluated once, for all steps.  A constant B is
+    marched on its one factor.
     """
     steps = spec.steps
     x = np.zeros((spec.tgrid.n_t + 2, spec.grid.n_nodes))
+    shifts = None if steps.constant is not None else steps.shift(y.values[1:])
+
+    def guess(m):
+        return None if near is None else near[m - 1]
+
     _march(spec, x, source, backward, "adjoint" if backward else "linearized",
-           lambda rhs, m: steps.linear_step(rhs, y.values[m], m))
+           lambda rhs, m: steps.refine(rhs, m, shifts[m - 1], guess(m)),
+           lambda rhs, m: steps.refactor(rhs, m, shifts[m - 1]),
+           lambda rows, p, rhs: steps.linear_residual(p, shifts[rows - 1], rhs),
+           lambda rhs, m: steps.linear_step(rhs, y.values[m], m, guess(m)))
     if backward:
         return field_per_interval(spec.grid, spec.tgrid, x[1:-1])
     return field_at_nodes(spec.grid, spec.tgrid, x[:-1])
@@ -492,11 +642,16 @@ def solve_linearized(spec: ProblemSpec, y: SpaceTimeField,
     return _linear_sweep(spec, y, spec.tgrid.dt * v.values, False)
 
 
-def solve_adjoint(spec: ProblemSpec, y: SpaceTimeField) -> SpaceTimeField:
+def solve_adjoint(spec: ProblemSpec, y: SpaceTimeField,
+                  near: SpaceTimeField | None = None) -> SpaceTimeField:
     """Backward solve with right-hand side y - yd, the exact transpose of
-    the forward linearization (with B_m = B_m^T).  Per-interval field.  The
+    the forward linearization (with B_m = B_m^T).  Per-interval field.
+
+    near, when given, is a nearby adjoint, such as the one at an earlier
+    state: step m's refinement then starts from near_m, not from 0.  The
     factors it leaves held serve the chord of a later
     solve_state(spec, u, y).
     """
     source = spec.tgrid.dt * (y.values[1:] - spec.yd.values[1:])
-    return _linear_sweep(spec, y, source, True)
+    return _linear_sweep(spec, y, source, True,
+                         None if near is None else near.values)

@@ -5,9 +5,10 @@ Solves the problem over a list of budgets around the base gamma, outward on
 each side, then fits log(distance) against log(|gamma' - gamma|).  Each
 solve starts from the secant through the last two solved budgets, projected
 onto its ball (the base counts as one; with only the base behind, the
-secant is flat and the start is the base control projected), and chords
-from its neighbor's state: every budget shares the base problem's step
-system and clamp level (ProblemSpec.with_budget).  A warning names the
+secant is flat and the start is the base control projected).  Its first
+state solve chords from, and its first adjoint sweep refines from, the
+same secant's state and adjoint: every budget shares the base problem's
+step system and clamp level (ProblemSpec.with_budget).  A warning names the
 budgets that reach the clamp.  The report also carries the certified
 second-order bound at the base budget.
 """
@@ -63,9 +64,12 @@ def gamma_sweep(spec: ProblemSpec, gammas, cfg: OptimizerConfig) -> StabilityRep
     solution at spec.gamma.
 
     Budgets are processed outward from the base on each side so every solve
-    warm-starts from its nearest already-solved neighbor, with its state,
-    at project_field(u_k + (g - g_k) slope, g): slope is the secant
+    warm-starts from its nearest already-solved neighbor k, at
+    project_field(u_k + (g - g_k) slope, g): slope is the secant
     (u_k - u_{k-1})/(g_k - g_{k-1}), and 0 while only the base is behind.
+    The same secant of the states and of the adjoints gives the nearby
+    point (y, phi) that the solve's first state and adjoint sweeps start
+    from (optimizer.solve).
     The second-order bound is computed right after the base solve, before
     either chain moves the shared step system away from the base state.  A
     repeated budget is solved once.  A nonconvergent solve aborts the
@@ -89,11 +93,13 @@ def gamma_sweep(spec: ProblemSpec, gammas, cfg: OptimizerConfig) -> StabilityRep
     iterations = {spec.gamma: base.iterations}
     clamped = set() if base.truncation_inactive else {spec.gamma}
     for chain in (above, below[::-1]):
-        warm, warm_gamma, slope = base, spec.gamma, np.zeros_like(base.u.values)
+        warm, warm_gamma, slopes = base, spec.gamma, (0.0, 0.0, 0.0)
         for g in chain:
-            start, _ = project_field(
-                like(warm.u, warm.u.values + (g - warm_gamma) * slope), g)
-            run = solve(spec.with_budget(g), cfg, start, warm.y)
+            u, y, phi = (like(f, f.values + (g - warm_gamma) * slope)
+                         for f, slope in zip((warm.u, warm.y, warm.phi),
+                                             slopes))
+            start, _ = project_field(u, g)
+            run = solve(spec.with_budget(g), cfg, start, (y, phi))
             if not run.truncation_inactive:
                 clamped.add(g)
             if not run.converged:
@@ -103,7 +109,9 @@ def gamma_sweep(spec: ProblemSpec, gammas, cfg: OptimizerConfig) -> StabilityRep
                 break
             results[g] = l2_norm(like(base.u, run.u.values - base.u.values))
             iterations[g] = run.iterations
-            slope = (run.u.values - warm.u.values) / (g - warm_gamma)
+            slopes = [(new.values - old.values) / (g - warm_gamma)
+                      for new, old in zip((run.u, run.y, run.phi),
+                                          (warm.u, warm.y, warm.phi))]
             warm, warm_gamma = run, g
         if not report.converged:
             break

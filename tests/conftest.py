@@ -1,7 +1,7 @@
 from dataclasses import replace
 
 import pytest
-from scipy.linalg.lapack import dgttrf, dpttrf
+from scipy.linalg.lapack import dgttrf, dgttrs, dpttrf
 from scipy.sparse.linalg import splu
 
 import sparsecontrol as sc
@@ -87,4 +87,25 @@ def splu_calls(monkeypatch):
     for name, factorize in (("splu", splu), ("dgttrf", dgttrf),
                             ("dpttrf", dpttrf)):
         monkeypatch.setattr(pde, name, counting(name, factorize))
+    return calls
+
+
+@pytest.fixture
+def triangular_solves(monkeypatch):
+    """One entry per pair of triangular solves the package makes on a
+    factor of a state-dependent step matrix from here on, the name of the
+    routine: "superlu" (_SparseFactor.solve) or "dgttrs" (tridiagonal)."""
+    calls = []
+    solve = pde._SparseFactor.solve
+
+    def superlu_counted(self, b):
+        calls.append("superlu")
+        return solve(self, b)
+
+    def dgttrs_counted(*args, **kwargs):
+        calls.append("dgttrs")
+        return dgttrs(*args, **kwargs)
+
+    monkeypatch.setattr(pde._SparseFactor, "solve", superlu_counted)
+    monkeypatch.setattr(pde, "dgttrs", dgttrs_counted)
     return calls

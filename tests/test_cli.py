@@ -523,11 +523,11 @@ def test_adjoint_failure_after_an_accepted_step_exits_two_with_outputs(
         tmp_path, capsys, monkeypatch):
     exact, calls = optimizer.solve_adjoint, []
 
-    def failing_second(spec, y):
+    def failing_second(spec, y, near=None):
         calls.append(None)
         if len(calls) == 2:
             raise NewtonError("adjoint solver failed at step 3: singular")
-        return exact(spec, y)
+        return exact(spec, y, near)
 
     monkeypatch.setattr(optimizer, "solve_adjoint", failing_second)
     cfg = write_config(tmp_path, FAST_SOLVE)

@@ -40,11 +40,11 @@ def test_adjoint_failure_after_an_accept_keeps_the_last_point(monkeypatch):
     capped = sc.solve(replace(spec), sc.OptimizerConfig(max_iter=1))
     exact, calls = optimizer.solve_adjoint, []
 
-    def failing_third(spec, y):
+    def failing_third(spec, y, near=None):
         calls.append(None)
         if len(calls) == 3:
             raise NewtonError("adjoint solver failed at step 2: singular")
-        return exact(spec, y)
+        return exact(spec, y, near)
 
     monkeypatch.setattr(optimizer, "solve_adjoint", failing_third)
     report = sc.solve(spec, sc.OptimizerConfig(max_iter=5))

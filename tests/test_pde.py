@@ -61,6 +61,48 @@ def test_elliptic_operator_spd_on_random_tensors(n_dim):
         assert np.linalg.eigvalsh(a_h.toarray()).min() > 0.0
 
 
+def kronecker_elliptic_matrix(grid, tensor):
+    """The 2D A_h as a00 D2 x I + a11 I x D2 - 2 a01 D1 x D1 of the 1D
+    second and centered first differences, by Kronecker products and
+    sparse sums: the reference the stencil assembly must reproduce."""
+    n, h = grid.n_per_axis, grid.h
+    a = tensor.as_array()
+    d2 = pde._second_difference(n, h)
+    eye = sp.identity(n, format="csr")
+    off = np.full(n - 1, 1.0 / (2.0 * h))
+    d1 = sp.diags([-off, off], offsets=[-1, 1], format="csr")
+    return (a[0, 0] * sp.kron(d2, eye) + a[1, 1] * sp.kron(eye, d2)
+            - 2.0 * a[0, 1] * sp.kron(d1, d1)).tocsr()
+
+
+ELLIPTIC_TENSORS = {
+    "isotropic": sc.isotropic(2, 0.3),
+    "positive-cross": sc.DiffusionTensor(((2.0, 0.4), (0.4, 1.0))),
+    "negative-cross": sc.DiffusionTensor(((1.0, -0.3), (-0.3, 2.0))),
+}
+
+
+@pytest.mark.parametrize("name", sorted(ELLIPTIC_TENSORS))
+def test_stencil_assembly_equals_the_kronecker_form_bitwise(name):
+    # with and without the cross term, the CSR arrays of the stencil
+    # assembly are those of the Kronecker form bit for bit: as they are on
+    # the workloads' 10 and 32 nodes per axis, and on every small grid once
+    # the explicit zeros that scipy's Kronecker product stores on 2 nodes
+    # are dropped
+    tensor = ELLIPTIC_TENSORS[name]
+    for n, drop_zeros in [(n, True) for n in range(1, 10)] + [(10, False),
+                                                                (32, False)]:
+        grid = sc.SpaceGrid(2, n)
+        a_h = sc.elliptic_matrix(grid, tensor)
+        reference = kronecker_elliptic_matrix(grid, tensor)
+        if drop_zeros:
+            reference.eliminate_zeros()
+        assert a_h.shape == reference.shape
+        for attr in ("indptr", "indices", "data"):
+            assert (getattr(a_h, attr).tobytes()
+                    == getattr(reference, attr).tobytes()), (n, attr)
+
+
 def test_elliptic_operator_matches_laplacian_row():
     # interior row of the isotropic operator is the classic 5-point stencil
     grid = sc.SpaceGrid(2, 5)
@@ -765,11 +807,12 @@ def test_certifying_residual_rejects_a_misshifted_factor(splu_calls):
     exact = steps.factor(newton)
     lu = MisshiftedFactor(exact, exact.shift + 0.05)
     dt, nl, level = spec.tgrid.dt, spec.nonlinearity, spec.truncation
-    # the splitting alone, with a residual test that passes anything
-    fixed = steps._split(
+    # the splitting alone, which evaluates no residual
+    fixed, gave_up = steps._split(
         lu, newton,
         lambda x: rhs + lu.shift * x - dt * pde.eval_a_truncated(nl, level, x),
-        0.25, lambda x: np.zeros(0), 0.0)
+        0.25)
+    assert not gave_up
     assert lu.solves < pde._NEWTON_MAX_ITER
     tol = pde._NEWTON_TOL * max(np.linalg.norm(rhs), 1.0)
     assert np.linalg.norm(step_residual(spec, fixed, rhs)) > 1e6 * tol
@@ -809,20 +852,22 @@ def test_linear_step_without_a_held_factor_factors_and_holds_it(
     assert len(splu_calls) == 1 and steps._slots[1] is held
 
 
-def test_chord_and_refinement_make_one_operator_product_per_step(monkeypatch):
-    # the iterations on held factors are matrix-free; each step pays one
-    # product with A_h, for the residual that certifies its result (Newton
-    # passes, which evaluate a residual per iteration, are not counted)
+def test_a_sweep_on_held_factors_makes_one_operator_product(monkeypatch):
+    # the iterations on held factors are matrix-free; a sweep that ran them
+    # pays one product of A_h with its stack of steps, for the residuals
+    # that certify them all at once, and a sweep that ran none (Newton or
+    # direct solves only) pays none.  Newton passes, which evaluate a
+    # residual per iteration, are not counted
     spec = active_schloegl_spec()
     steps = spec.steps
-    products = []
+    products, on_held = [], []
 
     class CountingOperator:
         def __init__(self, matrix):
             self.matrix = matrix
 
         def __matmul__(self, x):
-            products.append(x)
+            products.append(x.shape)
             return self.matrix @ x
 
     newton = steps._newton
@@ -833,32 +878,35 @@ def test_chord_and_refinement_make_one_operator_product_per_step(monkeypatch):
         del products[start:]
         return out
 
-    per_step = []
-
-    def counted(method, on_held):
+    def flagging(method):
         def call(*args):
-            held = on_held(*args)
-            start = len(products)
             out = method(*args)
-            per_step.append((held, len(products) - start))
+            on_held.append(out is not None)
             return out
         return call
+
+    per_sweep = []
+    march = pde._march
+
+    def counted_march(*args):
+        start, held = len(products), len(on_held)
+        march(*args)
+        per_sweep.append((any(on_held[held:]), products[start:]))
 
     monkeypatch.setattr(steps, "operator_matrix",
                         CountingOperator(steps.operator_matrix))
     monkeypatch.setattr(steps, "_newton", uncounted_newton)
-    monkeypatch.setattr(steps, "step", counted(
-        steps.step, lambda rhs, y, m, guess=None:
-        guess is not None and steps._slots[m - 1] is not None))
-    monkeypatch.setattr(steps, "linear_step", counted(
-        steps.linear_step,
-        lambda rhs, y, m: steps._slots[m - 1] is not None))
+    monkeypatch.setattr(steps, "chord", flagging(steps.chord))
+    monkeypatch.setattr(steps, "refine", flagging(steps.refine))
+    monkeypatch.setattr(pde, "_march", counted_march)
     report = sc.solve(spec, sc.OptimizerConfig(tol=1e-10, max_iter=300))
     assert report.converged
-    held = [count for on_held, count in per_step if on_held]
-    assert len(held) > spec.tgrid.n_t
-    assert max(count for _, count in per_step) <= 1
-    assert all(count == 1 for count in held)
+    held = [shapes for any_held, shapes in per_sweep if any_held]
+    # every iteration's trial state and adjoint at least
+    assert len(held) >= 2 * report.iterations > 0
+    assert all(len(shapes) == 1 and shapes[0][0] == spec.grid.n_nodes
+               for shapes in held)
+    assert all(not shapes for any_held, shapes in per_sweep if not any_held)
 
 
 def refinement_problem(offset):
@@ -944,6 +992,187 @@ def test_linearized_refined_on_held_factors_matches_factoring(splu_calls):
             <= 1e-12 * np.linalg.norm(fresh.values))
 
 
+def held_twin(spec):
+    """A copy of spec whose step system holds spec's factors in a list of
+    its own."""
+    twin = replace(spec)
+    twin.steps._slots = list(spec.steps._slots)
+    return twin
+
+
+def test_warm_started_adjoint_equals_the_cold_one(active_solve, splu_calls,
+                                                  triangular_solves):
+    # the adjoint at the solution, refined on the solve's held factors from
+    # the adjoint at a nearby control, equals the one refined from p = 0 to
+    # roundoff, with no factorization and fewer solves
+    spec, report = active_solve
+    rng = np.random.default_rng(36)
+    nearby = like(report.u, report.u.values
+                  * (1.0 + 1e-3 * rng.standard_normal(report.u.values.shape)))
+    fresh = replace(spec)
+    near = sc.solve_adjoint(fresh, sc.solve_state(fresh, nearby))
+    del splu_calls[:], triangular_solves[:]
+    cold = sc.solve_adjoint(held_twin(spec), report.y)
+    cold_solves = len(triangular_solves)
+    del triangular_solves[:]
+    warm = sc.solve_adjoint(held_twin(spec), report.y, near)
+    assert not splu_calls
+    assert len(triangular_solves) < cold_solves
+    assert (np.linalg.norm(warm.values - cold.values)
+            <= 1e-14 * np.linalg.norm(cold.values))
+
+
+def test_a_refinement_that_gives_up_refactors_despite_a_warm_start(
+        splu_calls):
+    # factors at y + 0.3 contract only 40-130x per correction.  From a start
+    # 1e-8 off the solution the refinement's second iterate already meets
+    # Newton's residual test, but it gave up on its rate, its error bound
+    # not at roundoff: each step factors B(y_m), holds it and solves
+    # directly, as from p = 0, so a stale factor is not kept on the
+    # strength of a good start
+    spec, y, stale = refinement_problem(0.3)
+    steps, n_t = spec.steps, spec.tgrid.n_t
+    fresh = sc.solve_adjoint(replace(spec), y)
+    noise = np.random.default_rng(37).standard_normal(fresh.values.shape)
+    near = like(fresh, fresh.values * (1.0 + 1e-8 * noise))
+    # the last step's refinement alone
+    rhs = spec.tgrid.dt * (y.values[n_t] - spec.yd.values[n_t])
+    shift, lu = steps.shift(y.values[n_t]), stale[-1]
+    p, gave_up = steps._split(lu, near.values[-1],
+                              lambda p: rhs - (shift - lu.shift) * p, 1e-3)
+    assert gave_up
+    assert pde._certified(lambda: steps.linear_residual(p, shift, rhs), rhs)
+    del splu_calls[:]
+    phi = sc.solve_adjoint(spec, y, near)
+    assert len(splu_calls) == n_t
+    assert not any(a is b for a, b in zip(steps._slots, stale))
+    assert phi.values.tobytes() == fresh.values.tobytes()
+
+
+def perturbing(method, steps, offset=None):
+    """method(rhs, m, ...) with its iterate at the steps m in steps moved by
+    offset, by default 1e-6 of its root mean square: a step that the
+    splitting settles on, not a root."""
+    def call(self, rhs, m, *args):
+        x = method(self, rhs, m, *args)
+        if m not in steps or x is None:
+            return x
+        return x + (1e-6 * np.linalg.norm(x) / np.sqrt(x.size)
+                    if offset is None else offset)
+    return call
+
+
+def assert_steps_certified(spec, x, backward, source, shifts=None):
+    """Every step of a sweep's rows meets Newton's residual test."""
+    steps = spec.steps
+    for m in range(1, spec.tgrid.n_t + 1):
+        rhs = x[m + 1 if backward else m - 1] + source[m - 1]
+        residual = (steps.residual(x[m], rhs) if shifts is None
+                    else steps.linear_residual(x[m], shifts[m - 1], rhs))
+        assert (np.linalg.norm(residual)
+                <= pde._NEWTON_TOL * max(np.linalg.norm(rhs), 1.0)), m
+
+
+def held_problem(seed):
+    """schloegl_spec with a state y, its adjoint phi, the factors that
+    adjoint left held, and a nearby control."""
+    spec = schloegl_spec(n=6, n_t=8)
+    rng = np.random.default_rng(seed)
+    u = random_control(spec, rng, scale=0.5)
+    y = sc.solve_state(spec, u)
+    phi = sc.solve_adjoint(spec, y)
+    near = like(u, u.values + 1e-3 * rng.standard_normal(u.values.shape))
+    return spec, u, y, phi, near
+
+
+@pytest.mark.parametrize("steps", [(1,), (4,), (8,), (3, 6)],
+                         ids=lambda steps: "-".join(map(str, steps)))
+def test_a_state_step_that_fails_its_certificate_resumes_per_step(
+        monkeypatch, steps):
+    # the chord at some steps returns an iterate 1e-6 off the root; the
+    # sweep certifies once its march is done, finds the first such step,
+    # and resumes there with Newton and after it the per-step path, which
+    # runs the chord again, returning the bytes of a per-step loop with the
+    # same chord, and every step meets the test
+    spec, _, y, _, near = held_problem(78)
+    twin = held_twin(spec)
+    chord, calls = perturbing(StepSystem.chord, steps), []
+
+    def counted_chord(self, rhs, m, guess):
+        calls.append("chord")
+        return chord(self, rhs, m, guess)
+
+    newton = StepSystem.newton
+
+    def counted_newton(self, rhs, y_start):
+        calls.append("newton")
+        return newton(self, rhs, y_start)
+
+    monkeypatch.setattr(StepSystem, "chord", counted_chord)
+    monkeypatch.setattr(StepSystem, "newton", counted_newton)
+    y_near = sc.solve_state(spec, near, y)
+    n_t = spec.tgrid.n_t
+    assert calls.count("newton") == len(steps)
+    assert calls.count("chord") == 2 * n_t - steps[0]
+    assert (y_near.values.tobytes()
+            == reference_state(twin, near, y).tobytes())
+    assert_steps_certified(spec, y_near.values, False,
+                           spec.tgrid.dt * near.values)
+
+
+def test_a_failure_after_an_uncertified_step_certifies_it_first(
+        monkeypatch):
+    # the chord at step 4 returns 1e300 everywhere, and step 5 cannot be
+    # solved from there: its chord overflows, and so does its Newton pass,
+    # whose tolerance is not finite.  The march certifies steps
+    # 1-4 before it reports that, finds step 4, and resumes there, so the
+    # sweep raises nothing and returns the per-step loop's bytes
+    spec, _, y, _, near = held_problem(80)
+    twin = held_twin(spec)
+    monkeypatch.setattr(StepSystem, "chord",
+                        perturbing(StepSystem.chord, (4,), 1e300))
+    newton, failed = StepSystem.newton, []
+
+    def recording_newton(self, rhs, y_start):
+        try:
+            return newton(self, rhs, y_start)
+        except (NewtonError, FloatingPointError):
+            failed.append(None)
+            raise
+
+    monkeypatch.setattr(StepSystem, "newton", recording_newton)
+    y_near = sc.solve_state(spec, near, y)
+    assert failed
+    assert (y_near.values.tobytes()
+            == reference_state(twin, near, y).tobytes())
+    assert_steps_certified(spec, y_near.values, False,
+                           spec.tgrid.dt * near.values)
+
+
+@pytest.mark.parametrize("steps", [(1,), (4,), (8,), (3, 6)],
+                         ids=lambda steps: "-".join(map(str, steps)))
+def test_an_adjoint_step_that_fails_its_certificate_resumes_per_step(
+        monkeypatch, splu_calls, steps):
+    # the same for the refinement, from a warm start, in the backward
+    # sweep: each failing step factors B(y_m) once and holds it
+    spec, _, y, phi, near = held_problem(79)
+    y_near = sc.solve_state(spec, near, y)
+    twin = held_twin(spec)
+    monkeypatch.setattr(StepSystem, "refine",
+                        perturbing(StepSystem.refine, steps))
+    del splu_calls[:]
+    phi_near = sc.solve_adjoint(spec, y_near, phi)
+    assert len(splu_calls) == len(steps)
+    assert (phi_near.values.tobytes()
+            == reference_adjoint(twin, y_near, phi).tobytes())
+    x = np.zeros((spec.tgrid.n_t + 2, spec.grid.n_nodes))
+    x[1:-1] = phi_near.values
+    assert_steps_certified(
+        spec, x, True,
+        spec.tgrid.dt * (y_near.values[1:] - spec.yd.values[1:]),
+        spec.steps.shift(y_near.values[1:]))
+
+
 def test_newton_failure_raises():
     # 1 + dt*a'(0) = 1 - 0.25*30 < 0: under this large control some
     # implicit step has no solution that Newton reaches
@@ -1005,10 +1234,10 @@ def reference_state(spec, u, near=None):
     return np.array(y)
 
 
-def reference_adjoint(spec, y):
+def reference_adjoint(spec, y, near=None):
     """solve_adjoint's values as a plain loop of StepSystem.linear_step
-    calls, or of solves on the constant factor, which solve_adjoint
-    marches on."""
+    calls, from near_m when near is given, or of solves on the constant
+    factor, which solve_adjoint marches on."""
     steps, dt, n_t = spec.steps, spec.tgrid.dt, spec.tgrid.n_t
     if steps.constant is not None:
         return constant_loop(spec, np.zeros(spec.grid.n_nodes),
@@ -1016,7 +1245,8 @@ def reference_adjoint(spec, y):
     p = [np.zeros(spec.grid.n_nodes)] * (n_t + 1)
     for m in range(n_t, 0, -1):
         p[m - 1] = steps.linear_step(
-            p[m] + dt * (y.values[m] - spec.yd.values[m]), y.values[m], m)
+            p[m] + dt * (y.values[m] - spec.yd.values[m]), y.values[m], m,
+            None if near is None else near.values[m - 1])
     return np.array(p[:-1])
 
 
@@ -1051,8 +1281,7 @@ def test_sweeps_match_a_per_step_loop_bitwise(kind):
     # and the adjoint refines on them, and may replace some; the twin
     # holds the same factors in a list of its own
     sc.solve_adjoint(spec, y)
-    twin = replace(spec)
-    twin.steps._slots = list(spec.steps._slots)
+    twin = held_twin(spec)
     near = like(u, u.values + 1e-3 * rng.standard_normal(u.values.shape))
     y_near = sc.solve_state(spec, near, y)
     assert (y_near.values.tobytes()
@@ -1060,3 +1289,37 @@ def test_sweeps_match_a_per_step_loop_bitwise(kind):
     phi_near = sc.solve_adjoint(spec, y_near)
     assert (phi_near.values.tobytes()
             == reference_adjoint(twin, y_near).tobytes())
+
+
+# the benchmark's 2D workloads, unjittered: problem, optimizer settings,
+# the budgets of a sweep (None for a solve), and the outer iterations
+WORKLOAD_PROBLEMS = {
+    "sweep-2d-lowkappa": (
+        dict(n=10, n_t=4, kappa=2e-3, gamma=0.05, diff=0.3),
+        sc.OptimizerConfig(tol=1e-8, max_iter=2000),
+        [0.05] + [0.05 - d for d in 0.0005 * 10.0 ** np.linspace(0.0, 1.5, 5)],
+        [2, 2, 1, 1, 3, 6]),
+    "solve-2d-schloegl": (
+        dict(n=32, n_t=4, kappa=0.3, gamma=0.05, diff=0.3),
+        sc.OptimizerConfig(tol=1e-10, max_iter=400), None, 6),
+}
+
+
+@pytest.mark.parametrize("name, ceiling", [("sweep-2d-lowkappa", 480),
+                                           ("solve-2d-schloegl", 160)])
+def test_workload_factorizations_and_triangular_solves(
+        name, ceiling, splu_calls, triangular_solves):
+    # deterministic work on held factors: one SuperLU factorization per
+    # workload, and the triangular solves the chord and the warm-started
+    # refinement need (468 and 153 when written; 647 and 178 with every
+    # refinement from p = 0)
+    problem, cfg, gammas, iterations = WORKLOAD_PROBLEMS[name]
+    spec = schloegl_spec(y0="zero", yd="bump", **problem)
+    if gammas is None:
+        report = sc.solve(spec, cfg)
+    else:
+        report = sc.gamma_sweep(spec, gammas, cfg)
+    assert report.converged and report.iterations == iterations
+    assert splu_calls == ["splu"]
+    assert set(triangular_solves) == {"superlu"}
+    assert len(triangular_solves) <= ceiling

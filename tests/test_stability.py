@@ -62,10 +62,10 @@ def test_warm_start_agrees_with_cold_start(active_solve):
 
 
 def test_accepted_start_agrees_with_cold_start(active_solve):
-    # a solve handed the base budget's state, on a step system that holds
-    # the base solve's factors, reaches the control of a cold solve, on a
-    # copy of the problem that holds none.  The twin holds the shared
-    # fixture's factors in a list of its own and leaves them alone
+    # a solve handed the base budget's state and adjoint, on a step system
+    # that holds the base solve's factors, reaches the control of a cold
+    # solve, on a copy of the problem that holds none.  The twin holds the
+    # shared fixture's factors in a list of its own and leaves them alone
     spec, base = active_solve
     cfg = sc.OptimizerConfig(tol=1e-11, max_iter=400)
     held = list(spec.steps._slots)
@@ -77,7 +77,7 @@ def test_accepted_start_agrees_with_cold_start(active_solve):
         assert target.steps is twin.steps
         warm = sc.solve(target, cfg,
                         like(base.u, (gamma / spec.gamma) * base.u.values),
-                        base.y)
+                        (base.y, base.phi))
         assert cold.converged and warm.converged
         gap = sc.l2_norm(like(cold.u, cold.u.values - warm.u.values))
         assert gap <= 1e-9
