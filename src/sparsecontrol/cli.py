@@ -166,6 +166,9 @@ def main(argv=None) -> int:
     try:
         cfg = load_config(args.config)
         if args.seed is not None:
+            if args.seed < 0:
+                raise ConfigError(f"--seed must be a nonnegative integer, "
+                                  f"got {args.seed}")
             cfg.seed = args.seed
         gammas = None
         if getattr(args, "gammas", None) is not None:

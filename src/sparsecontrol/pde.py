@@ -44,23 +44,25 @@ sweep, for all steps.
 
 Both splittings stop on their correction norms d_k: settled at d_k or,
 from the second correction on with rate rho = d_k/d_(k-1), at
-rho/(1 - rho) d_k below 4 eps |x|, roundoff in the state; they give up when
-rho is no better than 1/4 (chord) or 1/1000 (refinement), or a correction
-is not finite.  A refinement that gave up, even with an iterate that would
-pass the residual test (a start near the solution makes that likely),
-factors B_m, which then replaces the held one, and solves directly; so does
-a step with no held factor yet.  A chord that gave up keeps its iterate
-for the test; one with no finite iterate falls back to Newton from
-y_{m-1}.  The sweep then certifies all its iterates on held factors at
-once, after the march: Newton's test |R_m| <= 1e-12 max(|rhs_m|, 1) on the
-stack of steps, one product of A_h with it and one reaction evaluation.
-From the first step that fails the test the sweep resumes one step at a
-time, each step certified on its own: there, Newton from y_{m-1} or one
-factorization of B_m, and after it the chord or refinement again, with
-those fallbacks.  Every step returned meets the test, and when every step
-passes, the result is bitwise that of certifying each step on its own.  A
-Newton pass gives up after 3 growing residual norms in a row.  Each sweep
-runs under np.errstate(over="raise"), entered once, so an overflow ends an
+rho/(1 - rho) d_k below 4 eps |x|, roundoff in the state.  Only a settled
+iterate is returned.  A splitting that gives up, on rho no better than
+1/4 (chord) or 1/1000 (refinement), on a correction that is not finite,
+or unsettled after 30 corrections, returns none, even where its last
+iterate would pass the residual test (a start near the solution makes
+that likely), and the step falls back at once: the state step to Newton
+from y_{m-1}, whose factors are not held, the linear step to a
+factorization of B_m, which then replaces the held one, and a direct
+solve.  So does a step with no held factor yet.  The
+sweep then certifies all its iterates on held factors at once, after the
+march: Newton's test |R_m| <= 1e-12 max(|rhs_m|, 1) on the stack of steps,
+one product of A_h with it and one reaction evaluation.  From the first
+step that fails the test the sweep runs the fallback there and resumes
+one step at a time: the same chord or refinement, its iterate checked on
+its own by the same test, and the fallback where that fails.  Every step
+returned meets the test, and when every step passes, the result is
+bitwise that of checking each step on its own.  A Newton pass gives up
+after 3 growing residual norms in a row.  Each sweep runs under
+np.errstate(over="raise"), entered once, so an overflow ends an
 iteration.  Every sweep forms its source for all steps in one array
 operation before the loop, and its NewtonError names the sweep and the
 step.
@@ -74,12 +76,11 @@ StepSystem serves the state, linearized and adjoint sweeps.  It is built
 once per problem (ProblemSpec.steps) and reused, held factors and all, by
 every sweep on it and by every budget of a budget sweep
 (ProblemSpec.with_budget); a dataclasses.replace copy of the problem starts
-with none held.  In 1D, with at least 3 nodes, B_m is tridiagonal: the
-zero reaction's symmetric positive definite constant is factored by
-LAPACK's L D L^T (dpttrf), every state-dependent B(y), which a decreasing
-reaction can make indefinite, by LAPACK's pivoting tridiagonal LU
-(dgttrf).  Otherwise each is one SuperLU call, which orders B_m by minimum
-degree.
+with none held.  Every state-dependent B(y), which a decreasing reaction
+can make indefinite, is factored by one pivoting SuperLU call, in 1D and
+2D alike.  The zero reaction's symmetric positive definite constant is
+factored by LAPACK's L D L^T (dpttrf) in 1D with at least 3 nodes, where
+it is tridiagonal, and otherwise by SuperLU too.
 """
 
 from __future__ import annotations
@@ -89,7 +90,7 @@ import warnings
 
 import numpy as np
 import scipy.sparse as sp
-from scipy.linalg.lapack import dgttrf, dgttrs, dpttrf, dpttrs
+from scipy.linalg.lapack import dpttrf, dpttrs
 from scipy.sparse.linalg import splu
 
 from .grid import (PER_INTERVAL, DiffusionTensor, SpaceGrid, SpaceTimeField,
@@ -106,11 +107,6 @@ _NEWTON_MAX_GROWTH = 3
 # the chord and the refinement stop at corrections of _SPLIT_TOL relative to
 # the iterate: roundoff in the state
 _SPLIT_TOL = 4 * np.finfo(float).eps
-
-
-def _residual_tol(rhs: np.ndarray) -> float:
-    """Newton's residual test for a step with right-hand side rhs."""
-    return _NEWTON_TOL * max(float(np.linalg.norm(rhs)), 1.0)
 
 
 class NewtonError(RuntimeError):
@@ -197,25 +193,6 @@ class _SparseFactor:
         b[:] = self.lu.solve(b)
 
 
-class _TridiagonalFactor:
-    """Solves B x = b with the partial-pivoting LU of a tridiagonal B = B(w)
-    given by its lower, main and upper diagonals (LAPACK dgttrf/dgttrs;
-    Golub & Van Loan, Matrix Computations, 4.3); shift as for
-    _SparseFactor.  An exactly singular B raises NewtonError."""
-
-    __slots__ = ("lu", "shift")
-
-    def __init__(self, lower: np.ndarray, main: np.ndarray,
-                 upper: np.ndarray, shift: np.ndarray):
-        *self.lu, info = dgttrf(lower, main, upper)
-        if info > 0:                    # a zero pivot u_ii
-            raise NewtonError(_SINGULAR)
-        self.shift = shift
-
-    def solve(self, b: np.ndarray) -> np.ndarray:
-        return dgttrs(*self.lu, b)[0]
-
-
 class _ConstantTridiagonalFactor:
     """Solves B x = b with the L D L^T factorization of the symmetric
     positive definite tridiagonal B = I + dt*A_h, the zero reaction's
@@ -246,33 +223,25 @@ class _ConstantTridiagonalFactor:
 class StepSystem:
     """Implicit Euler step matrices B(y) = I + dt*A_h + dt*diag(a_M'(y)).
 
-    One per problem (ProblemSpec.steps).  I + dt*A_h is assembled once;
-    factor(y) adds dt*a_M'(y) to its diagonal and factors the result.  The
-    last factor made is held and returned again for the same B(y).  Each
-    step m = 1..n_t also holds the factor its last refactor left, which the
-    chord and the refinement of step m iterate on.  chord, newton, refine
-    and refactor leave certification to the caller, a sweep (_march);
-    step and linear_step certify each step on their own.
+    One per problem (ProblemSpec.steps).  I + dt*A_h is assembled once,
+    as CSC.  For a state-dependent B(y), in 1D and 2D alike, factor(y)
+    writes it into one CSC work matrix, adds dt*a_M'(y) to the diagonal
+    entries and factors that by one SuperLU call (_SparseFactor), which
+    keeps no reference to it; SuperLU pivots, which covers the step
+    matrices a decreasing reaction makes indefinite.  The last factor made
+    is held and returned again for the same B(y).  Each step m = 1..n_t
+    also holds the factor its last refactor left, which the chord and the
+    refinement of step m iterate on.  chord and refine return only a
+    settled iterate, newton a root that meets Newton's residual test and
+    refactor a direct solve; the sweep (_march) certifies the iterates,
+    one rule for every sweep.
 
     The zero reaction's B is the constant, symmetric positive definite
     I + dt*A_h.  It is factored once, here, and is `constant`, None for
     every other reaction: the sweeps march on it in place, one solve per
-    implicit step, with no step, linear_step or reaction evaluated.  In
-    1D, with at least 3 nodes, that factor is LAPACK's L D L^T of the
-    tridiagonal matrix (_ConstantTridiagonalFactor); otherwise one
-    SuperLU call.
-
-    In 1D, with at least 3 nodes, B(y) is tridiagonal: the three diagonals
-    of I + dt*A_h are stored, and each factor(y) of a state-dependent B(y)
-    is LAPACK's partial-pivoting tridiagonal LU of them
-    (_TridiagonalFactor).  scipy's dgttrf wrapper rejects 1 or 2 nodes,
-    which take the sparse path.
-
-    Otherwise I + dt*A_h is kept as CSC, and factor(y) writes it into one
-    CSC work matrix, adds the shift to the diagonal entries and factors
-    that by one SuperLU call (_SparseFactor), which keeps no reference to
-    it.  Both LUs pivot, which covers the step matrices a decreasing
-    reaction makes indefinite.
+    implicit step, with no reaction evaluated.  In 1D, with at least 3
+    nodes, that factor is LAPACK's L D L^T of the tridiagonal matrix
+    (_ConstantTridiagonalFactor); otherwise one SuperLU call.
     """
 
     def __init__(self, spec: ProblemSpec):
@@ -283,26 +252,24 @@ class StepSystem:
         n = self.operator_matrix.shape[0]
         base = (sp.identity(n, format="csr")
                 + self.dt * self.operator_matrix).tocsc()
-        zero = self.nl.kind == "zero"
         # _slots[m - 1]: the factor of B(w_m) that step m holds, or None
         self._slots = [None] * spec.tgrid.n_t
-        if spec.grid.n_dim == 1 and n >= 3:
-            # lower, main and upper diagonals of base
-            self._bands = tuple(base.diagonal(k) for k in (-1, 0, 1))
-            self.constant = (_ConstantTridiagonalFactor(*self._bands[1:])
-                             if zero else None)
+        self._base = base
+        if self.nl.kind == "zero":
+            self.constant = (
+                _ConstantTridiagonalFactor(base.diagonal(), base.diagonal(1))
+                if spec.grid.n_dim == 1 and n >= 3
+                else _SparseFactor(base, np.zeros(n)))
         else:
-            self._bands = None
-            self._base = base
+            self.constant = None
             self._work = base.copy()
-            self.constant = (_SparseFactor(base, np.zeros(n))
-                             if zero else None)
             # data index of each diagonal entry, by node; 1 + dt*a_ii > 0,
             # so all are stored
             columns = np.repeat(np.arange(n), np.diff(base.indptr))
             self._diagonal = np.flatnonzero(base.indices == columns)
         # the factor of the last factor() call that factored; the constant
-        # factor's shift is zero, as every zero reaction's shift is
+        # factor's shift is zero, as every zero reaction's shift is, so
+        # factor() returns it for every state and never writes _work
         self._held = self.constant
 
     def shift(self, y: np.ndarray) -> np.ndarray:
@@ -315,18 +282,14 @@ class StepSystem:
         dt*a_M'(y); it keeps its own copy of the matrix.
 
         The last factor made is held and returned again while the shift is
-        bitwise equal: both LUs are deterministic, so a fresh factor would
-        be bitwise the same.  An exactly singular B(y) raises NewtonError
+        bitwise equal: SuperLU is deterministic, so a fresh factor would be
+        bitwise the same.  An exactly singular B(y) raises NewtonError
         and is not held."""
         return self._factor(self.shift(y))
 
     def _factor(self, shift: np.ndarray):
         """factor(y), given its shift dt*a_M'(y)."""
         if self._held is not None and np.array_equal(shift, self._held.shift):
-            return self._held
-        if self._bands is not None:
-            lower, main, upper = self._bands
-            self._held = _TridiagonalFactor(lower, main + shift, upper, shift)
             return self._held
         np.copyto(self._work.data, self._base.data)
         self._work.data[self._diagonal] += shift
@@ -353,15 +316,14 @@ class StepSystem:
         return (1.0 + shift) * p + self.dt * self._product(p) - rhs
 
     @staticmethod
-    def _split(lu, x: np.ndarray, source,
-               shrink: float) -> tuple[np.ndarray | None, bool]:
-        """x <- lu^-1 source(x) from x.  Stops once the correction norm d_k
-        is at most _SPLIT_TOL |x|, or, from the second correction on with
-        the rate rho = d_k / d_(k-1), once rho/(1 - rho) d_k is: settled;
-        gives up once rho is shrink or more, and it has not settled; else
-        stops after _NEWTON_MAX_ITER corrections.  Returns the last iterate,
-        None once a correction is not finite or overflows, and whether it
-        gave up.  Evaluates no residual."""
+    def _split(lu, x: np.ndarray, source, shrink: float) -> np.ndarray | None:
+        """x <- lu^-1 source(x) from x.  Returns the iterate once it has
+        settled: the correction norm d_k is at most _SPLIT_TOL |x|, or, from
+        the second correction on with the rate rho = d_k / d_(k-1),
+        rho/(1 - rho) d_k is.  None once it gives up, on rho of shrink or
+        more, a correction that is not finite or overflows, or no settled
+        iterate after _NEWTON_MAX_ITER corrections.  Evaluates no
+        residual."""
         previous = None
         try:
             for _ in range(_NEWTON_MAX_ITER):
@@ -370,38 +332,17 @@ class StepSystem:
                 x = new
                 delta = math.sqrt(correction @ correction)
                 if not delta < np.inf:
-                    return None, False
+                    return None
                 bound = _SPLIT_TOL * math.sqrt(x @ x)
                 if delta <= bound:
-                    break
+                    return x
                 if previous is not None:
                     rho = delta / previous
                     if rho * delta <= (1.0 - rho) * bound:
-                        break
+                        return x
                     if not rho < shrink:
-                        return x, True
+                        return None
                 previous = delta
-            return x, False
-        except (OverflowError, FloatingPointError):
-            return None, False
-
-    def _newton(self, residual, tol: float, y: np.ndarray) -> np.ndarray | None:
-        """y <- y - B(y)^-1 R(y) from y, R = residual, refactored at every
-        iterate; returns the first iterate whose residual norm meets tol,
-        or None after _NEWTON_MAX_ITER iterations, _NEWTON_MAX_GROWTH
-        growing residual norms in a row, or an overflow."""
-        previous, growth = np.inf, 0
-        try:
-            for _ in range(_NEWTON_MAX_ITER):
-                residual_y = residual(y)
-                norm = np.linalg.norm(residual_y)
-                if norm <= tol:
-                    return y
-                growth = growth + 1 if norm > previous else 0
-                if not norm < np.inf or growth == _NEWTON_MAX_GROWTH:
-                    break
-                previous = norm
-                y = y - self.factor(y).solve(residual_y)
         except (OverflowError, FloatingPointError):
             pass
         return None
@@ -410,62 +351,59 @@ class StepSystem:
               guess: np.ndarray | None) -> np.ndarray | None:
         """Chord iterate for implicit step m, y + dt*A_h y + dt*a_M(y) =
         rhs, from guess, a start near the root, on step m's held factor
-        (_split with shrink 1/4).  Not certified: a give-up's iterate is
-        returned too, for Newton's residual test to judge.  None when guess
-        is None, step m holds no factor, or a correction is not finite."""
+        (_split with shrink 1/4), once it has settled; not certified.  None
+        when guess is None, step m holds no factor, or the chord gives
+        up."""
         lu = self._slots[m - 1]
         if guess is None or lu is None:
             return None
         dt, nl, level = self.dt, self.nl, self.level
-        y, _ = self._split(
+        return self._split(
             lu, guess,
             lambda x: rhs + lu.shift * x - dt * eval_a_truncated(nl, level, x),
             0.25)
-        return y
 
-    def newton(self, rhs: np.ndarray, y_start: np.ndarray) -> np.ndarray:
+    def newton(self, rhs: np.ndarray, y: np.ndarray) -> np.ndarray:
         """The root of implicit step y + dt*A_h y + dt*a_M(y) = rhs by one
-        undamped Newton pass from y_start, which meets Newton's residual
-        test; NewtonError when the pass fails.  Its factors are not held
-        for any step."""
-        y = self._newton(lambda y: self.residual(y, rhs), _residual_tol(rhs),
-                         y_start)
-        if y is None:
-            raise NewtonError(
-                f"implicit step did not converge to tol={_NEWTON_TOL} within "
-                f"{_NEWTON_MAX_ITER} iterations")
-        return y
-
-    def step(self, rhs: np.ndarray, y_start: np.ndarray, m: int,
-             guess: np.ndarray | None = None) -> np.ndarray:
-        """Solve y + dt*A_h y + dt*a_M(y) = rhs, implicit step m, certified
-        on its own.
-
-        The chord from guess comes first, kept when its residual meets
-        Newton's test; else newton from y_start.  Callers enter
-        np.errstate(over="raise"), as solve_state does."""
-        y = self.chord(rhs, m, guess)
-        if y is not None and _certified(lambda: self.residual(y, rhs), rhs):
-            return y
-        return self.newton(rhs, y_start)
+        undamped Newton pass from y, x <- x - B(x)^-1 R(x), refactored at
+        every iterate: the first iterate whose residual meets Newton's
+        test.  NewtonError after _NEWTON_MAX_ITER iterations,
+        _NEWTON_MAX_GROWTH growing residual norms in a row, or an overflow.
+        Its factors are not held for any step."""
+        tol = _NEWTON_TOL * max(float(np.linalg.norm(rhs)), 1.0)
+        previous, growth = np.inf, 0
+        try:
+            for _ in range(_NEWTON_MAX_ITER):
+                residual = self.residual(y, rhs)
+                norm = np.linalg.norm(residual)
+                if norm <= tol:
+                    return y
+                growth = growth + 1 if norm > previous else 0
+                if not norm < np.inf or growth == _NEWTON_MAX_GROWTH:
+                    break
+                previous = norm
+                y = y - self.factor(y).solve(residual)
+        except (OverflowError, FloatingPointError):
+            pass
+        raise NewtonError(
+            f"implicit step did not converge to tol={_NEWTON_TOL} within "
+            f"{_NEWTON_MAX_ITER} iterations")
 
     def refine(self, rhs: np.ndarray, m: int, shift: np.ndarray,
                guess: np.ndarray | None = None) -> np.ndarray | None:
         """Iterative refinement for B(y) p = rhs, shift = dt*a_M'(y), on
         step m's held factor, of B(w) at another state w, from guess, or
-        from p = 0 (_split with shrink 1/1000).  Not certified.  None when
-        step m holds no factor, a correction is not finite, or it gives up:
-        a refinement that contracts slower costs more solves than one
+        from p = 0 (_split with shrink 1/1000), once it has settled; not
+        certified.  None when step m holds no factor or the refinement
+        gives up: one that contracts slower costs more solves than one
         factorization, and from a start near the solution its iterate can
         pass the residual test on a factor too stale to keep."""
         lu = self._slots[m - 1]
         if lu is None:
             return None
         gap = shift - lu.shift
-        p, gave_up = self._split(
-            lu, np.zeros_like(rhs) if guess is None else guess,
-            lambda p: rhs - gap * p, 1e-3)
-        return None if gave_up else p
+        return self._split(lu, np.zeros_like(rhs) if guess is None else guess,
+                           lambda p: rhs - gap * p, 1e-3)
 
     def refactor(self, rhs: np.ndarray, m: int,
                  shift: np.ndarray) -> np.ndarray:
@@ -473,19 +411,6 @@ class StepSystem:
         factorization of B(y), which step m then holds."""
         self._slots[m - 1] = lu = self._factor(shift)
         return lu.solve(rhs)
-
-    def linear_step(self, rhs: np.ndarray, y: np.ndarray, m: int,
-                    guess: np.ndarray | None = None) -> np.ndarray:
-        """Solve B(y) p = rhs, implicit step m, certified on its own: the
-        refinement from guess, or from p = 0, comes first, kept when its
-        residual meets Newton's test; else, or when it gives up or step m
-        holds no factor, refactor."""
-        shift = self.shift(y)
-        p = self.refine(rhs, m, shift, guess)
-        if p is not None and _certified(
-                lambda: self.linear_residual(p, shift, rhs), rhs):
-            return p
-        return self.refactor(rhs, m, shift)
 
 
 def _certified(residual, rhs: np.ndarray) -> np.ndarray:
@@ -512,10 +437,9 @@ def solve_state(spec: ProblemSpec, u: SpaceTimeField,
 
     u must be per-interval on spec's grids.  near, when given, is a nearby
     state: step m then starts with chord iterations on the step system's
-    held factor from near_m (StepSystem.chord), certified with the other
-    steps once the march is done (_march); else, or when step m holds no
-    factor or the chord fails, one Newton pass from y_{m-1}
-    (StepSystem.newton).  Emits TruncationActiveWarning when a computed
+    held factor from near_m (StepSystem.chord), certified by the march
+    (_march); else, or when step m holds no factor or the chord gives up,
+    one Newton pass from y_{m-1} (StepSystem.newton).  Emits TruncationActiveWarning when a computed
     state y_m, m >= 1, leaves (-M, M); the solution is still returned.
     """
     if u.slice_semantics != PER_INTERVAL:
@@ -532,8 +456,7 @@ def solve_state(spec: ProblemSpec, u: SpaceTimeField,
     _march(spec, y, spec.tgrid.dt * u.values, False, "state",
            lambda rhs, m: steps.chord(rhs, m, guess(m)),
            lambda rhs, m: steps.newton(rhs, y[m - 1]),
-           lambda rows, x, rhs: steps.residual(x, rhs),
-           lambda rhs, m: steps.step(rhs, y[m - 1], m, guess(m)))
+           lambda rows, x, rhs: steps.residual(x, rhs))
     state = field_at_nodes(spec.grid, spec.tgrid, y)
     if not clamp_idle_on_states(spec, state):
         warnings.warn(
@@ -544,24 +467,24 @@ def solve_state(spec: ProblemSpec, u: SpaceTimeField,
 
 
 def _march(spec: ProblemSpec, x: np.ndarray, source: np.ndarray,
-           backward: bool, sweep: str, attempt, fallback, residual,
-           step) -> None:
+           backward: bool, sweep: str, attempt, fallback, residual) -> None:
     """x[m] = S_m(x[m - 1] + source[m - 1]), m = 1..n_t, or backward
     x[m] = S_m(x[m + 1] + source[m - 1]), m = n_t..1, in place: each step
     adds into row m and solves there.  On the step system's constant
     factor, S_m is one solve in place.
 
-    Otherwise S_m is attempt(rhs, m), an iterate on step m's held factor,
-    not yet certified, or, where that is None, fallback(rhs, m), which is
-    certified (a Newton root or a direct solve).  The iterates on held
-    factors are certified together once the march is done:
-    residual(rows, x[rows], rhs) are their step residuals, and each must
-    meet Newton's test.  From the first step, in march order, that fails
-    it, the sweep runs fallback there and resumes on the per-step path
-    step(rhs, m), which certifies each step on its own; so every step
-    returned meets the test.  When a step fails after an uncertified one,
-    the steps before it are certified first, as they may be the cause.  A
-    failure raises NewtonError naming the sweep and the step."""
+    Otherwise S_m is attempt(rhs, m), a settled iterate on step m's held
+    factor, not yet certified, or, where that is None, fallback(rhs, m),
+    which needs no certificate (a Newton root or a direct solve).  The
+    iterates on held factors are certified together once the march is
+    done: residual(rows, x[rows], rhs) are their step residuals, and each
+    must meet Newton's test (_certified).  From the first step, in march
+    order, that fails it, the sweep runs fallback there and resumes one
+    step at a time: attempt again, its iterate kept when residual(m,
+    iterate, rhs) meets the test, else fallback; so every step returned
+    meets the test.  When a step fails after an uncertified one, the steps
+    before it are certified first, as they may be the cause.  A failure
+    raises NewtonError naming the sweep and the step."""
     constant = spec.steps.constant
     n_t = spec.tgrid.n_t
     previous = 1 if backward else -1
@@ -596,7 +519,11 @@ def _march(spec: ProblemSpec, x: np.ndarray, source: np.ndarray,
                     first = pending[np.argmin(passed)]
                     for m in order[order.index(first):]:
                         rhs = np.add(x[m + previous], source[m - 1], out=x[m])
-                        x[m] = fallback(rhs, m) if m == first else step(rhs, m)
+                        iterate = None if m == first else attempt(rhs, m)
+                        if iterate is None or not _certified(
+                                lambda: residual(m, iterate, rhs), rhs):
+                            iterate = fallback(rhs, m)
+                        x[m] = iterate
                     return
             if failure is not None:
                 raise failure
@@ -611,9 +538,9 @@ def _linear_sweep(spec: ProblemSpec, y: SpaceTimeField, source: np.ndarray,
     at the nodes; or backward p_m = B(y_m)^-1 (p_{m+1} + source[m - 1]),
     m = n_t..1 from p_{n_t+1} = 0, per interval.  Each step refines on the
     step system's held factor, from near[m - 1] when near is given, else
-    from 0, and is certified with the others once the march is done; or,
-    when the refinement gives up or step m holds no factor, it factors
-    B(y_m) and holds that (StepSystem.refine, refactor).  The shifts
+    from 0, certified by the march (_march); or, when the refinement gives
+    up or step m holds no factor, it factors B(y_m) and holds that
+    (StepSystem.refine, refactor).  The shifts
     dt*a_M'(y_m) are evaluated once, for all steps.  A constant B is
     marched on its one factor.
     """
@@ -627,8 +554,7 @@ def _linear_sweep(spec: ProblemSpec, y: SpaceTimeField, source: np.ndarray,
     _march(spec, x, source, backward, "adjoint" if backward else "linearized",
            lambda rhs, m: steps.refine(rhs, m, shifts[m - 1], guess(m)),
            lambda rhs, m: steps.refactor(rhs, m, shifts[m - 1]),
-           lambda rows, p, rhs: steps.linear_residual(p, shifts[rows - 1], rhs),
-           lambda rhs, m: steps.linear_step(rhs, y.values[m], m, guess(m)))
+           lambda rows, p, rhs: steps.linear_residual(p, shifts[rows - 1], rhs))
     if backward:
         return field_per_interval(spec.grid, spec.tgrid, x[1:-1])
     return field_at_nodes(spec.grid, spec.tgrid, x[:-1])

@@ -1,7 +1,7 @@
 from dataclasses import replace
 
 import pytest
-from scipy.linalg.lapack import dgttrf, dgttrs, dpttrf
+from scipy.linalg.lapack import dpttrf
 from scipy.sparse.linalg import splu
 
 import sparsecontrol as sc
@@ -74,8 +74,8 @@ def active_solve():
 @pytest.fixture
 def splu_calls(monkeypatch):
     """One entry per factorization the package makes from here on, the name
-    of the routine: "splu" (sparse), "dgttrf" (tridiagonal) or "dpttrf"
-    (the zero reaction's constant tridiagonal matrix)."""
+    of the routine: "splu" (sparse) or "dpttrf" (the zero reaction's
+    constant tridiagonal matrix)."""
     calls = []
 
     def counting(name, factorize):
@@ -84,8 +84,7 @@ def splu_calls(monkeypatch):
             return factorize(*args, **kwargs)
         return factorize_counted
 
-    for name, factorize in (("splu", splu), ("dgttrf", dgttrf),
-                            ("dpttrf", dpttrf)):
+    for name, factorize in (("splu", splu), ("dpttrf", dpttrf)):
         monkeypatch.setattr(pde, name, counting(name, factorize))
     return calls
 
@@ -93,8 +92,8 @@ def splu_calls(monkeypatch):
 @pytest.fixture
 def triangular_solves(monkeypatch):
     """One entry per pair of triangular solves the package makes on a
-    factor of a state-dependent step matrix from here on, the name of the
-    routine: "superlu" (_SparseFactor.solve) or "dgttrs" (tridiagonal)."""
+    factor of a state-dependent step matrix from here on, "superlu"
+    (_SparseFactor.solve)."""
     calls = []
     solve = pde._SparseFactor.solve
 
@@ -102,10 +101,5 @@ def triangular_solves(monkeypatch):
         calls.append("superlu")
         return solve(self, b)
 
-    def dgttrs_counted(*args, **kwargs):
-        calls.append("dgttrs")
-        return dgttrs(*args, **kwargs)
-
     monkeypatch.setattr(pde._SparseFactor, "solve", superlu_counted)
-    monkeypatch.setattr(pde, "dgttrs", dgttrs_counted)
     return calls

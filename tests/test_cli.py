@@ -201,6 +201,14 @@ _STEP_OVERFLOW = "problem block: the step matrix I + dt*A_h overflows"
     # an empty budget list must not fall back to the default budgets
     (["sweep", "--gammas", ""], "{}", "--gammas must list budgets"),
     (["sweep", "--gammas", ","], "{}", "--gammas must list budgets"),
+    # --seed keeps the config's seed rule: a negative seed would land in a
+    # report.json that parse_config rejects, or reach numpy's generator
+    (["solve", "--seed", "-1"], "{}",
+     "--seed must be a nonnegative integer, got -1"),
+    (["check", "--seed", "-1"], "{}",
+     "--seed must be a nonnegative integer, got -1"),
+    (["sweep", "--seed", "-1"], "{}",
+     "--seed must be a nonnegative integer, got -1"),
 ])
 def test_non_finite_input_is_a_config_error(tmp_path, capsys, command, text,
                                             block):
@@ -485,8 +493,8 @@ def test_check_state_failure_is_a_failed_row(tmp_path, capsys):
 
 
 # at dt = 1 every step matrix is exactly singular: one interior node,
-# h = 1/2, B = 1 + dt*8 + dt*(-9) = 0 (sparse LU); three, h = 1/4,
-# B = tridiag(-16, 1 + 32 - 33, -16) (tridiagonal LU)
+# h = 1/2, B = 1 + dt*8 + dt*(-9) = 0; three, h = 1/4,
+# B = tridiag(-16, 1 + 32 - 33, -16), whose first and last rows agree
 SINGULAR_STEPS = ["""
 problem: {n_per_axis: 1, n_t: 1, T: 1.0, diffusion: 1.0,
           nonlinearity: {kind: linear, params: [-9.0]}, yd: bump}

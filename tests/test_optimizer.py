@@ -102,12 +102,13 @@ def test_low_kappa_converges():
 
 
 @pytest.mark.parametrize("n", [2, 3, 4])
-def test_1d_solve_converges_on_either_factor(n):
-    # 1D step matrices with 3 or more nodes take the tridiagonal LU, with
-    # fewer the sparse one; both solves meet criterion 5's KKT bounds
+def test_1d_solve_converges_on_either_factor(n, splu_calls):
+    # every 1D step matrix B(y) is factored by SuperLU, on 2 nodes and on 3
+    # or more, where the zero reaction's constant one takes dpttrf; each
+    # solve meets criterion 5's KKT bounds
     spec = schloegl_spec(n=n, n_dim=1, n_t=8, kappa=0.1, gamma=0.05)
-    assert (spec.steps._bands is None) is (n < 3)
     report = sc.solve(spec, sc.OptimizerConfig(tol=1e-10, max_iter=300))
+    assert splu_calls and set(splu_calls) == {"splu"}
     assert report.converged
     assert report.kkt.max() <= 1e-6
     assert report.kkt.identity_gap <= 1e-7

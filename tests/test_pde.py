@@ -268,22 +268,13 @@ def test_adjoint_identity_across_step_systems(name):
 @pytest.mark.parametrize("name", sorted(STEP_SYSTEM_CASES))
 def test_step_system_matrix_matches_fresh_assembly(name, monkeypatch):
     # the matrix factor(y) factors has the structure and bits of
-    # I + dt*A + diag(dt*a_M'(y)) assembled anew.  In 1D it is the three
-    # stored diagonals, the factor's shift added to the main one; else the
-    # CSC matrix handed to splu, against the fresh matrix in the original
+    # I + dt*A + diag(dt*a_M'(y)) assembled anew: the CSC matrix handed to
+    # splu, in 1D and 2D alike, against the fresh matrix in the original
     # order
     spec = step_system_spec(name)
     y = 2.0 * np.random.default_rng(3).standard_normal(spec.grid.n_nodes)
     steps = StepSystem(spec)
     fresh = fresh_step_matrix(spec, y)
-    if spec.grid.n_dim == 1:
-        lower, main, upper = steps._bands
-        assert fresh.nnz == 3 * spec.grid.n_nodes - 2
-        assert fresh.diagonal(-1).tobytes() == lower.tobytes()
-        assert (fresh.diagonal().tobytes()
-                == (main + steps.factor(y).shift).tobytes())
-        assert fresh.diagonal(1).tobytes() == upper.tobytes()
-        return
     factored = []
 
     def recording(matrix, **kwargs):
@@ -326,7 +317,7 @@ def test_factor_survives_a_later_factor():
 def test_factor_is_held_for_a_bitwise_equal_shift():
     # Schloegl (-1, 0, 1): a'(y) = 3y^2 - 1 is even, bit for bit, so y and
     # -y give one step matrix and one factor; another shift a new one.
-    # Sparse (2D) and tridiagonal (1D) factors alike
+    # In 2D and 1D alike
     for spec in (schloegl_spec(), schloegl_spec(n=12, n_dim=1)):
         steps = spec.steps
         y, b = np.random.default_rng(15).standard_normal(
@@ -334,7 +325,7 @@ def test_factor_is_held_for_a_bitwise_equal_shift():
         lu = steps.factor(y)
         held = steps.factor(-y)
         assert held is lu
-        # both LUs are deterministic: the held factor solves bit for bit
+        # SuperLU is deterministic: the held factor solves bit for bit
         # like a fresh one
         fresh = StepSystem(spec).factor(-y)
         assert held.solve(b).tobytes() == fresh.solve(b).tobytes()
@@ -345,7 +336,7 @@ def test_factor_is_held_for_a_bitwise_equal_shift():
 def test_linear_reaction_factors_its_step_matrix_once(splu_calls):
     # the linear reaction's B(y) = (1 + dt*c) I + dt*A_h is one matrix for
     # every state: one factor serves the state, adjoint and linearized
-    # sweeps (73 when each step factored), sparse in 2D, tridiagonal in 1D
+    # sweeps (73 when each step factored), in 2D and in 1D
     for n_dim, n in ((2, 12), (1, 40)):
         grid = sc.SpaceGrid(n_dim, n)
         tgrid = sc.TimeGrid(1.0, 24)
@@ -365,7 +356,7 @@ def test_linear_reaction_factors_its_step_matrix_once(splu_calls):
 
 def singular_spec(n=1):
     # at dt = 1, n = 1, h = 1/2: B = 1 + dt*8 + dt*(-9) = 0; n = 3, h = 1/4:
-    # B = tridiag(-16, 1 + 32 - 33, -16), whose LU meets a zero pivot
+    # B = tridiag(-16, 1 + 32 - 33, -16), whose first and last rows agree
     grid = sc.SpaceGrid(1, n)
     tgrid = sc.TimeGrid(1.0, 1)
     return sc.ProblemSpec(
@@ -378,7 +369,7 @@ def singular_spec(n=1):
 
 
 def test_singular_step_matrix_raises_newton_error():
-    # sparse (n = 1) and tridiagonal (n = 3) factors alike
+    # on 1 node and on 3 alike
     for spec in (singular_spec(1), singular_spec(3)):
         with pytest.raises(NewtonError, match="exactly singular"):
             spec.steps.factor(spec.y0)
@@ -398,7 +389,7 @@ def test_singular_step_matrix_raises_newton_error():
 
 def test_constant_tridiagonal_factor_rejects_a_matrix_not_positive_definite():
     # I + dt*A_h is symmetric positive definite, so dpttrf always succeeds
-    # on it; a second pivot of 1 - 2^2 = -3 is reported as for the LUs
+    # on it; a second pivot of 1 - 2^2 = -3 is reported as for SuperLU
     with pytest.raises(NewtonError, match="exactly singular"):
         pde._ConstantTridiagonalFactor(np.ones(3), np.array([2.0, 0.0]))
 
@@ -490,40 +481,33 @@ def test_factor_solves_an_indefinite_step_matrix():
     assert np.linalg.norm(dense @ x - b) <= bound * np.linalg.norm(b)
 
 
-def test_tridiagonal_factor_pivots_on_an_indefinite_step_matrix():
-    # the 1D indefinite B(y) has diagonal entries far below its
-    # off-diagonal ones, so its LU swaps rows (dgttrf's ipiv is not the
-    # identity); test_factor_solves_like_fresh_splu checks the solves
-    spec = indefinite_1d_spec()
-    y = 0.5 * np.random.default_rng(23).standard_normal(spec.grid.n_nodes)
-    eigenvalues = np.linalg.eigvalsh(fresh_step_matrix(spec, y).toarray())
-    assert eigenvalues[0] < 0.0 < eigenvalues[-1]
-    pivots = spec.steps.factor(y).lu[4]
-    assert np.any(pivots != np.arange(1, spec.grid.n_nodes + 1))
-
-
 def test_sparse_factor_pivots_on_an_indefinite_step_matrix():
-    # the 2D twin: at dt = 1 the linear reaction -100.5 makes
+    # in 2D, at dt = 1 the linear reaction -100.5 makes
     # B = (1 - 100.5) I + A_h on a 4 x 4 grid indefinite, eigenvalues about
-    # -80.4 to 81.4, so symmetric mode's diagonal pivots do not all hold
-    # and SuperLU exchanges rows (perm_r is not perm_c)
+    # -80.4 to 81.4; in 1D, indefinite_1d_spec's B(y) has diagonal entries
+    # far below its off-diagonal ones.  In both, symmetric mode's diagonal
+    # pivots do not all hold and SuperLU exchanges rows (perm_r is not
+    # perm_c)
     grid = sc.SpaceGrid(2, 4)
     tgrid = sc.TimeGrid(1.0, 1)
-    spec = sc.ProblemSpec(
+    spec_2d = sc.ProblemSpec(
         kappa=0.1, gamma=1.0, grid=grid, tgrid=tgrid,
         diffusion=sc.isotropic(2, 1.0),
         nonlinearity=sc.NonlinearitySpec("linear", (-100.5,)),
         y0=sc.spatial_preset("one-mode", grid),
         yd=sc.target_preset("bump", grid, tgrid))
-    y = np.zeros(grid.n_nodes)
-    dense = fresh_step_matrix(spec, y).toarray()
-    eigenvalues = np.linalg.eigvalsh(dense)
-    assert eigenvalues[0] < 0.0 < eigenvalues[-1]
-    lu = spec.steps.factor(y).lu
-    assert np.any(lu.perm_r != lu.perm_c)
-    b = np.random.default_rng(29).standard_normal(grid.n_nodes)
-    x = lu.solve(b)
-    assert np.linalg.norm(dense @ x - b) <= 1e-13 * np.linalg.norm(b)
+    spec_1d = indefinite_1d_spec()
+    y_1d = 0.5 * np.random.default_rng(23).standard_normal(
+        spec_1d.grid.n_nodes)
+    for spec, y in ((spec_2d, np.zeros(grid.n_nodes)), (spec_1d, y_1d)):
+        dense = fresh_step_matrix(spec, y).toarray()
+        eigenvalues = np.linalg.eigvalsh(dense)
+        assert eigenvalues[0] < 0.0 < eigenvalues[-1]
+        lu = spec.steps.factor(y).lu
+        assert np.any(lu.perm_r != lu.perm_c)
+        b = np.random.default_rng(29).standard_normal(spec.grid.n_nodes)
+        x = lu.solve(b)
+        assert np.linalg.norm(dense @ x - b) <= 1e-13 * np.linalg.norm(b)
 
 
 def test_one_step_system_per_problem():
@@ -705,7 +689,7 @@ def test_zero_reaction_step_is_one_solve(monkeypatch):
 def test_zero_reaction_solve_factors_once(n_dim, n, routine, splu_calls):
     # a whole solve, with an active budget, makes one factorization: the
     # constant step matrix's, by dpttrf in 1D on 3 or more nodes, else by
-    # SuperLU; dgttrf factors only a state-dependent B(y)
+    # SuperLU
     grid = sc.SpaceGrid(n_dim, n)
     tgrid = sc.TimeGrid(0.5, 12)
     spec = sc.ProblemSpec(
@@ -720,15 +704,39 @@ def test_zero_reaction_solve_factors_once(n_dim, n, routine, splu_calls):
 
 
 class CountingFactor:
-    """A factor whose solves are counted; shift is the wrapped factor's
-    dt*a_M'(w), which the chord and the refinement read."""
+    """A factor whose solves are counted, the last one's result kept; shift
+    is the wrapped factor's dt*a_M'(w), which the chord and the refinement
+    read."""
 
     def __init__(self, lu):
-        self.lu, self.shift, self.solves = lu, lu.shift, 0
+        self.lu, self.shift, self.solves, self.last = lu, lu.shift, 0, None
 
     def solve(self, b):
         self.solves += 1
-        return self.lu.solve(b)
+        self.last = self.lu.solve(b)
+        return self.last
+
+
+def certified_step(steps, rhs, y_start, m, guess=None):
+    """Implicit state step m checked on its own, as a resumed sweep checks
+    it: the chord from guess, kept when its residual meets Newton's test,
+    else Newton from y_start."""
+    y = steps.chord(rhs, m, guess)
+    if y is not None and pde._certified(lambda: steps.residual(y, rhs), rhs):
+        return y
+    return steps.newton(rhs, y_start)
+
+
+def certified_linear_step(steps, rhs, y, m, guess=None):
+    """B(y) p = rhs, implicit step m, checked on its own, as a resumed sweep
+    checks it: the refinement from guess, or from p = 0, kept when its
+    residual meets Newton's test, else refactor."""
+    shift = steps.shift(y)
+    p = steps.refine(rhs, m, shift, guess)
+    if p is not None and pde._certified(
+            lambda: steps.linear_residual(p, shift, rhs), rhs):
+        return p
+    return steps.refactor(rhs, m, shift)
 
 
 def chord_step_problem():
@@ -739,7 +747,7 @@ def chord_step_problem():
     spec = step_system_spec("anisotropic-schloegl")
     steps = spec.steps
     y_start = 3.0 * spec.y0
-    return spec, steps, y_start, y_start, steps.step(y_start, y_start, 1)
+    return spec, steps, y_start, y_start, steps.newton(y_start, y_start)
 
 
 def step_residual(spec, y, rhs):
@@ -757,7 +765,7 @@ def test_chord_on_a_stale_factor_matches_newton(splu_calls):
     stale = newton + 0.05 * noise
     steps._slots[0] = steps.factor(stale)
     del splu_calls[:]
-    y = steps.step(rhs, y_start, 1, stale)
+    y = certified_step(steps, rhs, y_start, 1, stale)
     assert not splu_calls
     tol = pde._NEWTON_TOL * max(np.linalg.norm(rhs), 1.0)
     assert np.linalg.norm(step_residual(spec, y, rhs)) <= tol
@@ -768,7 +776,7 @@ def test_chord_on_a_distant_factor_falls_back_to_newton(splu_calls):
     spec, steps, rhs, y_start, newton = chord_step_problem()
     steps._slots[0] = lu = CountingFactor(steps.factor(10.0 * newton))
     del splu_calls[:]
-    y = steps.step(rhs, y_start, 1, 10.0 * newton)
+    y = certified_step(steps, rhs, y_start, 1, 10.0 * newton)
     assert 0 < lu.solves < pde._NEWTON_MAX_ITER
     assert splu_calls
     # Newton's factors are not held for the step
@@ -786,7 +794,7 @@ def test_chord_started_at_the_root_stops_at_once(splu_calls):
     assert not np.any(step_residual(spec, newton, rhs))
     steps._slots[0] = lu = CountingFactor(steps.factor(newton))
     del splu_calls[:]
-    y = steps.step(rhs, y_start, 1, newton)
+    y = certified_step(steps, rhs, y_start, 1, newton)
     assert 1 <= lu.solves <= 2 and not splu_calls
     assert np.linalg.norm(y - newton) <= 1e-14 * np.linalg.norm(newton)
 
@@ -807,18 +815,18 @@ def test_certifying_residual_rejects_a_misshifted_factor(splu_calls):
     exact = steps.factor(newton)
     lu = MisshiftedFactor(exact, exact.shift + 0.05)
     dt, nl, level = spec.tgrid.dt, spec.nonlinearity, spec.truncation
-    # the splitting alone, which evaluates no residual
-    fixed, gave_up = steps._split(
+    # the splitting alone, which evaluates no residual, settles
+    fixed = steps._split(
         lu, newton,
         lambda x: rhs + lu.shift * x - dt * pde.eval_a_truncated(nl, level, x),
         0.25)
-    assert not gave_up
+    assert fixed is not None
     assert lu.solves < pde._NEWTON_MAX_ITER
     tol = pde._NEWTON_TOL * max(np.linalg.norm(rhs), 1.0)
     assert np.linalg.norm(step_residual(spec, fixed, rhs)) > 1e6 * tol
     steps._slots[0] = lu
     del splu_calls[:]
-    y = steps.step(rhs, y_start, 1, newton)
+    y = certified_step(steps, rhs, y_start, 1, newton)
     assert splu_calls
     assert y.tobytes() == newton.tobytes()
 
@@ -831,7 +839,7 @@ def test_certifying_residual_rejects_a_misshifted_refinement():
     spec, steps, rhs, _, y = chord_step_problem()
     exact = steps.factor(y)
     steps._slots[0] = lu = MisshiftedFactor(exact, exact.shift + 1e-5)
-    p = steps.linear_step(rhs, y, 1)
+    p = certified_linear_step(steps, rhs, y, 1)
     assert 2 <= lu.solves < pde._NEWTON_MAX_ITER
     assert steps._slots[0] is exact
     assert p.tobytes() == exact.solve(rhs).tobytes()
@@ -842,13 +850,13 @@ def test_linear_step_without_a_held_factor_factors_and_holds_it(
     spec, steps, rhs, _, y = chord_step_problem()
     assert steps._slots == [None] * spec.tgrid.n_t
     del splu_calls[:]
-    p = steps.linear_step(rhs, y, 2)
+    p = certified_linear_step(steps, rhs, y, 2)
     assert len(splu_calls) == 1
     held = steps._slots[1]
     assert steps._slots[0] is None and held is not None
     assert p.tobytes() == held.solve(rhs).tobytes()
     # the next call refines on the held factor: no factorization
-    steps.linear_step(rhs, y, 2)
+    certified_linear_step(steps, rhs, y, 2)
     assert len(splu_calls) == 1 and steps._slots[1] is held
 
 
@@ -870,7 +878,7 @@ def test_a_sweep_on_held_factors_makes_one_operator_product(monkeypatch):
             products.append(x.shape)
             return self.matrix @ x
 
-    newton = steps._newton
+    newton = steps.newton
 
     def uncounted_newton(*args):
         start = len(products)
@@ -895,7 +903,7 @@ def test_a_sweep_on_held_factors_makes_one_operator_product(monkeypatch):
 
     monkeypatch.setattr(steps, "operator_matrix",
                         CountingOperator(steps.operator_matrix))
-    monkeypatch.setattr(steps, "_newton", uncounted_newton)
+    monkeypatch.setattr(steps, "newton", uncounted_newton)
     monkeypatch.setattr(steps, "chord", flagging(steps.chord))
     monkeypatch.setattr(steps, "refine", flagging(steps.refine))
     monkeypatch.setattr(pde, "_march", counted_march)
@@ -1035,13 +1043,15 @@ def test_a_refinement_that_gives_up_refactors_despite_a_warm_start(
     fresh = sc.solve_adjoint(replace(spec), y)
     noise = np.random.default_rng(37).standard_normal(fresh.values.shape)
     near = like(fresh, fresh.values * (1.0 + 1e-8 * noise))
-    # the last step's refinement alone
+    # the last step's refinement alone gives up, its last iterate passing
+    # the test
     rhs = spec.tgrid.dt * (y.values[n_t] - spec.yd.values[n_t])
-    shift, lu = steps.shift(y.values[n_t]), stale[-1]
-    p, gave_up = steps._split(lu, near.values[-1],
-                              lambda p: rhs - (shift - lu.shift) * p, 1e-3)
-    assert gave_up
-    assert pde._certified(lambda: steps.linear_residual(p, shift, rhs), rhs)
+    shift, lu = steps.shift(y.values[n_t]), CountingFactor(stale[-1])
+    assert steps._split(lu, near.values[-1],
+                        lambda p: rhs - (shift - lu.shift) * p, 1e-3) is None
+    assert 2 <= lu.solves < pde._NEWTON_MAX_ITER
+    assert pde._certified(
+        lambda: steps.linear_residual(lu.last, shift, rhs), rhs)
     del splu_calls[:]
     phi = sc.solve_adjoint(spec, y, near)
     assert len(splu_calls) == n_t
@@ -1091,9 +1101,9 @@ def test_a_state_step_that_fails_its_certificate_resumes_per_step(
         monkeypatch, steps):
     # the chord at some steps returns an iterate 1e-6 off the root; the
     # sweep certifies once its march is done, finds the first such step,
-    # and resumes there with Newton and after it the per-step path, which
-    # runs the chord again, returning the bytes of a per-step loop with the
-    # same chord, and every step meets the test
+    # and resumes there with Newton, and after it one step at a time, the
+    # chord again and its iterate checked on its own, returning the bytes
+    # of a per-step loop with the same chord, and every step meets the test
     spec, _, y, _, near = held_problem(78)
     twin = held_twin(spec)
     chord, calls = perturbing(StepSystem.chord, steps), []
@@ -1147,6 +1157,38 @@ def test_a_failure_after_an_uncertified_step_certifies_it_first(
             == reference_state(twin, near, y).tobytes())
     assert_steps_certified(spec, y_near.values, False,
                            spec.tgrid.dt * near.values)
+
+
+@pytest.mark.parametrize("k", [1, 4])
+def test_a_chord_that_gives_up_goes_straight_to_newton(monkeypatch, k):
+    # step k holds a factor of B(y_k + 2), on which the chord contracts too
+    # slowly: it gives up, its last iterate failing Newton's test, and the
+    # step runs Newton at once.  No step is solved twice: the sweep runs
+    # the chord once per step and returns the bytes of the per-step loop
+    spec, _, y, _, near = held_problem(78)
+    steps, n_t = spec.steps, spec.tgrid.n_t
+    steps._slots[k - 1] = lu = CountingFactor(steps.factor(y.values[k] + 2.0))
+    twin = held_twin(spec)
+    chord, newton, calls = StepSystem.chord, StepSystem.newton, []
+
+    def counted_chord(self, rhs, m, guess):
+        calls.append(m)
+        return chord(self, rhs, m, guess)
+
+    def counted_newton(self, rhs, y_start):
+        calls.append("newton")
+        return newton(self, rhs, y_start)
+
+    monkeypatch.setattr(StepSystem, "chord", counted_chord)
+    monkeypatch.setattr(StepSystem, "newton", counted_newton)
+    y_near = sc.solve_state(spec, near, y)
+    assert calls == [*range(1, k + 1), "newton", *range(k + 1, n_t + 1)]
+    rhs = y_near.values[k - 1] + spec.tgrid.dt * near.values[k - 1]
+    assert 2 <= lu.solves < pde._NEWTON_MAX_ITER
+    assert np.all(np.isfinite(lu.last))
+    assert not pde._certified(lambda: steps.residual(lu.last, rhs), rhs)
+    assert (y_near.values.tobytes()
+            == reference_state(twin, near, y).tobytes())
 
 
 @pytest.mark.parametrize("steps", [(1,), (4,), (8,), (3, 6)],
@@ -1206,7 +1248,7 @@ def test_a_failing_step_pays_for_one_newton_pass(splu_calls):
     for m in range(tgrid.n_t):
         del splu_calls[:]
         try:
-            y = steps.step(y + dt * u.values[m], y, m + 1)
+            y = steps.newton(y + dt * u.values[m], y)
         except NewtonError:
             break
     else:
@@ -1222,20 +1264,21 @@ def test_control_shape_rejected():
 
 
 def reference_state(spec, u, near=None):
-    """solve_state's values as a plain loop of StepSystem.step calls, or of
+    """solve_state's values as a plain loop of certified_step calls, or of
     solves on the constant factor, which solve_state marches on."""
     steps, dt = spec.steps, spec.tgrid.dt
     if steps.constant is not None:
         return constant_loop(spec, spec.y0, dt * u.values, False)
     y = [spec.y0]
     for m in range(1, spec.tgrid.n_t + 1):
-        y.append(steps.step(y[m - 1] + dt * u.values[m - 1], y[m - 1], m,
-                            None if near is None else near.values[m]))
+        y.append(certified_step(steps, y[m - 1] + dt * u.values[m - 1],
+                                y[m - 1], m,
+                                None if near is None else near.values[m]))
     return np.array(y)
 
 
 def reference_adjoint(spec, y, near=None):
-    """solve_adjoint's values as a plain loop of StepSystem.linear_step
+    """solve_adjoint's values as a plain loop of certified_linear_step
     calls, from near_m when near is given, or of solves on the constant
     factor, which solve_adjoint marches on."""
     steps, dt, n_t = spec.steps, spec.tgrid.dt, spec.tgrid.n_t
@@ -1244,9 +1287,9 @@ def reference_adjoint(spec, y, near=None):
                              dt * (y.values[1:] - spec.yd.values[1:]), True)
     p = [np.zeros(spec.grid.n_nodes)] * (n_t + 1)
     for m in range(n_t, 0, -1):
-        p[m - 1] = steps.linear_step(
-            p[m] + dt * (y.values[m] - spec.yd.values[m]), y.values[m], m,
-            None if near is None else near.values[m - 1])
+        p[m - 1] = certified_linear_step(
+            steps, p[m] + dt * (y.values[m] - spec.yd.values[m]), y.values[m],
+            m, None if near is None else near.values[m - 1])
     return np.array(p[:-1])
 
 
