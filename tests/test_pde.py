@@ -481,33 +481,44 @@ def test_factor_solves_an_indefinite_step_matrix():
     assert np.linalg.norm(dense @ x - b) <= bound * np.linalg.norm(b)
 
 
+def test_tridiagonal_factor_pivots_on_an_indefinite_step_matrix():
+    # the 1D indefinite B(y) is tridiagonal with diagonal entries far below
+    # its off-diagonal ones, so symmetric mode's diagonal pivots do not all
+    # hold and SuperLU swaps rows on it (perm_r is not perm_c)
+    spec = indefinite_1d_spec()
+    y = 0.5 * np.random.default_rng(23).standard_normal(spec.grid.n_nodes)
+    dense = fresh_step_matrix(spec, y).toarray()
+    eigenvalues = np.linalg.eigvalsh(dense)
+    assert eigenvalues[0] < 0.0 < eigenvalues[-1]
+    lu = spec.steps.factor(y).lu
+    assert np.any(lu.perm_r != lu.perm_c)
+    b = np.random.default_rng(29).standard_normal(spec.grid.n_nodes)
+    x = lu.solve(b)
+    assert np.linalg.norm(dense @ x - b) <= 1e-13 * np.linalg.norm(b)
+
+
 def test_sparse_factor_pivots_on_an_indefinite_step_matrix():
-    # in 2D, at dt = 1 the linear reaction -100.5 makes
+    # the 2D twin: at dt = 1 the linear reaction -100.5 makes
     # B = (1 - 100.5) I + A_h on a 4 x 4 grid indefinite, eigenvalues about
-    # -80.4 to 81.4; in 1D, indefinite_1d_spec's B(y) has diagonal entries
-    # far below its off-diagonal ones.  In both, symmetric mode's diagonal
-    # pivots do not all hold and SuperLU exchanges rows (perm_r is not
-    # perm_c)
+    # -80.4 to 81.4, so symmetric mode's diagonal pivots do not all hold
+    # and SuperLU exchanges rows (perm_r is not perm_c)
     grid = sc.SpaceGrid(2, 4)
     tgrid = sc.TimeGrid(1.0, 1)
-    spec_2d = sc.ProblemSpec(
+    spec = sc.ProblemSpec(
         kappa=0.1, gamma=1.0, grid=grid, tgrid=tgrid,
         diffusion=sc.isotropic(2, 1.0),
         nonlinearity=sc.NonlinearitySpec("linear", (-100.5,)),
         y0=sc.spatial_preset("one-mode", grid),
         yd=sc.target_preset("bump", grid, tgrid))
-    spec_1d = indefinite_1d_spec()
-    y_1d = 0.5 * np.random.default_rng(23).standard_normal(
-        spec_1d.grid.n_nodes)
-    for spec, y in ((spec_2d, np.zeros(grid.n_nodes)), (spec_1d, y_1d)):
-        dense = fresh_step_matrix(spec, y).toarray()
-        eigenvalues = np.linalg.eigvalsh(dense)
-        assert eigenvalues[0] < 0.0 < eigenvalues[-1]
-        lu = spec.steps.factor(y).lu
-        assert np.any(lu.perm_r != lu.perm_c)
-        b = np.random.default_rng(29).standard_normal(spec.grid.n_nodes)
-        x = lu.solve(b)
-        assert np.linalg.norm(dense @ x - b) <= 1e-13 * np.linalg.norm(b)
+    y = np.zeros(grid.n_nodes)
+    dense = fresh_step_matrix(spec, y).toarray()
+    eigenvalues = np.linalg.eigvalsh(dense)
+    assert eigenvalues[0] < 0.0 < eigenvalues[-1]
+    lu = spec.steps.factor(y).lu
+    assert np.any(lu.perm_r != lu.perm_c)
+    b = np.random.default_rng(29).standard_normal(grid.n_nodes)
+    x = lu.solve(b)
+    assert np.linalg.norm(dense @ x - b) <= 1e-13 * np.linalg.norm(b)
 
 
 def test_one_step_system_per_problem():
