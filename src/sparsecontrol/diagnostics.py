@@ -18,7 +18,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.sparse.linalg import LinearOperator, eigsh
+from scipy.sparse.linalg import ArpackNoConvergence, LinearOperator, eigsh
 
 from .grid import SpaceTimeField, like
 from .l1ball import projection_derivative
@@ -52,7 +52,7 @@ def classify_slices(u: SpaceTimeField, mu: SpaceTimeField,
     return SliceActivity(l1, binding, multiplier_active, tol)
 
 
-def second_order_bound(spec: ProblemSpec, report) -> float:
+def second_order_bound(spec: ProblemSpec, report) -> float | None:
     """Lower bound on <H v, v> / <v, v> over the linear hull of the
     critical cone at a SolveReport's (u, y, phi, mu).
 
@@ -60,8 +60,9 @@ def second_order_bound(spec: ProblemSpec, report) -> float:
     kappa - lambda_max(P S* W_- S P), W_- the weight's negative part and P
     the orthogonal projection onto the hull (l1ball.projection_derivative),
     by Lanczos with a fixed start (dense below 3 unknowns, where ARPACK does
-    not run); kappa again when the operator maps that start to 0.
-    ValueError where the clamp engages (objective.curvature_weight).
+    not run); kappa again when the operator maps that start to 0.  None
+    when ARPACK does not converge, which certifies nothing.  ValueError
+    where the clamp engages (objective.curvature_weight).
     """
     weight = curvature_weight(spec, report.y, report.phi)
     if np.all(weight >= 0.0):
@@ -84,6 +85,9 @@ def second_order_bound(spec: ProblemSpec, report) -> float:
         # is 0, and ARPACK fails on it
         top = 0.0
     else:
-        top = eigsh(operator, k=1, which="LA", return_eigenvectors=False,
-                    v0=start)[0]
+        try:
+            top = eigsh(operator, k=1, which="LA", return_eigenvectors=False,
+                        v0=start)[0]
+        except ArpackNoConvergence:
+            return None
     return float(spec.kappa - max(top, 0.0))

@@ -76,11 +76,15 @@ StepSystem serves the state, linearized and adjoint sweeps.  It is built
 once per problem (ProblemSpec.steps) and reused, held factors and all, by
 every sweep on it and by every budget of a budget sweep
 (ProblemSpec.with_budget); a dataclasses.replace copy of the problem starts
-with none held.  Every state-dependent B(y), which a decreasing reaction
-can make indefinite, is factored by one pivoting SuperLU call, in 1D and
-2D alike.  The zero reaction's symmetric positive definite constant is
-factored by LAPACK's L D L^T (dpttrf) in 1D with at least 3 nodes, where
-it is tridiagonal, and otherwise by SuperLU too.
+with none held.  A B(y) whose shift dt*a_M'(y) is the same at every node,
+on a tensor with no cross term and at least 3 nodes per axis, is
+separable: a sine transform along axis 0 in 2D (none in 1D) makes it
+tridiagonal, and LAPACK's L D L^T (dpttrf) factors it when it is positive
+definite.  That is every step matrix of the zero reaction, of the linear
+one while the clamp is idle, and the B(0) that a warm-started solve from a
+zero initial state keeps for all its sweeps.  Every other B(y), which a
+decreasing reaction can make indefinite, is factored by one pivoting
+SuperLU call, in 1D and 2D alike.
 """
 
 from __future__ import annotations
@@ -193,26 +197,40 @@ class _SparseFactor:
         b[:] = self.lu.solve(b)
 
 
-class _ConstantTridiagonalFactor:
-    """Solves B x = b with the L D L^T factorization of the symmetric
-    positive definite tridiagonal B = I + dt*A_h, the zero reaction's
-    constant step matrix, given by its main and off diagonals (LAPACK
-    dpttrf/dpttrs; Golub & Van Loan, Matrix Computations, 4.3.6): no
-    pivots.  Its shift is zero.  An info != 0, a pivot d_ii <= 0, raises
-    NewtonError."""
+class _SeparableFactor:
+    """Solves B x = b for a separable step matrix B = (1 + s) I + dt*A_h:
+    a shift s = dt*a_M'(w) equal at every node, and a tensor with no cross
+    term, on at least 3 nodes per axis.
 
-    __slots__ = ("d", "e", "shift")
+    In 1D, B is tridiagonal.  In 2D, with node (i, j) at row i*n + j, the
+    orthonormal sine matrix Q_pi = sqrt(2h) sin(p i pi h), symmetric and
+    its own inverse, diagonalizes the coupling along axis 0, so (Q x I)
+    B (Q x I) is n tridiagonal blocks (1 + s + dt*a_00 lambda_p) I +
+    dt*a_11 D2, lambda_p = (2/h sin(p pi h/2))^2 the eigenvalues of D2
+    (fast diagonalization: Lynch, Rice & Thomas, Numer. Math. 6, 1964).
+    The tridiagonal matrix, or the blocks stacked into one, is symmetric
+    positive definite, factored by LAPACK's L D L^T (dpttrf/dpttrs; Golub &
+    Van Loan, Matrix Computations, 4.3.6) with no pivots, and a solve is
+    Q dpttrs(Q b).  d and e are dpttrf's factor, sine is Q, None in 1D."""
 
-    def __init__(self, main: np.ndarray, off: np.ndarray):
-        self.d, self.e, info = dpttrf(main, off)
-        if info != 0:
-            raise NewtonError(_SINGULAR)
-        self.shift = np.zeros_like(main)
+    __slots__ = ("d", "e", "sine", "shift")
+
+    def __init__(self, d: np.ndarray, e: np.ndarray, sine: np.ndarray | None,
+                 shift: np.ndarray):
+        self.d, self.e, self.sine, self.shift = d, e, sine, shift
 
     def solve(self, b: np.ndarray) -> np.ndarray:
-        return dpttrs(self.d, self.e, b)[0]
+        if self.sine is None:
+            return dpttrs(self.d, self.e, b)[0]
+        n = len(self.sine)
+        x = dpttrs(self.d, self.e, (self.sine @ b.reshape(n, n)).ravel(),
+                   overwrite_b=1)[0]
+        return (self.sine @ x.reshape(n, n)).ravel()
 
     def solve_in_place(self, b: np.ndarray) -> None:
+        if self.sine is not None:
+            b[:] = self.solve(b)
+            return
         # overwrite_b only permits the solve in b: f2py copies a b that is
         # not a contiguous float64 vector and returns the copy
         x = dpttrs(self.d, self.e, b, overwrite_b=1)[0]
@@ -224,24 +242,37 @@ class StepSystem:
     """Implicit Euler step matrices B(y) = I + dt*A_h + dt*diag(a_M'(y)).
 
     One per problem (ProblemSpec.steps).  I + dt*A_h is assembled once,
-    as CSC.  For a state-dependent B(y), in 1D and 2D alike, factor(y)
-    writes it into one CSC work matrix, adds dt*a_M'(y) to the diagonal
-    entries and factors that by one SuperLU call (_SparseFactor), which
-    keeps no reference to it; SuperLU pivots, which covers the step
-    matrices a decreasing reaction makes indefinite.  The last factor made
-    is held and returned again for the same B(y).  Each step m = 1..n_t
-    also holds the factor its last refactor left, which the chord and the
-    refinement of step m iterate on.  chord and refine return only a
-    settled iterate, newton a root that meets Newton's residual test and
-    refactor a direct solve; the sweep (_march) certifies the iterates,
-    one rule for every sweep.
+    as CSC.  factor(y) picks the factor by what B(y) is:
+
+    - separable (_SeparableFactor): the shift dt*a_M'(y) is bitwise equal
+      at every node, the tensor has no cross term and each axis has at
+      least 3 nodes.  Then B(y) = (1 + s) I + dt*A_h is tridiagonal in
+      1D, and in 2D a sine transform along axis 0 makes it tridiagonal
+      blocks; one dpttrf factors them, unless it finds B(y) not positive
+      definite.  This covers the zero reaction, the linear one while the
+      clamp is idle, and B(0) of a reaction with a(0) = 0 from a zero
+      initial state, the factor a warm-started solve keeps.  A solve on it
+      costs two dense n x n products and one tridiagonal solve, a third of
+      SuperLU's at 32 x 32 nodes and less at larger n.
+    - otherwise (_SparseFactor): factor(y) writes B(y) into one CSC work
+      matrix, built on first use, adds the shift to the diagonal entries
+      and factors that by one SuperLU call, which keeps no reference to
+      it.  SuperLU pivots, which covers the step matrices a decreasing
+      reaction makes indefinite, and raises NewtonError on an exactly
+      singular one, as a separable B(y) that dpttrf rejects takes this way
+      too.
+
+    The last factor made is held and returned again for the same B(y).
+    Each step m = 1..n_t also holds the factor its last refactor left,
+    which the chord and the refinement of step m iterate on.  chord and
+    refine return only a settled iterate, newton a root that meets
+    Newton's residual test and refactor a direct solve; the sweep (_march)
+    certifies the iterates, one rule for every sweep.
 
     The zero reaction's B is the constant, symmetric positive definite
     I + dt*A_h.  It is factored once, here, and is `constant`, None for
     every other reaction: the sweeps march on it in place, one solve per
-    implicit step, with no reaction evaluated.  In 1D, with at least 3
-    nodes, that factor is LAPACK's L D L^T of the tridiagonal matrix
-    (_ConstantTridiagonalFactor); otherwise one SuperLU call.
+    implicit step, with no reaction evaluated.
     """
 
     def __init__(self, spec: ProblemSpec):
@@ -255,22 +286,34 @@ class StepSystem:
         # _slots[m - 1]: the factor of B(w_m) that step m holds, or None
         self._slots = [None] * spec.tgrid.n_t
         self._base = base
-        if self.nl.kind == "zero":
-            self.constant = (
-                _ConstantTridiagonalFactor(base.diagonal(), base.diagonal(1))
-                if spec.grid.n_dim == 1 and n >= 3
-                else _SparseFactor(base, np.zeros(n)))
-        else:
-            self.constant = None
-            self._work = base.copy()
-            # data index of each diagonal entry, by node; 1 + dt*a_ii > 0,
-            # so all are stored
-            columns = np.repeat(np.arange(n), np.diff(base.indptr))
-            self._diagonal = np.flatnonzero(base.indices == columns)
-        # the factor of the last factor() call that factored; the constant
-        # factor's shift is zero, as every zero reaction's shift is, so
-        # factor() returns it for every state and never writes _work
-        self._held = self.constant
+        self._work = None
+        self._held = None
+        self._separable = self._separable_form(spec)
+        # the zero reaction's shift is zero for every state, so factor()
+        # returns the constant factor, held, for every state
+        self.constant = (self._factor(np.zeros(n)) if self.nl.kind == "zero"
+                         else None)
+
+    def _separable_form(self, spec: ProblemSpec):
+        """B(0) = I + dt*A_h as one tridiagonal matrix, after the sine
+        transform along axis 0 in 2D: (main diagonal, off diagonal, sine
+        matrix), the sine matrix None in 1D.  None where no B(y) is
+        separable: with a cross term or fewer than 3 nodes per axis."""
+        n, a = spec.grid.n_per_axis, spec.diffusion.as_array()
+        if n < 3 or (spec.grid.n_dim == 2 and a[0, 1] != 0.0):
+            return None
+        main, off = self._base.diagonal(), self._base.diagonal(1)
+        if spec.grid.n_dim == 1:
+            return main, off, None
+        # rows i*n + j and (i +- 1)*n + j couple by c = -dt*a_00/h^2, which
+        # the sine transform turns into 2 c cos(p pi h) on block p; the off
+        # diagonal is already 0 between blocks.  p*i is reduced modulo
+        # 2(n + 1), so that sin sees an exact multiple of pi h = pi/(n + 1)
+        p, h = np.arange(1, n + 1), spec.grid.h
+        coupling = -2.0 * self.dt * a[0, 0] / h**2 * np.cos(np.pi * p * h)
+        sine = math.sqrt(2.0 * h) * np.sin(
+            np.pi * (np.outer(p, p) % (2 * (n + 1))) / (n + 1))
+        return main + np.repeat(coupling, n), off, sine
 
     def shift(self, y: np.ndarray) -> np.ndarray:
         """dt*a_M'(y), the part of B(y) that varies, for a state y or for
@@ -279,18 +322,31 @@ class StepSystem:
 
     def factor(self, y: np.ndarray):
         """Factorization of B(y), with a solve(b) method and its shift
-        dt*a_M'(y); it keeps its own copy of the matrix.
+        dt*a_M'(y); it keeps its own copy of what it factored.
 
         The last factor made is held and returned again while the shift is
-        bitwise equal: SuperLU is deterministic, so a fresh factor would be
-        bitwise the same.  An exactly singular B(y) raises NewtonError
-        and is not held."""
+        bitwise equal: both factorizations are deterministic, so a fresh
+        factor would be bitwise the same.  An exactly singular B(y) raises
+        NewtonError and is not held."""
         return self._factor(self.shift(y))
 
     def _factor(self, shift: np.ndarray):
         """factor(y), given its shift dt*a_M'(y)."""
         if self._held is not None and np.array_equal(shift, self._held.shift):
             return self._held
+        if self._separable is not None and np.all(shift == shift[0]):
+            main, off, sine = self._separable
+            d, e, info = dpttrf(main + shift, off)
+            if info == 0:
+                self._held = _SeparableFactor(d, e, sine, shift)
+                return self._held
+        if self._work is None:
+            self._work = self._base.copy()
+            # data index of each diagonal entry, by node; 1 + dt*a_ii > 0,
+            # so all are stored
+            columns = np.repeat(np.arange(len(shift)),
+                                np.diff(self._base.indptr))
+            self._diagonal = np.flatnonzero(self._base.indices == columns)
         np.copyto(self._work.data, self._base.data)
         self._work.data[self._diagonal] += shift
         self._held = _SparseFactor(self._work, shift)

@@ -38,7 +38,8 @@ class StabilityReport:
     warnings: list = field(default_factory=list)
     iterations: list = field(default_factory=list)   # per budget, as gammas
     # diagnostics.second_order_bound at the base budget; None when the base
-    # solve did not converge or reached the clamp
+    # solve did not converge or reached the clamp, or ARPACK did not
+    # converge
     second_order_bound: float | None = None
 
 
@@ -85,6 +86,10 @@ def gamma_sweep(spec: ProblemSpec, gammas, cfg: OptimizerConfig) -> StabilityRep
         return report
     if base.truncation_inactive:
         report.second_order_bound = second_order_bound(spec, base)
+        if report.second_order_bound is None:
+            report.warnings.append(
+                "second_order_bound: ARPACK's Lanczos run did not converge; "
+                "no bound")
 
     below = [g for g in gammas if g < spec.gamma]
     above = [g for g in gammas if g > spec.gamma]

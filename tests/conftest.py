@@ -74,8 +74,8 @@ def active_solve():
 @pytest.fixture
 def splu_calls(monkeypatch):
     """One entry per factorization the package makes from here on, the name
-    of the routine: "splu" (sparse) or "dpttrf" (the zero reaction's
-    constant tridiagonal matrix)."""
+    of the routine: "splu" (sparse) or "dpttrf" (a separable step matrix,
+    pde._SeparableFactor)."""
     calls = []
 
     def counting(name, factorize):
@@ -91,15 +91,18 @@ def splu_calls(monkeypatch):
 
 @pytest.fixture
 def triangular_solves(monkeypatch):
-    """One entry per pair of triangular solves the package makes on a
-    factor of a state-dependent step matrix from here on, "superlu"
-    (_SparseFactor.solve)."""
+    """One entry per solve the package makes on a factor of a step matrix
+    from here on, by the factor's kind: "superlu" (_SparseFactor.solve) or
+    "separable" (_SeparableFactor.solve)."""
     calls = []
-    solve = pde._SparseFactor.solve
 
-    def superlu_counted(self, b):
-        calls.append("superlu")
-        return solve(self, b)
+    def counting(name, solve):
+        def solve_counted(self, b):
+            calls.append(name)
+            return solve(self, b)
+        return solve_counted
 
-    monkeypatch.setattr(pde._SparseFactor, "solve", superlu_counted)
+    for name, kind in (("superlu", pde._SparseFactor),
+                       ("separable", pde._SeparableFactor)):
+        monkeypatch.setattr(kind, "solve", counting(name, kind.solve))
     return calls

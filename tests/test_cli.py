@@ -9,9 +9,10 @@ import numpy as np
 import pytest
 import yaml
 from hypothesis import given, settings, strategies as st
+from scipy.sparse.linalg import ArpackNoConvergence
 
 import sparsecontrol as sc
-from sparsecontrol import checks, optimizer, runconfig
+from sparsecontrol import checks, diagnostics, optimizer, runconfig
 from sparsecontrol.cli import main
 from sparsecontrol.fieldio import read_field, write_field
 from sparsecontrol.pde import NewtonError
@@ -425,6 +426,31 @@ def test_sweep_bound_is_kappa_where_the_lanczos_operator_is_zero(tmp_path):
     assert main(["sweep", "--config", cfg, "--out", str(out)]) == 0
     payload = json.loads((out / "stability.json").read_text())
     assert payload["converged"] and payload["second_order_bound"] == 0.01
+
+
+def test_sweep_writes_a_null_bound_when_arpack_does_not_converge(
+        tmp_path, monkeypatch):
+    # 96 unknowns with a negative curvature weight, where Lanczos runs:
+    # when ARPACK does not converge the bound is null, a warning names
+    # that, and the sweep still exits 0 with its fit
+    calls = []
+
+    def no_convergence(*args, **kwargs):
+        calls.append(1)
+        raise ArpackNoConvergence("ARPACK error -1: No convergence", [], [])
+
+    monkeypatch.setattr(diagnostics, "eigsh", no_convergence)
+    cfg = write_config(tmp_path, (
+        "problem: {n_dim: 2, n_per_axis: 4, n_t: 6, kappa: 0.1, gamma: 0.05, "
+        "diffusion: 0.1, nonlinearity: {kind: schloegl, params: [-1.0, 0.0, "
+        "1.0]}, y0: constant(2), yd: zero}\n"))
+    out = tmp_path / "sw"
+    assert main(["sweep", "--config", cfg, "--out", str(out)]) == 0
+    payload = json.loads((out / "stability.json").read_text())
+    assert calls and payload["converged"]
+    assert payload["second_order_bound"] is None
+    assert any("ARPACK" in w and "did not converge" in w
+               for w in payload["warnings"])
 
 
 def test_sweep_aborts_at_a_budget_that_does_not_converge(tmp_path):

@@ -103,8 +103,8 @@ def test_low_kappa_converges():
 
 @pytest.mark.parametrize("n", [2, 3, 4])
 def test_1d_solve_converges_on_either_factor(n, splu_calls):
-    # every 1D step matrix B(y) is factored by SuperLU, on 2 nodes and on 3
-    # or more, where the zero reaction's constant one takes dpttrf; each
+    # from the one-mode initial state no shift is uniform, so every 1D step
+    # matrix B(y) is factored by SuperLU, on 2 nodes and on 3 or more; each
     # solve meets criterion 5's KKT bounds
     spec = schloegl_spec(n=n, n_dim=1, n_t=8, kappa=0.1, gamma=0.05)
     report = sc.solve(spec, sc.OptimizerConfig(tol=1e-10, max_iter=300))
@@ -119,12 +119,12 @@ def test_trials_reuse_the_accepted_state_factors(splu_calls):
     # factors nothing and every state is 0; the first adjoint sweep's n_t
     # step matrices are one matrix, factored once, and every later adjoint
     # refinement and trial chord on that factor converges: only that one
-    # factor
+    # factor, the separable one of B(0)
     spec = active_schloegl_spec()
     report = sc.solve(spec, sc.OptimizerConfig(tol=1e-11, max_iter=400))
     assert report.converged
     assert report.iterations > 1
-    assert len(splu_calls) == 1
+    assert splu_calls == ["dpttrf"]
 
 
 def test_ill_conditioned_problem_reuses_factors(splu_calls):

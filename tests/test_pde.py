@@ -270,7 +270,8 @@ def test_step_system_matrix_matches_fresh_assembly(name, monkeypatch):
     # the matrix factor(y) factors has the structure and bits of
     # I + dt*A + diag(dt*a_M'(y)) assembled anew: the CSC matrix handed to
     # splu, in 1D and 2D alike, against the fresh matrix in the original
-    # order
+    # order.  The linear reaction's shift is uniform, so its factor is the
+    # separable one, which hands splu nothing and solves the fresh matrix
     spec = step_system_spec(name)
     y = 2.0 * np.random.default_rng(3).standard_normal(spec.grid.n_nodes)
     steps = StepSystem(spec)
@@ -282,7 +283,14 @@ def test_step_system_matrix_matches_fresh_assembly(name, monkeypatch):
         return splu(matrix, **kwargs)
 
     monkeypatch.setattr(pde, "splu", recording)
-    steps.factor(y)
+    lu = steps.factor(y)
+    if name == "linear":
+        assert isinstance(lu, pde._SeparableFactor) and not factored
+        b = np.random.default_rng(4).standard_normal(spec.grid.n_nodes)
+        reference = splu(fresh).solve(b)
+        assert (np.linalg.norm(lu.solve(b) - reference)
+                <= 1e-13 * np.linalg.norm(reference))
+        return
     assert len(factored) == 1
     fresh = fresh.sorted_indices()
     for attr in ("indptr", "indices", "data"):
@@ -369,7 +377,8 @@ def singular_spec(n=1):
 
 
 def test_singular_step_matrix_raises_newton_error():
-    # on 1 node and on 3 alike
+    # on 1 node and on 3 alike; the shift is uniform, so on 3 nodes dpttrf
+    # tries B first, finds it not positive definite, and SuperLU names it
     for spec in (singular_spec(1), singular_spec(3)):
         with pytest.raises(NewtonError, match="exactly singular"):
             spec.steps.factor(spec.y0)
@@ -387,25 +396,105 @@ def test_singular_step_matrix_raises_newton_error():
             sc.solve_adjoint(spec, y)
 
 
-def test_constant_tridiagonal_factor_rejects_a_matrix_not_positive_definite():
-    # I + dt*A_h is symmetric positive definite, so dpttrf always succeeds
-    # on it; a second pivot of 1 - 2^2 = -3 is reported as for SuperLU
-    with pytest.raises(NewtonError, match="exactly singular"):
-        pde._ConstantTridiagonalFactor(np.ones(3), np.array([2.0, 0.0]))
+def test_constant_tridiagonal_factor_rejects_a_matrix_not_positive_definite(
+        splu_calls):
+    # a uniform shift makes B = (1 + s) I + dt*A_h tridiagonal in 1D and
+    # tridiagonal blocks in 2D, but at s = -3 not positive definite: dpttrf
+    # reports a pivot d_ii <= 0, and SuperLU factors B instead, in 1D and
+    # 2D alike
+    for n_dim in (1, 2):
+        spec = uniform_shift_spec(n_dim, 6, sc.isotropic(n_dim, 0.01), -3.0)
+        del splu_calls[:]
+        lu = spec.steps.factor(spec.y0)
+        assert splu_calls == ["dpttrf", "splu"]
+        assert isinstance(lu, pde._SparseFactor)
+        dense = fresh_step_matrix(spec, spec.y0).toarray()
+        assert np.linalg.eigvalsh(dense)[0] < 0.0
+        b = np.random.default_rng(30).standard_normal(spec.grid.n_nodes)
+        assert (np.linalg.norm(dense @ lu.solve(b) - b)
+                <= 1e-13 * np.linalg.norm(b))
 
 
 def test_constant_tridiagonal_solve_in_place_writes_a_strided_row():
     # dpttrs solves in a contiguous float64 b; for any other b f2py returns
-    # a copy, which solve_in_place must write back
-    main, off = np.full(5, 3.0), np.full(4, -1.0)
-    factor = pde._ConstantTridiagonalFactor(main, off)
-    matrix = np.diag(main) + np.diag(off, 1) + np.diag(off, -1)
-    stack = np.arange(25.0).reshape(5, 5)
-    for b in (stack[:, 1], stack[2]):
-        rhs = b.copy()
-        factor.solve_in_place(b)
-        assert b.tobytes() == factor.solve(rhs).tobytes()
-        assert np.allclose(matrix @ b, rhs)
+    # a copy, which solve_in_place must write back.  The 2D factor solves
+    # out of place and writes its result into b.  On the zero reaction's
+    # separable factor, in 1D and 2D
+    for n_dim, n in ((1, 25), (2, 5)):
+        spec = uniform_shift_spec(n_dim, n, sc.isotropic(n_dim, 1.0), 0.0)
+        factor = spec.steps.constant
+        assert isinstance(factor, pde._SeparableFactor)
+        matrix = fresh_step_matrix(spec, spec.y0)
+        stack = np.arange(625.0).reshape(25, 25)
+        for b in (stack[:, 1], stack[2]):
+            rhs = b.copy()
+            factor.solve_in_place(b)
+            assert b.tobytes() == factor.solve(rhs).tobytes()
+            assert np.allclose(matrix @ b, rhs)
+
+
+def uniform_shift_spec(n_dim, n, tensor, shift):
+    """A problem whose step matrix is (1 + shift) I + dt*A_h at every
+    state, dt = 1/4: the zero reaction at shift 0, else the linear one."""
+    grid = sc.SpaceGrid(n_dim, n)
+    tgrid = sc.TimeGrid(1.0, 4)
+    nonlinearity = (sc.NonlinearitySpec("zero") if shift == 0.0 else
+                    sc.NonlinearitySpec("linear", (shift / tgrid.dt,)))
+    return sc.ProblemSpec(
+        kappa=0.1, gamma=1.0, grid=grid, tgrid=tgrid, diffusion=tensor,
+        nonlinearity=nonlinearity, y0=sc.spatial_preset("zero", grid),
+        yd=sc.target_preset("bump", grid, tgrid))
+
+
+DIAGONAL_TENSORS = {1: [sc.isotropic(1, 0.3), sc.isotropic(1, 2.0)],
+                    2: [sc.isotropic(2, 0.3),
+                        sc.DiffusionTensor(((2.0, 0.0), (0.0, 0.05))),
+                        sc.DiffusionTensor(((0.05, 0.0), (0.0, 2.0)))]}
+
+
+@pytest.mark.parametrize("shift", [0.0, -0.25, 0.5])
+@pytest.mark.parametrize("n_dim, n", [(1, 3), (1, 200), (2, 3), (2, 4),
+                                      (2, 10), (2, 32)])
+def test_separable_factor_solves_like_superlu(n_dim, n, shift, splu_calls):
+    # a uniform shift and a diagonal tensor, isotropic or not, on 3 or more
+    # nodes per axis: one dpttrf, and its solve matches SuperLU's on the
+    # freshly assembled B = (1 + shift) I + dt*A_h
+    rng = np.random.default_rng(31)
+    for tensor in DIAGONAL_TENSORS[n_dim]:
+        spec = uniform_shift_spec(n_dim, n, tensor, shift)
+        del splu_calls[:]
+        lu = spec.steps.factor(spec.y0)
+        assert isinstance(lu, pde._SeparableFactor)
+        assert splu_calls == ["dpttrf"]
+        reference_lu = splu(fresh_step_matrix(spec, spec.y0))
+        for b in rng.standard_normal((3, spec.grid.n_nodes)):
+            reference = reference_lu.solve(b)
+            assert (np.linalg.norm(lu.solve(b) - reference)
+                    <= 1e-13 * np.linalg.norm(reference))
+
+
+def test_superlu_factors_what_is_not_separable(splu_calls):
+    # a cross-term tensor, a shift that is not uniform, and grids under 3
+    # nodes per axis keep SuperLU, with no dpttrf tried, and its solve
+    # matches a fresh one
+    rng = np.random.default_rng(32)
+    cross = sc.DiffusionTensor(((0.3, 0.1), (0.1, 0.3)))
+    cases = [(uniform_shift_spec(2, 6, cross, -0.25), None),
+             (uniform_shift_spec(2, 2, sc.isotropic(2, 0.3), -0.25), None),
+             (uniform_shift_spec(1, 2, sc.isotropic(1, 0.3), -0.25), None)]
+    for n_dim in (1, 2):
+        spec = schloegl_spec(n=6, n_dim=n_dim)
+        cases.append((spec, rng.standard_normal(spec.grid.n_nodes)))
+    for spec, y in cases:
+        y = spec.y0 if y is None else y
+        del splu_calls[:]
+        lu = spec.steps.factor(y)
+        assert isinstance(lu, pde._SparseFactor)
+        assert splu_calls == ["splu"]
+        b = rng.standard_normal(spec.grid.n_nodes)
+        reference = splu(fresh_step_matrix(spec, y)).solve(b)
+        assert (np.linalg.norm(lu.solve(b) - reference)
+                <= 1e-13 * np.linalg.norm(reference))
 
 
 def nearly_singular_spec():
@@ -501,7 +590,8 @@ def test_sparse_factor_pivots_on_an_indefinite_step_matrix():
     # the 2D twin: at dt = 1 the linear reaction -100.5 makes
     # B = (1 - 100.5) I + A_h on a 4 x 4 grid indefinite, eigenvalues about
     # -80.4 to 81.4, so symmetric mode's diagonal pivots do not all hold
-    # and SuperLU exchanges rows (perm_r is not perm_c)
+    # and SuperLU exchanges rows (perm_r is not perm_c).  The shift is
+    # uniform, but dpttrf finds B not positive definite and hands it on
     grid = sc.SpaceGrid(2, 4)
     tgrid = sc.TimeGrid(1.0, 1)
     spec = sc.ProblemSpec(
@@ -669,15 +759,19 @@ def constant_loop(spec, x0, source, backward):
 def test_zero_reaction_step_is_one_solve(monkeypatch):
     # the step matrix is the constant I + dt*A_h: the state, linearized and
     # adjoint sweeps march on its one factor, one solve per step, with no
-    # Newton and no reaction, bit for bit as a loop of its solves.  SuperLU
-    # in 2D and on 2 nodes, LAPACK's L D L^T on 3 or more in 1D
+    # Newton and no reaction, bit for bit as a loop of its solves.  The
+    # separable factor on 3 or more nodes per axis, SuperLU with a cross
+    # term and on 2 nodes
     def no_reaction(*args):
         raise AssertionError("the zero reaction's march evaluated a reaction")
     monkeypatch.setattr(pde, "eval_a_truncated", no_reaction)
     monkeypatch.setattr(pde, "eval_ay_truncated", no_reaction)
     rng = np.random.default_rng(2)
-    for spec, kind in ((heat_spec(n=8, n_t=4), "_SparseFactor"),
-                       (linear_1d_spec(n=12), "_ConstantTridiagonalFactor"),
+    cross = replace(heat_spec(n=8, n_t=4),
+                    diffusion=sc.DiffusionTensor(((1.0, 0.3), (0.3, 2.0))))
+    for spec, kind in ((heat_spec(n=8, n_t=4), "_SeparableFactor"),
+                       (cross, "_SparseFactor"),
+                       (linear_1d_spec(n=12), "_SeparableFactor"),
                        (linear_1d_spec(n=2), "_SparseFactor")):
         assert type(spec.steps.constant).__name__ == kind
         dt, zero = spec.tgrid.dt, np.zeros(spec.grid.n_nodes)
@@ -696,11 +790,12 @@ def test_zero_reaction_step_is_one_solve(monkeypatch):
 
 @pytest.mark.parametrize("n_dim, n, routine", [(1, 40, "dpttrf"),
                                                (1, 2, "splu"),
-                                               (2, 6, "splu")])
+                                               (2, 6, "dpttrf"),
+                                               (2, 2, "splu")])
 def test_zero_reaction_solve_factors_once(n_dim, n, routine, splu_calls):
     # a whole solve, with an active budget, makes one factorization: the
-    # constant step matrix's, by dpttrf in 1D on 3 or more nodes, else by
-    # SuperLU
+    # constant step matrix's, by dpttrf on 3 or more nodes per axis, else
+    # by SuperLU
     grid = sc.SpaceGrid(n_dim, n)
     tgrid = sc.TimeGrid(0.5, 12)
     spec = sc.ProblemSpec(
@@ -1363,10 +1458,10 @@ WORKLOAD_PROBLEMS = {
                                            ("solve-2d-schloegl", 160)])
 def test_workload_factorizations_and_triangular_solves(
         name, ceiling, splu_calls, triangular_solves):
-    # deterministic work on held factors: one SuperLU factorization per
-    # workload, and the triangular solves the chord and the warm-started
-    # refinement need (468 and 153 when written; 647 and 178 with every
-    # refinement from p = 0)
+    # deterministic work on held factors: one factorization per workload,
+    # the separable one of B(0), and the solves on it that the chord and
+    # the warm-started refinement need (468 and 153 when written; 647 and
+    # 178 with every refinement from p = 0)
     problem, cfg, gammas, iterations = WORKLOAD_PROBLEMS[name]
     spec = schloegl_spec(y0="zero", yd="bump", **problem)
     if gammas is None:
@@ -1374,6 +1469,6 @@ def test_workload_factorizations_and_triangular_solves(
     else:
         report = sc.gamma_sweep(spec, gammas, cfg)
     assert report.converged and report.iterations == iterations
-    assert splu_calls == ["splu"]
-    assert set(triangular_solves) == {"superlu"}
+    assert splu_calls == ["dpttrf"]
+    assert set(triangular_solves) == {"separable"}
     assert len(triangular_solves) <= ceiling
