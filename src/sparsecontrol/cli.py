@@ -43,7 +43,7 @@ def _json_dump(path: Path, payload: dict):
                     encoding="utf-8")
 
 
-def _report_payload(cfg: RunConfig, report: SolveReport) -> dict:
+def _report_payload(cfg: RunConfig, report: SolveReport, work: dict) -> dict:
     act = report.activity
     return {
         "config": cfg.to_dict(),
@@ -63,6 +63,7 @@ def _report_payload(cfg: RunConfig, report: SolveReport) -> dict:
             "thresholds": [float(x) for x in report.thresholds],
             "tolerance": act.tol,
         },
+        "work": work,
     }
 
 
@@ -82,7 +83,8 @@ def _write_timeseries(path: Path, report: SolveReport):
 def cmd_solve(cfg: RunConfig, out_dir: Path) -> int:
     spec = cfg.problem_spec()
     report = solve(spec, cfg.optimizer_config())
-    _json_dump(out_dir / "report.json", _report_payload(cfg, report))
+    _json_dump(out_dir / "report.json",
+               _report_payload(cfg, report, dict(spec.steps.work)))
     _write_timeseries(out_dir / "timeseries.csv", report)
     if cfg.output["dump_fields"]:
         for name, fld in (("u", report.u), ("y", report.y),
@@ -126,6 +128,7 @@ def cmd_sweep(cfg: RunConfig, out_dir: Path, gammas=None) -> int:
         "converged": report.converged,
         "warnings": list(report.warnings),
         "config": cfg.to_dict(),
+        "work": dict(spec.steps.work),
     })
     return EXIT_OK if report.converged else EXIT_NONCONVERGED
 

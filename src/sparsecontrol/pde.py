@@ -76,15 +76,9 @@ StepSystem serves the state, linearized and adjoint sweeps.  It is built
 once per problem (ProblemSpec.steps) and reused, held factors and all, by
 every sweep on it and by every budget of a budget sweep
 (ProblemSpec.with_budget); a dataclasses.replace copy of the problem starts
-with none held.  A B(y) whose shift dt*a_M'(y) is the same at every node,
-on a tensor with no cross term and at least 3 nodes per axis, is
-separable: a sine transform along axis 0 in 2D (none in 1D) makes it
-tridiagonal, and LAPACK's L D L^T (dpttrf) factors it when it is positive
-definite.  That is every step matrix of the zero reaction, of the linear
-one while the clamp is idle, and the B(0) that a warm-started solve from a
-zero initial state keeps for all its sweeps.  Every other B(y), which a
-decreasing reaction can make indefinite, is factored by one pivoting
-SuperLU call, in 1D and 2D alike.
+with none held.  StepSystem's docstring says which factor serves each B(y),
+a sine transform and LAPACK's L D L^T where the shift is uniform, else
+SuperLU, and names each counter of the work it counts (StepSystem.work).
 """
 
 from __future__ import annotations
@@ -175,9 +169,10 @@ class _SparseFactor:
     31(3), 2005), where shift = dt*a_M'(w), the only part of B(w) that
     varies.  An exactly singular B raises NewtonError."""
 
-    __slots__ = ("lu", "shift")
+    __slots__ = ("lu", "shift", "work")
+    SOLVES = "superlu_solves"
 
-    def __init__(self, matrix: sp.csc_matrix, shift: np.ndarray):
+    def __init__(self, matrix: sp.csc_matrix, shift: np.ndarray, work: dict):
         # symmetric mode prefers the diagonal pivot, as the symmetric
         # ordering assumes; a pivot below 0.1 of its column's largest entry
         # is still exchanged, which covers the step matrices a decreasing
@@ -188,9 +183,10 @@ class _SparseFactor:
                            options={"SymmetricMode": True})
         except RuntimeError as exc:     # "Factor is exactly singular"
             raise NewtonError(_SINGULAR) from exc
-        self.shift = shift
+        self.shift, self.work = shift, work
 
     def solve(self, b: np.ndarray) -> np.ndarray:
+        self.work[self.SOLVES] += 1
         return self.lu.solve(b)
 
     def solve_in_place(self, b: np.ndarray) -> None:
@@ -213,13 +209,19 @@ class _SeparableFactor:
     Van Loan, Matrix Computations, 4.3.6) with no pivots, and a solve is
     Q dpttrs(Q b).  d and e are dpttrf's factor, sine is Q, None in 1D."""
 
-    __slots__ = ("d", "e", "sine", "shift")
+    __slots__ = ("d", "e", "sine", "shift", "work")
+    SOLVES = "separable_solves"
 
     def __init__(self, d: np.ndarray, e: np.ndarray, sine: np.ndarray | None,
-                 shift: np.ndarray):
+                 shift: np.ndarray, work: dict):
         self.d, self.e, self.sine, self.shift = d, e, sine, shift
+        self.work = work
 
     def solve(self, b: np.ndarray) -> np.ndarray:
+        self.work[self.SOLVES] += 1
+        return self._solve(b)
+
+    def _solve(self, b: np.ndarray) -> np.ndarray:
         if self.sine is None:
             return dpttrs(self.d, self.e, b)[0]
         n = len(self.sine)
@@ -229,7 +231,7 @@ class _SeparableFactor:
 
     def solve_in_place(self, b: np.ndarray) -> None:
         if self.sine is not None:
-            b[:] = self.solve(b)
+            b[:] = self._solve(b)
             return
         # overwrite_b only permits the solve in b: f2py copies a b that is
         # not a contiguous float64 vector and returns the copy
@@ -273,6 +275,18 @@ class StepSystem:
     I + dt*A_h.  It is factored once, here, and is `constant`, None for
     every other reaction: the sweeps march on it in place, one solve per
     implicit step, with no reaction evaluated.
+
+    work counts what the step system does, once per call, never per step:
+    separable_factors, separable_rejected (a dpttrf that found a separable
+    B(y) not positive definite) and superlu_factors (calls, an exactly
+    singular B(y) included); separable_solves and superlu_solves on the
+    factors it made, the constant march adding n_t per sweep;
+    newton_passes; state_sweeps, linearized_sweeps and adjoint_sweeps;
+    certifications, the one stacked residual, and A_h product, of a sweep
+    that ran iterates on held factors; and resumed_sweeps, those whose
+    certification failed.  The constant's factorization is counted.  A
+    dataclasses.replace copy of the problem starts anew; with_budget shares
+    the counts.
     """
 
     def __init__(self, spec: ProblemSpec):
@@ -289,6 +303,11 @@ class StepSystem:
         self._work = None
         self._held = None
         self._separable = self._separable_form(spec)
+        self.work = dict.fromkeys((
+            "separable_factors", "separable_rejected", "superlu_factors",
+            "separable_solves", "superlu_solves", "newton_passes",
+            "state_sweeps", "linearized_sweeps", "adjoint_sweeps",
+            "certifications", "resumed_sweeps"), 0)
         # the zero reaction's shift is zero for every state, so factor()
         # returns the constant factor, held, for every state
         self.constant = (self._factor(np.zeros(n)) if self.nl.kind == "zero"
@@ -338,8 +357,10 @@ class StepSystem:
             main, off, sine = self._separable
             d, e, info = dpttrf(main + shift, off)
             if info == 0:
-                self._held = _SeparableFactor(d, e, sine, shift)
+                self.work["separable_factors"] += 1
+                self._held = _SeparableFactor(d, e, sine, shift, self.work)
                 return self._held
+            self.work["separable_rejected"] += 1
         if self._work is None:
             self._work = self._base.copy()
             # data index of each diagonal entry, by node; 1 + dt*a_ii > 0,
@@ -349,7 +370,8 @@ class StepSystem:
             self._diagonal = np.flatnonzero(self._base.indices == columns)
         np.copyto(self._work.data, self._base.data)
         self._work.data[self._diagonal] += shift
-        self._held = _SparseFactor(self._work, shift)
+        self.work["superlu_factors"] += 1
+        self._held = _SparseFactor(self._work, shift, self.work)
         return self._held
 
     def _product(self, x: np.ndarray) -> np.ndarray:
@@ -426,6 +448,7 @@ class StepSystem:
         test.  NewtonError after _NEWTON_MAX_ITER iterations,
         _NEWTON_MAX_GROWTH growing residual norms in a row, or an overflow.
         Its factors are not held for any step."""
+        self.work["newton_passes"] += 1
         tol = _NEWTON_TOL * max(float(np.linalg.norm(rhs)), 1.0)
         previous, growth = np.inf, 0
         try:
@@ -541,13 +564,15 @@ def _march(spec: ProblemSpec, x: np.ndarray, source: np.ndarray,
     meets the test.  When a step fails after an uncertified one, the steps
     before it are certified first, as they may be the cause.  A failure
     raises NewtonError naming the sweep and the step."""
-    constant = spec.steps.constant
+    constant, work = spec.steps.constant, spec.steps.work
     n_t = spec.tgrid.n_t
+    work[sweep + "_sweeps"] += 1
     previous = 1 if backward else -1
     order = range(n_t, 0, -1) if backward else range(1, n_t + 1)
     try:
         with np.errstate(over="raise"):
             if constant is not None:
+                work[constant.SOLVES] += n_t
                 for m in order:
                     constant.solve_in_place(
                         np.add(x[m + previous], source[m - 1], out=x[m]))
@@ -570,8 +595,10 @@ def _march(spec: ProblemSpec, x: np.ndarray, source: np.ndarray,
             if pending:
                 rows = np.array(pending)
                 rhs = x[rows + previous] + source[rows - 1]
+                work["certifications"] += 1
                 passed = _certified(lambda: residual(rows, x[rows], rhs), rhs)
                 if not passed.all():
+                    work["resumed_sweeps"] += 1
                     first = pending[np.argmin(passed)]
                     for m in order[order.index(first):]:
                         rhs = np.add(x[m + previous], source[m - 1], out=x[m])

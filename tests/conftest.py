@@ -1,11 +1,9 @@
+from collections import Counter
 from dataclasses import replace
 
 import pytest
-from scipy.linalg.lapack import dpttrf
-from scipy.sparse.linalg import splu
 
 import sparsecontrol as sc
-from sparsecontrol import pde
 from sparsecontrol.grid import like
 
 
@@ -56,6 +54,14 @@ def with_clamp(spec, level):
     return replace(spec, truncation=level)
 
 
+def factorizations(steps):
+    """The factorizations a step system has counted (StepSystem.work), by
+    kind, kinds with none left out: separable_factors, separable_rejected
+    and superlu_factors."""
+    return +Counter({kind: steps.work[kind] for kind in (
+        "separable_factors", "separable_rejected", "superlu_factors")})
+
+
 def random_control(spec, rng, scale=1.0):
     values = scale * rng.standard_normal((spec.tgrid.n_t, spec.grid.n_nodes))
     return sc.field_per_interval(spec.grid, spec.tgrid, values)
@@ -69,40 +75,3 @@ def active_solve():
     report = sc.solve(spec, sc.OptimizerConfig(tol=1e-11, max_iter=400))
     assert report.converged
     return spec, report
-
-
-@pytest.fixture
-def splu_calls(monkeypatch):
-    """One entry per factorization the package makes from here on, the name
-    of the routine: "splu" (sparse) or "dpttrf" (a separable step matrix,
-    pde._SeparableFactor)."""
-    calls = []
-
-    def counting(name, factorize):
-        def factorize_counted(*args, **kwargs):
-            calls.append(name)
-            return factorize(*args, **kwargs)
-        return factorize_counted
-
-    for name, factorize in (("splu", splu), ("dpttrf", dpttrf)):
-        monkeypatch.setattr(pde, name, counting(name, factorize))
-    return calls
-
-
-@pytest.fixture
-def triangular_solves(monkeypatch):
-    """One entry per solve the package makes on a factor of a step matrix
-    from here on, by the factor's kind: "superlu" (_SparseFactor.solve) or
-    "separable" (_SeparableFactor.solve)."""
-    calls = []
-
-    def counting(name, solve):
-        def solve_counted(self, b):
-            calls.append(name)
-            return solve(self, b)
-        return solve_counted
-
-    for name, kind in (("superlu", pde._SparseFactor),
-                       ("separable", pde._SeparableFactor)):
-        monkeypatch.setattr(kind, "solve", counting(name, kind.solve))
-    return calls

@@ -380,6 +380,35 @@ def test_sweep_writes_outputs(tmp_path):
     assert payload["iterations"][-1] == report["iterations"]
 
 
+ZERO_REACTION_SOLVE = (FAST_SOLVE.replace("kind: schloegl", "kind: zero")
+                       .replace("[-1.0, 0.0, 1.0]", "[]"))
+
+
+@pytest.mark.parametrize("command, text", [
+    ("solve", FAST_SOLVE), ("solve", ZERO_REACTION_SOLVE),
+    ("sweep", FAST_SOLVE)], ids=["solve", "zero", "sweep"])
+def test_outputs_write_the_step_systems_work(tmp_path, monkeypatch, command,
+                                             text):
+    # the counts of the step system the command ran on, the last problem
+    # built (load_config builds one to validate), after the command: a
+    # sweep's over all its budgets, which share it, and the zero reaction's
+    # with its constant factor and one march solve per step and sweep
+    built, problem_spec = [], runconfig.RunConfig.problem_spec
+    monkeypatch.setattr(runconfig.RunConfig, "problem_spec",
+                        lambda cfg: built.append(problem_spec(cfg)) or built[-1])
+    out = tmp_path / "out"
+    assert main([command, "--config", write_config(tmp_path, text),
+                 "--out", str(out)]) == 0
+    output = "report.json" if command == "solve" else "stability.json"
+    work, spec = json.loads((out / output).read_text())["work"], built[-1]
+    assert work == spec.steps.work and work["state_sweeps"] >= 1
+    if spec.steps.constant is not None:
+        sweeps = sum(work[f"{name}_sweeps"]
+                     for name in ("state", "linearized", "adjoint"))
+        assert work["separable_factors"] == 1
+        assert work["separable_solves"] == spec.tgrid.n_t * sweeps
+
+
 @pytest.mark.filterwarnings(
     "ignore::sparsecontrol.pde.TruncationActiveWarning")
 def test_sweep_warns_when_the_clamp_engages(tmp_path):

@@ -6,8 +6,8 @@ import pytest
 import sparsecontrol as sc
 from sparsecontrol.grid import like
 
-from conftest import (linear_1d_spec, random_control, schloegl_spec,
-                      with_clamp)
+from conftest import (factorizations, linear_1d_spec, random_control,
+                      schloegl_spec, with_clamp)
 
 
 def make_pair(grid, tgrid, u_values, mu_values):
@@ -161,7 +161,7 @@ def test_second_order_bound_below_the_exact_subspace_minimum(n, gamma):
 
 
 def test_second_order_bound_is_kappa_where_the_weight_is_nonnegative(
-        active_solve, splu_calls):
+        active_solve):
     # the canonical active instance has weight >= 1 everywhere: the closed
     # form needs no sweep and no factorization
     spec, report = active_solve
@@ -169,9 +169,9 @@ def test_second_order_bound_is_kappa_where_the_weight_is_nonnegative(
     assert sc.second_order_bound(spec, report) == spec.kappa
     linear = linear_1d_spec(gamma=0.05)
     solved = sc.solve(linear, sc.OptimizerConfig(tol=1e-10))
-    del splu_calls[:]
+    before = factorizations(linear.steps)
     assert sc.second_order_bound(linear, solved) == linear.kappa
-    assert not splu_calls
+    assert factorizations(linear.steps) == before
 
 
 @pytest.mark.parametrize("kappa, gamma, dimension", [(0.1, 0.05, 0),

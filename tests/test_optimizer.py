@@ -11,8 +11,8 @@ from sparsecontrol.l1ball import project_field, recover_multiplier
 from sparsecontrol.pde import NewtonError, TruncationActiveWarning
 
 from conftest import (Y0_ONLY_CLAMP_LEVEL, active_schloegl_spec,
-                      linear_1d_spec, random_control, schloegl_spec,
-                      with_clamp)
+                      factorizations, linear_1d_spec, random_control,
+                      schloegl_spec, with_clamp)
 
 
 def test_config_validation():
@@ -102,19 +102,19 @@ def test_low_kappa_converges():
 
 
 @pytest.mark.parametrize("n", [2, 3, 4])
-def test_1d_solve_converges_on_either_factor(n, splu_calls):
+def test_1d_solve_converges_on_either_factor(n):
     # from the one-mode initial state no shift is uniform, so every 1D step
     # matrix B(y) is factored by SuperLU, on 2 nodes and on 3 or more; each
     # solve meets criterion 5's KKT bounds
     spec = schloegl_spec(n=n, n_dim=1, n_t=8, kappa=0.1, gamma=0.05)
     report = sc.solve(spec, sc.OptimizerConfig(tol=1e-10, max_iter=300))
-    assert splu_calls and set(splu_calls) == {"splu"}
+    assert factorizations(spec.steps).keys() == {"superlu_factors"}
     assert report.converged
     assert report.kkt.max() <= 1e-6
     assert report.kkt.identity_gap <= 1e-7
 
 
-def test_trials_reuse_the_accepted_state_factors(splu_calls):
+def test_trials_reuse_the_accepted_state_factors():
     # y_0 = 0 at zero control is an exact root, so the initial state solve
     # factors nothing and every state is 0; the first adjoint sweep's n_t
     # step matrices are one matrix, factored once, and every later adjoint
@@ -124,10 +124,10 @@ def test_trials_reuse_the_accepted_state_factors(splu_calls):
     report = sc.solve(spec, sc.OptimizerConfig(tol=1e-11, max_iter=400))
     assert report.converged
     assert report.iterations > 1
-    assert splu_calls == ["dpttrf"]
+    assert factorizations(spec.steps) == {"separable_factors": 1}
 
 
-def test_ill_conditioned_problem_reuses_factors(splu_calls):
+def test_ill_conditioned_problem_reuses_factors():
     # 1 + dt*a'(0) = 0, so B(0) = dt*A_h is nearly singular and the
     # outer loop needs a few hundred iterations; adjoint sweeps that refine
     # on the held factors keep the factorizations to about two per
@@ -138,7 +138,7 @@ def test_ill_conditioned_problem_reuses_factors(splu_calls):
     assert report.converged
     assert report.kkt.max() <= 1e-6
     assert report.kkt.identity_gap <= 1e-7
-    assert len(splu_calls) <= 500
+    assert factorizations(spec.steps).total() <= 500
 
 
 def test_descent_is_monotone(active_solve):

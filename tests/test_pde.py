@@ -15,8 +15,8 @@ from sparsecontrol.nonlinearity import eval_ay_truncated
 from sparsecontrol.pde import NewtonError, StepSystem, TruncationActiveWarning
 
 from conftest import (Y0_ONLY_CLAMP_LEVEL, active_schloegl_spec,
-                      linear_1d_spec, random_control, schloegl_spec,
-                      with_clamp)
+                      factorizations, linear_1d_spec, random_control,
+                      schloegl_spec, with_clamp)
 
 
 def heat_spec(n=16, n_t=32, T=0.05):
@@ -266,36 +266,48 @@ def test_adjoint_identity_across_step_systems(name):
 
 
 @pytest.mark.parametrize("name", sorted(STEP_SYSTEM_CASES))
-def test_step_system_matrix_matches_fresh_assembly(name, monkeypatch):
+def test_step_system_matrix_matches_fresh_assembly(name):
     # the matrix factor(y) factors has the structure and bits of
-    # I + dt*A + diag(dt*a_M'(y)) assembled anew: the CSC matrix handed to
-    # splu, in 1D and 2D alike, against the fresh matrix in the original
-    # order.  The linear reaction's shift is uniform, so its factor is the
-    # separable one, which hands splu nothing and solves the fresh matrix
+    # I + dt*A + diag(dt*a_M'(y)) assembled anew: the CSC work matrix
+    # SuperLU factored, in 1D and 2D alike, against the fresh matrix in the
+    # original order.  The linear reaction's shift is uniform, so its
+    # factor is the separable one, which builds no work matrix and solves
+    # the fresh matrix
     spec = step_system_spec(name)
     y = 2.0 * np.random.default_rng(3).standard_normal(spec.grid.n_nodes)
     steps = StepSystem(spec)
     fresh = fresh_step_matrix(spec, y)
-    factored = []
-
-    def recording(matrix, **kwargs):
-        factored.append(matrix.copy())
-        return splu(matrix, **kwargs)
-
-    monkeypatch.setattr(pde, "splu", recording)
     lu = steps.factor(y)
     if name == "linear":
-        assert isinstance(lu, pde._SeparableFactor) and not factored
+        assert isinstance(lu, pde._SeparableFactor) and steps._work is None
         b = np.random.default_rng(4).standard_normal(spec.grid.n_nodes)
         reference = splu(fresh).solve(b)
         assert (np.linalg.norm(lu.solve(b) - reference)
                 <= 1e-13 * np.linalg.norm(reference))
         return
-    assert len(factored) == 1
+    assert factorizations(steps) == {"superlu_factors": 1}
     fresh = fresh.sorted_indices()
     for attr in ("indptr", "indices", "data"):
-        assert (getattr(factored[0], attr).tobytes()
+        assert (getattr(steps._work, attr).tobytes()
                 == getattr(fresh, attr).tobytes())
+
+
+def test_work_starts_at_zero_on_a_copy_and_is_shared_across_budgets():
+    # the counts belong to the step system: a dataclasses.replace copy of
+    # the problem builds its own, from zero but for the zero reaction's
+    # constant factor, made at once; with_budget shares it
+    spec = schloegl_spec(n=6, n_t=4)
+    u = random_control(spec, np.random.default_rng(5))
+    sc.solve_adjoint(spec, sc.solve_state(spec, u))
+    work = spec.steps.work
+    assert work["state_sweeps"] == work["adjoint_sweeps"] == 1
+    assert not any(replace(spec).steps.work.values())
+    sc.solve_state(spec.with_budget(0.5), u)
+    assert spec.with_budget(0.5).steps.work is work
+    assert work["state_sweeps"] == 2
+    heat = replace(heat_spec(n=4, n_t=2)).steps
+    assert factorizations(heat) == {"separable_factors": 1}
+    assert not heat.work["separable_solves"]
 
 
 def test_zero_reaction_shares_one_factorization():
@@ -341,7 +353,7 @@ def test_factor_is_held_for_a_bitwise_equal_shift():
         assert steps.factor(y) is not lu
 
 
-def test_linear_reaction_factors_its_step_matrix_once(splu_calls):
+def test_linear_reaction_factors_its_step_matrix_once():
     # the linear reaction's B(y) = (1 + dt*c) I + dt*A_h is one matrix for
     # every state: one factor serves the state, adjoint and linearized
     # sweeps (73 when each step factored), in 2D and in 1D
@@ -355,11 +367,10 @@ def test_linear_reaction_factors_its_step_matrix_once(splu_calls):
             y0=sc.spatial_preset("one-mode", grid),
             yd=sc.target_preset("bump", grid, tgrid))
         rng = np.random.default_rng(17)
-        del splu_calls[:]
         y = sc.solve_state(spec, random_control(spec, rng))
         sc.solve_adjoint(spec, y)
         sc.solve_linearized(spec, y, random_control(spec, rng))
-        assert len(splu_calls) == 1
+        assert factorizations(spec.steps).total() == 1
 
 
 def singular_spec(n=1):
@@ -396,17 +407,16 @@ def test_singular_step_matrix_raises_newton_error():
             sc.solve_adjoint(spec, y)
 
 
-def test_constant_tridiagonal_factor_rejects_a_matrix_not_positive_definite(
-        splu_calls):
+def test_constant_tridiagonal_factor_rejects_a_matrix_not_positive_definite():
     # a uniform shift makes B = (1 + s) I + dt*A_h tridiagonal in 1D and
     # tridiagonal blocks in 2D, but at s = -3 not positive definite: dpttrf
-    # reports a pivot d_ii <= 0, and SuperLU factors B instead, in 1D and
-    # 2D alike
+    # reports a pivot d_ii <= 0, one rejected separable attempt, and
+    # SuperLU factors B instead, in 1D and 2D alike
     for n_dim in (1, 2):
         spec = uniform_shift_spec(n_dim, 6, sc.isotropic(n_dim, 0.01), -3.0)
-        del splu_calls[:]
         lu = spec.steps.factor(spec.y0)
-        assert splu_calls == ["dpttrf", "splu"]
+        assert factorizations(spec.steps) == {"separable_rejected": 1,
+                                              "superlu_factors": 1}
         assert isinstance(lu, pde._SparseFactor)
         dense = fresh_step_matrix(spec, spec.y0).toarray()
         assert np.linalg.eigvalsh(dense)[0] < 0.0
@@ -455,17 +465,16 @@ DIAGONAL_TENSORS = {1: [sc.isotropic(1, 0.3), sc.isotropic(1, 2.0)],
 @pytest.mark.parametrize("shift", [0.0, -0.25, 0.5])
 @pytest.mark.parametrize("n_dim, n", [(1, 3), (1, 200), (2, 3), (2, 4),
                                       (2, 10), (2, 32)])
-def test_separable_factor_solves_like_superlu(n_dim, n, shift, splu_calls):
+def test_separable_factor_solves_like_superlu(n_dim, n, shift):
     # a uniform shift and a diagonal tensor, isotropic or not, on 3 or more
     # nodes per axis: one dpttrf, and its solve matches SuperLU's on the
     # freshly assembled B = (1 + shift) I + dt*A_h
     rng = np.random.default_rng(31)
     for tensor in DIAGONAL_TENSORS[n_dim]:
         spec = uniform_shift_spec(n_dim, n, tensor, shift)
-        del splu_calls[:]
         lu = spec.steps.factor(spec.y0)
         assert isinstance(lu, pde._SeparableFactor)
-        assert splu_calls == ["dpttrf"]
+        assert factorizations(spec.steps) == {"separable_factors": 1}
         reference_lu = splu(fresh_step_matrix(spec, spec.y0))
         for b in rng.standard_normal((3, spec.grid.n_nodes)):
             reference = reference_lu.solve(b)
@@ -473,7 +482,7 @@ def test_separable_factor_solves_like_superlu(n_dim, n, shift, splu_calls):
                     <= 1e-13 * np.linalg.norm(reference))
 
 
-def test_superlu_factors_what_is_not_separable(splu_calls):
+def test_superlu_factors_what_is_not_separable():
     # a cross-term tensor, a shift that is not uniform, and grids under 3
     # nodes per axis keep SuperLU, with no dpttrf tried, and its solve
     # matches a fresh one
@@ -487,10 +496,9 @@ def test_superlu_factors_what_is_not_separable(splu_calls):
         cases.append((spec, rng.standard_normal(spec.grid.n_nodes)))
     for spec, y in cases:
         y = spec.y0 if y is None else y
-        del splu_calls[:]
         lu = spec.steps.factor(y)
         assert isinstance(lu, pde._SparseFactor)
-        assert splu_calls == ["splu"]
+        assert factorizations(spec.steps) == {"superlu_factors": 1}
         b = rng.standard_normal(spec.grid.n_nodes)
         reference = splu(fresh_step_matrix(spec, y)).solve(b)
         assert (np.linalg.norm(lu.solve(b) - reference)
@@ -788,11 +796,13 @@ def test_zero_reaction_step_is_one_solve(monkeypatch):
                 == constant_loop(spec, zero, source, True).tobytes())
 
 
-@pytest.mark.parametrize("n_dim, n, routine", [(1, 40, "dpttrf"),
-                                               (1, 2, "splu"),
-                                               (2, 6, "dpttrf"),
-                                               (2, 2, "splu")])
-def test_zero_reaction_solve_factors_once(n_dim, n, routine, splu_calls):
+@pytest.mark.parametrize("n_dim, n, kind", [(1, 40, "separable_factors"),
+                                            (1, 2, "superlu_factors"),
+                                            (2, 6, "separable_factors"),
+                                            (2, 2, "superlu_factors")],
+                         ids=["1-40-dpttrf", "1-2-splu", "2-6-dpttrf",
+                              "2-2-splu"])
+def test_zero_reaction_solve_factors_once(n_dim, n, kind):
     # a whole solve, with an active budget, makes one factorization: the
     # constant step matrix's, by dpttrf on 3 or more nodes per axis, else
     # by SuperLU
@@ -806,7 +816,7 @@ def test_zero_reaction_solve_factors_once(n_dim, n, routine, splu_calls):
         yd=sc.target_preset("bump", grid, tgrid))
     report = sc.solve(spec, sc.OptimizerConfig(tol=1e-10, max_iter=400))
     assert report.converged and np.any(report.thresholds > 0.0)
-    assert splu_calls == [routine]
+    assert factorizations(spec.steps) == {kind: 1}
 
 
 class CountingFactor:
@@ -862,7 +872,7 @@ def step_residual(spec, y, rhs):
             * pde.eval_a_truncated(spec.nonlinearity, spec.truncation, y) - rhs)
 
 
-def test_chord_on_a_stale_factor_matches_newton(splu_calls):
+def test_chord_on_a_stale_factor_matches_newton():
     # the factor and the start are at a perturbed root, as when a trial
     # starts from the accepted state: chord iterations alone reach the
     # tolerance, with no factorization
@@ -870,27 +880,27 @@ def test_chord_on_a_stale_factor_matches_newton(splu_calls):
     noise = np.random.default_rng(32).standard_normal(newton.size)
     stale = newton + 0.05 * noise
     steps._slots[0] = steps.factor(stale)
-    del splu_calls[:]
+    before = factorizations(steps)
     y = certified_step(steps, rhs, y_start, 1, stale)
-    assert not splu_calls
+    assert factorizations(steps) == before
     tol = pde._NEWTON_TOL * max(np.linalg.norm(rhs), 1.0)
     assert np.linalg.norm(step_residual(spec, y, rhs)) <= tol
     assert np.linalg.norm(y - newton) <= 1e-12 * np.linalg.norm(newton)
 
 
-def test_chord_on_a_distant_factor_falls_back_to_newton(splu_calls):
+def test_chord_on_a_distant_factor_falls_back_to_newton():
     spec, steps, rhs, y_start, newton = chord_step_problem()
     steps._slots[0] = lu = CountingFactor(steps.factor(10.0 * newton))
-    del splu_calls[:]
+    before = factorizations(steps)
     y = certified_step(steps, rhs, y_start, 1, 10.0 * newton)
     assert 0 < lu.solves < pde._NEWTON_MAX_ITER
-    assert splu_calls
+    assert factorizations(steps) != before
     # Newton's factors are not held for the step
     assert steps._slots[0] is lu
     assert y.tobytes() == newton.tobytes()
 
 
-def test_chord_started_at_the_root_stops_at_once(splu_calls):
+def test_chord_started_at_the_root_stops_at_once():
     # rhs is the step operator evaluated at y, term by term as the residual
     # is, so y is a root to the last bit: the chord's first correction is
     # roundoff, and it must stop there, with no factorization and no spin
@@ -899,9 +909,9 @@ def test_chord_started_at_the_root_stops_at_once(splu_calls):
     rhs = step_residual(spec, newton, np.zeros_like(newton))
     assert not np.any(step_residual(spec, newton, rhs))
     steps._slots[0] = lu = CountingFactor(steps.factor(newton))
-    del splu_calls[:]
+    before = factorizations(steps)
     y = certified_step(steps, rhs, y_start, 1, newton)
-    assert 1 <= lu.solves <= 2 and not splu_calls
+    assert 1 <= lu.solves <= 2 and factorizations(steps) == before
     assert np.linalg.norm(y - newton) <= 1e-14 * np.linalg.norm(newton)
 
 
@@ -913,7 +923,7 @@ class MisshiftedFactor(CountingFactor):
         self.shift = shift
 
 
-def test_certifying_residual_rejects_a_misshifted_factor(splu_calls):
+def test_certifying_residual_rejects_a_misshifted_factor():
     # with the shift off by 0.05, the chord's splitting converges fast, but
     # to the root of R(x) = 0.05 x, not of R: the one residual it evaluates
     # must reject it, and the step must return Newton's root
@@ -931,9 +941,9 @@ def test_certifying_residual_rejects_a_misshifted_factor(splu_calls):
     tol = pde._NEWTON_TOL * max(np.linalg.norm(rhs), 1.0)
     assert np.linalg.norm(step_residual(spec, fixed, rhs)) > 1e6 * tol
     steps._slots[0] = lu
-    del splu_calls[:]
+    before = factorizations(steps)
     y = certified_step(steps, rhs, y_start, 1, newton)
-    assert splu_calls
+    assert factorizations(steps) != before
     assert y.tobytes() == newton.tobytes()
 
 
@@ -951,76 +961,40 @@ def test_certifying_residual_rejects_a_misshifted_refinement():
     assert p.tobytes() == exact.solve(rhs).tobytes()
 
 
-def test_linear_step_without_a_held_factor_factors_and_holds_it(
-        splu_calls):
+def test_linear_step_without_a_held_factor_factors_and_holds_it():
     spec, steps, rhs, _, y = chord_step_problem()
     assert steps._slots == [None] * spec.tgrid.n_t
-    del splu_calls[:]
+    before = factorizations(steps)
     p = certified_linear_step(steps, rhs, y, 2)
-    assert len(splu_calls) == 1
+    assert (factorizations(steps) - before).total() == 1
     held = steps._slots[1]
     assert steps._slots[0] is None and held is not None
     assert p.tobytes() == held.solve(rhs).tobytes()
     # the next call refines on the held factor: no factorization
     certified_linear_step(steps, rhs, y, 2)
-    assert len(splu_calls) == 1 and steps._slots[1] is held
+    assert (factorizations(steps) - before).total() == 1
+    assert steps._slots[1] is held
 
 
-def test_a_sweep_on_held_factors_makes_one_operator_product(monkeypatch):
+def test_a_sweep_on_held_factors_makes_one_operator_product():
     # the iterations on held factors are matrix-free; a sweep that ran them
     # pays one product of A_h with its stack of steps, for the residuals
-    # that certify them all at once, and a sweep that ran none (Newton or
-    # direct solves only) pays none.  Newton passes, which evaluate a
-    # residual per iteration, are not counted
+    # that certify them all at once (work's certifications), and a sweep
+    # that ran none (direct solves only, on a copy that holds no factors)
+    # pays none.  No sweep resumes, so no step certifies itself
     spec = active_schloegl_spec()
-    steps = spec.steps
-    products, on_held = [], []
-
-    class CountingOperator:
-        def __init__(self, matrix):
-            self.matrix = matrix
-
-        def __matmul__(self, x):
-            products.append(x.shape)
-            return self.matrix @ x
-
-    newton = steps.newton
-
-    def uncounted_newton(*args):
-        start = len(products)
-        out = newton(*args)
-        del products[start:]
-        return out
-
-    def flagging(method):
-        def call(*args):
-            out = method(*args)
-            on_held.append(out is not None)
-            return out
-        return call
-
-    per_sweep = []
-    march = pde._march
-
-    def counted_march(*args):
-        start, held = len(products), len(on_held)
-        march(*args)
-        per_sweep.append((any(on_held[held:]), products[start:]))
-
-    monkeypatch.setattr(steps, "operator_matrix",
-                        CountingOperator(steps.operator_matrix))
-    monkeypatch.setattr(steps, "newton", uncounted_newton)
-    monkeypatch.setattr(steps, "chord", flagging(steps.chord))
-    monkeypatch.setattr(steps, "refine", flagging(steps.refine))
-    monkeypatch.setattr(pde, "_march", counted_march)
     report = sc.solve(spec, sc.OptimizerConfig(tol=1e-10, max_iter=300))
     assert report.converged
-    held = [shapes for any_held, shapes in per_sweep if any_held]
+    work = spec.steps.work
+    sweeps = sum(work[f"{name}_sweeps"]
+                 for name in ("state", "linearized", "adjoint"))
     # every iteration's trial state and adjoint at least
-    assert len(held) >= 2 * report.iterations > 0
-    assert all(len(shapes) == 1 and shapes[0][0] == spec.grid.n_nodes
-               for shapes in held)
-    assert all(not shapes for any_held, shapes in per_sweep if not any_held)
+    assert sweeps >= work["certifications"] >= 2 * report.iterations > 0
+    assert work["resumed_sweeps"] == 0
+    fresh = replace(spec)
+    sc.solve_adjoint(fresh, report.y)
+    assert fresh.steps.work["adjoint_sweeps"] == 1
+    assert fresh.steps.work["certifications"] == 0
 
 
 def refinement_problem(offset):
@@ -1038,34 +1012,33 @@ def refinement_problem(offset):
     return spec, y, stale
 
 
-def test_adjoint_refined_on_stale_factors_matches_a_fresh_one(splu_calls):
+def test_adjoint_refined_on_stale_factors_matches_a_fresh_one():
     spec, y, stale = refinement_problem(0.0)
     fresh = sc.solve_adjoint(replace(spec), y)
-    del splu_calls[:]
+    before = factorizations(spec.steps)
     phi = sc.solve_adjoint(spec, y)
-    assert not splu_calls
+    assert factorizations(spec.steps) == before
     assert all(a is b for a, b in zip(spec.steps._slots, stale))
     assert (np.linalg.norm(phi.values - fresh.values)
             <= 1e-13 * np.linalg.norm(fresh.values))
 
 
-def test_refinement_stops_on_the_rate_estimate(splu_calls):
+def test_refinement_stops_on_the_rate_estimate():
     # factors 1e-3 off contract about 1e5x per correction, so from p = 0
     # the third iterate is at roundoff; rho/(1 - rho) d_k says so one solve
     # before a correction itself is roundoff-sized
     spec, y, stale = refinement_problem(0.0)
     counted = [CountingFactor(lu) for lu in stale]
     spec.steps._slots[:] = counted
-    del splu_calls[:]
+    before = factorizations(spec.steps)
     sc.solve_adjoint(spec, y)
-    assert not splu_calls
+    assert factorizations(spec.steps) == before
     solves = [lu.solves for lu in counted]
     assert max(solves) <= 4 and sum(solves) < 4 * spec.tgrid.n_t
 
 
 @pytest.mark.parametrize("offset", [0.3, 2.0])
-def test_adjoint_on_distant_factors_refactors_each_step_once(splu_calls,
-                                                            offset):
+def test_adjoint_on_distant_factors_refactors_each_step_once(offset):
     # a stale factor at y + 0.3 shrinks the residual only 40-130x per
     # correction, and at y + 2 (dt*a' about 1.2 larger) hardly at all: each
     # step factors B(y_m) once and solves directly, as a fresh sweep does.
@@ -1073,35 +1046,36 @@ def test_adjoint_on_distant_factors_refactors_each_step_once(splu_calls,
     # corrections, which cost more than the one factorization
     spec, y, stale = refinement_problem(offset)
     fresh = sc.solve_adjoint(replace(spec), y)
-    del splu_calls[:]
+    before = factorizations(spec.steps)
     phi = sc.solve_adjoint(spec, y)
-    assert len(splu_calls) == spec.tgrid.n_t == len(stale)
+    assert ((factorizations(spec.steps) - before).total()
+            == spec.tgrid.n_t == len(stale))
     assert not any(a is b for a, b in zip(spec.steps._slots, stale))
     assert phi.values.tobytes() == fresh.values.tobytes()
 
 
-def test_adjoint_identity_with_a_refined_adjoint(splu_calls):
+def test_adjoint_identity_with_a_refined_adjoint():
     # the transpose identity of check_adjoint_identity, at its tolerance,
     # with phi from refinement on stale factors
     spec, y, _ = refinement_problem(0.0)
     v = random_control(spec, np.random.default_rng(34))
     z = sc.solve_linearized(replace(spec), y, v)
-    del splu_calls[:]
+    before = factorizations(spec.steps)
     phi = sc.solve_adjoint(spec, y)
-    assert not splu_calls
+    assert factorizations(spec.steps) == before
     lhs = sc.l2_inner(like(y, y.values - spec.yd.values), z)
     rhs = sc.l2_inner(phi, v)
     assert abs(lhs - rhs) <= 1e-10 * max(abs(lhs), abs(rhs))
 
 
-def test_linearized_refined_on_held_factors_matches_factoring(splu_calls):
+def test_linearized_refined_on_held_factors_matches_factoring():
     # the forward sweep refines on held factors as the adjoint one does
     spec, y, _ = refinement_problem(0.0)
     v = random_control(spec, np.random.default_rng(35))
     fresh = sc.solve_linearized(replace(spec), y, v)
-    del splu_calls[:]
+    before = factorizations(spec.steps)
     z = sc.solve_linearized(spec, y, v)
-    assert not splu_calls
+    assert factorizations(spec.steps) == before
     assert (np.linalg.norm(z.values - fresh.values)
             <= 1e-12 * np.linalg.norm(fresh.values))
 
@@ -1114,30 +1088,31 @@ def held_twin(spec):
     return twin
 
 
-def test_warm_started_adjoint_equals_the_cold_one(active_solve, splu_calls,
-                                                  triangular_solves):
+def test_warm_started_adjoint_equals_the_cold_one(active_solve):
     # the adjoint at the solution, refined on the solve's held factors from
     # the adjoint at a nearby control, equals the one refined from p = 0 to
-    # roundoff, with no factorization and fewer solves
+    # roundoff, with no factorization and fewer solves.  A factor counts
+    # its solves into the work of the step system that made it, the
+    # solve's
     spec, report = active_solve
     rng = np.random.default_rng(36)
     nearby = like(report.u, report.u.values
                   * (1.0 + 1e-3 * rng.standard_normal(report.u.values.shape)))
     fresh = replace(spec)
     near = sc.solve_adjoint(fresh, sc.solve_state(fresh, nearby))
-    del splu_calls[:], triangular_solves[:]
-    cold = sc.solve_adjoint(held_twin(spec), report.y)
-    cold_solves = len(triangular_solves)
-    del triangular_solves[:]
-    warm = sc.solve_adjoint(held_twin(spec), report.y, near)
-    assert not splu_calls
-    assert len(triangular_solves) < cold_solves
+    work, twins = spec.steps.work, [held_twin(spec), held_twin(spec)]
+    solves = [work["separable_solves"] + work["superlu_solves"]]
+    cold = sc.solve_adjoint(twins[0], report.y)
+    solves.append(work["separable_solves"] + work["superlu_solves"])
+    warm = sc.solve_adjoint(twins[1], report.y, near)
+    solves.append(work["separable_solves"] + work["superlu_solves"])
+    assert not any(factorizations(twin.steps) for twin in twins)
+    assert solves[2] - solves[1] < solves[1] - solves[0]
     assert (np.linalg.norm(warm.values - cold.values)
             <= 1e-14 * np.linalg.norm(cold.values))
 
 
-def test_a_refinement_that_gives_up_refactors_despite_a_warm_start(
-        splu_calls):
+def test_a_refinement_that_gives_up_refactors_despite_a_warm_start():
     # factors at y + 0.3 contract only 40-130x per correction.  From a start
     # 1e-8 off the solution the refinement's second iterate already meets
     # Newton's residual test, but it gave up on its rate, its error bound
@@ -1158,9 +1133,9 @@ def test_a_refinement_that_gives_up_refactors_despite_a_warm_start(
     assert 2 <= lu.solves < pde._NEWTON_MAX_ITER
     assert pde._certified(
         lambda: steps.linear_residual(lu.last, shift, rhs), rhs)
-    del splu_calls[:]
+    before = factorizations(steps)
     phi = sc.solve_adjoint(spec, y, near)
-    assert len(splu_calls) == n_t
+    assert (factorizations(steps) - before).total() == n_t
     assert not any(a is b for a, b in zip(steps._slots, stale))
     assert phi.values.tobytes() == fresh.values.tobytes()
 
@@ -1211,25 +1186,19 @@ def test_a_state_step_that_fails_its_certificate_resumes_per_step(
     # chord again and its iterate checked on its own, returning the bytes
     # of a per-step loop with the same chord, and every step meets the test
     spec, _, y, _, near = held_problem(78)
-    twin = held_twin(spec)
+    twin, work = held_twin(spec), spec.steps.work
     chord, calls = perturbing(StepSystem.chord, steps), []
 
     def counted_chord(self, rhs, m, guess):
-        calls.append("chord")
+        calls.append(m)
         return chord(self, rhs, m, guess)
 
-    newton = StepSystem.newton
-
-    def counted_newton(self, rhs, y_start):
-        calls.append("newton")
-        return newton(self, rhs, y_start)
-
     monkeypatch.setattr(StepSystem, "chord", counted_chord)
-    monkeypatch.setattr(StepSystem, "newton", counted_newton)
+    before = dict(work)
     y_near = sc.solve_state(spec, near, y)
-    n_t = spec.tgrid.n_t
-    assert calls.count("newton") == len(steps)
-    assert calls.count("chord") == 2 * n_t - steps[0]
+    assert work["newton_passes"] - before["newton_passes"] == len(steps)
+    assert work["resumed_sweeps"] - before["resumed_sweeps"] == 1
+    assert len(calls) == 2 * spec.tgrid.n_t - steps[0]
     assert (y_near.values.tobytes()
             == reference_state(twin, near, y).tobytes())
     assert_steps_certified(spec, y_near.values, False,
@@ -1274,21 +1243,18 @@ def test_a_chord_that_gives_up_goes_straight_to_newton(monkeypatch, k):
     spec, _, y, _, near = held_problem(78)
     steps, n_t = spec.steps, spec.tgrid.n_t
     steps._slots[k - 1] = lu = CountingFactor(steps.factor(y.values[k] + 2.0))
-    twin = held_twin(spec)
-    chord, newton, calls = StepSystem.chord, StepSystem.newton, []
+    twin, chord, calls = held_twin(spec), StepSystem.chord, []
 
     def counted_chord(self, rhs, m, guess):
         calls.append(m)
         return chord(self, rhs, m, guess)
 
-    def counted_newton(self, rhs, y_start):
-        calls.append("newton")
-        return newton(self, rhs, y_start)
-
     monkeypatch.setattr(StepSystem, "chord", counted_chord)
-    monkeypatch.setattr(StepSystem, "newton", counted_newton)
+    before = dict(steps.work)
     y_near = sc.solve_state(spec, near, y)
-    assert calls == [*range(1, k + 1), "newton", *range(k + 1, n_t + 1)]
+    assert calls == list(range(1, n_t + 1))
+    assert steps.work["newton_passes"] == before["newton_passes"] + 1
+    assert steps.work["resumed_sweeps"] == before["resumed_sweeps"]
     rhs = y_near.values[k - 1] + spec.tgrid.dt * near.values[k - 1]
     assert 2 <= lu.solves < pde._NEWTON_MAX_ITER
     assert np.all(np.isfinite(lu.last))
@@ -1300,7 +1266,7 @@ def test_a_chord_that_gives_up_goes_straight_to_newton(monkeypatch, k):
 @pytest.mark.parametrize("steps", [(1,), (4,), (8,), (3, 6)],
                          ids=lambda steps: "-".join(map(str, steps)))
 def test_an_adjoint_step_that_fails_its_certificate_resumes_per_step(
-        monkeypatch, splu_calls, steps):
+        monkeypatch, steps):
     # the same for the refinement, from a warm start, in the backward
     # sweep: each failing step factors B(y_m) once and holds it
     spec, _, y, phi, near = held_problem(79)
@@ -1308,9 +1274,9 @@ def test_an_adjoint_step_that_fails_its_certificate_resumes_per_step(
     twin = held_twin(spec)
     monkeypatch.setattr(StepSystem, "refine",
                         perturbing(StepSystem.refine, steps))
-    del splu_calls[:]
+    before = factorizations(spec.steps)
     phi_near = sc.solve_adjoint(spec, y_near, phi)
-    assert len(splu_calls) == len(steps)
+    assert (factorizations(spec.steps) - before).total() == len(steps)
     assert (phi_near.values.tobytes()
             == reference_adjoint(twin, y_near, phi).tobytes())
     x = np.zeros((spec.tgrid.n_t + 2, spec.grid.n_nodes))
@@ -1337,7 +1303,7 @@ def test_newton_failure_raises():
         sc.solve_state(spec, u)
 
 
-def test_a_failing_step_pays_for_one_newton_pass(splu_calls):
+def test_a_failing_step_pays_for_one_newton_pass():
     # the step of test_newton_failure_raises that fails makes one Newton
     # pass's factorizations and no more
     grid = sc.SpaceGrid(2, 10)
@@ -1352,14 +1318,14 @@ def test_a_failing_step_pays_for_one_newton_pass(splu_calls):
     steps, dt = spec.steps, tgrid.dt
     y = spec.y0
     for m in range(tgrid.n_t):
-        del splu_calls[:]
+        before = factorizations(steps)
         try:
             y = steps.newton(y + dt * u.values[m], y)
         except NewtonError:
             break
     else:
         pytest.fail("every step converged")
-    assert len(splu_calls) <= pde._NEWTON_MAX_ITER
+    assert (factorizations(steps) - before).total() <= pde._NEWTON_MAX_ITER
 
 
 def test_control_shape_rejected():
@@ -1454,14 +1420,17 @@ WORKLOAD_PROBLEMS = {
 }
 
 
-@pytest.mark.parametrize("name, ceiling", [("sweep-2d-lowkappa", 480),
-                                           ("solve-2d-schloegl", 160)])
+@pytest.mark.parametrize("name, solves, ceiling, sweeps",
+                         [("sweep-2d-lowkappa", 468, 480, 21),
+                          ("solve-2d-schloegl", 153, 160, 7)],
+                         ids=["sweep-2d-lowkappa-480",
+                              "solve-2d-schloegl-160"])
 def test_workload_factorizations_and_triangular_solves(
-        name, ceiling, splu_calls, triangular_solves):
+        name, solves, ceiling, sweeps):
     # deterministic work on held factors: one factorization per workload,
     # the separable one of B(0), and the solves on it that the chord and
-    # the warm-started refinement need (468 and 153 when written; 647 and
-    # 178 with every refinement from p = 0)
+    # the warm-started refinement need (647 and 178 with every refinement
+    # from p = 0), one state and one adjoint sweep per solve and trial
     problem, cfg, gammas, iterations = WORKLOAD_PROBLEMS[name]
     spec = schloegl_spec(y0="zero", yd="bump", **problem)
     if gammas is None:
@@ -1469,6 +1438,8 @@ def test_workload_factorizations_and_triangular_solves(
     else:
         report = sc.gamma_sweep(spec, gammas, cfg)
     assert report.converged and report.iterations == iterations
-    assert splu_calls == ["dpttrf"]
-    assert set(triangular_solves) == {"separable"}
-    assert len(triangular_solves) <= ceiling
+    work = spec.steps.work
+    assert factorizations(spec.steps) == {"separable_factors": 1}
+    assert work["superlu_solves"] == 0
+    assert work["separable_solves"] == solves <= ceiling
+    assert work["state_sweeps"] == work["adjoint_sweeps"] == sweeps

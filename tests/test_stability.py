@@ -8,7 +8,7 @@ from sparsecontrol import pde, stability
 from sparsecontrol.grid import like
 from sparsecontrol.stability import fit_rate
 
-from conftest import active_schloegl_spec, schloegl_spec
+from conftest import active_schloegl_spec, factorizations, schloegl_spec
 
 
 def test_fit_rate_exact_linear():
@@ -84,18 +84,17 @@ def test_accepted_start_agrees_with_cold_start(active_solve):
     assert all(a is b for a, b in zip(held, spec.steps._slots))
 
 
-def test_sweep_factors_no_more_than_its_base_solve(splu_calls):
+def test_sweep_factors_no_more_than_its_base_solve():
     # every budget refines on its neighbor's held factors and refactors
     # only where that fails; here it never does, so a sweep over six
     # budgets factors exactly what its base solve alone does
     cfg = sc.OptimizerConfig(tol=1e-8, max_iter=400)
-    sc.solve(schloegl_spec(n=6, n_t=6, gamma=0.05), cfg)
-    base_calls = len(splu_calls)
-    splu_calls.clear()
-    report = sc.gamma_sweep(schloegl_spec(n=6, n_t=6, gamma=0.05),
-                            [0.06, 0.055, 0.05, 0.045, 0.04, 0.035], cfg)
+    base, swept = (schloegl_spec(n=6, n_t=6, gamma=0.05) for _ in range(2))
+    sc.solve(base, cfg)
+    report = sc.gamma_sweep(swept, [0.06, 0.055, 0.05, 0.045, 0.04, 0.035],
+                            cfg)
     assert report.converged
-    assert len(splu_calls) == base_calls
+    assert factorizations(swept.steps) == factorizations(base.steps)
 
 
 # a sweep over budgets on both sides of the base whose curvature weight is
@@ -108,17 +107,18 @@ def two_sided_spec():
                          y0="constant(1.5)", yd="bump")
 
 
-def test_two_sided_sweep_factors_at_most_its_count(splu_calls):
+def test_two_sided_sweep_factors_at_most_its_count():
     # both chains start from the factors the base solve and the bound's
     # Lanczos products leave in the shared step system: 72 factorizations
     # (a bound computed after the chains refactors up to n_t more steps)
-    report = sc.gamma_sweep(two_sided_spec(), TWO_SIDED_GAMMAS,
+    spec = two_sided_spec()
+    report = sc.gamma_sweep(spec, TWO_SIDED_GAMMAS,
                             sc.OptimizerConfig(tol=1e-8, max_iter=400))
     assert report.converged
     assert report.gammas == sorted(TWO_SIDED_GAMMAS)
     assert report.iterations == [6, 6, 6, 9, 8, 7, 8]
     assert 0.0 < report.second_order_bound < 0.01
-    assert len(splu_calls) <= 72
+    assert factorizations(spec.steps).total() <= 72
 
 
 def test_sweep_bound_is_the_base_solves_bound_bitwise():
