@@ -93,8 +93,8 @@ def cmd_solve(cfg: RunConfig, out_dir: Path) -> int:
     return EXIT_OK if report.converged else EXIT_NONCONVERGED
 
 
-def cmd_check(cfg: RunConfig, seed: int) -> int:
-    results = run_checks(cfg.problem_spec(), seed)
+def cmd_check(cfg: RunConfig) -> int:
+    results = run_checks(cfg.problem_spec(), cfg.seed)
     width = max(len(r.name) for r in results)
     for r in results:
         print(f"{r.name:<{width}}  {'PASS' if r.passed else 'FAIL'}  {r.detail}")
@@ -189,7 +189,7 @@ def main(argv=None) -> int:
         if args.command == "solve":
             return cmd_solve(cfg, out_dir)
         if args.command == "check":
-            return cmd_check(cfg, cfg.seed)
+            return cmd_check(cfg)
         return cmd_sweep(cfg, out_dir, gammas)
     except NewtonError as exc:
         print(f"error: {exc}", file=sys.stderr)

@@ -10,8 +10,8 @@ M = ProblemSpec.truncation, which the step system reads once.  Each step is
 solved by Newton, x <- x - B(x)^-1 R(x) from y_{m-1}, R the step's residual
 and B(x) = I + dt A_h + dt diag(a_M'(x)) refactored at every iterate.  The
 zero reaction's B is the constant I + dt A_h, factored once: every sweep
-marches on it in place, one solve per step.  The step system holds one
-factor lu of B(w_m) per step m, at an earlier state w, with its shift
+marches on it, one solve per step.  The step system holds one factor lu
+of B(w_m) per step m, at an earlier state w, with its shift
 s_w = dt a_M'(w_m).  Given a nearby state y', step m first runs the chord
 on it from x = y'_m in splitting form,
 
@@ -70,15 +70,17 @@ step.
 A_h is the finite-difference operator on interior nodes: the standard
 3/5-point stencil for the diagonal part plus centered cross differences for
 the off-diagonal tensor entry, Dirichlet values eliminated, written in 2D
-straight into CSR from the 9-point stencil.  It is exactly
-symmetric, bit for bit (the tests assert it), so B_m^T = B_m and one
-StepSystem serves the state, linearized and adjoint sweeps.  It is built
-once per problem (ProblemSpec.steps) and reused, held factors and all, by
-every sweep on it and by every budget of a budget sweep
-(ProblemSpec.with_budget); a dataclasses.replace copy of the problem starts
-with none held.  StepSystem's docstring says which factor serves each B(y),
-a sine transform and LAPACK's L D L^T where the shift is uniform, else
-SuperLU, and names each counter of the work it counts (StepSystem.work).
+straight into CSR from the 9-point stencil.  It is exactly symmetric, bit
+for bit (the tests assert it), so B_m^T = B_m and one StepSystem serves the
+state, linearized and adjoint sweeps.  It is built once per problem
+(ProblemSpec.steps) and reused, held factors and all, by every sweep on it
+and by every budget of a budget sweep (ProblemSpec.with_budget); a
+dataclasses.replace copy of the problem starts with none held.
+StepSystem's docstring says which factor serves each B(y), a sine transform
+and LAPACK's L D L^T where the shift is uniform, else SuperLU, whose CSC
+step matrix is built at the first SuperLU factorization and has its
+diagonal rewritten for each one.  It names each counter of the work it
+counts (StepSystem.work); every solve counts itself.
 """
 
 from __future__ import annotations
@@ -120,20 +122,14 @@ class TruncationActiveWarning(UserWarning):
     clamped equation, not the original one."""
 
 
-def _second_difference(n: int, h: float) -> sp.csr_matrix:
-    """Dirichlet-eliminated -d^2/dx^2 on n interior nodes."""
-    main = np.full(n, 2.0 / h**2)
-    off = np.full(n - 1, -1.0 / h**2)
-    return sp.diags([off, main, off], offsets=[-1, 0, 1], format="csr")
-
-
 def elliptic_matrix(grid: SpaceGrid, tensor: DiffusionTensor) -> sp.csr_matrix:
     """Assembled sparse matrix A_h of -div(a_ij grad) on interior nodes.
 
-    In 2D, node (i, j) is row i*n + j, and its row is the 9-point stencil
-    a_00 D2 x I + a_11 I x D2 - 2 a_01 D1 x D1 of the second and centered
-    first differences D2 and D1, written straight into CSR: entries off the
-    grid, and zero ones (every corner of a diagonal tensor), are left out.
+    D2 and D1 are the Dirichlet-eliminated second and centered first
+    differences.  In 1D, A_h is a_00 D2.  In 2D, node (i, j) is row
+    i*n + j, and its row is the 9-point stencil a_00 D2 x I + a_11 I x D2
+    - 2 a_01 D1 x D1, written straight into CSR: entries off the grid, and
+    zero ones (every corner of a diagonal tensor), are left out.
     Exactly symmetric, cross term included (the adjoint relies on this), and
     positive definite; tests assert both on tiny grids, symmetry bitwise.
     """
@@ -141,9 +137,10 @@ def elliptic_matrix(grid: SpaceGrid, tensor: DiffusionTensor) -> sp.csr_matrix:
         raise ValueError("tensor dimension does not match the grid")
     n, h = grid.n_per_axis, grid.h
     a = tensor.as_array()
-    if grid.n_dim == 1:
-        return (a[0, 0] * _second_difference(n, h)).tocsr()
     main, off, first = 2.0 / h**2, -1.0 / h**2, 1.0 / (2.0 * h)
+    if grid.n_dim == 1:
+        return a[0, 0] * sp.diags([off, main, off], offsets=[-1, 0, 1],
+                                  shape=(n, n), format="csr")
     corner = 2.0 * a[0, 1] * (first * first)
     # row and column offsets of the stencil, in ascending column order, and
     # its values
@@ -170,7 +167,6 @@ class _SparseFactor:
     varies.  An exactly singular B raises NewtonError."""
 
     __slots__ = ("lu", "shift", "work")
-    SOLVES = "superlu_solves"
 
     def __init__(self, matrix: sp.csc_matrix, shift: np.ndarray, work: dict):
         # symmetric mode prefers the diagonal pivot, as the symmetric
@@ -186,11 +182,8 @@ class _SparseFactor:
         self.shift, self.work = shift, work
 
     def solve(self, b: np.ndarray) -> np.ndarray:
-        self.work[self.SOLVES] += 1
+        self.work["superlu_solves"] += 1
         return self.lu.solve(b)
-
-    def solve_in_place(self, b: np.ndarray) -> None:
-        b[:] = self.lu.solve(b)
 
 
 class _SeparableFactor:
@@ -210,7 +203,6 @@ class _SeparableFactor:
     Q dpttrs(Q b).  d and e are dpttrf's factor, sine is Q, None in 1D."""
 
     __slots__ = ("d", "e", "sine", "shift", "work")
-    SOLVES = "separable_solves"
 
     def __init__(self, d: np.ndarray, e: np.ndarray, sine: np.ndarray | None,
                  shift: np.ndarray, work: dict):
@@ -218,10 +210,7 @@ class _SeparableFactor:
         self.work = work
 
     def solve(self, b: np.ndarray) -> np.ndarray:
-        self.work[self.SOLVES] += 1
-        return self._solve(b)
-
-    def _solve(self, b: np.ndarray) -> np.ndarray:
+        self.work["separable_solves"] += 1
         if self.sine is None:
             return dpttrs(self.d, self.e, b)[0]
         n = len(self.sine)
@@ -229,22 +218,12 @@ class _SeparableFactor:
                    overwrite_b=1)[0]
         return (self.sine @ x.reshape(n, n)).ravel()
 
-    def solve_in_place(self, b: np.ndarray) -> None:
-        if self.sine is not None:
-            b[:] = self._solve(b)
-            return
-        # overwrite_b only permits the solve in b: f2py copies a b that is
-        # not a contiguous float64 vector and returns the copy
-        x = dpttrs(self.d, self.e, b, overwrite_b=1)[0]
-        if x is not b:
-            b[:] = x
-
 
 class StepSystem:
     """Implicit Euler step matrices B(y) = I + dt*A_h + dt*diag(a_M'(y)).
 
-    One per problem (ProblemSpec.steps).  I + dt*A_h is assembled once,
-    as CSC.  factor(y) picks the factor by what B(y) is:
+    One per problem (ProblemSpec.steps), holding A_h (operator_matrix).
+    factor(y) picks the factor by what B(y) is:
 
     - separable (_SeparableFactor): the shift dt*a_M'(y) is bitwise equal
       at every node, the tensor has no cross term and each axis has at
@@ -257,12 +236,12 @@ class StepSystem:
       costs two dense n x n products and one tridiagonal solve, a third of
       SuperLU's at 32 x 32 nodes and less at larger n.
     - otherwise (_SparseFactor): factor(y) writes B(y) into one CSC work
-      matrix, built on first use, adds the shift to the diagonal entries
-      and factors that by one SuperLU call, which keeps no reference to
-      it.  SuperLU pivots, which covers the step matrices a decreasing
-      reaction makes indefinite, and raises NewtonError on an exactly
-      singular one, as a separable B(y) that dpttrf rejects takes this way
-      too.
+      matrix, dt*A_h built at the first SuperLU factorization, by
+      rewriting its diagonal entries as 1 + dt*a_ii + shift, and factors
+      that by one SuperLU call, which keeps no reference to it.  SuperLU
+      pivots, which covers the step matrices a decreasing reaction makes
+      indefinite, and raises NewtonError on an exactly singular one, as a
+      separable B(y) that dpttrf rejects takes this way too.
 
     The last factor made is held and returned again for the same B(y).
     Each step m = 1..n_t also holds the factor its last refactor left,
@@ -273,17 +252,17 @@ class StepSystem:
 
     The zero reaction's B is the constant, symmetric positive definite
     I + dt*A_h.  It is factored once, here, and is `constant`, None for
-    every other reaction: the sweeps march on it in place, one solve per
-    implicit step, with no reaction evaluated.
+    every other reaction: the sweeps march on it, one solve per implicit
+    step, with no reaction evaluated.
 
     work counts what the step system does, once per call, never per step:
     separable_factors, separable_rejected (a dpttrf that found a separable
     B(y) not positive definite) and superlu_factors (calls, an exactly
     singular B(y) included); separable_solves and superlu_solves on the
-    factors it made, the constant march adding n_t per sweep;
-    newton_passes; state_sweeps, linearized_sweeps and adjoint_sweeps;
-    certifications, the one stacked residual, and A_h product, of a sweep
-    that ran iterates on held factors; and resumed_sweeps, those whose
+    factors it made, every solve counting itself; newton_passes;
+    state_sweeps, linearized_sweeps and adjoint_sweeps; certifications,
+    the one stacked residual, and A_h product, of a sweep that ran
+    iterates on held factors; and resumed_sweeps, those whose
     certification failed.  The constant's factorization is counted.  A
     dataclasses.replace copy of the problem starts anew; with_budget shares
     the counts.
@@ -294,14 +273,11 @@ class StepSystem:
         self.level = spec.truncation
         self.dt = spec.tgrid.dt
         self.operator_matrix = elliptic_matrix(spec.grid, spec.diffusion)
-        n = self.operator_matrix.shape[0]
-        base = (sp.identity(n, format="csr")
-                + self.dt * self.operator_matrix).tocsc()
+        # the diagonal 1 + dt*a_ii of I + dt*A_h, which B(y) shifts
+        self._main = 1.0 + self.dt * self.operator_matrix.diagonal()
         # _slots[m - 1]: the factor of B(w_m) that step m holds, or None
         self._slots = [None] * spec.tgrid.n_t
-        self._base = base
-        self._work = None
-        self._held = None
+        self._work = self._held = None
         self._separable = self._separable_form(spec)
         self.work = dict.fromkeys((
             "separable_factors", "separable_rejected", "superlu_factors",
@@ -310,8 +286,8 @@ class StepSystem:
             "certifications", "resumed_sweeps"), 0)
         # the zero reaction's shift is zero for every state, so factor()
         # returns the constant factor, held, for every state
-        self.constant = (self._factor(np.zeros(n)) if self.nl.kind == "zero"
-                         else None)
+        self.constant = (self._factor(np.zeros(spec.grid.n_nodes))
+                         if self.nl.kind == "zero" else None)
 
     def _separable_form(self, spec: ProblemSpec):
         """B(0) = I + dt*A_h as one tridiagonal matrix, after the sine
@@ -321,7 +297,7 @@ class StepSystem:
         n, a = spec.grid.n_per_axis, spec.diffusion.as_array()
         if n < 3 or (spec.grid.n_dim == 2 and a[0, 1] != 0.0):
             return None
-        main, off = self._base.diagonal(), self._base.diagonal(1)
+        main, off = self._main, self.dt * self.operator_matrix.diagonal(1)
         if spec.grid.n_dim == 1:
             return main, off, None
         # rows i*n + j and (i +- 1)*n + j couple by c = -dt*a_00/h^2, which
@@ -362,14 +338,13 @@ class StepSystem:
                 return self._held
             self.work["separable_rejected"] += 1
         if self._work is None:
-            self._work = self._base.copy()
-            # data index of each diagonal entry, by node; 1 + dt*a_ii > 0,
-            # so all are stored
+            self._work = (self.dt * self.operator_matrix).tocsc()
+            # data index of each diagonal entry, by node; a_ii > 0, so all
+            # are stored
             columns = np.repeat(np.arange(len(shift)),
-                                np.diff(self._base.indptr))
-            self._diagonal = np.flatnonzero(self._base.indices == columns)
-        np.copyto(self._work.data, self._base.data)
-        self._work.data[self._diagonal] += shift
+                                np.diff(self._work.indptr))
+            self._diagonal = np.flatnonzero(self._work.indices == columns)
+        self._work.data[self._diagonal] = self._main + shift
         self.work["superlu_factors"] += 1
         self._held = _SparseFactor(self._work, shift, self.work)
         return self._held
@@ -548,9 +523,8 @@ def solve_state(spec: ProblemSpec, u: SpaceTimeField,
 def _march(spec: ProblemSpec, x: np.ndarray, source: np.ndarray,
            backward: bool, sweep: str, attempt, fallback, residual) -> None:
     """x[m] = S_m(x[m - 1] + source[m - 1]), m = 1..n_t, or backward
-    x[m] = S_m(x[m + 1] + source[m - 1]), m = n_t..1, in place: each step
-    adds into row m and solves there.  On the step system's constant
-    factor, S_m is one solve in place.
+    x[m] = S_m(x[m + 1] + source[m - 1]), m = n_t..1, in place.  On the
+    step system's constant factor, S_m is one solve.
 
     Otherwise S_m is attempt(rhs, m), a settled iterate on step m's held
     factor, not yet certified, or, where that is None, fallback(rhs, m),
@@ -572,10 +546,8 @@ def _march(spec: ProblemSpec, x: np.ndarray, source: np.ndarray,
     try:
         with np.errstate(over="raise"):
             if constant is not None:
-                work[constant.SOLVES] += n_t
                 for m in order:
-                    constant.solve_in_place(
-                        np.add(x[m + previous], source[m - 1], out=x[m]))
+                    x[m] = constant.solve(x[m + previous] + source[m - 1])
                 return
             pending, failure = [], None
             for m in order:

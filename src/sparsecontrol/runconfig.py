@@ -82,6 +82,8 @@ class RunConfig:
     optimizer: dict
     output: dict
     seed: int
+    # problem_spec() and optimizer_config(), built once, in parse_config
+    _spec = _optimizer_config = None
 
     def to_dict(self) -> dict:
         """Fully resolved configuration, JSON-serializable."""
@@ -93,10 +95,14 @@ class RunConfig:
         }
 
     def problem_spec(self) -> ProblemSpec:
-        return build_problem_spec(self.problem)
+        if self._spec is None:
+            self._spec = build_problem_spec(self.problem)
+        return self._spec
 
     def optimizer_config(self) -> OptimizerConfig:
-        return OptimizerConfig(**self.optimizer)
+        if self._optimizer_config is None:
+            self._optimizer_config = OptimizerConfig(**self.optimizer)
+        return self._optimizer_config
 
 
 def _coerce_diffusion(entry, n_dim: int) -> DiffusionTensor:

@@ -389,18 +389,21 @@ ZERO_REACTION_SOLVE = (FAST_SOLVE.replace("kind: schloegl", "kind: zero")
     ("sweep", FAST_SOLVE)], ids=["solve", "zero", "sweep"])
 def test_outputs_write_the_step_systems_work(tmp_path, monkeypatch, command,
                                              text):
-    # the counts of the step system the command ran on, the last problem
-    # built (load_config builds one to validate), after the command: a
-    # sweep's over all its budgets, which share it, and the zero reaction's
-    # with its constant factor and one march solve per step and sweep
-    built, problem_spec = [], runconfig.RunConfig.problem_spec
-    monkeypatch.setattr(runconfig.RunConfig, "problem_spec",
-                        lambda cfg: built.append(problem_spec(cfg)) or built[-1])
+    # the counts of the step system the command ran on, the one problem
+    # built (load_config builds it to validate, and the command reuses
+    # it), after the command: a sweep's over all its budgets, which share
+    # it, and the zero reaction's with its constant factor and one march
+    # solve per step and sweep
+    built, build = [], runconfig.build_problem_spec
+    monkeypatch.setattr(
+        runconfig, "build_problem_spec",
+        lambda problem: built.append(build(problem)) or built[-1])
     out = tmp_path / "out"
     assert main([command, "--config", write_config(tmp_path, text),
                  "--out", str(out)]) == 0
+    assert len(built) == 1
     output = "report.json" if command == "solve" else "stability.json"
-    work, spec = json.loads((out / output).read_text())["work"], built[-1]
+    work, spec = json.loads((out / output).read_text())["work"], built[0]
     assert work == spec.steps.work and work["state_sweeps"] >= 1
     if spec.steps.constant is not None:
         sweeps = sum(work[f"{name}_sweeps"]

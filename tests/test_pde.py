@@ -61,13 +61,30 @@ def test_elliptic_operator_spd_on_random_tensors(n_dim):
         assert np.linalg.eigvalsh(a_h.toarray()).min() > 0.0
 
 
+def second_difference(n, h):
+    """The Dirichlet-eliminated -d^2/dx^2 on n interior nodes, D2."""
+    main, off = np.full(n, 2.0 / h**2), np.full(n - 1, -1.0 / h**2)
+    return sp.diags([off, main, off], offsets=[-1, 0, 1], format="csr")
+
+
+def test_1d_assembly_is_a00_times_the_second_difference_bitwise():
+    for n in (1, 2, 3, 200):
+        grid = sc.SpaceGrid(1, n)
+        a_h = sc.elliptic_matrix(grid, sc.isotropic(1, 0.3))
+        reference = 0.3 * second_difference(n, grid.h)
+        assert a_h.format == "csr" and a_h.shape == reference.shape
+        for attr in ("indptr", "indices", "data"):
+            assert (getattr(a_h, attr).tobytes()
+                    == getattr(reference, attr).tobytes()), (n, attr)
+
+
 def kronecker_elliptic_matrix(grid, tensor):
     """The 2D A_h as a00 D2 x I + a11 I x D2 - 2 a01 D1 x D1 of the 1D
     second and centered first differences, by Kronecker products and
     sparse sums: the reference the stencil assembly must reproduce."""
     n, h = grid.n_per_axis, grid.h
     a = tensor.as_array()
-    d2 = pde._second_difference(n, h)
+    d2 = second_difference(n, h)
     eye = sp.identity(n, format="csr")
     off = np.full(n - 1, 1.0 / (2.0 * h))
     d1 = sp.diags([-off, off], offsets=[-1, 1], format="csr")
@@ -317,21 +334,26 @@ def test_zero_reaction_shares_one_factorization():
 
 
 def test_factor_survives_a_later_factor():
-    # factor() adds the shift to a copy of the stored I + dt*A_h; a later
-    # factor(y2) must leave an earlier factor's solve and that stored
-    # matrix bit for bit as they were
+    # each SuperLU factorization writes 1 + dt*a_ii + shift into the
+    # diagonal of the one CSC work matrix and adds nothing to it: after
+    # factors at y1, y2 and y1 again, the work matrix is B(y1) assembled
+    # anew, bit for bit, and the first factor's solve is as it was
     spec = step_system_spec("anisotropic-schloegl")
     steps = spec.steps
     rng = np.random.default_rng(11)
     y1, y2, rhs = rng.standard_normal((3, spec.grid.n_nodes))
-    base = steps._base.data.tobytes()
     lu = steps.factor(y1)
     x = lu.solve(rhs)
-    assert steps._base.data.tobytes() == base
     assert steps.factor(y2) is not lu
+    again = steps.factor(y1)
+    assert again is not lu
+    assert factorizations(steps) == {"superlu_factors": 3}
+    fresh = fresh_step_matrix(spec, y1).sorted_indices()
+    for attr in ("indptr", "indices", "data"):
+        assert (getattr(steps._work, attr).tobytes()
+                == getattr(fresh, attr).tobytes())
     assert lu.solve(rhs).tobytes() == x.tobytes()
-    assert steps._base.data.tobytes() == base
-    assert steps.factor(y1).solve(rhs).tobytes() == x.tobytes()
+    assert again.solve(rhs).tobytes() == x.tobytes()
 
 
 def test_factor_is_held_for_a_bitwise_equal_shift():
@@ -423,24 +445,6 @@ def test_constant_tridiagonal_factor_rejects_a_matrix_not_positive_definite():
         b = np.random.default_rng(30).standard_normal(spec.grid.n_nodes)
         assert (np.linalg.norm(dense @ lu.solve(b) - b)
                 <= 1e-13 * np.linalg.norm(b))
-
-
-def test_constant_tridiagonal_solve_in_place_writes_a_strided_row():
-    # dpttrs solves in a contiguous float64 b; for any other b f2py returns
-    # a copy, which solve_in_place must write back.  The 2D factor solves
-    # out of place and writes its result into b.  On the zero reaction's
-    # separable factor, in 1D and 2D
-    for n_dim, n in ((1, 25), (2, 5)):
-        spec = uniform_shift_spec(n_dim, n, sc.isotropic(n_dim, 1.0), 0.0)
-        factor = spec.steps.constant
-        assert isinstance(factor, pde._SeparableFactor)
-        matrix = fresh_step_matrix(spec, spec.y0)
-        stack = np.arange(625.0).reshape(25, 25)
-        for b in (stack[:, 1], stack[2]):
-            rhs = b.copy()
-            factor.solve_in_place(b)
-            assert b.tobytes() == factor.solve(rhs).tobytes()
-            assert np.allclose(matrix @ b, rhs)
 
 
 def uniform_shift_spec(n_dim, n, tensor, shift):
