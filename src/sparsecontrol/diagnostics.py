@@ -18,7 +18,6 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.sparse.linalg import ArpackNoConvergence, LinearOperator, eigsh
 
 from .grid import SpaceTimeField, like
 from .l1ball import projection_derivative
@@ -67,6 +66,8 @@ def second_order_bound(spec: ProblemSpec, report) -> float | None:
     weight = curvature_weight(spec, report.y, report.phi)
     if np.all(weight >= 0.0):
         return float(spec.kappa)
+    from scipy.sparse.linalg import ArpackNoConvergence, LinearOperator, eigsh
+
     negative = np.maximum(-weight, 0.0)
     u, active = report.u, report.activity.multiplier_active
 

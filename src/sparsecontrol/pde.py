@@ -69,34 +69,42 @@ step.
 
 A_h is the finite-difference operator on interior nodes: the standard
 3/5-point stencil for the diagonal part plus centered cross differences for
-the off-diagonal tensor entry, Dirichlet values eliminated, written in 2D
-straight into CSR from the 9-point stencil.  It is exactly symmetric, bit
-for bit (the tests assert it), so B_m^T = B_m and one StepSystem serves the
-state, linearized and adjoint sweeps.  It is built once per problem
-(ProblemSpec.steps) and reused, held factors and all, by every sweep on it
-and by every budget of a budget sweep (ProblemSpec.with_budget); a
-dataclasses.replace copy of the problem starts with none held.
-StepSystem's docstring says which factor serves each B(y), a sine transform
-and LAPACK's L D L^T where the shift is uniform, else SuperLU, whose CSC
-step matrix is built at the first SuperLU factorization and has its
-diagonal rewritten for each one.  It names each counter of the work it
-counts (StepSystem.work); every solve counts itself.
+the off-diagonal tensor entry, Dirichlet values eliminated (_stencil).  The
+step system multiplies by it on the node array, term by term in CSR's
+column order, so its products are bitwise those of the CSR matrix
+elliptic_matrix assembles, which is built only for SuperLU.  A_h is
+exactly symmetric, bit for bit (the tests assert it), so B_m^T = B_m and
+one StepSystem serves the state, linearized and adjoint sweeps.  It is
+built once per problem (ProblemSpec.steps) and reused, held factors and
+all, by every sweep on it and by every budget of a budget sweep
+(ProblemSpec.with_budget); a dataclasses.replace copy of the problem starts
+with none held.  StepSystem's docstring says which factor serves each
+B(y): where the shift is uniform, the 2D sine diagonalization in numpy or
+LAPACK's L D L^T in 1D; else SuperLU, whose CSC step matrix is built at
+the first SuperLU factorization and has its diagonal rewritten for each
+one.  scipy is imported where LAPACK, SuperLU or ARPACK first runs, so a
+2D run on separable step matrices loads none of it.  StepSystem names
+each counter of the work it counts (StepSystem.work); every solve counts
+itself.
 """
 
 from __future__ import annotations
 
+import itertools
 import math
 import warnings
+from functools import cached_property
+from typing import TYPE_CHECKING
 
 import numpy as np
-import scipy.sparse as sp
-from scipy.linalg.lapack import dpttrf, dpttrs
-from scipy.sparse.linalg import splu
 
 from .grid import (PER_INTERVAL, DiffusionTensor, SpaceGrid, SpaceTimeField,
                    field_at_nodes, field_per_interval)
 from .nonlinearity import clamp_idle, eval_a_truncated, eval_ay_truncated
 from .problem import ProblemSpec
+
+if TYPE_CHECKING:
+    import scipy.sparse as sp
 
 
 # Newton stops at a residual norm of _NEWTON_TOL relative to max(|rhs|, 1)
@@ -122,42 +130,62 @@ class TruncationActiveWarning(UserWarning):
     clamped equation, not the original one."""
 
 
+def _stencil(grid: SpaceGrid, tensor: DiffusionTensor) -> dict:
+    """A_h's stencil: offset -> value of each nonzero entry of a row, the
+    offset one step per axis, in ascending column order.  D2 and D1 are the
+    Dirichlet-eliminated second and centered first differences.  In 1D,
+    A_h is a_00 D2; in 2D, with node (i, j) at row i*n + j, it is the
+    9-point stencil a_00 D2 x I + a_11 I x D2 - 2 a_01 D1 x D1, whose
+    corners vanish for a diagonal tensor."""
+    if tensor.n_dim != grid.n_dim:
+        raise ValueError("tensor dimension does not match the grid")
+    h, a = grid.h, tensor.as_array()
+    main, off, first = 2.0 / h**2, -1.0 / h**2, 1.0 / (2.0 * h)
+    if grid.n_dim == 1:
+        values = [a[0, 0] * off, a[0, 0] * main, a[0, 0] * off]
+    else:
+        corner = 2.0 * a[0, 1] * (first * first)
+        values = [-corner, a[0, 0] * off, corner, a[1, 1] * off,
+                  a[0, 0] * main + a[1, 1] * main, a[1, 1] * off,
+                  corner, a[0, 0] * off, -corner]
+    offsets = itertools.product((-1, 0, 1), repeat=grid.n_dim)
+    return {o: float(v) for o, v in zip(offsets, values) if v != 0.0}
+
+
 def elliptic_matrix(grid: SpaceGrid, tensor: DiffusionTensor) -> sp.csr_matrix:
     """Assembled sparse matrix A_h of -div(a_ij grad) on interior nodes.
 
-    D2 and D1 are the Dirichlet-eliminated second and centered first
-    differences.  In 1D, A_h is a_00 D2.  In 2D, node (i, j) is row
-    i*n + j, and its row is the 9-point stencil a_00 D2 x I + a_11 I x D2
-    - 2 a_01 D1 x D1, written straight into CSR: entries off the grid, and
-    zero ones (every corner of a diagonal tensor), are left out.
-    Exactly symmetric, cross term included (the adjoint relies on this), and
-    positive definite; tests assert both on tiny grids, symmetry bitwise.
+    Each row is the stencil (_stencil) written straight into CSR: entries
+    off the grid, and zero ones, are left out.  Exactly symmetric, cross
+    term included (the adjoint relies on this), and positive definite;
+    tests assert both on tiny grids, symmetry bitwise.
     """
-    if tensor.n_dim != grid.n_dim:
-        raise ValueError("tensor dimension does not match the grid")
-    n, h = grid.n_per_axis, grid.h
-    a = tensor.as_array()
-    main, off, first = 2.0 / h**2, -1.0 / h**2, 1.0 / (2.0 * h)
-    if grid.n_dim == 1:
-        return a[0, 0] * sp.diags([off, main, off], offsets=[-1, 0, 1],
-                                  shape=(n, n), format="csr")
-    corner = 2.0 * a[0, 1] * (first * first)
-    # row and column offsets of the stencil, in ascending column order, and
-    # its values
-    di = np.array([-1, -1, -1, 0, 0, 0, 1, 1, 1], dtype=np.int32)
-    dj = np.array([-1, 0, 1, -1, 0, 1, -1, 0, 1], dtype=np.int32)
-    values = np.array([-corner, a[0, 0] * off, corner, a[1, 1] * off,
-                       a[0, 0] * main + a[1, 1] * main, a[1, 1] * off,
-                       corner, a[0, 0] * off, -corner])
-    i, j = np.divmod(np.arange(n * n, dtype=np.int32), n)
-    rows, cols = i[:, None] + di, j[:, None] + dj
-    keep = ((rows >= 0) & (rows < n) & (cols >= 0) & (cols < n)
-            & (values != 0.0))
-    indptr = np.zeros(n * n + 1, dtype=np.int32)
+    import scipy.sparse as sp
+
+    stencil = _stencil(grid, tensor)
+    n, n_dim, n_nodes = grid.n_per_axis, grid.n_dim, grid.n_nodes
+    offsets = np.array(list(stencil), dtype=np.int32)
+    values = np.array(list(stencil.values()))
+    nodes = np.indices((n,) * n_dim, dtype=np.int32).reshape(n_dim, -1).T
+    neighbours = nodes[:, None, :] + offsets
+    keep = np.all((neighbours >= 0) & (neighbours < n), axis=2)
+    columns = (neighbours @ (n ** np.arange(n_dim - 1, -1, -1))).astype(
+        np.int32)
+    indptr = np.zeros(n_nodes + 1, dtype=np.int32)
     np.cumsum(np.sum(keep, axis=1), out=indptr[1:])
     return sp.csr_matrix(
-        (np.broadcast_to(values, keep.shape)[keep], (rows * n + cols)[keep],
-         indptr), shape=(n * n, n * n))
+        (np.broadcast_to(values, keep.shape)[keep], columns[keep], indptr),
+        shape=(n_nodes, n_nodes))
+
+
+# the nodes a stencil entry of offset -1, 0 or +1 along an axis writes to,
+# and the nodes it reads
+_REACH = {-1: (slice(1, None), slice(None, -1)),
+          0: (slice(None), slice(None)),
+          1: (slice(None, -1), slice(1, None))}
+# 2D separable factors on at most this many nodes per axis hold B^-1 as a
+# dense matrix: one product per solve beats four below about 15 nodes
+_DENSE_MAX_NODES = 14
 
 
 class _SparseFactor:
@@ -169,6 +197,8 @@ class _SparseFactor:
     __slots__ = ("lu", "shift", "work")
 
     def __init__(self, matrix: sp.csc_matrix, shift: np.ndarray, work: dict):
+        from scipy.sparse.linalg import splu
+
         # symmetric mode prefers the diagonal pivot, as the symmetric
         # ordering assumes; a pivot below 0.1 of its column's largest entry
         # is still exchanged, which covers the step matrices a decreasing
@@ -182,6 +212,7 @@ class _SparseFactor:
         self.shift, self.work = shift, work
 
     def solve(self, b: np.ndarray) -> np.ndarray:
+        """B^-1 b; may overwrite b."""
         self.work["superlu_solves"] += 1
         return self.lu.solve(b)
 
@@ -191,57 +222,65 @@ class _SeparableFactor:
     a shift s = dt*a_M'(w) equal at every node, and a tensor with no cross
     term, on at least 3 nodes per axis.
 
-    In 1D, B is tridiagonal.  In 2D, with node (i, j) at row i*n + j, the
-    orthonormal sine matrix Q_pi = sqrt(2h) sin(p i pi h), symmetric and
-    its own inverse, diagonalizes the coupling along axis 0, so (Q x I)
-    B (Q x I) is n tridiagonal blocks (1 + s + dt*a_00 lambda_p) I +
-    dt*a_11 D2, lambda_p = (2/h sin(p pi h/2))^2 the eigenvalues of D2
+    In 1D, B is tridiagonal and symmetric positive definite, factored by
+    LAPACK's L D L^T (dpttrf; Golub & Van Loan, Matrix Computations,
+    4.3.6) with no pivots; tridiagonal holds dpttrs and dpttrf's factor
+    (d, e), and a solve is dpttrs on b, in place.  In 2D, with node (i, j)
+    at row i*n + j, the orthonormal sine matrix Q_pi = sqrt(2h)
+    sin(p i pi h), symmetric and its own inverse, diagonalizes D2 with
+    eigenvalues lambda_p = (2/h sin(p pi h/2))^2 along both axes, so B =
+    (Q x Q) diag(1 + s + dt*(a_00 lambda_p + a_11 lambda_q)) (Q x Q)
     (fast diagonalization: Lynch, Rice & Thomas, Numer. Math. 6, 1964).
-    The tridiagonal matrix, or the blocks stacked into one, is symmetric
-    positive definite, factored by LAPACK's L D L^T (dpttrf/dpttrs; Golub &
-    Van Loan, Matrix Computations, 4.3.6) with no pivots, and a solve is
-    Q dpttrs(Q b).  d and e are dpttrf's factor, sine is Q, None in 1D."""
+    inverse holds the n x n reciprocals of that diagonal, and a solve of
+    the n x n node array X is Q((Q X Q) * inverse)Q; sine is Q.  On at
+    most _DENSE_MAX_NODES nodes per axis, inverse is instead B^-1 itself,
+    dense, sine is None, and a solve is one product."""
 
-    __slots__ = ("d", "e", "sine", "shift", "work")
+    __slots__ = ("tridiagonal", "inverse", "sine", "shift", "work")
 
-    def __init__(self, d: np.ndarray, e: np.ndarray, sine: np.ndarray | None,
-                 shift: np.ndarray, work: dict):
-        self.d, self.e, self.sine, self.shift = d, e, sine, shift
-        self.work = work
+    def __init__(self, tridiagonal: tuple | None, inverse: np.ndarray | None,
+                 sine: np.ndarray | None, shift: np.ndarray, work: dict):
+        self.tridiagonal, self.inverse, self.sine = tridiagonal, inverse, sine
+        self.shift, self.work = shift, work
 
     def solve(self, b: np.ndarray) -> np.ndarray:
+        """B^-1 b; may overwrite b."""
         self.work["separable_solves"] += 1
+        if self.tridiagonal is not None:
+            dpttrs, d, e = self.tridiagonal
+            return dpttrs(d, e, b, overwrite_b=1)[0]
         if self.sine is None:
-            return dpttrs(self.d, self.e, b)[0]
-        n = len(self.sine)
-        x = dpttrs(self.d, self.e, (self.sine @ b.reshape(n, n)).ravel(),
-                   overwrite_b=1)[0]
-        return (self.sine @ x.reshape(n, n)).ravel()
+            return self.inverse @ b
+        q = self.sine
+        n = len(q)
+        return (q @ ((q @ b.reshape(n, n) @ q) * self.inverse) @ q).ravel()
 
 
 class StepSystem:
     """Implicit Euler step matrices B(y) = I + dt*A_h + dt*diag(a_M'(y)).
 
-    One per problem (ProblemSpec.steps), holding A_h (operator_matrix).
-    factor(y) picks the factor by what B(y) is:
+    One per problem (ProblemSpec.steps).  It multiplies by A_h with the
+    stencil (_product) and builds A_h in CSR (operator_matrix) only for
+    SuperLU.  factor(y) picks the factor by what B(y) is:
 
     - separable (_SeparableFactor): the shift dt*a_M'(y) is bitwise equal
       at every node, the tensor has no cross term and each axis has at
       least 3 nodes.  Then B(y) = (1 + s) I + dt*A_h is tridiagonal in
-      1D, and in 2D a sine transform along axis 0 makes it tridiagonal
-      blocks; one dpttrf factors them, unless it finds B(y) not positive
-      definite.  This covers the zero reaction, the linear one while the
-      clamp is idle, and B(0) of a reaction with a(0) = 0 from a zero
-      initial state, the factor a warm-started solve keeps.  A solve on it
-      costs two dense n x n products and one tridiagonal solve, a third of
-      SuperLU's at 32 x 32 nodes and less at larger n.
+      1D, factored by one dpttrf, and in 2D diagonal in the sine basis,
+      its eigenvalues in closed form; it is taken unless dpttrf finds, or
+      an eigenvalue shows, B(y) not positive definite.  This covers the
+      zero reaction, the linear one while the clamp is idle, and B(0) of a
+      reaction with a(0) = 0 from a zero initial state, the factor a
+      warm-started solve keeps.  A 2D solve costs four dense n x n
+      products, or, on at most 14 nodes per axis, where that is faster,
+      one product with the dense inverse.
     - otherwise (_SparseFactor): factor(y) writes B(y) into one CSC work
       matrix, dt*A_h built at the first SuperLU factorization, by
       rewriting its diagonal entries as 1 + dt*a_ii + shift, and factors
       that by one SuperLU call, which keeps no reference to it.  SuperLU
       pivots, which covers the step matrices a decreasing reaction makes
       indefinite, and raises NewtonError on an exactly singular one, as a
-      separable B(y) that dpttrf rejects takes this way too.
+      separable B(y) that is not positive definite takes this way too.
 
     The last factor made is held and returned again for the same B(y).
     Each step m = 1..n_t also holds the factor its last refactor left,
@@ -256,8 +295,8 @@ class StepSystem:
     step, with no reaction evaluated.
 
     work counts what the step system does, once per call, never per step:
-    separable_factors, separable_rejected (a dpttrf that found a separable
-    B(y) not positive definite) and superlu_factors (calls, an exactly
+    separable_factors, separable_rejected (a separable B(y) found not
+    positive definite) and superlu_factors (calls, an exactly
     singular B(y) included); separable_solves and superlu_solves on the
     factors it made, every solve counting itself; newton_passes;
     state_sweeps, linearized_sweeps and adjoint_sweeps; certifications,
@@ -272,13 +311,26 @@ class StepSystem:
         self.nl = spec.nonlinearity
         self.level = spec.truncation
         self.dt = spec.tgrid.dt
-        self.operator_matrix = elliptic_matrix(spec.grid, spec.diffusion)
-        # the diagonal 1 + dt*a_ii of I + dt*A_h, which B(y) shifts
-        self._main = 1.0 + self.dt * self.operator_matrix.diagonal()
+        self._grid, self._tensor = spec.grid, spec.diffusion
+        stencil = _stencil(spec.grid, spec.diffusion)
+        n_dim = spec.grid.n_dim
+        self._shape = (spec.grid.n_per_axis,) * n_dim
+        # A_h's distinct stencil values, and its nonzero stencil entries as
+        # (index of the value, nodes written, nodes read) on the node
+        # array, in CSR's column order
+        self._values = sorted(set(stencil.values()))
+        self._terms = [
+            (self._values.index(value),
+             (...,) + tuple(_REACH[o][0] for o in offset),
+             (...,) + tuple(_REACH[o][1] for o in offset))
+            for offset, value in stencil.items()]
+        # the diagonal 1 + dt*a_ii of I + dt*A_h, which B(y) shifts, the
+        # same at every node
+        self._main = 1.0 + self.dt * stencil[(0,) * n_dim]
         # _slots[m - 1]: the factor of B(w_m) that step m holds, or None
         self._slots = [None] * spec.tgrid.n_t
         self._work = self._held = None
-        self._separable = self._separable_form(spec)
+        self._separable = self._separable_form(spec, stencil)
         self.work = dict.fromkeys((
             "separable_factors", "separable_rejected", "superlu_factors",
             "separable_solves", "superlu_solves", "newton_passes",
@@ -289,26 +341,30 @@ class StepSystem:
         self.constant = (self._factor(np.zeros(spec.grid.n_nodes))
                          if self.nl.kind == "zero" else None)
 
-    def _separable_form(self, spec: ProblemSpec):
-        """B(0) = I + dt*A_h as one tridiagonal matrix, after the sine
-        transform along axis 0 in 2D: (main diagonal, off diagonal, sine
-        matrix), the sine matrix None in 1D.  None where no B(y) is
-        separable: with a cross term or fewer than 3 nodes per axis."""
+    @cached_property
+    def operator_matrix(self) -> sp.csr_matrix:
+        """A_h in CSR (elliptic_matrix), built at its first use."""
+        return elliptic_matrix(self._grid, self._tensor)
+
+    def _separable_form(self, spec: ProblemSpec, stencil: dict):
+        """What a separable B(y) is factored from: in 1D the off diagonal
+        dt*a_00*(-1/h^2) of I + dt*A_h; in 2D the sine matrix Q and the
+        eigenvalues dt*(a_00 lambda_p + a_11 lambda_q) of dt*A_h on mode
+        (p, q) (_SeparableFactor).  None where no B(y) is separable: with a
+        cross term or fewer than 3 nodes per axis."""
         n, a = spec.grid.n_per_axis, spec.diffusion.as_array()
         if n < 3 or (spec.grid.n_dim == 2 and a[0, 1] != 0.0):
             return None
-        main, off = self._main, self.dt * self.operator_matrix.diagonal(1)
         if spec.grid.n_dim == 1:
-            return main, off, None
-        # rows i*n + j and (i +- 1)*n + j couple by c = -dt*a_00/h^2, which
-        # the sine transform turns into 2 c cos(p pi h) on block p; the off
-        # diagonal is already 0 between blocks.  p*i is reduced modulo
-        # 2(n + 1), so that sin sees an exact multiple of pi h = pi/(n + 1)
+            return np.full(n - 1, self.dt * stencil[(1,)])
+        # p*i is reduced modulo 2(n + 1), so that sin sees an exact
+        # multiple of pi h = pi/(n + 1)
         p, h = np.arange(1, n + 1), spec.grid.h
-        coupling = -2.0 * self.dt * a[0, 0] / h**2 * np.cos(np.pi * p * h)
         sine = math.sqrt(2.0 * h) * np.sin(
             np.pi * (np.outer(p, p) % (2 * (n + 1))) / (n + 1))
-        return main + np.repeat(coupling, n), off, sine
+        eigenvalues = (2.0 / h * np.sin(np.pi * p * h / 2.0)) ** 2
+        return sine, self.dt * (a[0, 0] * eigenvalues[:, None]
+                                + a[1, 1] * eigenvalues)
 
     def shift(self, y: np.ndarray) -> np.ndarray:
         """dt*a_M'(y), the part of B(y) that varies, for a state y or for
@@ -330,12 +386,11 @@ class StepSystem:
         if self._held is not None and np.array_equal(shift, self._held.shift):
             return self._held
         if self._separable is not None and np.all(shift == shift[0]):
-            main, off, sine = self._separable
-            d, e, info = dpttrf(main + shift, off)
-            if info == 0:
+            lu = self._separable_factor(shift)
+            if lu is not None:
                 self.work["separable_factors"] += 1
-                self._held = _SeparableFactor(d, e, sine, shift, self.work)
-                return self._held
+                self._held = lu
+                return lu
             self.work["separable_rejected"] += 1
         if self._work is None:
             self._work = (self.dt * self.operator_matrix).tocsc()
@@ -349,11 +404,41 @@ class StepSystem:
         self._held = _SparseFactor(self._work, shift, self.work)
         return self._held
 
+    def _separable_factor(self, shift: np.ndarray):
+        """The _SeparableFactor of B(y) at a uniform shift, or None where
+        B(y) is not positive definite: dpttrf finds a pivot d_ii <= 0 in
+        1D, and in 2D an eigenvalue is <= 0."""
+        if self._grid.n_dim == 1:
+            from scipy.linalg.lapack import dpttrf, dpttrs
+
+            d, e, info = dpttrf(self._main + shift, self._separable)
+            if info != 0:
+                return None
+            return _SeparableFactor((dpttrs, d, e), None, None, shift,
+                                    self.work)
+        sine, eigenvalues = self._separable
+        denominator = (1.0 + shift[0]) + eigenvalues
+        if not denominator.min() > 0.0:
+            return None
+        inverse = 1.0 / denominator
+        if len(sine) > _DENSE_MAX_NODES:
+            return _SeparableFactor(None, inverse, sine, shift, self.work)
+        modes = np.kron(sine, sine)
+        return _SeparableFactor(None, (modes * inverse.ravel()) @ modes, None,
+                                shift, self.work)
+
     def _product(self, x: np.ndarray) -> np.ndarray:
-        """A_h x for a vector x, or for each row of a stack x."""
-        if x.ndim == 1:
-            return self.operator_matrix @ x
-        return (self.operator_matrix @ x.T).T
+        """A_h x for a vector x, or for each row of a stack x, by the
+        stencil on the node array: x is scaled once by each distinct
+        value, and the terms are added to zeros in CSR's column order, so
+        the product is bitwise elliptic_matrix's."""
+        nodes = x.reshape(x.shape[:-1] + self._shape)
+        scaled = [value * nodes for value in self._values]
+        product = np.zeros(nodes.shape)
+        for k, written, read in self._terms:
+            target = product[written]
+            target += scaled[k][read]
+        return product.reshape(x.shape)
 
     def residual(self, y: np.ndarray, rhs: np.ndarray) -> np.ndarray:
         """The step residual y + dt*A_h y + dt*a_M(y) - rhs, for a state or
@@ -547,7 +632,8 @@ def _march(spec: ProblemSpec, x: np.ndarray, source: np.ndarray,
         with np.errstate(over="raise"):
             if constant is not None:
                 for m in order:
-                    x[m] = constant.solve(x[m + previous] + source[m - 1])
+                    x[m] = constant.solve(
+                        np.add(x[m + previous], source[m - 1], out=x[m]))
                 return
             pending, failure = [], None
             for m in order:

@@ -1,6 +1,9 @@
 import contextlib
 import io
 import json
+import os
+import subprocess
+import sys
 import tempfile
 from dataclasses import fields
 from pathlib import Path
@@ -12,7 +15,7 @@ from hypothesis import given, settings, strategies as st
 from scipy.sparse.linalg import ArpackNoConvergence
 
 import sparsecontrol as sc
-from sparsecontrol import checks, diagnostics, optimizer, runconfig
+from sparsecontrol import checks, optimizer, runconfig
 from sparsecontrol.cli import main
 from sparsecontrol.fieldio import read_field, write_field
 from sparsecontrol.pde import NewtonError
@@ -464,14 +467,15 @@ def test_sweep_writes_a_null_bound_when_arpack_does_not_converge(
         tmp_path, monkeypatch):
     # 96 unknowns with a negative curvature weight, where Lanczos runs:
     # when ARPACK does not converge the bound is null, a warning names
-    # that, and the sweep still exits 0 with its fit
+    # that, and the sweep still exits 0 with its fit.  diagnostics imports
+    # eigsh where Lanczos runs, so the patch goes on scipy's module
     calls = []
 
     def no_convergence(*args, **kwargs):
         calls.append(1)
         raise ArpackNoConvergence("ARPACK error -1: No convergence", [], [])
 
-    monkeypatch.setattr(diagnostics, "eigsh", no_convergence)
+    monkeypatch.setattr("scipy.sparse.linalg.eigsh", no_convergence)
     cfg = write_config(tmp_path, (
         "problem: {n_dim: 2, n_per_axis: 4, n_t: 6, kappa: 0.1, gamma: 0.05, "
         "diffusion: 0.1, nonlinearity: {kind: schloegl, params: [-1.0, 0.0, "
@@ -808,3 +812,57 @@ def test_check_ends_in_a_table(config):
     verdicts = [row.split()[1] for row in table.splitlines()]
     assert verdicts and set(verdicts) <= {"PASS", "FAIL"}
     assert (code == 3) is ("FAIL" in verdicts)
+
+
+SCHLOEGL_2D = ("n_dim: 2, n_t: 4, T: 1.0, gamma: 0.05, diffusion: 0.3, "
+               "nonlinearity: {kind: schloegl, params: [-1.0, 0.0, 1.0]}, "
+               "y0: zero, yd: bump")
+SCIPY_FREE_RUNS = {
+    # the benchmark's 2D workloads on smaller grids: every step matrix they
+    # factor is separable, on either side of the dense-inverse choice
+    "solve2d": ("solve", "problem: {n_per_axis: 16, kappa: 0.3, "
+                + SCHLOEGL_2D + "}\noptimizer: {tol: 1.0e-10}\n"),
+    "sweep2d": ("sweep", "problem: {n_per_axis: 6, kappa: 0.003, "
+                + SCHLOEGL_2D
+                + "}\noptimizer: {tol: 1.0e-8, max_iter: 2000}\n"),
+    # LAPACK's L D L^T in 1D, and SuperLU on a cross term
+    "solve1d": ("solve", "problem: {n_dim: 1, n_per_axis: 20, yd: bump}\n"),
+    "cross": ("solve", "problem: {n_dim: 2, n_per_axis: 6, diffusion: "
+              "[[0.3, 0.1], [0.1, 0.3]], nonlinearity: {kind: schloegl, "
+              "params: [-1.0, 0.0, 1.0]}, y0: zero, yd: bump}\n"),
+}
+SCIPY_PROBE = """
+import json, sys
+from sparsecontrol.cli import main
+loaded = {}
+for name, command in json.loads(sys.argv[1]):
+    code = main([command, "--config", name + ".yaml", "--out", name])
+    loaded[name] = [code, sorted(m for m in sys.modules
+                                 if m.split(".")[0] == "scipy")]
+print(json.dumps(loaded))
+"""
+
+
+def test_a_2d_separable_run_loads_no_scipy(tmp_path):
+    # in a fresh process, a 2D solve and a sweep on separable step matrices
+    # factor, solve and multiply by A_h with numpy alone: no scipy module
+    # is loaded, and no SuperLU factor made.  A 1D solve (dpttrf) and a
+    # cross-term solve (SuperLU) then still converge
+    runs = []
+    for name, (command, text) in SCIPY_FREE_RUNS.items():
+        write_config(tmp_path, text, name + ".yaml")
+        runs.append((name, command))
+    src = str(Path(sc.__file__).resolve().parents[1])
+    result = subprocess.run(
+        [sys.executable, "-c", SCIPY_PROBE, json.dumps(runs)],
+        cwd=tmp_path, capture_output=True, text=True, check=True,
+        env=dict(os.environ, PYTHONPATH=src))
+    loaded = json.loads(result.stdout.splitlines()[-1])
+    assert loaded["solve2d"] == loaded["sweep2d"] == [0, []]
+    assert loaded["solve1d"][0] == loaded["cross"][0] == 0
+    assert "scipy.sparse.linalg" in loaded["cross"][1]
+    for name in SCIPY_FREE_RUNS:
+        gate = "stability.json" if name == "sweep2d" else "report.json"
+        payload = json.loads((tmp_path / name / gate).read_text())
+        assert payload["converged"] is True, name
+        assert (payload["work"]["superlu_factors"] == 0) == (name != "cross")

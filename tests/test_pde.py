@@ -120,6 +120,25 @@ def test_stencil_assembly_equals_the_kronecker_form_bitwise(name):
                     == getattr(reference, attr).tobytes()), (n, attr)
 
 
+@pytest.mark.parametrize("n", [1, 2, 3, 10, 15])
+@pytest.mark.parametrize("n_dim, tensor", [(1, sc.isotropic(1, 0.3))] + [
+    (2, tensor) for _, tensor in sorted(ELLIPTIC_TENSORS.items())],
+    ids=["1d"] + [f"2d-{name}" for name in sorted(ELLIPTIC_TENSORS)])
+def test_stencil_product_equals_the_csr_product_bitwise(n_dim, tensor, n):
+    # the step system multiplies by A_h on the node array, not by the CSR
+    # matrix; for a vector and for a stack of them, with exact zeros of
+    # both signs among the entries, the product is elliptic_matrix's bit
+    # for bit
+    spec = uniform_shift_spec(n_dim, n, tensor, 0.0)
+    a_h = sc.elliptic_matrix(spec.grid, tensor)
+    x = np.random.default_rng(n).standard_normal((5, spec.grid.n_nodes))
+    x[:, ::3], x[:, 1::5] = 0.0, -0.0
+    assert (spec.steps._product(x[0]).tobytes()
+            == (a_h @ x[0]).tobytes())
+    assert (spec.steps._product(x).tobytes()
+            == np.ascontiguousarray((a_h @ x.T).T).tobytes())
+
+
 def test_elliptic_operator_matches_laplacian_row():
     # interior row of the isotropic operator is the classic 5-point stencil
     grid = sc.SpaceGrid(2, 5)
@@ -468,17 +487,21 @@ DIAGONAL_TENSORS = {1: [sc.isotropic(1, 0.3), sc.isotropic(1, 2.0)],
 
 @pytest.mark.parametrize("shift", [0.0, -0.25, 0.5])
 @pytest.mark.parametrize("n_dim, n", [(1, 3), (1, 200), (2, 3), (2, 4),
-                                      (2, 10), (2, 32)])
+                                      (2, 10), (2, 14), (2, 15), (2, 32)])
 def test_separable_factor_solves_like_superlu(n_dim, n, shift):
     # a uniform shift and a diagonal tensor, isotropic or not, on 3 or more
-    # nodes per axis: one dpttrf, and its solve matches SuperLU's on the
-    # freshly assembled B = (1 + shift) I + dt*A_h
+    # nodes per axis: one separable factorization, dpttrf in 1D and the 2D
+    # sine diagonalization, held as a dense inverse up to 14 nodes per axis
+    # and as its eigenvalues from 15 on, and its solve matches SuperLU's on
+    # the freshly assembled B = (1 + shift) I + dt*A_h
     rng = np.random.default_rng(31)
     for tensor in DIAGONAL_TENSORS[n_dim]:
         spec = uniform_shift_spec(n_dim, n, tensor, shift)
         lu = spec.steps.factor(spec.y0)
         assert isinstance(lu, pde._SeparableFactor)
         assert factorizations(spec.steps) == {"separable_factors": 1}
+        if n_dim == 2:
+            assert (lu.sine is None) == (n <= 14)
         reference_lu = splu(fresh_step_matrix(spec, spec.y0))
         for b in rng.standard_normal((3, spec.grid.n_nodes)):
             reference = reference_lu.solve(b)
