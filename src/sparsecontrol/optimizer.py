@@ -2,8 +2,8 @@
 
 Iterates u+ = proj(u - t * g), g = phi + kappa*u, with a monotone Armijo
 backtracking line search; the method drives u to the fixed point
-u = proj(-phi/kappa) of the first-order system.  The first trial step
-1/kappa makes the first trial iterate exactly the fixed-point map; after
+u = proj(-phi/kappa) of the first-order system.  The default first trial
+step 1/kappa makes the first trial iterate exactly the fixed-point map; after
 each accept the next one is the Barzilai-Borwein step <s,s>/<s,g+ - g>,
 s = u+ - u, clipped to [1e-10, 1e10], or 1/kappa when <s,g+ - g> <= 0
 (spectral projected gradient: Birgin, Martinez & Raydan, SIAM J. Optim.
@@ -122,8 +122,8 @@ class SolveReport:
 
 def solve(spec: ProblemSpec, cfg: OptimizerConfig = OptimizerConfig(),
           u0: SpaceTimeField | None = None,
-          near: tuple[SpaceTimeField, SpaceTimeField] | None = None
-          ) -> SolveReport:
+          near: tuple[SpaceTimeField, SpaceTimeField] | None = None,
+          step: float | None = None) -> SolveReport:
     """Run the projected gradient method on spec from the control u0 (the
     zero control when None).
 
@@ -134,13 +134,17 @@ def solve(spec: ProblemSpec, cfg: OptimizerConfig = OptimizerConfig(),
     chords from the accepted state and every accepted point's adjoint sweep
     refines from the last accepted adjoint.
 
+    step, when given, is the first trial step in place of 1/kappa, such as
+    the last spectral step a solve of a nearby problem accepted.
+
     Returns a report with converged=False when the iteration cap is reached,
     the line search stalls or the adjoint sweep at an accepted point fails
     (the report keeps the point before).  A trial whose state solve fails is
     rejected; a failure of the initial state or adjoint solve propagates.
     """
     u = field_per_interval(spec.grid, spec.tgrid) if u0 is None else u0.copy()
-    step = 1.0 / spec.kappa
+    if step is None:
+        step = 1.0 / spec.kappa
 
     near_y, near_phi = (None, None) if near is None else near
     y = solve_state(spec, u, near_y)

@@ -3,14 +3,17 @@ the l1 budget gamma changes, and the fitted power of that distance.
 
 Solves the problem over a list of budgets around the base gamma, outward on
 each side, then fits log(distance) against log(|gamma' - gamma|).  Each
-solve starts from the secant through the last two solved budgets, projected
-onto its ball (the base counts as one; with only the base behind, the
-secant is flat and the start is the base control projected).  Its first
-state solve chords from, and its first adjoint sweep refines from, the
-same secant's state and adjoint: every budget shares the base problem's
-step system and clamp level (ProblemSpec.with_budget).  A warning names the
-budgets that reach the clamp.  The report also carries the certified
-second-order bound at the base budget.
+solve is handed the secant through the last two solved budgets' states and
+adjoints (the base counts as one; with only the base behind, the secant is
+flat): its first state solve chords from the predicted state, its first
+adjoint sweep refines from the predicted adjoint phi, and it starts at the
+control proj(-phi/kappa) onto its ball, the first-order map at the
+predicted adjoint.  The adjoint is smooth in the budget where the control's
+support has kinks.  Its first step is the last spectral step its neighbor
+accepted.  Every budget shares the base problem's step system and clamp
+level (ProblemSpec.with_budget).  A warning names the budgets that reach
+the clamp.  The report also carries the certified second-order bound at
+the base budget.
 """
 
 from __future__ import annotations
@@ -65,12 +68,13 @@ def gamma_sweep(spec: ProblemSpec, gammas, cfg: OptimizerConfig) -> StabilityRep
     solution at spec.gamma.
 
     Budgets are processed outward from the base on each side so every solve
-    warm-starts from its nearest already-solved neighbor k, at
-    project_field(u_k + (g - g_k) slope, g): slope is the secant
-    (u_k - u_{k-1})/(g_k - g_{k-1}), and 0 while only the base is behind.
-    The same secant of the states and of the adjoints gives the nearby
-    point (y, phi) that the solve's first state and adjoint sweeps start
-    from (optimizer.solve).
+    warm-starts from its nearest already-solved neighbor k.  The secant
+    z_k + (g - g_k)(z_k - z_{k-1})/(g_k - g_{k-1}) of the states and of the
+    adjoints (flat while only the base is behind) gives the nearby point
+    (y, phi) that the solve's first state and adjoint sweeps start from
+    (optimizer.solve); the start control is project_field(-phi/kappa, g),
+    and the first trial step is neighbor k's last accepted step, or the
+    step k was handed if it took none (1/kappa at the base).
     The second-order bound is computed right after the base solve, before
     either chain moves the shared step system away from the base state.  A
     repeated budget is solved once.  A nonconvergent solve aborts the
@@ -98,13 +102,14 @@ def gamma_sweep(spec: ProblemSpec, gammas, cfg: OptimizerConfig) -> StabilityRep
     iterations = {spec.gamma: base.iterations}
     clamped = set() if base.truncation_inactive else {spec.gamma}
     for chain in (above, below[::-1]):
-        warm, warm_gamma, slopes = base, spec.gamma, (0.0, 0.0, 0.0)
+        warm, warm_gamma, slopes = base, spec.gamma, (0.0, 0.0)
+        step = 1.0 / spec.kappa         # the step the base was handed
         for g in chain:
-            u, y, phi = (like(f, f.values + (g - warm_gamma) * slope)
-                         for f, slope in zip((warm.u, warm.y, warm.phi),
-                                             slopes))
-            start, _ = project_field(u, g)
-            run = solve(spec.with_budget(g), cfg, start, (y, phi))
+            step = (warm.step_history or [step])[-1]
+            y, phi = (like(f, f.values + (g - warm_gamma) * slope)
+                      for f, slope in zip((warm.y, warm.phi), slopes))
+            start, _ = project_field(like(phi, -phi.values / spec.kappa), g)
+            run = solve(spec.with_budget(g), cfg, start, (y, phi), step)
             if not run.truncation_inactive:
                 clamped.add(g)
             if not run.converged:
@@ -115,8 +120,8 @@ def gamma_sweep(spec: ProblemSpec, gammas, cfg: OptimizerConfig) -> StabilityRep
             results[g] = l2_norm(like(base.u, run.u.values - base.u.values))
             iterations[g] = run.iterations
             slopes = [(new.values - old.values) / (g - warm_gamma)
-                      for new, old in zip((run.u, run.y, run.phi),
-                                          (warm.u, warm.y, warm.phi))]
+                      for new, old in zip((run.y, run.phi),
+                                          (warm.y, warm.phi))]
             warm, warm_gamma = run, g
         if not report.converged:
             break

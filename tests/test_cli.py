@@ -15,7 +15,7 @@ from hypothesis import given, settings, strategies as st
 from scipy.sparse.linalg import ArpackNoConvergence
 
 import sparsecontrol as sc
-from sparsecontrol import checks, optimizer, runconfig
+from sparsecontrol import checks, cli, optimizer, runconfig
 from sparsecontrol.cli import main
 from sparsecontrol.fieldio import read_field, write_field
 from sparsecontrol.pde import NewtonError
@@ -119,6 +119,27 @@ def test_usage_error_exits_one(argv, capsys):
         main(argv)
     assert stop.value.code == 1
     assert "error" in capsys.readouterr().err
+
+
+def test_usage_error_exits_one_again_on_the_same_parser(capsys,
+                                                        monkeypatch):
+    # the parser is built once per process; a second bad command line
+    # still ends through _Parser.error with the config-error code
+    errors = []
+    error = cli._Parser.error
+
+    def recording_error(self, message):
+        errors.append(message)
+        error(self, message)
+
+    monkeypatch.setattr(cli._Parser, "error", recording_error)
+    for argv in (["sweep", "--bogus"], ["solve", "--config"]):
+        with pytest.raises(SystemExit) as stop:
+            main(argv)
+        assert stop.value.code == 1
+        assert "sparsecontrol" in capsys.readouterr().err
+    assert len(errors) == 2
+    assert cli._build_parser() is cli._build_parser()
 
 
 def test_domain_error_exits_one(tmp_path, capsys):
@@ -490,8 +511,9 @@ def test_sweep_writes_a_null_bound_when_arpack_does_not_converge(
 
 
 def test_sweep_aborts_at_a_budget_that_does_not_converge(tmp_path):
-    # the base solve converges in 6 iterations; at gamma' = 0.2 the
-    # iteration cap of 8 is reached, and the sweep stops with what it has
+    # the base solve converges in 6 iterations and gamma' = 0.2 in 8; at
+    # gamma' = 1.0 the iteration cap of 8 is reached, and the sweep stops
+    # with what it has
     cfg = write_config(tmp_path, (
         "problem: {n_dim: 2, n_per_axis: 10, n_t: 4, kappa: 0.002, "
         "gamma: 0.05, diffusion: 0.3, nonlinearity: {kind: schloegl, "
@@ -501,11 +523,13 @@ def test_sweep_aborts_at_a_budget_that_does_not_converge(tmp_path):
                  "--gammas", "0.05,0.2,1.0"]) == 2
     payload = json.loads((out / "stability.json").read_text())
     assert payload["converged"] is False
-    assert payload["gammas"] == [0.05] and payload["iterations"] == [6]
-    assert payload["warnings"][0] == ("solve at gamma'=0.2 did not converge; "
+    assert payload["gammas"] == [0.05, 0.2]
+    assert payload["iterations"] == [6, 8]
+    assert payload["warnings"][0] == ("solve at gamma'=1.0 did not converge; "
                                       "sweep aborted")
-    assert (out / "stability.csv").read_text(
-        encoding="utf-8").splitlines()[1:] == ["0.05,0.0"]
+    rows = (out / "stability.csv").read_text(encoding="utf-8").splitlines()
+    assert rows[1:] == ["0.05,0.0", f"0.2,{payload['distances'][1]!r}"]
+    assert payload["distances"][1] > 0.0
 
 
 def test_check_passes_and_corrupt_adjoint_fails(tmp_path, capsys,

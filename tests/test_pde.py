@@ -1440,7 +1440,7 @@ WORKLOAD_PROBLEMS = {
         dict(n=10, n_t=4, kappa=2e-3, gamma=0.05, diff=0.3),
         sc.OptimizerConfig(tol=1e-8, max_iter=2000),
         [0.05] + [0.05 - d for d in 0.0005 * 10.0 ** np.linspace(0.0, 1.5, 5)],
-        [2, 2, 1, 1, 3, 6]),
+        [1, 1, 1, 1, 3, 6]),
     "solve-2d-schloegl": (
         dict(n=32, n_t=4, kappa=0.3, gamma=0.05, diff=0.3),
         sc.OptimizerConfig(tol=1e-10, max_iter=400), None, 6),
@@ -1448,9 +1448,9 @@ WORKLOAD_PROBLEMS = {
 
 
 @pytest.mark.parametrize("name, solves, ceiling, sweeps",
-                         [("sweep-2d-lowkappa", 468, 480, 21),
+                         [("sweep-2d-lowkappa", 434, 445, 19),
                           ("solve-2d-schloegl", 153, 160, 7)],
-                         ids=["sweep-2d-lowkappa-480",
+                         ids=["sweep-2d-lowkappa-445",
                               "solve-2d-schloegl-160"])
 def test_workload_factorizations_and_triangular_solves(
         name, solves, ceiling, sweeps):

@@ -6,6 +6,7 @@ import pytest
 import sparsecontrol as sc
 from sparsecontrol import pde, stability
 from sparsecontrol.grid import like
+from sparsecontrol.runconfig import parse_config
 from sparsecontrol.stability import fit_rate
 
 from conftest import active_schloegl_spec, factorizations, schloegl_spec
@@ -116,7 +117,7 @@ def test_two_sided_sweep_factors_at_most_its_count():
                             sc.OptimizerConfig(tol=1e-8, max_iter=400))
     assert report.converged
     assert report.gammas == sorted(TWO_SIDED_GAMMAS)
-    assert report.iterations == [6, 6, 6, 9, 8, 7, 8]
+    assert report.iterations == [5, 5, 6, 9, 6, 6, 7]
     assert 0.0 < report.second_order_bound < 0.01
     assert factorizations(spec.steps).total() <= 72
 
@@ -135,26 +136,83 @@ def test_sweep_bound_is_the_base_solves_bound_bitwise():
 
 def test_first_budget_on_each_side_starts_from_the_projected_base(
         monkeypatch):
-    # with only the base behind it, the secant is flat: the start is the
-    # base control projected onto the budget's ball, above and below
+    # with only the base behind it, the secant is flat: the start is
+    # -phi/kappa at the base adjoint projected onto the budget's ball, above
+    # and below, with the base solve's last step as the first step
     starts = {}
     solve = stability.solve
 
-    def recording_solve(spec, cfg, u0=None, near=None):
-        run = solve(spec, cfg, u0, near)
-        starts[spec.gamma] = (u0, run)
+    def recording_solve(spec, cfg, u0=None, near=None, step=None):
+        run = solve(spec, cfg, u0, near, step)
+        starts[spec.gamma] = (u0, step, run)
         return run
 
     monkeypatch.setattr(stability, "solve", recording_solve)
-    report = sc.gamma_sweep(schloegl_spec(n=6, n_t=6, gamma=0.05),
-                            [0.06, 0.055, 0.05, 0.045, 0.04],
+    spec = schloegl_spec(n=6, n_t=6, gamma=0.05)
+    report = sc.gamma_sweep(spec, [0.06, 0.055, 0.05, 0.045, 0.04],
                             sc.OptimizerConfig(tol=1e-8, max_iter=400))
     assert report.converged
-    first, base = starts[0.05]
-    assert first is None
+    first, first_step, base = starts[0.05]
+    assert first is None and first_step is None
     for g in (0.055, 0.045):
-        projected, _ = sc.project_field(base.u, g)
+        projected, _ = sc.project_field(
+            like(base.phi, -base.phi.values / spec.kappa), g)
         assert np.array_equal(starts[g][0].values, projected.values)
+        assert starts[g][1] == base.step_history[-1]
+
+
+# CI's two-sided sweep of a default problem
+TWO_YAML = "problem: {yd: bump, gamma: 0.05}\n"
+TWO_YAML_GAMMAS = [0.06, 0.055, 0.05, 0.045, 0.04]
+
+
+def test_warm_start_is_the_projected_secant_adjoint_and_carried_step(
+        monkeypatch):
+    # every budget off the base starts at proj(-phi/kappa) of the secant
+    # adjoint it is handed, and takes as its first step the last step its
+    # neighbor accepted (or was handed, if it took none); the base budget
+    # is a plain solve, bitwise
+    calls = []
+    solve = stability.solve
+
+    def recording_solve(spec, cfg, u0=None, near=None, step=None):
+        calls.append((spec, u0, near, step, solve(spec, cfg, u0, near, step)))
+        return calls[-1][-1]
+
+    monkeypatch.setattr(stability, "solve", recording_solve)
+    cfg = sc.OptimizerConfig(tol=1e-8, max_iter=400)
+    report = sc.gamma_sweep(two_sided_spec(), TWO_SIDED_GAMMAS, cfg)
+    assert report.converged
+    (base_spec, u0, near, step, base), *chains = calls
+    assert u0 is None and near is None and step is None
+    plain = sc.solve(two_sided_spec(), cfg)
+    for name in ("u", "y", "phi", "mu"):
+        assert (getattr(plain, name).values.tobytes()
+                == getattr(base, name).values.tobytes())
+    assert (plain.j_history, plain.residual_history, plain.step_history) == (
+        base.j_history, base.residual_history, base.step_history)
+
+    assert [spec.gamma for spec, *_ in chains] == [0.055, 0.065, 0.08,
+                                                    0.045, 0.04, 0.03]
+    for i, (spec, u0, (y, phi), step, run) in enumerate(chains):
+        if i in (0, 3):     # each chain starts from the base, on a flat secant
+            neighbor, neighbor_gamma, handed, slope = (
+                base, base_spec.gamma, 1.0 / base_spec.kappa, 0.0)
+        delta = spec.gamma - neighbor_gamma
+        secant = neighbor.phi.values + delta * slope
+        assert phi.values.tobytes() == secant.tobytes()
+        projected, _ = sc.project_field(
+            like(phi, -phi.values / spec.kappa), spec.gamma)
+        assert u0.values.tobytes() == projected.values.tobytes()
+        assert step == (neighbor.step_history or [handed])[-1]
+        slope = (run.phi.values - neighbor.phi.values) / delta
+        neighbor, neighbor_gamma, handed = run, spec.gamma, step
+
+    runconfig = parse_config(TWO_YAML)
+    two = sc.gamma_sweep(runconfig.problem_spec(), TWO_YAML_GAMMAS,
+                         runconfig.optimizer_config())
+    assert two.converged and two.gammas == sorted(TWO_YAML_GAMMAS)
+    assert sum(two.iterations) <= 10
 
 
 def test_repeated_budget_is_solved_once():
@@ -212,15 +270,16 @@ def test_secant_start_saves_iterations_on_a_linear_path(monkeypatch):
 
 def test_secant_start_is_closer_on_criterion_7_budgets(monkeypatch,
                                                          active_solve):
-    # the support moves along this path, so the secant start is only a
-    # few times closer, and both starts take the same number of iterations
+    # the support moves along this path, but the adjoint is smooth in
+    # gamma: the projected predicted adjoint is 850-5000x closer than a
+    # rescaled start, and takes fewer iterations
     spec, _ = active_solve
     pairs = _iterations_against_rescaled_starts(
         monkeypatch, spec, sc.OptimizerConfig(tol=1e-11, max_iter=400))
     assert len(pairs) == 4
     for run, rescaled in pairs:
-        assert run.residual_history[0] < rescaled.residual_history[0]
-        assert run.iterations <= rescaled.iterations
+        assert run.residual_history[0] < 1e-2 * rescaled.residual_history[0]
+        assert run.iterations < rescaled.iterations
 
 
 def test_inactive_regime_sweep(active_solve):
