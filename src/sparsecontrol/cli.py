@@ -18,6 +18,7 @@ import argparse
 import functools
 import json
 import sys
+from dataclasses import asdict
 from pathlib import Path
 
 import numpy as np
@@ -71,12 +72,11 @@ def _report_payload(cfg: RunConfig, report: SolveReport, work: dict) -> dict:
 def _write_timeseries(path: Path, report: SolveReport):
     times = report.u.tgrid.interval_times()
     act = report.activity
-    mu_inf = np.max(np.abs(report.mu.values), axis=1)
     zero_frac = np.mean(report.u.values == 0.0, axis=1)
     lines = [",".join(TIMESERIES_COLUMNS)]
     for m in range(report.u.n_slices):
         lines.append(",".join(repr(float(x)) for x in (
-            times[m], act.l1_norms[m], mu_inf[m], report.thresholds[m],
+            times[m], act.l1_norms[m], act.mu_inf[m], report.thresholds[m],
             zero_frac[m])))
     path.write_text("\n".join(lines) + "\n", encoding="utf-8")
 
@@ -117,20 +117,10 @@ def cmd_sweep(cfg: RunConfig, out_dir: Path, gammas=None) -> int:
         lines.append(f"{g!r},{d!r}")
     (out_dir / "stability.csv").write_text("\n".join(lines) + "\n",
                                            encoding="utf-8")
+    payload = asdict(report)
+    payload["L"] = payload.pop("constant")
     _json_dump(out_dir / "stability.json", {
-        "base_gamma": report.base_gamma,
-        "gammas": list(report.gammas),
-        "distances": list(report.distances),
-        "iterations": list(report.iterations),
-        "exponent": report.exponent,
-        "L": report.constant,
-        "regime": report.regime,
-        "second_order_bound": report.second_order_bound,
-        "converged": report.converged,
-        "warnings": list(report.warnings),
-        "config": cfg.to_dict(),
-        "work": dict(spec.steps.work),
-    })
+        **payload, "config": cfg.to_dict(), "work": dict(spec.steps.work)})
     return EXIT_OK if report.converged else EXIT_NONCONVERGED
 
 

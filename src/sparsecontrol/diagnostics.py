@@ -30,6 +30,7 @@ class SliceActivity:
     """Per-slice budget activity of a control/multiplier pair."""
 
     l1_norms: np.ndarray
+    mu_inf: np.ndarray              # ||mu(m)||_inf per slice
     binding: np.ndarray
     multiplier_active: np.ndarray
     tol: float
@@ -48,7 +49,7 @@ def classify_slices(u: SpaceTimeField, mu: SpaceTimeField,
     mu_inf = np.max(np.abs(mu.values), axis=1)
     binding = np.abs(l1 - gamma) <= tol
     multiplier_active = binding & (mu_inf > tol)
-    return SliceActivity(l1, binding, multiplier_active, tol)
+    return SliceActivity(l1, mu_inf, binding, multiplier_active, tol)
 
 
 def second_order_bound(spec: ProblemSpec, report) -> float | None:

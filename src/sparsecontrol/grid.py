@@ -147,6 +147,15 @@ def like(f: SpaceTimeField, values: np.ndarray) -> SpaceTimeField:
     return SpaceTimeField(f.grid, f.tgrid, values, f.slice_semantics)
 
 
+def require_field(f: SpaceTimeField, semantics: str, spec, name: str):
+    """ValueError naming the field unless it has the slice semantics given
+    and lives on the grids of spec, a ProblemSpec."""
+    if f.slice_semantics != semantics:
+        raise ValueError(f"{name} must be {semantics}, not {f.slice_semantics}")
+    if f.grid != spec.grid or f.tgrid != spec.tgrid:
+        raise ValueError(f"{name} lives on different grids")
+
+
 @dataclass(frozen=True)
 class DiffusionTensor:
     """Constant symmetric diffusion tensor a_ij, uniformly elliptic.

@@ -17,7 +17,7 @@ is attached together with the per-slice activity record.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import asdict, dataclass, field
 
 import numpy as np
 
@@ -60,13 +60,7 @@ class KKTResiduals:
     identity_gap: float    # worst | ||phi||_1 - kappa ||u||_1 - ||mu||_1 | per slice
 
     def as_dict(self) -> dict:
-        return {
-            "stationarity": self.stationarity,
-            "feasibility": self.feasibility,
-            "sign_gap": self.sign_gap,
-            "slack_gap": self.slack_gap,
-            "identity_gap": self.identity_gap,
-        }
+        return asdict(self)
 
     def max(self) -> float:
         return max(self.as_dict().values())
@@ -78,17 +72,17 @@ def kkt_residuals(spec: ProblemSpec, u: SpaceTimeField, phi: SpaceTimeField,
     """Evaluate the five first-order residuals; all vanish exactly at a
     point satisfying the projection form of the optimality system.
     projected, when given, is proj(-phi/kappa), which is then not computed
-    again."""
+    again.  The slice norms ||u(m)||_1 and ||mu(m)||_inf are
+    classify_slices'."""
     if projected is None:
         projected, _ = project_field(like(u, -phi.values / spec.kappa),
                                      spec.gamma)
+    activity = classify_slices(u, mu, spec.gamma)
     stationarity = l2_norm(like(u, u.values - projected.values))
-    w = u.grid.cell_weight
-    u_l1 = w * np.sum(np.abs(u.values), axis=1)
+    w, u_l1, mu_inf = u.grid.cell_weight, activity.l1_norms, activity.mu_inf
     feasibility = float(np.max(np.maximum(u_l1 - spec.gamma, 0.0)))
     prod = u.values * mu.values
     sign_gap = l2_norm(like(u, np.abs(prod) - prod))
-    mu_inf = np.max(np.abs(mu.values), axis=1)
     slack_gap = float(np.max(mu_inf * np.maximum(spec.gamma - u_l1, 0.0)
                              / spec.gamma))
     phi_l1 = w * np.sum(np.abs(phi.values), axis=1)

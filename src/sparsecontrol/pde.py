@@ -72,20 +72,16 @@ A_h is the finite-difference operator on interior nodes: the standard
 the off-diagonal tensor entry, Dirichlet values eliminated (_stencil).  The
 step system multiplies by it on the node array, term by term in CSR's
 column order, so its products are bitwise those of the CSR matrix
-elliptic_matrix assembles, which is built only for SuperLU.  A_h is
-exactly symmetric, bit for bit (the tests assert it), so B_m^T = B_m and
-one StepSystem serves the state, linearized and adjoint sweeps.  It is
-built once per problem (ProblemSpec.steps) and reused, held factors and
-all, by every sweep on it and by every budget of a budget sweep
-(ProblemSpec.with_budget); a dataclasses.replace copy of the problem starts
-with none held.  StepSystem's docstring says which factor serves each
-B(y): where the shift is uniform, the 2D sine diagonalization in numpy or
-LAPACK's L D L^T in 1D; else SuperLU, whose CSC step matrix is built at
-the first SuperLU factorization and has its diagonal rewritten for each
-one.  scipy is imported where LAPACK, SuperLU or ARPACK first runs, so a
-2D run on separable step matrices loads none of it.  StepSystem names
-each counter of the work it counts (StepSystem.work); every solve counts
-itself.
+elliptic_matrix assembles.  A_h is exactly symmetric, bit for bit (the
+tests assert it), so B_m^T = B_m and one StepSystem serves the state,
+linearized and adjoint sweeps.  It is built once per problem
+(ProblemSpec.steps) and reused, held factors and all, by every sweep on it
+and by every budget of a budget sweep (ProblemSpec.with_budget); a
+dataclasses.replace copy of the problem starts with none held.
+StepSystem's docstring says which factor serves each B(y) and names each
+counter of the work it counts (StepSystem.work).  scipy is imported where
+LAPACK, SuperLU or ARPACK first runs, so a 2D run on separable step
+matrices loads none of it.
 """
 
 from __future__ import annotations
@@ -93,13 +89,13 @@ from __future__ import annotations
 import itertools
 import math
 import warnings
-from functools import cached_property
 from typing import TYPE_CHECKING
 
 import numpy as np
 
-from .grid import (PER_INTERVAL, DiffusionTensor, SpaceGrid, SpaceTimeField,
-                   field_at_nodes, field_per_interval)
+from .grid import (AT_NODES, PER_INTERVAL, DiffusionTensor, SpaceGrid,
+                   SpaceTimeField, field_at_nodes, field_per_interval,
+                   require_field)
 from .nonlinearity import clamp_idle, eval_a_truncated, eval_ay_truncated
 from .problem import ProblemSpec
 
@@ -260,8 +256,8 @@ class StepSystem:
     """Implicit Euler step matrices B(y) = I + dt*A_h + dt*diag(a_M'(y)).
 
     One per problem (ProblemSpec.steps).  It multiplies by A_h with the
-    stencil (_product) and builds A_h in CSR (operator_matrix) only for
-    SuperLU.  factor(y) picks the factor by what B(y) is:
+    stencil (_product), and holds A_h assembled only in SuperLU's work
+    matrix.  factor(y) picks the factor by what B(y) is:
 
     - separable (_SeparableFactor): the shift dt*a_M'(y) is bitwise equal
       at every node, the tensor has no cross term and each axis has at
@@ -275,12 +271,13 @@ class StepSystem:
       products, or, on at most 14 nodes per axis, where that is faster,
       one product with the dense inverse.
     - otherwise (_SparseFactor): factor(y) writes B(y) into one CSC work
-      matrix, dt*A_h built at the first SuperLU factorization, by
-      rewriting its diagonal entries as 1 + dt*a_ii + shift, and factors
-      that by one SuperLU call, which keeps no reference to it.  SuperLU
-      pivots, which covers the step matrices a decreasing reaction makes
-      indefinite, and raises NewtonError on an exactly singular one, as a
-      separable B(y) that is not positive definite takes this way too.
+      matrix, dt*A_h built from elliptic_matrix at the first SuperLU
+      factorization, by rewriting its diagonal entries as 1 + dt*a_ii +
+      shift, and factors that by one SuperLU call, which keeps no
+      reference to it.  SuperLU pivots, which covers the step matrices a
+      decreasing reaction makes indefinite, and raises NewtonError on an
+      exactly singular one, as a separable B(y) that is not positive
+      definite takes this way too.
 
     The last factor made is held and returned again for the same B(y).
     Each step m = 1..n_t also holds the factor its last refactor left,
@@ -341,11 +338,6 @@ class StepSystem:
         self.constant = (self._factor(np.zeros(spec.grid.n_nodes))
                          if self.nl.kind == "zero" else None)
 
-    @cached_property
-    def operator_matrix(self) -> sp.csr_matrix:
-        """A_h in CSR (elliptic_matrix), built at its first use."""
-        return elliptic_matrix(self._grid, self._tensor)
-
     def _separable_form(self, spec: ProblemSpec, stencil: dict):
         """What a separable B(y) is factored from: in 1D the off diagonal
         dt*a_00*(-1/h^2) of I + dt*A_h; in 2D the sine matrix Q and the
@@ -393,7 +385,8 @@ class StepSystem:
                 return lu
             self.work["separable_rejected"] += 1
         if self._work is None:
-            self._work = (self.dt * self.operator_matrix).tocsc()
+            self._work = (self.dt * elliptic_matrix(self._grid,
+                                                     self._tensor)).tocsc()
             # data index of each diagonal entry, by node; a_ii > 0, so all
             # are stored
             columns = np.repeat(np.arange(len(shift)),
@@ -581,10 +574,9 @@ def solve_state(spec: ProblemSpec, u: SpaceTimeField,
     one Newton pass from y_{m-1} (StepSystem.newton).  Emits TruncationActiveWarning when a computed
     state y_m, m >= 1, leaves (-M, M); the solution is still returned.
     """
-    if u.slice_semantics != PER_INTERVAL:
-        raise ValueError("control must be a per-interval field")
-    if u.grid != spec.grid or u.tgrid != spec.tgrid:
-        raise ValueError("control lives on different grids")
+    require_field(u, PER_INTERVAL, spec, "control u")
+    if near is not None:
+        require_field(near, AT_NODES, spec, "near")
     steps = spec.steps
     y = np.empty((spec.tgrid.n_t + 1, spec.grid.n_nodes))
     y[0] = spec.y0
@@ -703,9 +695,10 @@ def _linear_sweep(spec: ProblemSpec, y: SpaceTimeField, source: np.ndarray,
 
 def solve_linearized(spec: ProblemSpec, y: SpaceTimeField,
                      v: SpaceTimeField) -> SpaceTimeField:
-    """Directional state derivative at y in the control direction v."""
-    if v.slice_semantics != PER_INTERVAL:
-        raise ValueError("direction must be a per-interval field")
+    """Directional state derivative at the state y in the control direction
+    v: y at the nodes, v per interval, both on spec's grids."""
+    require_field(y, AT_NODES, spec, "state y")
+    require_field(v, PER_INTERVAL, spec, "direction v")
     return _linear_sweep(spec, y, spec.tgrid.dt * v.values, False)
 
 
@@ -713,12 +706,16 @@ def solve_adjoint(spec: ProblemSpec, y: SpaceTimeField,
                   near: SpaceTimeField | None = None) -> SpaceTimeField:
     """Backward solve with right-hand side y - yd, the exact transpose of
     the forward linearization (with B_m = B_m^T).  Per-interval field.
+    The state y is at the nodes, on spec's grids.
 
     near, when given, is a nearby adjoint, such as the one at an earlier
     state: step m's refinement then starts from near_m, not from 0.  The
     factors it leaves held serve the chord of a later
     solve_state(spec, u, y).
     """
+    require_field(y, AT_NODES, spec, "state y")
+    if near is not None:
+        require_field(near, PER_INTERVAL, spec, "near")
     source = spec.tgrid.dt * (y.values[1:] - spec.yd.values[1:])
     return _linear_sweep(spec, y, source, True,
                          None if near is None else near.values)

@@ -9,7 +9,7 @@ from functools import cached_property
 import numpy as np
 
 from .grid import (AT_NODES, DiffusionTensor, SpaceGrid, SpaceTimeField,
-                   TimeGrid)
+                   TimeGrid, require_field)
 from .nonlinearity import NonlinearitySpec, auto_truncation_level
 
 
@@ -61,10 +61,7 @@ class ProblemSpec:
                              f"expected ({self.grid.n_nodes},)")
         if not np.all(np.isfinite(self.y0)):
             raise ValueError("y0 must be finite")
-        if self.yd.slice_semantics != AT_NODES:
-            raise ValueError("target yd must be an at-nodes field")
-        if self.yd.grid != self.grid or self.yd.tgrid != self.tgrid:
-            raise ValueError("target yd lives on different grids")
+        require_field(self.yd, AT_NODES, self, "target yd")
         y0_max, yd_max = np.abs(self.y0).max(), np.abs(self.yd.values).max()
         # the sum of squares the tracking term 1/2 ||y - yd||^2 forms for a
         # residual of size |y0| + |yd| at every node and step

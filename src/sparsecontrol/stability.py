@@ -3,17 +3,12 @@ the l1 budget gamma changes, and the fitted power of that distance.
 
 Solves the problem over a list of budgets around the base gamma, outward on
 each side, then fits log(distance) against log(|gamma' - gamma|).  Each
-solve is handed the secant through the last two solved budgets' states and
-adjoints (the base counts as one; with only the base behind, the secant is
-flat): its first state solve chords from the predicted state, its first
-adjoint sweep refines from the predicted adjoint phi, and it starts at the
-control proj(-phi/kappa) onto its ball, the first-order map at the
-predicted adjoint.  The adjoint is smooth in the budget where the control's
-support has kinks.  Its first step is the last spectral step its neighbor
-accepted.  Every budget shares the base problem's step system and clamp
-level (ProblemSpec.with_budget).  A warning names the budgets that reach
-the clamp.  The report also carries the certified second-order bound at
-the base budget.
+solve starts from the secant through its solved neighbors' states and
+adjoints (gamma_sweep), as the adjoint is smooth in the budget where the
+control's support has kinks.  Every budget shares the base problem's step
+system and clamp level (ProblemSpec.with_budget).  A warning names the
+budgets that reach the clamp.  The report also carries the certified
+second-order bound at the base budget.
 """
 
 from __future__ import annotations
@@ -73,12 +68,13 @@ def gamma_sweep(spec: ProblemSpec, gammas, cfg: OptimizerConfig) -> StabilityRep
     adjoints (flat while only the base is behind) gives the nearby point
     (y, phi) that the solve's first state and adjoint sweeps start from
     (optimizer.solve); the start control is project_field(-phi/kappa, g),
-    and the first trial step is neighbor k's last accepted step, or the
-    step k was handed if it took none (1/kappa at the base).
-    The second-order bound is computed right after the base solve, before
-    either chain moves the shared step system away from the base state.  A
-    repeated budget is solved once.  A nonconvergent solve aborts the
-    sweep; the partial report is returned.
+    the first-order map at the predicted adjoint, and the first trial step
+    is neighbor k's last accepted step, or the step k was handed if it took
+    none (None, solve's own default, at the base).  The second-order
+    bound is computed right after the base solve, before either chain
+    moves the shared step system away from the base state.  A repeated
+    budget is solved once.  A nonconvergent solve aborts the sweep; the
+    partial report is returned.
     """
     gammas = sorted({float(g) for g in gammas})
     base = solve(spec, cfg)
@@ -102,8 +98,8 @@ def gamma_sweep(spec: ProblemSpec, gammas, cfg: OptimizerConfig) -> StabilityRep
     iterations = {spec.gamma: base.iterations}
     clamped = set() if base.truncation_inactive else {spec.gamma}
     for chain in (above, below[::-1]):
-        warm, warm_gamma, slopes = base, spec.gamma, (0.0, 0.0)
-        step = 1.0 / spec.kappa         # the step the base was handed
+        # step: the first step the base was handed, solve's default
+        warm, warm_gamma, slopes, step = base, spec.gamma, (0.0, 0.0), None
         for g in chain:
             step = (warm.step_history or [step])[-1]
             y, phi = (like(f, f.values + (g - warm_gamma) * slope)

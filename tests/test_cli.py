@@ -55,6 +55,10 @@ def test_solve_writes_outputs(tmp_path):
     report = json.loads((out / "report.json").read_text())
     assert report["converged"] is True
     assert report["truncation_inactive"] is True
+    # every KKTResiduals field, and only those, reaches the output
+    assert set(report["kkt_residuals"]) == {
+        "stationarity", "feasibility", "sign_gap", "slack_gap",
+        "identity_gap"}
     # effective config embedded with defaults resolved
     assert report["config"]["problem"]["kappa"] == 0.2
     assert report["config"]["optimizer"] == {"max_iter": 300, "tol": 1e-9}
@@ -391,6 +395,13 @@ def test_sweep_writes_outputs(tmp_path):
     assert lines[0] == "γ′,distance"
     assert len(lines) == 4
     payload = json.loads((out / "stability.json").read_text())
+    # StabilityReport's fields, constant written as L, with the config and
+    # the work counts: a field added to the record reaches the output only
+    # when this set says so
+    assert set(payload) == {
+        "base_gamma", "gammas", "distances", "iterations", "exponent", "L",
+        "regime", "second_order_bound", "converged", "warnings", "config",
+        "work"}
     assert payload["base_gamma"] == 0.1
     assert payload["regime"] in ("active", "inactive")
     assert len(payload["distances"]) == 3

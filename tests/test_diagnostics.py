@@ -33,6 +33,7 @@ def test_classify_matches_per_slice_norms(n_dim, n, n_t):
     gamma = float(np.median(l1))
     act = sc.classify_slices(u, mu, gamma)
     assert np.array_equal(act.l1_norms, l1)
+    assert np.array_equal(act.mu_inf, mu_inf)
     binding = np.abs(l1 - gamma) <= act.tol
     assert np.array_equal(act.multiplier_active, binding & (mu_inf > act.tol))
 

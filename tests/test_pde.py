@@ -448,10 +448,10 @@ def test_singular_step_matrix_raises_newton_error():
             sc.solve_adjoint(spec, y)
 
 
-def test_constant_tridiagonal_factor_rejects_a_matrix_not_positive_definite():
-    # a uniform shift makes B = (1 + s) I + dt*A_h tridiagonal in 1D and
-    # tridiagonal blocks in 2D, but at s = -3 not positive definite: dpttrf
-    # reports a pivot d_ii <= 0, one rejected separable attempt, and
+def test_separable_factor_rejects_a_matrix_not_positive_definite():
+    # a uniform shift makes B = (1 + s) I + dt*A_h separable, but at s = -3
+    # not positive definite: in 1D dpttrf reports a pivot d_ii <= 0, in 2D
+    # a sine-basis eigenvalue is <= 0.  One rejected separable attempt, and
     # SuperLU factors B instead, in 1D and 2D alike
     for n_dim in (1, 2):
         spec = uniform_shift_spec(n_dim, 6, sc.isotropic(n_dim, 0.01), -3.0)
@@ -511,8 +511,8 @@ def test_separable_factor_solves_like_superlu(n_dim, n, shift):
 
 def test_superlu_factors_what_is_not_separable():
     # a cross-term tensor, a shift that is not uniform, and grids under 3
-    # nodes per axis keep SuperLU, with no dpttrf tried, and its solve
-    # matches a fresh one
+    # nodes per axis keep SuperLU, with no separable factor tried, and its
+    # solve matches a fresh one
     rng = np.random.default_rng(32)
     cross = sc.DiffusionTensor(((0.3, 0.1), (0.1, 0.3)))
     cases = [(uniform_shift_spec(2, 6, cross, -0.25), None),
@@ -626,7 +626,8 @@ def test_sparse_factor_pivots_on_an_indefinite_step_matrix():
     # B = (1 - 100.5) I + A_h on a 4 x 4 grid indefinite, eigenvalues about
     # -80.4 to 81.4, so symmetric mode's diagonal pivots do not all hold
     # and SuperLU exchanges rows (perm_r is not perm_c).  The shift is
-    # uniform, but dpttrf finds B not positive definite and hands it on
+    # uniform, but a sine-basis eigenvalue shows B not positive definite,
+    # and the separable factor hands it on
     grid = sc.SpaceGrid(2, 4)
     tgrid = sc.TimeGrid(1.0, 1)
     spec = sc.ProblemSpec(
@@ -827,12 +828,12 @@ def test_zero_reaction_step_is_one_solve(monkeypatch):
                                             (1, 2, "superlu_factors"),
                                             (2, 6, "separable_factors"),
                                             (2, 2, "superlu_factors")],
-                         ids=["1-40-dpttrf", "1-2-splu", "2-6-dpttrf",
+                         ids=["1-40-dpttrf", "1-2-splu", "2-6-sine",
                               "2-2-splu"])
 def test_zero_reaction_solve_factors_once(n_dim, n, kind):
     # a whole solve, with an active budget, makes one factorization: the
-    # constant step matrix's, by dpttrf on 3 or more nodes per axis, else
-    # by SuperLU
+    # constant step matrix's, separable on 3 or more nodes per axis (dpttrf
+    # in 1D, the sine diagonalization in 2D), else by SuperLU
     grid = sc.SpaceGrid(n_dim, n)
     tgrid = sc.TimeGrid(0.5, 12)
     spec = sc.ProblemSpec(
@@ -894,7 +895,8 @@ def chord_step_problem():
 
 
 def step_residual(spec, y, rhs):
-    return (y + spec.tgrid.dt * (spec.steps.operator_matrix @ y)
+    return (y + spec.tgrid.dt
+            * (sc.elliptic_matrix(spec.grid, spec.diffusion) @ y)
             + spec.tgrid.dt
             * pde.eval_a_truncated(spec.nonlinearity, spec.truncation, y) - rhs)
 
@@ -1362,6 +1364,77 @@ def test_control_shape_rejected():
         sc.solve_state(spec, bad)
 
 
+@pytest.mark.parametrize("sweep, wrong, match", [
+    ("adjoint", "y-per-interval", "^state y must be at-nodes"),
+    ("adjoint", "y-off-grid", "^state y lives on different grids"),
+    ("linearized", "y-per-interval", "^state y must be at-nodes"),
+    ("linearized", "y-off-grid", "^state y lives on different grids"),
+    ("linearized", "v-at-nodes", "^direction v must be per-interval"),
+    ("linearized", "v-off-grid", "^direction v lives on different grids")],
+    ids=["adjoint-y-per-interval", "adjoint-y-off-grid",
+         "linearized-y-per-interval", "linearized-y-off-grid",
+         "linearized-v-at-nodes", "linearized-v-off-grid"])
+def test_linear_sweeps_reject_fields_off_the_problem(sweep, wrong, match):
+    # the 1D grid of 16 nodes with another T has the 4 x 4 grid's node
+    # count and n_t, so its fields have the right shape: only the grid
+    # check rejects them.  Each argument is named, and no sweep runs
+    spec = schloegl_spec(n=4)
+    other = linear_1d_spec(n=16)
+    assert other.grid.n_nodes == spec.grid.n_nodes
+    rng = np.random.default_rng(47)
+    y = sc.solve_state(spec, random_control(spec, rng))
+    v = random_control(spec, rng)
+    fields = {
+        "y-per-interval": (sc.field_per_interval(
+            spec.grid, spec.tgrid, y.values[1:]), v),
+        "y-off-grid": (sc.field_at_nodes(other.grid, other.tgrid,
+                                         y.values), v),
+        "v-at-nodes": (y, sc.field_at_nodes(spec.grid, spec.tgrid,
+                                            y.values)),
+        "v-off-grid": (y, sc.field_per_interval(other.grid, other.tgrid,
+                                                v.values))}
+    y, v = fields[wrong]
+    before = dict(spec.steps.work)
+    with pytest.raises(ValueError, match=match):
+        if sweep == "adjoint":
+            sc.solve_adjoint(spec, y)
+        else:
+            sc.solve_linearized(spec, y, v)
+    assert spec.steps.work == before
+
+
+@pytest.mark.parametrize("sweep, wrong, match", [
+    ("state", "per-interval", "^near must be at-nodes"),
+    ("state", "off-grid", "^near lives on different grids"),
+    ("adjoint", "at-nodes", "^near must be per-interval"),
+    ("adjoint", "off-grid", "^near lives on different grids")],
+    ids=["state-per-interval", "state-off-grid", "adjoint-at-nodes",
+         "adjoint-off-grid"])
+def test_sweeps_reject_a_near_field_off_the_problem(sweep, wrong, match):
+    # as above: the off-grid near has the right shape, only the grid
+    # check rejects it, and no sweep runs
+    spec = schloegl_spec(n=4)
+    other = linear_1d_spec(n=16)
+    rng = np.random.default_rng(53)
+    u = random_control(spec, rng)
+    y = sc.solve_state(spec, u)
+    phi = sc.solve_adjoint(spec, y)
+    near = {
+        ("state", "per-interval"): phi,
+        ("state", "off-grid"): sc.field_at_nodes(other.grid, other.tgrid,
+                                                 y.values),
+        ("adjoint", "at-nodes"): y,
+        ("adjoint", "off-grid"): sc.field_per_interval(
+            other.grid, other.tgrid, phi.values)}[sweep, wrong]
+    before = dict(spec.steps.work)
+    with pytest.raises(ValueError, match=match):
+        if sweep == "state":
+            sc.solve_state(spec, u, near)
+        else:
+            sc.solve_adjoint(spec, y, near)
+    assert spec.steps.work == before
+
+
 def reference_state(spec, u, near=None):
     """solve_state's values as a plain loop of certified_step calls, or of
     solves on the constant factor, which solve_state marches on."""
@@ -1447,17 +1520,20 @@ WORKLOAD_PROBLEMS = {
 }
 
 
-@pytest.mark.parametrize("name, solves, ceiling, sweeps",
-                         [("sweep-2d-lowkappa", 434, 445, 19),
-                          ("solve-2d-schloegl", 153, 160, 7)],
+@pytest.mark.parametrize("name, solves, ceiling, sweeps, certifications",
+                         [("sweep-2d-lowkappa", 434, 445, 19, 36),
+                          ("solve-2d-schloegl", 153, 160, 7, 12)],
                          ids=["sweep-2d-lowkappa-445",
                               "solve-2d-schloegl-160"])
-def test_workload_factorizations_and_triangular_solves(
-        name, solves, ceiling, sweeps):
+def test_workload_factorizations_and_separable_solves(
+        name, solves, ceiling, sweeps, certifications):
     # deterministic work on held factors: one factorization per workload,
-    # the separable one of B(0), and the solves on it that the chord and
-    # the warm-started refinement need (647 and 178 with every refinement
-    # from p = 0), one state and one adjoint sweep per solve and trial
+    # the separable one of B(0), and the separable solves on it that the
+    # chord and the warm-started refinement need (647 and 178 with every
+    # refinement from p = 0), one state and one adjoint sweep per solve and
+    # trial.  The fallbacks stay idle: Newton runs only the first state
+    # sweep's 4 passes, which converge at once, and no sweep resumes after
+    # its certification
     problem, cfg, gammas, iterations = WORKLOAD_PROBLEMS[name]
     spec = schloegl_spec(y0="zero", yd="bump", **problem)
     if gammas is None:
@@ -1470,3 +1546,5 @@ def test_workload_factorizations_and_triangular_solves(
     assert work["superlu_solves"] == 0
     assert work["separable_solves"] == solves <= ceiling
     assert work["state_sweeps"] == work["adjoint_sweeps"] == sweeps
+    assert work["newton_passes"] == 4 and work["resumed_sweeps"] == 0
+    assert work["certifications"] == certifications

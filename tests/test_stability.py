@@ -161,6 +161,30 @@ def test_first_budget_on_each_side_starts_from_the_projected_base(
         assert starts[g][1] == base.step_history[-1]
 
 
+def test_a_base_that_takes_no_step_hands_on_solves_default(monkeypatch):
+    # at a budget of 1e-9 the zero control is a fixed point to tol, so the
+    # base solve converges at iteration 0 with no step taken: the first
+    # budget is handed step None and takes solve's default 1/kappa first,
+    # and the next one the last step that budget accepted
+    calls = []
+    solve = stability.solve
+
+    def recording_solve(spec, cfg, u0=None, near=None, step=None):
+        calls.append((spec.gamma, step, solve(spec, cfg, u0, near, step)))
+        return calls[-1][-1]
+
+    monkeypatch.setattr(stability, "solve", recording_solve)
+    spec = schloegl_spec(n=6, n_t=6, gamma=1e-9)
+    report = sc.gamma_sweep(spec, [1e-9, 0.05, 0.06],
+                            sc.OptimizerConfig(tol=1e-8, max_iter=400))
+    assert report.converged
+    (_, _, base), (g, step, run), (_, next_step, _) = calls
+    assert base.iterations == 0 and base.step_history == []
+    assert g == 0.05 and step is None
+    assert run.step_history[0] == 1.0 / spec.kappa
+    assert next_step == run.step_history[-1]
+
+
 # CI's two-sided sweep of a default problem
 TWO_YAML = "problem: {yd: bump, gamma: 0.05}\n"
 TWO_YAML_GAMMAS = [0.06, 0.055, 0.05, 0.045, 0.04]
@@ -197,7 +221,7 @@ def test_warm_start_is_the_projected_secant_adjoint_and_carried_step(
     for i, (spec, u0, (y, phi), step, run) in enumerate(chains):
         if i in (0, 3):     # each chain starts from the base, on a flat secant
             neighbor, neighbor_gamma, handed, slope = (
-                base, base_spec.gamma, 1.0 / base_spec.kappa, 0.0)
+                base, base_spec.gamma, None, 0.0)
         delta = spec.gamma - neighbor_gamma
         secant = neighbor.phi.values + delta * slope
         assert phi.values.tobytes() == secant.tobytes()
