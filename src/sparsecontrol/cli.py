@@ -59,10 +59,10 @@ def _report_payload(cfg: RunConfig, report: SolveReport, work: dict) -> dict:
         "kkt_residuals": report.kkt.as_dict(),
         "truncation_inactive": report.truncation_inactive,
         "slice_activity": {
-            "l1_norms": [float(x) for x in act.l1_norms],
-            "binding": [bool(b) for b in act.binding],
-            "multiplier_active": [bool(b) for b in act.multiplier_active],
-            "thresholds": [float(x) for x in report.thresholds],
+            "l1_norms": act.l1_norms.tolist(),
+            "binding": act.binding.tolist(),
+            "multiplier_active": act.multiplier_active.tolist(),
+            "thresholds": report.thresholds.tolist(),
             "tolerance": act.tol,
         },
         "work": work,
@@ -73,11 +73,10 @@ def _write_timeseries(path: Path, report: SolveReport):
     times = report.u.tgrid.interval_times()
     act = report.activity
     zero_frac = np.mean(report.u.values == 0.0, axis=1)
+    rows = np.column_stack((times, act.l1_norms, act.mu_inf,
+                            report.thresholds, zero_frac)).tolist()
     lines = [",".join(TIMESERIES_COLUMNS)]
-    for m in range(report.u.n_slices):
-        lines.append(",".join(repr(float(x)) for x in (
-            times[m], act.l1_norms[m], act.mu_inf[m], report.thresholds[m],
-            zero_frac[m])))
+    lines.extend(",".join(map(repr, row)) for row in rows)
     path.write_text("\n".join(lines) + "\n", encoding="utf-8")
 
 

@@ -111,7 +111,7 @@ class SpaceTimeField:
             raise ValueError(
                 f"field values have shape {self.values.shape}, expected {expected}"
             )
-        if not np.all(np.isfinite(self.values)):
+        if not np.isfinite(self.values).all():
             raise ValueError("field values must be finite")
 
     @property

@@ -68,8 +68,12 @@ def weighted_product(spec: ProblemSpec, y: SpaceTimeField, weight: np.ndarray,
     """S* W S v as per-interval values: the linearized state z_v, then the
     backward sweep with source dt * weight * z_v."""
     z = solve_linearized(spec, y, v)
-    source = spec.tgrid.dt * weight * z.values[1:]
-    return _linear_sweep(spec, y, source, True).values
+
+    def write_source(out):
+        np.multiply(weight, spec.tgrid.dt, out=out)
+        out *= z.values[1:]
+
+    return _linear_sweep(spec, y, write_source, True).values
 
 
 def hessian_vector(spec: ProblemSpec, y: SpaceTimeField, phi: SpaceTimeField,

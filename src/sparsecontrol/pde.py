@@ -63,9 +63,12 @@ returned meets the test, and when every step passes, the result is
 bitwise that of checking each step on its own.  A Newton pass gives up
 after 3 growing residual norms in a row.  Each sweep runs under
 np.errstate(over="raise"), entered once, so an overflow ends an
-iteration.  Every sweep forms its source for all steps in one array
-operation before the loop, and its NewtonError names the sweep and the
-step.
+iteration.  Every sweep writes its source for all steps before the loop,
+and its NewtonError names the sweep and the step.  A march on the
+constant factor writes it straight into the rows it marches and solves
+each row in place, so the march itself allocates no array beside the
+sweep's buffer.  A march on held factors writes it into an array of its
+own, which the certification reads again.
 
 A_h is the finite-difference operator on interior nodes: the standard
 3/5-point stencil for the diagonal part plus centered cross differences for
@@ -221,12 +224,12 @@ class _SeparableFactor:
     In 1D, B is tridiagonal and symmetric positive definite, factored by
     LAPACK's L D L^T (dpttrf; Golub & Van Loan, Matrix Computations,
     4.3.6) with no pivots; tridiagonal holds dpttrs and dpttrf's factor
-    (d, e), and a solve is dpttrs on b, in place.  In 2D, with node (i, j)
-    at row i*n + j, the orthonormal sine matrix Q_pi = sqrt(2h)
-    sin(p i pi h), symmetric and its own inverse, diagonalizes D2 with
-    eigenvalues lambda_p = (2/h sin(p pi h/2))^2 along both axes, so B =
-    (Q x Q) diag(1 + s + dt*(a_00 lambda_p + a_11 lambda_q)) (Q x Q)
-    (fast diagonalization: Lynch, Rice & Thomas, Numer. Math. 6, 1964).
+    (d, e), and a solve is dpttrs on b, in place, returning b itself.  In
+    2D, with node (i, j) at row i*n + j, the orthonormal sine matrix Q_pi
+    = sqrt(2h) sin(p i pi h), symmetric and its own inverse, diagonalizes
+    D2 with eigenvalues lambda_p = (2/h sin(p pi h/2))^2 along both axes,
+    so B = (Q x Q) diag(1 + s + dt*(a_00 lambda_p + a_11 lambda_q)) (Q x
+    Q) (fast diagonalization: Lynch, Rice & Thomas, Numer. Math. 6, 1964).
     inverse holds the n x n reciprocals of that diagonal, and a solve of
     the n x n node array X is Q((Q X Q) * inverse)Q; sine is Q.  On at
     most _DENSE_MAX_NODES nodes per axis, inverse is instead B^-1 itself,
@@ -244,7 +247,7 @@ class _SeparableFactor:
         self.work["separable_solves"] += 1
         if self.tridiagonal is not None:
             dpttrs, d, e = self.tridiagonal
-            return dpttrs(d, e, b, overwrite_b=1)[0]
+            return dpttrs(d, e, b, 1)[0]
         if self.sine is None:
             return self.inverse @ b
         q = self.sine
@@ -289,7 +292,8 @@ class StepSystem:
     The zero reaction's B is the constant, symmetric positive definite
     I + dt*A_h.  It is factored once, here, and is `constant`, None for
     every other reaction: the sweeps march on it, one solve per implicit
-    step, with no reaction evaluated.
+    step, with no reaction evaluated, each step's source written into the
+    row it solves in place (_march).
 
     work counts what the step system does, once per call, never per step:
     separable_factors, separable_rejected (a separable B(y) found not
@@ -584,7 +588,9 @@ def solve_state(spec: ProblemSpec, u: SpaceTimeField,
     def guess(m):
         return None if near is None else near.values[m]
 
-    _march(spec, y, spec.tgrid.dt * u.values, False, "state",
+    dt = spec.tgrid.dt
+    _march(spec, y, lambda out: np.multiply(u.values, dt, out=out), False,
+           "state",
            lambda rhs, m: steps.chord(rhs, m, guess(m)),
            lambda rhs, m: steps.newton(rhs, y[m - 1]),
            lambda rows, x, rhs: steps.residual(x, rhs))
@@ -597,35 +603,45 @@ def solve_state(spec: ProblemSpec, u: SpaceTimeField,
     return state
 
 
-def _march(spec: ProblemSpec, x: np.ndarray, source: np.ndarray,
-           backward: bool, sweep: str, attempt, fallback, residual) -> None:
-    """x[m] = S_m(x[m - 1] + source[m - 1]), m = 1..n_t, or backward
-    x[m] = S_m(x[m + 1] + source[m - 1]), m = n_t..1, in place.  On the
-    step system's constant factor, S_m is one solve.
+def _march(spec: ProblemSpec, x: np.ndarray, write_source, backward: bool,
+           sweep: str, attempt, fallback, residual) -> None:
+    """x[m] = S_m(x[m - 1] + s_m), m = 1..n_t, or backward
+    x[m] = S_m(x[m + 1] + s_m), m = n_t..1, in place, where
+    write_source(out) writes the sources s_1..s_n_t into the n_t rows of
+    out.  On the step system's constant factor, S_m is one solve, and out
+    is x[1..n_t] itself: each step adds its neighbour into its own row and
+    solves that row in place, so the march allocates nothing.
 
-    Otherwise S_m is attempt(rhs, m), a settled iterate on step m's held
-    factor, not yet certified, or, where that is None, fallback(rhs, m),
-    which needs no certificate (a Newton root or a direct solve).  The
-    iterates on held factors are certified together once the march is
-    done: residual(rows, x[rows], rhs) are their step residuals, and each
-    must meet Newton's test (_certified).  From the first step, in march
-    order, that fails it, the sweep runs fallback there and resumes one
-    step at a time: attempt again, its iterate kept when residual(m,
-    iterate, rhs) meets the test, else fallback; so every step returned
-    meets the test.  When a step fails after an uncertified one, the steps
-    before it are certified first, as they may be the cause.  A failure
-    raises NewtonError naming the sweep and the step."""
+    Otherwise out is an array of its own, and S_m is attempt(rhs, m), a
+    settled iterate on step m's held factor, not yet certified, or, where
+    that is None, fallback(rhs, m), which needs no certificate (a Newton
+    root or a direct solve).  The iterates on held factors are certified
+    together once the march is done: residual(rows, x[rows], rhs) are their
+    step residuals, and each must meet Newton's test (_certified).  From
+    the first step, in march order, that fails it, the sweep runs fallback
+    there and resumes one step at a time: attempt again, its iterate kept
+    when residual(m, iterate, rhs) meets the test, else fallback; so every
+    step returned meets the test.  When a step fails after an uncertified
+    one, the steps before it are certified first, as they may be the
+    cause.  A failure raises NewtonError naming the sweep and the step."""
     constant, work = spec.steps.constant, spec.steps.work
     n_t = spec.tgrid.n_t
     work[sweep + "_sweeps"] += 1
     previous = 1 if backward else -1
     order = range(n_t, 0, -1) if backward else range(1, n_t + 1)
+    source = (x[1:n_t + 1] if constant is not None
+              else np.empty((n_t, x.shape[1])))
+    write_source(source)
     try:
         with np.errstate(over="raise"):
             if constant is not None:
+                solve = constant.solve
                 for m in order:
-                    x[m] = constant.solve(
-                        np.add(x[m + previous], source[m - 1], out=x[m]))
+                    row = x[m]
+                    row += x[m + previous]
+                    solved = solve(row)
+                    if solved is not row:
+                        x[m] = solved
                 return
             pending, failure = [], None
             for m in order:
@@ -664,12 +680,13 @@ def _march(spec: ProblemSpec, x: np.ndarray, source: np.ndarray,
         raise NewtonError(f"{sweep} solver failed at step {m}: {exc}") from exc
 
 
-def _linear_sweep(spec: ProblemSpec, y: SpaceTimeField, source: np.ndarray,
+def _linear_sweep(spec: ProblemSpec, y: SpaceTimeField, write_source,
                   backward: bool,
                   near: np.ndarray | None = None) -> SpaceTimeField:
-    """z_m = B(y_m)^-1 (z_{m-1} + source[m - 1]), m = 1..n_t from z_0 = 0,
-    at the nodes; or backward p_m = B(y_m)^-1 (p_{m+1} + source[m - 1]),
-    m = n_t..1 from p_{n_t+1} = 0, per interval.  Each step refines on the
+    """z_m = B(y_m)^-1 (z_{m-1} + s_m), m = 1..n_t from z_0 = 0, at the
+    nodes; or backward p_m = B(y_m)^-1 (p_{m+1} + s_m), m = n_t..1 from
+    p_{n_t+1} = 0, per interval, write_source(out) writing the sources
+    s_1..s_n_t into the n_t rows of out (_march).  Each step refines on the
     step system's held factor, from near[m - 1] when near is given, else
     from 0, certified by the march (_march); or, when the refinement gives
     up or step m holds no factor, it factors B(y_m) and holds that
@@ -678,13 +695,15 @@ def _linear_sweep(spec: ProblemSpec, y: SpaceTimeField, source: np.ndarray,
     marched on its one factor.
     """
     steps = spec.steps
-    x = np.zeros((spec.tgrid.n_t + 2, spec.grid.n_nodes))
+    x = np.empty((spec.tgrid.n_t + 2, spec.grid.n_nodes))
+    x[0] = x[-1] = 0.0
     shifts = None if steps.constant is not None else steps.shift(y.values[1:])
 
     def guess(m):
         return None if near is None else near[m - 1]
 
-    _march(spec, x, source, backward, "adjoint" if backward else "linearized",
+    _march(spec, x, write_source, backward,
+           "adjoint" if backward else "linearized",
            lambda rhs, m: steps.refine(rhs, m, shifts[m - 1], guess(m)),
            lambda rhs, m: steps.refactor(rhs, m, shifts[m - 1]),
            lambda rows, p, rhs: steps.linear_residual(p, shifts[rows - 1], rhs))
@@ -699,7 +718,9 @@ def solve_linearized(spec: ProblemSpec, y: SpaceTimeField,
     v: y at the nodes, v per interval, both on spec's grids."""
     require_field(y, AT_NODES, spec, "state y")
     require_field(v, PER_INTERVAL, spec, "direction v")
-    return _linear_sweep(spec, y, spec.tgrid.dt * v.values, False)
+    dt = spec.tgrid.dt
+    return _linear_sweep(
+        spec, y, lambda out: np.multiply(v.values, dt, out=out), False)
 
 
 def solve_adjoint(spec: ProblemSpec, y: SpaceTimeField,
@@ -716,6 +737,11 @@ def solve_adjoint(spec: ProblemSpec, y: SpaceTimeField,
     require_field(y, AT_NODES, spec, "state y")
     if near is not None:
         require_field(near, PER_INTERVAL, spec, "near")
-    source = spec.tgrid.dt * (y.values[1:] - spec.yd.values[1:])
-    return _linear_sweep(spec, y, source, True,
+
+    def write_source(out):
+        # dt*r_m, r_m = y_m - yd_m, written in place
+        np.subtract(y.values[1:], spec.yd.values[1:], out=out)
+        out *= spec.tgrid.dt
+
+    return _linear_sweep(spec, y, write_source, True,
                          None if near is None else near.values)

@@ -1,3 +1,4 @@
+import tracemalloc
 import warnings
 import weakref
 from dataclasses import replace
@@ -12,6 +13,7 @@ from sparsecontrol import pde
 from sparsecontrol.checks import check_adjoint_identity, mms_sine_error
 from sparsecontrol.grid import like
 from sparsecontrol.nonlinearity import eval_ay_truncated
+from sparsecontrol.objective import weighted_product
 from sparsecontrol.pde import NewtonError, StepSystem, TruncationActiveWarning
 
 from conftest import (Y0_ONLY_CLAMP_LEVEL, active_schloegl_spec,
@@ -794,10 +796,10 @@ def constant_loop(spec, x0, source, backward):
 
 def test_zero_reaction_step_is_one_solve(monkeypatch):
     # the step matrix is the constant I + dt*A_h: the state, linearized and
-    # adjoint sweeps march on its one factor, one solve per step, with no
-    # Newton and no reaction, bit for bit as a loop of its solves.  The
-    # separable factor on 3 or more nodes per axis, SuperLU with a cross
-    # term and on 2 nodes
+    # adjoint sweeps and the Hessian's weighted product march on its one
+    # factor, one solve per step, with no Newton and no reaction, bit for
+    # bit as a loop of its solves.  The separable factor on 3 or more nodes
+    # per axis (2D dense and sine), SuperLU with a cross term and on 2 nodes
     def no_reaction(*args):
         raise AssertionError("the zero reaction's march evaluated a reaction")
     monkeypatch.setattr(pde, "eval_a_truncated", no_reaction)
@@ -806,6 +808,7 @@ def test_zero_reaction_step_is_one_solve(monkeypatch):
     cross = replace(heat_spec(n=8, n_t=4),
                     diffusion=sc.DiffusionTensor(((1.0, 0.3), (0.3, 2.0))))
     for spec, kind in ((heat_spec(n=8, n_t=4), "_SeparableFactor"),
+                       (heat_spec(n=16, n_t=4), "_SeparableFactor"),
                        (cross, "_SparseFactor"),
                        (linear_1d_spec(n=12), "_SeparableFactor"),
                        (linear_1d_spec(n=2), "_SparseFactor")):
@@ -822,6 +825,36 @@ def test_zero_reaction_step_is_one_solve(monkeypatch):
         source = dt * (y.values[1:] - spec.yd.values[1:])
         assert (phi.values.tobytes()
                 == constant_loop(spec, zero, source, True).tobytes())
+        weight = rng.uniform(-1.0, 2.0, v.values.shape)
+        assert (weighted_product(spec, y, weight, v).tobytes()
+                == constant_loop(spec, zero, dt * weight * z.values[1:],
+                                 True).tobytes())
+        weight = sc.curvature_weight(spec, y, phi)
+        p2 = constant_loop(spec, zero, dt * weight * z.values[1:], True)
+        assert (sc.hessian_vector(spec, y, phi, v).values.tobytes()
+                == (spec.kappa * v.values + p2).tobytes())
+
+
+def test_constant_linear_sweeps_allocate_one_buffer():
+    # a constant march writes its source into the rows it marches and
+    # solves them in place: the linearized and adjoint sweeps' peak
+    # allocation is their (n_t + 2) x n buffer, plus the finiteness mask of
+    # the field returned, not a separate n_t x n source beside it
+    spec = linear_1d_spec(n=100, n_t=100)
+    rng = np.random.default_rng(3)
+    y = sc.solve_state(spec, random_control(spec, rng))
+    v = random_control(spec, rng)
+    buffer = (spec.tgrid.n_t + 2) * spec.grid.n_nodes * 8
+    for sweep in (lambda: sc.solve_adjoint(spec, y),
+                  lambda: sc.solve_linearized(spec, y, v)):
+        sweep()
+        tracemalloc.start()
+        try:
+            sweep()
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak <= 1.3 * buffer
 
 
 @pytest.mark.parametrize("n_dim, n, kind", [(1, 40, "separable_factors"),
