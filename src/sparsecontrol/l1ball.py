@@ -16,9 +16,11 @@ page-faulted in again on each call.  lam is the largest candidate
 lam_k = (sum of the k largest |v_i| - gamma/w)/k, so lam >= max(lam_1, lam_n)
 and only entries above that bound can be in the support: on a stack of at
 least 8192 entries the scan stops one column past the most such entries in
-a row.  The sign is restored by np.copysign, so a -0.0 entry stays -0.0.  A
-bisection solver in ``checks`` is an independent oracle, not the shipped
-path.
+a row, found by bisection over the columns of the descending rows, and it
+scans the first 32 columns of every row first, the rest only on the rows
+that did not clear within them.  The sign is restored by np.copysign, so a
+-0.0 entry stays -0.0.  A bisection solver in ``checks`` is an independent
+oracle, not the shipped path.
 
 The same map characterizes first-order optimality of the control problem:
 at a solution, u(t) is the projection of -phi(t)/kappa, the multiplier is
@@ -38,14 +40,22 @@ from .grid import SpaceTimeField, like
 # re-projecting a projected slice is an exact no-op: soft-thresholding leaves
 # roundoff of order eps times the pre-image mass in the output total
 _FEASIBLE_RTOL = 1e-13
-# stacks over budget with fewer entries scan every column: the bound costs
-# a pass over the sorted stack and half a dozen numpy calls, which the
-# shorter scan repays only on large stacks.  Per call, bounded against full
-# (timeit, 2 shared vCPUs): 35 against 30 us on sweep-2d-lowkappa's 4 x 100
-# stacks, 83 against 79 us on solve-2d-schloegl's 4 x 1024 (3 rows over),
-# 436 against 811 us on solve-1d-long's 200 x 200; on random 200-node rows
-# with supports near 70 the two break even between 4,000 and 8,000 entries
+# stacks over budget with fewer entries scan every column: the bound's
+# bisection, the prefix pass and the rescan of the rows left cost more
+# numpy calls than the shorter scan saves on small stacks.  Per call,
+# bounded against full (timeit, median of 10 alternating runs, 2 shared
+# vCPUs): 47 against 32 us on sweep-2d-lowkappa's 4 x 100 stacks, 129
+# against 86 us on solve-2d-schloegl's 4 x 1024 (3 rows over), 575
+# against 970 us on solve-1d-long's 200 x 200, where one bounded scan of
+# every row, its extent found by a full-width compare, took 645 us
 _BOUNDED_SCAN_MIN_SIZE = 8192
+# a bounded scan runs the first _SCAN_PREFIX columns of every row first and
+# the rest of its extent only on the rows that did not clear within them:
+# 95% of solve-1d-long's rows clear within 32 columns.  Where every row's
+# support is past the prefix, each row is scanned twice: on random
+# 200-node rows with supports near 70 the bounded scan then only breaks
+# even with the full one near 16,000 entries
+_SCAN_PREFIX = 32
 
 
 @dataclass
@@ -76,20 +86,30 @@ def _project_rows(values: np.ndarray, w: float, gamma: float):
     # every row over budget: work on d itself, no boolean-index copies
     every = bool(np.all(over))
     d_over = d if every else d[over]
-    ascending = np.sort(d_over, axis=1)
-    d_sorted = ascending[:, ::-1]
+    d_sorted = np.sort(d_over, axis=1)[:, ::-1]
     n = d_sorted.shape[1]
     radius = gamma / w
-    k = n
     if d_sorted.size >= _BOUNDED_SCAN_MIN_SIZE:
         # lam = max_k lam_k is at least max(lam_1, lam_n), so only the
         # entries above that bound can be in the support, and the scan can
-        # stop one column past the most such entries in a row
+        # stop one column past the most such entries in a row; the rows
+        # are descending, so a row has more than j of them exactly when
+        # its column j is above its bound, and the most is found by
+        # bisection over the columns
         bound = ((total if every else total[over]) - gamma) / (w * n)
         np.maximum(bound, d_sorted[:, 0] - radius, out=bound)
-        below = int((ascending > bound[:, None]).argmax(axis=1).min())
-        k = min(n - below + 1, n)
-    lam = _scan(d_sorted, radius, k)
+        most, fewer = 0, n + 1
+        while fewer - most > 1:
+            j = (most + fewer) // 2
+            if (d_sorted[:, j - 1] > bound).any():
+                most = j
+            else:
+                fewer = j
+        k = min(most + 1, n)
+        lam = _scan(d_sorted, radius,
+                    *((_SCAN_PREFIX, k) if k > _SCAN_PREFIX else (k,)))
+    else:
+        lam = _scan(d_sorted, radius)
     d_over -= lam[:, None]
     np.maximum(d_over, 0.0, out=d_over)
     np.copysign(d_over, values if every else values[over], out=d_over)
@@ -101,25 +121,37 @@ def _project_rows(values: np.ndarray, w: float, gamma: float):
     return projected, thresholds
 
 
-def _scan(d_sorted: np.ndarray, radius: float, k: int) -> np.ndarray:
-    """Per-row threshold of the descending rows d_sorted over the budget
-    radius gamma/w, scanning their first k columns; all n columns when a
-    row does not clear its breakpoint within k, which only roundoff at a
-    tie can cause.  Prefix sums of the first k columns are the full rows'
-    sums, so any k gives the full scan's thresholds bit for bit."""
+def _scan(d_sorted: np.ndarray, radius: float, *extents: int,
+          rows=slice(None)) -> np.ndarray:
+    """Per-row threshold of the rows `rows` of the descending rows d_sorted
+    over the budget radius gamma/w.  Scans their first extents[0] columns,
+    then the rows that did not clear their breakpoint within them again,
+    to extents[1], and so on; past the last extent, or with none given,
+    all n columns.  Only roundoff at a tie leaves a row uncleared within
+    the bound's extent.  Prefix sums of the first k columns are the full
+    rows' sums, so any extents give the full scan's thresholds bit for
+    bit."""
     n = d_sorted.shape[1]
+    k = min(extents[0], n) if extents else n
+    j = min(k, n - 1)
+    # the k columns scanned and the next breakpoint: a view of every row,
+    # or a copy of the rows left
+    head = d_sorted[rows, :j + 1]
     # candidate threshold if exactly the k largest entries stay nonzero
-    lam_k = np.add.accumulate(d_sorted[:, :k], axis=1)
+    lam_k = np.add.accumulate(head[:, :k], axis=1)
     lam_k -= radius
     lam_k /= np.arange(1, k + 1)
     # the true count is the first k clearing the next breakpoint, 0 past
     # the last one
     clears = lam_k >= 0.0
-    j = min(k, n - 1)
-    np.greater_equal(lam_k[:, :j], d_sorted[:, 1:j + 1], out=clears[:, :j])
-    if k < n and not clears[:, -1].all():
-        return _scan(d_sorted, radius, n)
-    return lam_k[np.arange(lam_k.shape[0]), np.argmax(clears, axis=1)]
+    np.greater_equal(lam_k[:, :j], head[:, 1:], out=clears[:, :j])
+    lam = lam_k[np.arange(lam_k.shape[0]), np.argmax(clears, axis=1)]
+    if k < n:
+        left = ~clears[:, -1]
+        if left.any():
+            lam[left] = _scan(d_sorted, radius, *extents[1:],
+                              rows=np.arange(len(d_sorted))[rows][left])
+    return lam
 
 
 def projection_derivative(u: np.ndarray, active: np.ndarray,

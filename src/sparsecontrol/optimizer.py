@@ -75,7 +75,7 @@ def kkt_residuals(spec: ProblemSpec, u: SpaceTimeField, phi: SpaceTimeField,
     again.  The slice norms ||u(m)||_1 and ||mu(m)||_inf are
     classify_slices'."""
     if projected is None:
-        projected, _ = project_field(like(u, -phi.values / spec.kappa),
+        projected, _ = project_field(like(u, phi.values / -spec.kappa),
                                      spec.gamma)
     activity = classify_slices(u, mu, spec.gamma)
     stationarity = l2_norm(like(u, u.values - projected.values))
@@ -155,7 +155,7 @@ def solve(spec: ProblemSpec, cfg: OptimizerConfig = OptimizerConfig(),
 
     for iterations in range(cfg.max_iter + 1):
         fixed_point, thresholds = project_field(
-            like(u, -phi.values / spec.kappa), spec.gamma)
+            like(u, phi.values / -spec.kappa), spec.gamma)
         residual = l2_norm(like(u, u.values - fixed_point.values)) \
             / max(1.0, l2_norm(u))
         residual_history.append(residual)

@@ -65,10 +65,12 @@ after 3 growing residual norms in a row.  Each sweep runs under
 np.errstate(over="raise"), entered once, so an overflow ends an
 iteration.  Every sweep writes its source for all steps before the loop,
 and its NewtonError names the sweep and the step.  A march on the
-constant factor writes it straight into the rows it marches and solves
-each row in place, so the march itself allocates no array beside the
-sweep's buffer.  A march on held factors writes it into an array of its
-own, which the certification reads again.
+constant factor writes it straight into the rows it marches, and the
+factor runs the march (march): one loop over those rows, each step
+adding its neighbour into its own row and solving that row in place, so
+the march itself allocates no array beside the sweep's buffer.  A march
+on held factors writes it into an array of its own, which the
+certification reads again.
 
 A_h is the finite-difference operator on interior nodes: the standard
 3/5-point stencil for the diagonal part plus centered cross differences for
@@ -99,7 +101,7 @@ import numpy as np
 from .grid import (AT_NODES, PER_INTERVAL, DiffusionTensor, SpaceGrid,
                    SpaceTimeField, field_at_nodes, field_per_interval,
                    require_field)
-from .nonlinearity import clamp_idle, eval_a_truncated, eval_ay_truncated
+from .nonlinearity import eval_a_truncated, eval_ay_truncated
 from .problem import ProblemSpec
 
 if TYPE_CHECKING:
@@ -187,6 +189,30 @@ _REACH = {-1: (slice(1, None), slice(None, -1)),
 _DENSE_MAX_NODES = 14
 
 
+class _MarchOverflow(FloatingPointError):
+    """The overflow that stopped a constant march at step made + 1, counted
+    from 1 in march order; its message is the overflow's."""
+
+    def __init__(self, made: int, exc: FloatingPointError):
+        super().__init__(*exc.args)
+        self.made = made
+
+
+def _march_rows(solve, rows: np.ndarray) -> None:
+    """rows[i] = solve(rows[i - 1] + rows[i]), i = 1..len(rows) - 1, in
+    order and in place: the march on a constant factor, rows its contiguous
+    rows in march order, the first the given one (_march).  An overflow at
+    step i raises _MarchOverflow after i - 1 steps."""
+    previous = rows[0]
+    for made, row in enumerate(rows[1:]):
+        try:
+            row += previous
+            row[...] = solve(row)
+        except FloatingPointError as exc:
+            raise _MarchOverflow(made, exc) from exc
+        previous = row
+
+
 class _SparseFactor:
     """Solves B x = b with SuperLU's partial-pivoting LU of the CSC matrix
     B = B(w) in SuperLU's own minimum-degree ordering (X. S. Li, ACM TOMS
@@ -214,6 +240,10 @@ class _SparseFactor:
         """B^-1 b; may overwrite b."""
         self.work["superlu_solves"] += 1
         return self.lu.solve(b)
+
+    def march(self, rows: np.ndarray) -> None:
+        """The constant march on B (_march_rows), one counted solve a step."""
+        _march_rows(self.solve, rows)
 
 
 class _SeparableFactor:
@@ -254,6 +284,25 @@ class _SeparableFactor:
         n = len(q)
         return (q @ ((q @ b.reshape(n, n) @ q) * self.inverse) @ q).ravel()
 
+    def march(self, rows: np.ndarray) -> None:
+        """The constant march on B (_march_rows).  In 1D each step is one
+        positional dpttrs on its row, in place, and the march counts its
+        solves at once, those made before an overflow where one stops it;
+        in 2D each step is one counted solve."""
+        if self.tridiagonal is None:
+            return _march_rows(self.solve, rows)
+        dpttrs, d, e = self.tridiagonal
+        previous = rows[0]
+        for made, row in enumerate(rows[1:]):
+            try:
+                row += previous
+            except FloatingPointError as exc:
+                self.work["separable_solves"] += made
+                raise _MarchOverflow(made, exc) from exc
+            dpttrs(d, e, row, 1)
+            previous = row
+        self.work["separable_solves"] += len(rows) - 1
+
 
 class StepSystem:
     """Implicit Euler step matrices B(y) = I + dt*A_h + dt*diag(a_M'(y)).
@@ -293,13 +342,15 @@ class StepSystem:
     I + dt*A_h.  It is factored once, here, and is `constant`, None for
     every other reaction: the sweeps march on it, one solve per implicit
     step, with no reaction evaluated, each step's source written into the
-    row it solves in place (_march).
+    row it solves in place, the loop run by the factor's march (_march).
 
     work counts what the step system does, once per call, never per step:
     separable_factors, separable_rejected (a separable B(y) found not
     positive definite) and superlu_factors (calls, an exactly
     singular B(y) included); separable_solves and superlu_solves on the
-    factors it made, every solve counting itself; newton_passes;
+    factors it made, one per solve: every solve counts itself, and a
+    constant march on the 1D tridiagonal factor counts its n_t solves at
+    once, per march; newton_passes;
     state_sweeps, linearized_sweeps and adjoint_sweeps; certifications,
     the one stacked residual, and A_h product, of a sweep that ran
     iterates on held factors; and resumed_sweeps, those whose
@@ -563,8 +614,12 @@ def _certified(residual, rhs: np.ndarray) -> np.ndarray:
 
 def clamp_idle_on_states(spec: ProblemSpec, y: SpaceTimeField) -> bool:
     """True when no state y_m, m >= 1, reaches the reaction clamp.  y_0 is
-    not checked: the reaction, and so the clamp, enters only at m >= 1."""
-    return clamp_idle(spec.truncation, y.values[1:])
+    not checked: the reaction, and so the clamp, enters only at m >= 1.
+    nonlinearity.clamp_idle's verdict, every |y| < M, NaN failing, by a max
+    and a min of the whole stack with no |y| temporary."""
+    states, level = y.values[1:], spec.truncation
+    return bool(states.max(initial=0.0) < level
+                and states.min(initial=0.0) > -level)
 
 
 def solve_state(spec: ProblemSpec, u: SpaceTimeField,
@@ -609,8 +664,11 @@ def _march(spec: ProblemSpec, x: np.ndarray, write_source, backward: bool,
     x[m] = S_m(x[m + 1] + s_m), m = n_t..1, in place, where
     write_source(out) writes the sources s_1..s_n_t into the n_t rows of
     out.  On the step system's constant factor, S_m is one solve, and out
-    is x[1..n_t] itself: each step adds its neighbour into its own row and
-    solves that row in place, so the march allocates nothing.
+    is x[1..n_t] itself; the factor marches (march) over the row views of
+    x in march order, the given row first: each step adds its neighbour
+    into its own row and solves that row in place, with no index
+    arithmetic, so the march allocates nothing.  An overflow there names
+    its step by the steps the factor made (_MarchOverflow).
 
     Otherwise out is an array of its own, and S_m is attempt(rhs, m), a
     settled iterate on step m's held factor, not yet certified, or, where
@@ -635,13 +693,7 @@ def _march(spec: ProblemSpec, x: np.ndarray, write_source, backward: bool,
     try:
         with np.errstate(over="raise"):
             if constant is not None:
-                solve = constant.solve
-                for m in order:
-                    row = x[m]
-                    row += x[m + previous]
-                    solved = solve(row)
-                    if solved is not row:
-                        x[m] = solved
+                constant.march(x[:0:-1] if backward else x[:n_t + 1])
                 return
             pending, failure = [], None
             for m in order:
@@ -677,6 +729,8 @@ def _march(spec: ProblemSpec, x: np.ndarray, write_source, backward: bool,
             if failure is not None:
                 raise failure
     except (NewtonError, FloatingPointError) as exc:
+        if isinstance(exc, _MarchOverflow):
+            m = order[exc.made]
         raise NewtonError(f"{sweep} solver failed at step {m}: {exc}") from exc
 
 

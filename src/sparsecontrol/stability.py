@@ -104,7 +104,7 @@ def gamma_sweep(spec: ProblemSpec, gammas, cfg: OptimizerConfig) -> StabilityRep
             step = (warm.step_history or [step])[-1]
             y, phi = (like(f, f.values + (g - warm_gamma) * slope)
                       for f, slope in zip((warm.y, warm.phi), slopes))
-            start, _ = project_field(like(phi, -phi.values / spec.kappa), g)
+            start, _ = project_field(like(phi, phi.values / -spec.kappa), g)
             run = solve(spec.with_budget(g), cfg, start, (y, phi), step)
             if not run.truncation_inactive:
                 clamped.add(g)

@@ -200,17 +200,22 @@ def assert_matches_full_scan(values, w, gamma):
                          ids=["every-stack", "default-floor"])
 def test_bounded_scan_equals_the_full_scan_bitwise(min_size, monkeypatch):
     # the scan stops one column past the most entries above
-    # max(lam_1, lam_n) in a row; the output is the full scan's, byte for
+    # max(lam_1, lam_n) in a row, and scans the first _SCAN_PREFIX columns
+    # of every row before it; the output is the full scan's, byte for
     # byte but for the sign of a -0.0 entry: mixed random stacks with
     # signed zeros, 200 x 200 stacks with small supports (a few large
-    # entries over a low floor), and stacks whose support is every node.
-    # With min_size 0 the small stacks are bounded too
+    # entries over a low floor), a stack with supports on both sides of
+    # the prefix and ties at its boundary, and stacks whose support is
+    # every node.  With min_size 0 the small stacks are bounded too.
+    # scanned records each scan's rows and extent
     monkeypatch.setattr(l1ball, "_BOUNDED_SCAN_MIN_SIZE", min_size)
     scanned = []
+    prefix = l1ball._SCAN_PREFIX
 
-    def recording(d_sorted, radius, k):
-        scanned.append(k)
-        return _scan(d_sorted, radius, k)
+    def recording(d_sorted, radius, *extents, rows=slice(None)):
+        scanned.append((len(d_sorted[rows]),
+                        extents[0] if extents else d_sorted.shape[1]))
+        return _scan(d_sorted, radius, *extents, rows=rows)
 
     monkeypatch.setattr(l1ball, "_scan", recording)
     rng = np.random.default_rng(2026)
@@ -226,10 +231,37 @@ def test_bounded_scan_equals_the_full_scan_bitwise(min_size, monkeypatch):
         w = 1.0 / 201.0
         del scanned[:]
         thresholds = assert_matches_full_scan(values, w, 0.5 * support * w)
-        assert scanned == [support + 1]
+        # every row clears at its support: within the prefix, or past it,
+        # where every row is scanned again to one past the most entries
+        # above the bound
+        assert scanned == ([(200, prefix), (200, support + 1)]
+                           if support >= prefix else [(200, support + 1)])
         assert np.all(thresholds > 0.0)
         assert np.max(np.sum(np.abs(values) > thresholds[:, None],
                              axis=1)) <= support
+    # radius gamma/w = 32 exactly; supports 10, and 60 and one 70, each
+    # side of the prefix; one row whose candidate lam_32 = (64 - 32)/32 =
+    # 1.0 ties its next breakpoint 1.0, so it clears at the prefix's last
+    # column, and one whose 40 equal entries tie across the boundary.  The
+    # prefix is scanned first, then only the 19 rows that did not clear
+    # within it, to one past the most entries above the bound, those of
+    # the one row of 70
+    values = 1e-3 * rng.standard_normal((200, 200))
+    supports = [10] * 180 + [60] * 17 + [70, 32, 40]
+    for row, support in zip(values[:198], supports):
+        spikes = rng.choice(200, support, replace=False)
+        low = 4.0 if support == 10 else 1.0
+        row[spikes] = rng.choice([-1.0, 1.0], support) * rng.uniform(
+            low, low + 0.1 * low, support)
+    values[198, rng.choice(200, 33, replace=False)] = [2.0] * 32 + [-1.0]
+    values[199, rng.choice(200, 40, replace=False)] = 1.5
+    w = 2.0 ** -8
+    del scanned[:]
+    thresholds = assert_matches_full_scan(values, w, 32.0 * w)
+    assert scanned == [(200, prefix), (19, 71)]
+    assert thresholds[198] == 1.0
+    assert np.sum(np.abs(values) > thresholds[:, None], axis=1).tolist() \
+        == supports
     for n in (1, 2, 7, 200):
         values = rng.choice([-1.0, 1.0], (6, n)) * rng.uniform(1.0, 1.1, (6, n))
         w = 1.0 / (n + 1)
@@ -240,12 +272,21 @@ def test_bounded_scan_equals_the_full_scan_bitwise(min_size, monkeypatch):
 
 def test_scan_too_short_falls_back_to_every_column():
     # a row whose breakpoint lies past the columns scanned, which only
-    # roundoff at a tie makes the bound cause, is scanned in full
+    # roundoff at a tie makes the bound cause, is scanned in full; with
+    # several extents, each scan takes only the rows left by the one
+    # before: rows clearing within 2 columns, within 4, and past both
     d_sorted = np.array([[3.0, 2.5, 2.0, 1.5, 1.0, 0.5]])
     lam = _scan(d_sorted, 8.0, 6)
     assert lam[0] == (10.5 - 8.0) / 6.0
     for k in (1, 3, 5):
         assert _scan(d_sorted, 8.0, k).tobytes() == lam.tobytes()
+    rows = {"2": [10.0, 1.0, 0.5, 0.4, 0.3, 0.2],
+            "4": [4.0, 3.9, 3.8, 0.1, 0.1, 0.1],
+            "6": d_sorted[0]}
+    for order in ("246", "642", "426", "2462"):
+        stack = np.array([rows[c] for c in order])
+        assert (_scan(stack, 8.0, 2, 4).tobytes()
+                == _scan(stack, 8.0).tobytes())
 
 
 @pytest.mark.parametrize("over_share", [1.0, 0.5])

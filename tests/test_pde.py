@@ -2,6 +2,7 @@ import tracemalloc
 import warnings
 import weakref
 from dataclasses import replace
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
@@ -12,7 +13,7 @@ import sparsecontrol as sc
 from sparsecontrol import pde
 from sparsecontrol.checks import check_adjoint_identity, mms_sine_error
 from sparsecontrol.grid import like
-from sparsecontrol.nonlinearity import eval_ay_truncated
+from sparsecontrol.nonlinearity import clamp_idle, eval_ay_truncated
 from sparsecontrol.objective import weighted_product
 from sparsecontrol.pde import NewtonError, StepSystem, TruncationActiveWarning
 
@@ -798,8 +799,10 @@ def test_zero_reaction_step_is_one_solve(monkeypatch):
     # the step matrix is the constant I + dt*A_h: the state, linearized and
     # adjoint sweeps and the Hessian's weighted product march on its one
     # factor, one solve per step, with no Newton and no reaction, bit for
-    # bit as a loop of its solves.  The separable factor on 3 or more nodes
-    # per axis (2D dense and sine), SuperLU with a cross term and on 2 nodes
+    # bit as a loop of its solves, and each march counts n_t solves and
+    # nothing else but its sweep.  Every constant factor kind: separable on
+    # 3 or more nodes per axis (2D dense and sine, 1D dpttrs), SuperLU with
+    # a cross term and on 2 nodes
     def no_reaction(*args):
         raise AssertionError("the zero reaction's march evaluated a reaction")
     monkeypatch.setattr(pde, "eval_a_truncated", no_reaction)
@@ -813,40 +816,93 @@ def test_zero_reaction_step_is_one_solve(monkeypatch):
                        (linear_1d_spec(n=12), "_SeparableFactor"),
                        (linear_1d_spec(n=2), "_SparseFactor")):
         assert type(spec.steps.constant).__name__ == kind
-        dt, zero = spec.tgrid.dt, np.zeros(spec.grid.n_nodes)
+        dt, n_t = spec.tgrid.dt, spec.tgrid.n_t
+        zero = np.zeros(spec.grid.n_nodes)
+        solves = ("separable_solves" if kind == "_SeparableFactor"
+                  else "superlu_solves")
+
+        def counted(sweep, *names):
+            # the sweep's result, once the work it added is one march per
+            # name, n_t solves each
+            before = dict(spec.steps.work)
+            result = sweep()
+            added = {key: count - before[key]
+                     for key, count in spec.steps.work.items()
+                     if count != before[key]}
+            assert added == {solves: n_t * len(names),
+                             **{name + "_sweeps": 1 for name in names}}
+            return result
+
         u, v = random_control(spec, rng), random_control(spec, rng)
-        y = sc.solve_state(spec, u)
+        y = counted(lambda: sc.solve_state(spec, u), "state")
         assert (y.values.tobytes()
                 == constant_loop(spec, spec.y0, dt * u.values, False).tobytes())
-        z = sc.solve_linearized(spec, y, v)
+        z = counted(lambda: sc.solve_linearized(spec, y, v), "linearized")
         assert (z.values.tobytes()
                 == constant_loop(spec, zero, dt * v.values, False).tobytes())
-        phi = sc.solve_adjoint(spec, y)
+        phi = counted(lambda: sc.solve_adjoint(spec, y), "adjoint")
         source = dt * (y.values[1:] - spec.yd.values[1:])
         assert (phi.values.tobytes()
                 == constant_loop(spec, zero, source, True).tobytes())
         weight = rng.uniform(-1.0, 2.0, v.values.shape)
-        assert (weighted_product(spec, y, weight, v).tobytes()
+        assert (counted(lambda: weighted_product(spec, y, weight, v),
+                        "linearized", "adjoint").tobytes()
                 == constant_loop(spec, zero, dt * weight * z.values[1:],
                                  True).tobytes())
         weight = sc.curvature_weight(spec, y, phi)
         p2 = constant_loop(spec, zero, dt * weight * z.values[1:], True)
-        assert (sc.hessian_vector(spec, y, phi, v).values.tobytes()
+        assert (counted(lambda: sc.hessian_vector(spec, y, phi, v),
+                        "linearized", "adjoint").values.tobytes()
                 == (spec.kappa * v.values + p2).tobytes())
+
+
+@pytest.mark.parametrize("backward", [False, True],
+                         ids=["forward", "backward"])
+def test_constant_march_overflow_names_its_step(backward):
+    # a sum that overflows stops a constant march at its step: the error
+    # names that step, and work counts the two solves made before it.  The
+    # 1D tridiagonal march and the solve-by-solve one (2D dense, SuperLU)
+    for spec in (linear_1d_spec(), heat_spec(n=8, n_t=4),
+                 linear_1d_spec(n=2)):
+        n_t = spec.tgrid.n_t
+        order = range(n_t, 0, -1) if backward else range(1, n_t + 1)
+        x = np.zeros((n_t + 2, spec.grid.n_nodes))
+
+        def write_source(out):
+            out[...] = 0.0
+            out[order[1] - 1] = 1e300
+            out[order[2] - 1] = np.finfo(float).max
+
+        before = dict(spec.steps.work)
+        with pytest.raises(NewtonError, match=(
+                f"^adjoint solver failed at step {order[2]}: "
+                "overflow encountered in add$")):
+            pde._march(spec, x, write_source, backward, "adjoint",
+                       None, None, None)
+        solves = ("separable_solves" if spec.grid.n_per_axis > 2
+                  else "superlu_solves")
+        assert {key: count - before[key]
+                for key, count in spec.steps.work.items()
+                if count != before[key]} == {solves: 2, "adjoint_sweeps": 1}
 
 
 def test_constant_linear_sweeps_allocate_one_buffer():
     # a constant march writes its source into the rows it marches and
-    # solves them in place: the linearized and adjoint sweeps' peak
-    # allocation is their (n_t + 2) x n buffer, plus the finiteness mask of
-    # the field returned, not a separate n_t x n source beside it
+    # solves them in place: the state sweep's peak allocation is its
+    # (n_t + 1) x n array, the linearized and adjoint sweeps' their
+    # (n_t + 2) x n buffer, plus the finiteness mask of the field returned,
+    # not a separate n_t x n source beside it, nor |y| for the state's
+    # clamp check
     spec = linear_1d_spec(n=100, n_t=100)
     rng = np.random.default_rng(3)
-    y = sc.solve_state(spec, random_control(spec, rng))
+    u = random_control(spec, rng)
+    y = sc.solve_state(spec, u)
     v = random_control(spec, rng)
-    buffer = (spec.tgrid.n_t + 2) * spec.grid.n_nodes * 8
-    for sweep in (lambda: sc.solve_adjoint(spec, y),
-                  lambda: sc.solve_linearized(spec, y, v)):
+    n_t, n = spec.tgrid.n_t, spec.grid.n_nodes
+    for sweep, buffer in ((lambda: sc.solve_state(spec, u), (n_t + 1) * n * 8),
+                          (lambda: sc.solve_adjoint(spec, y), (n_t + 2) * n * 8),
+                          (lambda: sc.solve_linearized(spec, y, v),
+                           (n_t + 2) * n * 8)):
         sweep()
         tracemalloc.start()
         try:
@@ -855,6 +911,37 @@ def test_constant_linear_sweeps_allocate_one_buffer():
         finally:
             tracemalloc.stop()
         assert peak <= 1.3 * buffer
+
+
+# states y_1.. at clamp level M = 2, under a y_0 row the check skips:
+# inside (-M, M) with signed zeros, at +M and at -M, beyond, infinite, NaN,
+# and no states or no nodes
+CLAMP_STATES = {
+    "inside": [[-1.999, -0.5, -0.0], [0.0, 0.7, 1.999]],
+    "negative-zero": [[-0.0, -0.0, -0.0]],
+    "at-plus-level": [[0.0, 2.0, -1.0]],
+    "at-minus-level": [[-2.0, 0.0, 1.0]],
+    "beyond": [[-3.5, 0.3, 40.0]],
+    "plus-inf": [[0.1, np.inf, -1.0]],
+    "minus-inf": [[0.1, -np.inf, 1.0]],
+    "nan": [[0.1, np.nan, -1.0]],
+    "nan-beyond": [[-40.0, np.nan, 1.0]],
+    "no-states": np.empty((0, 3)),
+    "no-nodes": np.empty((2, 0)),
+}
+
+
+@pytest.mark.parametrize("probe", sorted(CLAMP_STATES))
+def test_state_clamp_check_is_clamp_idle(probe):
+    # the whole-state check, a max and a min with no |y| temporary, gives
+    # nonlinearity.clamp_idle's verdict on the states after y_0
+    states = np.asarray(CLAMP_STATES[probe], dtype=float)
+    y = SimpleNamespace(values=np.vstack([np.full(states.shape[1], 50.0),
+                                          states]))
+    verdict = pde.clamp_idle_on_states(SimpleNamespace(truncation=2.0), y)
+    assert verdict is clamp_idle(2.0, states)
+    assert verdict is (probe in ("inside", "negative-zero", "no-states",
+                                 "no-nodes"))
 
 
 @pytest.mark.parametrize("n_dim, n, kind", [(1, 40, "separable_factors"),
